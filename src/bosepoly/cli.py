@@ -384,18 +384,25 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
         if (q + 1) ** model.n_sites > dim_cap:
             raise DimensionCapError((q + 1) ** model.n_sites, dim_cap)
         oracle_log_z = restricted_log_partition(model, region, edges, q)
-        for m in m_list:
-            cfg = ExpansionConfig(
+        cfgs = [
+            ExpansionConfig(
                 m=m,
                 q=q,
                 q_policy="explicit",
                 polymer_threshold=base.polymer_threshold,
                 workers=base.workers,
             )
-            report = approximate_log_partition(model, cfg)
+            for m in m_list
+        ]
+        # one table at the largest m serves every order: a weight does not
+        # depend on which other polymers share its table
+        polymers = enumerate_polymers(edges, max(m_list))
+        weights = weight_table(polymers, model, q, workers=base.workers)
+        for cfg in cfgs:
+            report = approximate_log_partition(model, cfg, weights=weights)
             rows.append(
                 {
-                    "m": m,
+                    "m": cfg.m,
                     "q": q,
                     "f_beta": report.f_beta,
                     "oracle_log_z_q": oracle_log_z,

@@ -289,14 +289,23 @@ class ExpansionReport:
         }
 
 
-def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> ExpansionReport:
-    """Run the full pipeline and assemble the report (f = log Z_W + T_m)."""
+def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig,
+                              weights: dict | None = None) -> ExpansionReport:
+    """Run the full pipeline and assemble the report (f = log Z_W + T_m).
+
+    ``weights`` may be a table computed at this q for any superset of the
+    polymers of order <= m (for example one table shared across an m-list);
+    only the polymers of this order are read from it.
+    """
     start = time.perf_counter()
     q = resolve_cutoff(model, cfg)
 
     edges = interaction_edges(model.couplings, cfg.polymer_threshold)
     polymers = enumerate_polymers(edges, cfg.m)
-    weights = weight_table(polymers, model, q, workers=cfg.workers)
+    if weights is None:
+        weights = weight_table(polymers, model, q, workers=cfg.workers)
+    else:
+        weights = {p: weights[p] for p in polymers}
     active = polymers
     if cfg.prune_below is not None:
         active = [p for p in polymers if abs(weights[p].value) >= cfg.prune_below]

@@ -5,15 +5,25 @@ The weight of a polymer gamma with edges e_1..e_s over support V is
     w_gamma = (-1)^s * sum_{T subset of edges} (-1)^|T| g(T),
 
 where g(T) = Tr(Pi exp(-beta H_T)) / Tr(Pi exp(-beta W)) is a ratio of
-truncated traces on the fixed region V: the numerator keeps on-site terms
-on all of V but hopping only on the edges of T.  Every g is evaluated in
-log space through the number-sector machinery and exponentiated per term;
-the near-cancelling alternating sum runs in a fixed subset order with
-compensated accumulation.
+truncated traces: the numerator keeps on-site terms but hopping only on
+the edges of T.  Sites that T does not touch give the same factor to both
+traces and cancel, and sites in different site-connected components of T
+do not interact, so
+
+    log g(T) = sum over components K of T of log g(K).
+
+Each component K is itself a connected edge set, i.e. a smaller polymer,
+and log g(K) takes one set of number-sector solves on its own support V_K.
+``weight_table`` solves every component its polymers need exactly once
+(the only step that may fan out across threads), then runs each polymer's
+near-cancelling alternating sum serially, in a fixed subset order with
+compensated accumulation.  A weight is therefore a pure function of its
+polymer: no bit depends on the worker count or on the rest of the table.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fock import logsumexp, EigensolverError, onsite_energy, sector_blocks, _symmetric_eigenvalues
+from .fock import EigensolverError, logsumexp, onsite_energy, restricted_log_partition
 from .lattice import ModelInstance
 from .polymers import Polymer
 
@@ -52,89 +62,47 @@ class WeightResult:
     elapsed: float
 
 
-class _RegionTraces:
-    """Shared per-support machinery: sector bases, diagonal energies, and
-    per-edge hopping triplets, reused across all edge subsets T."""
+def _components(subset) -> tuple[Polymer, ...]:
+    """Site-connected components of an edge subset, in canonical order."""
+    groups: list[tuple[set, list]] = []
+    for edge in subset:
+        sites, edges = set(edge), [edge]
+        for group in [g for g in groups if not g[0].isdisjoint(edge)]:
+            groups.remove(group)
+            sites |= group[0]
+            edges += group[1]
+        groups.append((sites, edges))
+    return tuple(sorted((Polymer(tuple(edges)) for _s, edges in groups), key=lambda p: p.key))
 
-    def __init__(self, model: ModelInstance, region, edges, q: int, beta: float):
-        self.beta = beta
-        self.region = tuple(sorted(region))
-        pos = {site: k for k, site in enumerate(self.region)}
-        self.blocks = sector_blocks(self.region, q)
-        self.max_block_dim = max(b.dim for b in self.blocks)
 
-        U, mu = model.onsite.U, model.onsite.mu
-        self.diagonals = []
-        for block in self.blocks:
-            diag = np.array(
-                [
-                    sum(onsite_energy(U[s], mu[s], n) for s, n in zip(self.region, occ))
-                    for occ in block.basis
-                ]
-            )
-            self.diagonals.append(diag)
+def _log_g(model: ModelInstance, component: Polymer, q: int, beta: float) -> float:
+    """log g(K) on the component's own support: hopping trace minus free trace."""
+    region = tuple(sorted(component.support))
+    U, mu = model.onsite.U, model.onsite.mu
+    log_z_free = sum(
+        logsumexp([-beta * onsite_energy(U[s], mu[s], n) for n in range(q + 1)]) for s in region
+    )
+    return restricted_log_partition(model, region, component.edges, q, beta) - log_z_free
 
-        # hop[(edge, block_idx)] = (target_rows, source_cols, amplitudes)
-        self.hops = {}
-        for edge in edges:
-            i, j = edge
-            J = model.coupling(i, j)
-            pi, pj = pos[i], pos[j]
-            for bidx, block in enumerate(self.blocks):
-                index = block.index()
-                rows, cols, amps = [], [], []
-                for k, occ in enumerate(block.basis):
-                    for src, dst in ((pi, pj), (pj, pi)):
-                        if occ[dst] >= 1 and occ[src] + 1 <= q:
-                            moved = list(occ)
-                            moved[dst] -= 1
-                            moved[src] += 1
-                            rows.append(index[tuple(moved)])
-                            cols.append(k)
-                            amps.append(-J * np.sqrt((occ[src] + 1) * occ[dst]))
-                self.hops[(edge, bidx)] = (
-                    np.array(rows, dtype=np.intp),
-                    np.array(cols, dtype=np.intp),
-                    np.array(amps),
-                )
 
-        self.log_z_free = logsumexp(
-            [logsumexp(-beta * diag) for diag in self.diagonals]
-        )
-
-    def log_partition(self, subset) -> float:
-        """log Tr(Pi exp(-beta H_T)) for the edge subset T."""
-        if not subset:
-            return self.log_z_free
-        values = []
-        for bidx, diag in enumerate(self.diagonals):
-            dim = diag.shape[0]
-            H = np.zeros((dim, dim))
-            H[np.arange(dim), np.arange(dim)] = diag
-            hopped = False
-            for edge in subset:
-                rows, cols, amps = self.hops[(edge, bidx)]
-                if rows.size:
-                    np.add.at(H, (rows, cols), amps)
-                    hopped = True
-            if hopped:
-                eigvals = _symmetric_eigenvalues(H)
-            else:
-                eigvals = diag
-            values.append(logsumexp(-self.beta * eigvals))
-        return logsumexp(values)
+def _largest_sector(n_sites: int, q: int) -> int:
+    """Dimension of the largest number sector of n_sites sites capped at q."""
+    counts = [1]
+    for _ in range(n_sites):
+        counts = [sum(counts[max(0, k - q) : k + 1]) for k in range(len(counts) + q)]
+    return max(counts)
 
 
 def g_ratio(model: ModelInstance, polymer: Polymer, edge_subset, q: int,
             beta: float | None = None) -> float:
-    """g(T) = exp(log Z(V_gamma, T) - log Z(V_gamma, no hopping)); g(()) = 1."""
+    """g(T) = exp(sum over components K of T of log g(K)); g(()) = 1."""
     edge_subset = tuple(tuple(sorted(e)) for e in edge_subset)
     if not set(edge_subset) <= set(polymer.edges):
         raise ValueError("edge subset must lie inside the polymer")
     if beta is None:
         beta = model.beta
-    traces = _RegionTraces(model, polymer.support, polymer.edges, q, beta)
-    return float(np.exp(traces.log_partition(edge_subset) - traces.log_z_free))
+    log_g = math.fsum(_log_g(model, k, q, beta) for k in _components(edge_subset))
+    return float(np.exp(log_g))
 
 
 def _neumaier_sum(values) -> float:
@@ -152,24 +120,7 @@ def _neumaier_sum(values) -> float:
 
 def polymer_weight(req: WeightRequest) -> WeightResult:
     """Evaluate w_gamma by the alternating sum over all 2^|gamma| subsets."""
-    start = time.perf_counter()
-    polymer = req.polymer
-    beta = req.effective_beta
-    traces = _RegionTraces(req.model, polymer.support, polymer.edges, req.q, beta)
-
-    terms = []
-    for size in range(polymer.size + 1):
-        for subset in combinations(polymer.edges, size):
-            g = np.exp(traces.log_partition(subset) - traces.log_z_free)
-            terms.append((-1.0) ** size * g)
-    value = (-1.0) ** polymer.size * _neumaier_sum(terms)
-
-    return WeightResult(
-        value=float(value),
-        terms=2 ** polymer.size,
-        max_block_dim=traces.max_block_dim,
-        elapsed=time.perf_counter() - start,
-    )
+    return weight_table([req.polymer], req.model, req.q, req.effective_beta)[req.polymer]
 
 
 def weight_table(
@@ -181,26 +132,55 @@ def weight_table(
 ) -> dict:
     """Weights for a list of distinct polymers, keyed by polymer.
 
-    Evaluation may fan out across threads; the table contents do not depend
-    on the worker count because each weight is a pure function of its
-    polymer.  A failing polymer aborts the whole table with its identity
-    attached.
+    Every connected component of every edge subset is solved once; only
+    these solves fan out across threads, and each is a pure function of
+    its component, so the table contents do not depend on the worker
+    count.  A failing solve aborts the whole table with the identity of
+    the component attached.
     """
     polymers = list(polymers)
     if len(set(polymers)) != len(polymers):
         raise ValueError("duplicate polymer in weight_table input")
+    if q < 1:
+        raise ValueError("cutoff q must be >= 1")
+    if beta is None:
+        beta = model.beta
 
-    def evaluate(polymer: Polymer) -> WeightResult:
+    plans = {
+        p: [
+            ((-1.0) ** size, _components(subset))
+            for size in range(p.size + 1)
+            for subset in combinations(p.edges, size)
+        ]
+        for p in polymers
+    }
+    needed = sorted({k for plan in plans.values() for _sign, ks in plan for k in ks},
+                    key=lambda p: p.key)
+
+    def solve(component: Polymer):
+        start = time.perf_counter()
         try:
-            return polymer_weight(WeightRequest(polymer, model, q, beta))
+            value = _log_g(model, component, q, beta)
         except (EigensolverError, FloatingPointError) as exc:
             raise EigensolverError(
-                f"weight evaluation failed for polymer {polymer.edges}: {exc}"
+                f"weight evaluation failed for polymer {component.edges}: {exc}"
             ) from exc
+        return value, time.perf_counter() - start
 
-    if workers > 1 and len(polymers) > 1:
+    if workers > 1 and len(needed) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, polymers))
+            solved = dict(zip(needed, pool.map(solve, needed)))
     else:
-        results = [evaluate(p) for p in polymers]
-    return dict(zip(polymers, results))
+        solved = {k: solve(k) for k in needed}
+
+    table = {}
+    for polymer, plan in plans.items():
+        start = time.perf_counter()
+        terms = [sign * np.exp(math.fsum(solved[k][0] for k in ks)) for sign, ks in plan]
+        table[polymer] = WeightResult(
+            value=float((-1.0) ** polymer.size * _neumaier_sum(terms)),
+            terms=len(plan),
+            max_block_dim=_largest_sector(len(polymer.support), q),
+            elapsed=solved[polymer][1] + time.perf_counter() - start,
+        )
+    return table

@@ -198,6 +198,24 @@ def test_compare_error_shrinks_with_m(tmp_path):
     assert by_m[4]["m_error_bound"] == pytest.approx(4 * math.exp(-4))
 
 
+def test_compare_rows_match_standalone_approx(tmp_path):
+    # compare shares one weight table across its m-list; each row must still
+    # equal the approx run at that m, bit for bit
+    config = base_config()
+    config["model"]["coupling"] = {"kind": "long_range", "g": 0.3, "alpha": 3.0}
+    config["model"]["U"] = [0.9, 1.1, 1.0, 1.2]
+    config["model"]["mu"] = [0.2, 0.7, 0.4, 0.1]
+    code, text = run_to_file(tmp_path, "compare", config, ["--m-list", "1,2,3,4"])
+    assert code == EXIT_OK
+    rows = json.loads(text)["result"]["rows"]
+    assert [r["m"] for r in rows] == [1, 2, 3, 4]
+    for row in rows:
+        single = dict(config, expansion=dict(config["expansion"], m=row["m"]))
+        code, text = run_to_file(tmp_path, "approx", single)
+        assert code == EXIT_OK
+        assert json.loads(text)["result"]["f_beta"] == row["f_beta"]
+
+
 def test_compare_q_differencing(tmp_path):
     config = base_config()
     config["expansion"] = {"m": 2, "q": 3}

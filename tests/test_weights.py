@@ -4,8 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from bosepoly.fock import restricted_log_partition
-from bosepoly.lattice import interaction_edges
+from bosepoly.fock import restricted_log_partition, sector_blocks
+from bosepoly.lattice import (
+    ModelInstance,
+    OnsiteParams,
+    build_couplings,
+    build_lattice,
+    interaction_edges,
+)
 from bosepoly.polymers import Polymer, enumerate_polymers, incompatible
 from bosepoly.weights import WeightRequest, g_ratio, polymer_weight, weight_table
 
@@ -179,3 +185,95 @@ def test_trace_region_choice_cancels():
         else:
             small = 1.0
         assert full_region == pytest.approx(small, rel=1e-12)
+
+
+# --- factorized evaluation ---------------------------------------------------
+
+
+def brute_force_weight(model, polymer, q):
+    """Reference: all 2^|gamma| subset traces, each on the full support."""
+    region = sorted(polymer.support)
+    log_z_free = restricted_log_partition(model, region, (), q)
+    terms = [
+        (-1.0) ** size * math.exp(restricted_log_partition(model, region, subset, q) - log_z_free)
+        for size in range(polymer.size + 1)
+        for subset in itertools.combinations(polymer.edges, size)
+    ]
+    return (-1.0) ** polymer.size * math.fsum(terms)
+
+
+def disordered(model, seed):
+    rng = np.random.default_rng(seed)
+    n = model.n_sites
+    onsite = OnsiteParams(rng.uniform(0.8, 1.2, n), rng.uniform(0.0, 1.0, n))
+    return ModelInstance(model.lattice, model.couplings, onsite, model.beta)
+
+
+def splits(polymer) -> bool:
+    """True when some edge subset of the polymer has several site components."""
+    for size in range(2, polymer.size + 1):
+        for subset in itertools.combinations(polymer.edges, size):
+            try:
+                Polymer(subset)
+            except ValueError:
+                return True
+    return False
+
+
+def square_2x3(g, beta):
+    lat = build_lattice([2, 3])
+    coup = build_couplings(lat, "finite_range", g=g, d_c=1)
+    return ModelInstance(lat, coup, OnsiteParams.uniform(6, 1.0, 0.0), beta)
+
+
+@pytest.mark.parametrize(
+    "model,q,m",
+    [
+        (disordered(make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5), seed=3), 2, 3),
+        (disordered(square_2x3(g=0.3, beta=0.5), seed=4), 2, 4),
+    ],
+    ids=["long-range-chain4", "square-2x3"],
+)
+def test_weight_table_matches_brute_force_reference(model, q, m):
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), m)
+    assert sum(splits(p) for p in polymers) >= 3
+    table = weight_table(polymers, model, q)
+    for p in polymers:
+        assert abs(table[p].value - brute_force_weight(model, p, q)) <= 1e-13, p.edges
+        assert table[p].terms == 2 ** p.size
+        assert table[p].max_block_dim == max(b.dim for b in sector_blocks(sorted(p.support), q))
+
+
+def test_weight_independent_of_table_context():
+    model = disordered(make_long_range_chain(5, g=0.4, alpha=3.0, beta=0.5), seed=5)
+    edges = interaction_edges(model.couplings, 0.0)
+    m, q = 2, 2
+    polymers = enumerate_polymers(edges, m)
+    tables = [
+        weight_table(polymers, model, q),
+        weight_table(enumerate_polymers(edges, m + 1), model, q),
+        weight_table(polymers[::-1], model, q),
+        weight_table(polymers, model, q, workers=4),
+    ]
+    for p in polymers:
+        alone = polymer_weight(WeightRequest(p, model, q)).value
+        assert all(t[p].value == alone for t in tables), p.edges
+
+
+def test_one_eigensolve_per_sector_block_of_each_polymer(monkeypatch):
+    model = make_chain(7, g=0.2, beta=0.5, U=1.0, mu=0.3)
+    q = 2
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 5)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    weight_table(polymers, model, q)
+    bound = sum(
+        sum(b.dim > 1 for b in sector_blocks(sorted(p.support), q)) for p in polymers
+    )
+    assert 0 < len(calls) <= bound
