@@ -29,7 +29,7 @@ from .polymers import (  # noqa: F401
     enumerate_polymers,
     incompatible,
 )
-from .ursell import UGraph, canonical_graph_key, ursell  # noqa: F401
+from .ursell import UGraph, canonical_graph_key  # noqa: F401
 from .weights import WeightRequest, WeightResult, polymer_weight, weight_table  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,
@@ -38,7 +38,6 @@ from .expansion import (  # noqa: F401
     error_budget,
     kp_diagnostic,
     onsite_log_partition,
-    truncated_log_ratio,
 )
 from .oracle import (  # noqa: F401
     DimensionCapError,

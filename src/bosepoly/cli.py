@@ -45,8 +45,6 @@ from .oracle import (
     occupation_distribution,
     thermalize,
 )
-from .polymers import enumerate_polymers
-from .weights import weight_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -375,6 +373,8 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
         m_list = [base.m]
     if not q_list:
         q_list = [resolve_cutoff(model, base)]
+    if min(m_list) < 1:
+        raise ValueError("truncation order m must be >= 1")
     dim_cap = config.get("oracle", {}).get("dim_cap", DEFAULT_DIM_CAP)
 
     edges = interaction_edges(model.couplings, base.polymer_threshold)
@@ -384,30 +384,23 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
         if (q + 1) ** model.n_sites > dim_cap:
             raise DimensionCapError((q + 1) ** model.n_sites, dim_cap)
         oracle_log_z = restricted_log_partition(model, region, edges, q)
-        cfgs = [
-            ExpansionConfig(
-                m=m,
-                q=q,
-                q_policy="explicit",
-                polymer_threshold=base.polymer_threshold,
-                workers=base.workers,
-            )
-            for m in m_list
-        ]
-        # one table at the largest m serves every order: a weight does not
-        # depend on which other polymers share its table
-        polymers = enumerate_polymers(edges, max(m_list))
-        weights = weight_table(polymers, model, q, workers=base.workers)
-        for cfg in cfgs:
-            report = approximate_log_partition(model, cfg, weights=weights)
+        cfg = ExpansionConfig(m=max(m_list), q=q, polymer_threshold=base.polymer_threshold,
+                              workers=base.workers)
+        report = approximate_log_partition(model, cfg)
+        for m in m_list:
+            # the same left-to-right sum of orders 1..m as a run at this m
+            t_m = 0.0
+            for oc in report.per_order[:m]:
+                t_m += oc.contribution
+            f_beta = report.log_z_w + t_m
             rows.append(
                 {
-                    "m": cfg.m,
+                    "m": m,
                     "q": q,
-                    "f_beta": report.f_beta,
+                    "f_beta": f_beta,
                     "oracle_log_z_q": oracle_log_z,
-                    "abs_error": abs(report.f_beta - oracle_log_z),
-                    "m_error_bound": report.m_error_bound,
+                    "abs_error": abs(f_beta - oracle_log_z),
+                    "m_error_bound": model.n_sites * math.exp(-m),
                 }
             )
     columns = ["m", "q", "f_beta", "oracle_log_z_q", "abs_error", "m_error_bound"]
@@ -475,10 +468,7 @@ def cmd_kp(config: dict):
     model = build_model(config)
     cfg = build_expansion_config(config)
     q = resolve_cutoff(model, cfg)
-    edges = interaction_edges(model.couplings, cfg.polymer_threshold)
-    polymers = enumerate_polymers(edges, cfg.m) if edges else []
-    weights = weight_table(polymers, model, q, workers=cfg.workers)
-    rows_dc = kp_diagnostic(model, cfg, q=q, weights=weights)
+    rows_dc = kp_diagnostic(model, cfg, q=q)
     rows = [
         {"site": r.site, "lhs": r.lhs, "rhs": r.rhs, "certified": r.certified}
         for r in rows_dc

@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .fock import logsumexp, onsite_energy, restricted_log_partition
+from .fock import onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance, interaction_edges
 from .polymers import Cluster, copy_incompatibility_graph, enumerate_clusters, enumerate_polymers
 from .ursell import MEMO_VERTEX_CAP, UGraph, ursell
@@ -38,7 +38,6 @@ __all__ = [
     "KPDiagnosticRow",
     "onsite_log_partition",
     "resolve_cutoff",
-    "truncated_log_ratio",
     "kp_diagnostic",
     "error_budget",
     "approximate_log_partition",
@@ -55,8 +54,7 @@ class ExpansionConfig:
     q = max(1, ceil(q_prefactor * (theta + 1) * log(N) / sqrt(beta))).
     The prefactor stands in for a nonconstructive constant and defaults
     to 2.0.  ``polymer_threshold`` drops couplings with |J| <= threshold
-    from the polymer alphabet; ``prune_below`` (default off) discards
-    weights with |w| below the given magnitude before clustering.
+    from the polymer alphabet.
     """
 
     m: int
@@ -66,7 +64,6 @@ class ExpansionConfig:
     q_prefactor: float = 2.0
     polymer_threshold: float = 0.0
     workers: int = 1
-    prune_below: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -94,14 +91,7 @@ def resolve_cutoff(model: ModelInstance, cfg: ExpansionConfig) -> int:
 
 def onsite_log_partition(model: ModelInstance, q: int) -> float:
     """log Z_W^(q): all hopping off, product over sites."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    total = 0.0
-    for site in range(model.n_sites):
-        U = model.onsite.U[site]
-        mu = model.onsite.mu[site]
-        total += logsumexp([-model.beta * onsite_energy(U, mu, n) for n in range(q + 1)])
-    return total
+    return onsite_log_trace(model, range(model.n_sites), q, model.beta)
 
 
 @dataclass(frozen=True)
@@ -111,20 +101,12 @@ class OrderContribution:
     cluster_count: int
 
 
-@dataclass(frozen=True)
-class TruncatedRatio:
-    value: float
-    per_order: tuple[OrderContribution, ...]
-    polymer_count: int
-    cluster_count: int
-
-
 def _cluster_term(cluster: Cluster, weights: dict) -> float:
     n, edges = copy_incompatibility_graph(cluster)
     if n > MEMO_VERTEX_CAP:
         raise ValueError(
             f"cluster with {n} polymer copies exceeds the Ursell cap "
-            f"({MEMO_VERTEX_CAP}); lower m or prune weights"
+            f"({MEMO_VERTEX_CAP}); lower m"
         )
     phi = ursell(UGraph(n, edges))
     term = float(phi)
@@ -133,33 +115,11 @@ def _cluster_term(cluster: Cluster, weights: dict) -> float:
     return term
 
 
-def truncated_log_ratio(model: ModelInstance, cfg: ExpansionConfig,
-                        q: int | None = None) -> TruncatedRatio:
-    """T_m with its per-order breakdown.
-
-    Deterministic for a fixed config: polymers and clusters are traversed
-    in canonical order and the reduction order never depends on workers.
-    """
-    if q is None:
-        q = resolve_cutoff(model, cfg)
+def _polymer_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
+    """Weight table of every polymer of size <= m, in canonical order."""
     edges = interaction_edges(model.couplings, cfg.polymer_threshold)
     polymers = enumerate_polymers(edges, cfg.m)
-    weights = weight_table(polymers, model, q, workers=cfg.workers)
-    if cfg.prune_below is not None:
-        polymers = [p for p in polymers if abs(weights[p].value) >= cfg.prune_below]
-    clusters = enumerate_clusters(polymers, cfg.m)
-
-    by_order: dict[int, list[float]] = {s: [] for s in range(1, cfg.m + 1)}
-    for cluster in clusters:
-        by_order[cluster.total_size].append(_cluster_term(cluster, weights))
-
-    per_order = []
-    total = 0.0
-    for order in range(1, cfg.m + 1):
-        contribution = math.fsum(by_order[order])
-        total += contribution
-        per_order.append(OrderContribution(order, contribution, len(by_order[order])))
-    return TruncatedRatio(total, tuple(per_order), len(polymers), len(clusters))
+    return weight_table(polymers, model, q, workers=cfg.workers)
 
 
 @dataclass(frozen=True)
@@ -187,9 +147,7 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
     if q is None:
         q = resolve_cutoff(model, cfg)
     if weights is None:
-        edges = interaction_edges(model.couplings, cfg.polymer_threshold)
-        polymers = enumerate_polymers(edges, cfg.m)
-        weights = weight_table(polymers, model, q, workers=cfg.workers)
+        weights = _polymer_weights(model, cfg, q)
 
     rows = []
     for site in probe_sites:
@@ -205,7 +163,6 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
 @dataclass(frozen=True)
 class ErrorBudget:
     m_error: float
-    m_error_conditional: bool
     q_error_proxy: float | None
     q_error_delta: int | None
     q_error_target: float | None
@@ -244,7 +201,7 @@ def error_budget(model: ModelInstance, cfg: ExpansionConfig, theta: float | None
         hi = restricted_log_partition(model, region, edges, big_q)
         q_error = abs(hi - lo)
         delta = oracle_delta
-    return ErrorBudget(m_error, True, q_error, delta, float(n) ** (-theta))
+    return ErrorBudget(m_error, q_error, delta, float(n) ** (-theta))
 
 
 @dataclass(frozen=True)
@@ -289,27 +246,20 @@ class ExpansionReport:
         }
 
 
-def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig,
-                              weights: dict | None = None) -> ExpansionReport:
+def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> ExpansionReport:
     """Run the full pipeline and assemble the report (f = log Z_W + T_m).
 
-    ``weights`` may be a table computed at this q for any superset of the
-    polymers of order <= m (for example one table shared across an m-list);
-    only the polymers of this order are read from it.
+    Deterministic for a fixed config: polymers and clusters are traversed
+    in canonical order and the reduction order never depends on workers.
+    Each per-order contribution sums only the clusters of that total size,
+    so the per_order rows of a run at m are the first m rows of any run at
+    a larger m.
     """
     start = time.perf_counter()
     q = resolve_cutoff(model, cfg)
 
-    edges = interaction_edges(model.couplings, cfg.polymer_threshold)
-    polymers = enumerate_polymers(edges, cfg.m)
-    if weights is None:
-        weights = weight_table(polymers, model, q, workers=cfg.workers)
-    else:
-        weights = {p: weights[p] for p in polymers}
-    active = polymers
-    if cfg.prune_below is not None:
-        active = [p for p in polymers if abs(weights[p].value) >= cfg.prune_below]
-    clusters = enumerate_clusters(active, cfg.m)
+    weights = _polymer_weights(model, cfg, q)
+    clusters = enumerate_clusters(weights, cfg.m)
 
     by_order: dict[int, list[float]] = {s: [] for s in range(1, cfg.m + 1)}
     for cluster in clusters:
@@ -340,7 +290,7 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig,
         per_order=tuple(per_order),
         kp_margin=tuple(kp_rows),
         kp_certified=certified,
-        polymer_count=len(active),
+        polymer_count=len(weights),
         cluster_count=len(clusters),
         m=cfg.m,
         q=q,

@@ -28,6 +28,7 @@ __all__ = [
     "block_log_trace_exp",
     "restricted_log_partition",
     "logsumexp",
+    "onsite_log_trace",
 ]
 
 
@@ -170,6 +171,18 @@ def logsumexp(values) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.exp(arr - m).sum()))
+
+
+def onsite_log_trace(model: ModelInstance, sites, q: int, beta: float) -> float:
+    """log Tr exp(-beta W) over ``sites`` with all hopping off: the per-site
+    on-site sums, added in the order the sites are given."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    total = 0.0
+    for site in sites:
+        U, mu = model.onsite.U[site], model.onsite.mu[site]
+        total += logsumexp([-beta * onsite_energy(U, mu, n) for n in range(q + 1)])
+    return total
 
 
 def _symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -20,28 +20,24 @@ __all__ = [
     "Cluster",
     "incompatible",
     "enumerate_polymers",
-    "iter_polymers",
     "enumerate_clusters",
-    "incompatibility_graph",
     "copy_incompatibility_graph",
+    "site_components",
 ]
 
 
-def _edge_overlap_connected(edges) -> bool:
-    """Connectivity of the edge-overlap graph (edges sharing a site)."""
-    edges = list(edges)
-    if not edges:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        a = set(edges[k])
-        for m, e in enumerate(edges):
-            if m not in seen and (e[0] in a or e[1] in a):
-                seen.add(m)
-                stack.append(m)
-    return len(seen) == len(edges)
+def site_components(site_sets) -> list[list[int]]:
+    """Indices of the given site sets, grouped into the connected components
+    of their overlap graph (two sets are adjacent when they share a site)."""
+    groups: list[tuple[set, list]] = []
+    for index, sites in enumerate(site_sets):
+        merged, members = set(sites), [index]
+        for group in [g for g in groups if not g[0].isdisjoint(merged)]:
+            groups.remove(group)
+            merged |= group[0]
+            members += group[1]
+        groups.append((merged, members))
+    return [members for _sites, members in groups]
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class Polymer:
         edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         if len(set(edges)) != len(edges):
             raise ValueError("polymer edges must be distinct")
-        if not _edge_overlap_connected(edges):
+        if len(site_components(edges)) != 1:
             raise ValueError(f"edge set {edges} is not connected")
         object.__setattr__(self, "edges", edges)
 
@@ -134,14 +130,6 @@ def enumerate_polymers(edge_alphabet, max_size: int, anchor: int | None = None) 
     return sorted(polymers, key=lambda p: p.key)
 
 
-def iter_polymers(edge_alphabet, max_size: int, anchor: int | None = None):
-    """Streaming variant of :func:`enumerate_polymers`: yields the same
-    sequence one size class at a time."""
-    for size in range(1, max_size + 1):
-        batch = [p for p in enumerate_polymers(edge_alphabet, size, anchor) if p.size == size]
-        yield from batch
-
-
 @dataclass(frozen=True)
 class Cluster:
     """A multiset of polymers with a connected incompatibility graph."""
@@ -157,7 +145,7 @@ class Cluster:
         distinct = [p for p, _m in members]
         if len(set(distinct)) != len(distinct):
             raise ValueError("cluster members must be distinct polymers")
-        if not _members_connected(distinct):
+        if len(site_components(p.support for p in distinct)) != 1:
             raise ValueError("cluster incompatibility graph is not connected")
         object.__setattr__(self, "members", members)
 
@@ -172,20 +160,6 @@ class Cluster:
     @property
     def key(self):
         return (self.total_size, tuple((p.key, mult) for p, mult in self.members))
-
-
-def _members_connected(polymers) -> bool:
-    if not polymers:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for m in range(len(polymers)):
-            if m not in seen and incompatible(polymers[k], polymers[m]):
-                seen.add(m)
-                stack.append(m)
-    return len(seen) == len(polymers)
 
 
 def enumerate_clusters(polymers, max_total: int) -> list[Cluster]:
@@ -229,18 +203,6 @@ def enumerate_clusters(polymers, max_total: int) -> list[Cluster]:
 
         assign(0, 0, ())
     return sorted(clusters, key=lambda c: c.key)
-
-
-def incompatibility_graph(cluster: Cluster):
-    """Edge list over the cluster's distinct members (indices follow member
-    order); an edge marks an incompatible pair."""
-    distinct = [p for p, _m in cluster.members]
-    edges = []
-    for a in range(len(distinct)):
-        for b in range(a + 1, len(distinct)):
-            if incompatible(distinct[a], distinct[b]):
-                edges.append((a, b))
-    return len(distinct), tuple(edges)
 
 
 def copy_incompatibility_graph(cluster: Cluster):

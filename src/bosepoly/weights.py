@@ -31,9 +31,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .fock import EigensolverError, logsumexp, onsite_energy, restricted_log_partition
+from .fock import EigensolverError, onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance
-from .polymers import Polymer
+from .polymers import Polymer, site_components
 
 __all__ = ["WeightRequest", "WeightResult", "g_ratio", "polymer_weight", "weight_table"]
 
@@ -64,25 +64,17 @@ class WeightResult:
 
 def _components(subset) -> tuple[Polymer, ...]:
     """Site-connected components of an edge subset, in canonical order."""
-    groups: list[tuple[set, list]] = []
-    for edge in subset:
-        sites, edges = set(edge), [edge]
-        for group in [g for g in groups if not g[0].isdisjoint(edge)]:
-            groups.remove(group)
-            sites |= group[0]
-            edges += group[1]
-        groups.append((sites, edges))
-    return tuple(sorted((Polymer(tuple(edges)) for _s, edges in groups), key=lambda p: p.key))
+    return tuple(sorted(
+        (Polymer(tuple(subset[k] for k in group)) for group in site_components(subset)),
+        key=lambda p: p.key,
+    ))
 
 
 def _log_g(model: ModelInstance, component: Polymer, q: int, beta: float) -> float:
     """log g(K) on the component's own support: hopping trace minus free trace."""
     region = tuple(sorted(component.support))
-    U, mu = model.onsite.U, model.onsite.mu
-    log_z_free = sum(
-        logsumexp([-beta * onsite_energy(U[s], mu[s], n) for n in range(q + 1)]) for s in region
-    )
-    return restricted_log_partition(model, region, component.edges, q, beta) - log_z_free
+    return (restricted_log_partition(model, region, component.edges, q, beta)
+            - onsite_log_trace(model, region, q, beta))
 
 
 def _largest_sector(n_sites: int, q: int) -> int:

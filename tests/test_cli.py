@@ -199,21 +199,35 @@ def test_compare_error_shrinks_with_m(tmp_path):
 
 
 def test_compare_rows_match_standalone_approx(tmp_path):
-    # compare shares one weight table across its m-list; each row must still
-    # equal the approx run at that m, bit for bit
+    # compare reads every m from one run at the largest m; each row must
+    # still equal the approx run at that m and q, bit for bit, and rows keep
+    # the order of the q-list, then the m-list
     config = base_config()
     config["model"]["coupling"] = {"kind": "long_range", "g": 0.3, "alpha": 3.0}
     config["model"]["U"] = [0.9, 1.1, 1.0, 1.2]
     config["model"]["mu"] = [0.2, 0.7, 0.4, 0.1]
-    code, text = run_to_file(tmp_path, "compare", config, ["--m-list", "1,2,3,4"])
-    assert code == EXIT_OK
-    rows = json.loads(text)["result"]["rows"]
-    assert [r["m"] for r in rows] == [1, 2, 3, 4]
-    for row in rows:
-        single = dict(config, expansion=dict(config["expansion"], m=row["m"]))
-        code, text = run_to_file(tmp_path, "approx", single)
+    for m_list, q_list in (([1, 2, 3, 4], []), ([4, 2], [3, 2])):
+        args = ["--m-list", ",".join(map(str, m_list))]
+        if q_list:
+            args += ["--q-list", ",".join(map(str, q_list))]
+        code, text = run_to_file(tmp_path, "compare", config, args)
         assert code == EXIT_OK
-        assert json.loads(text)["result"]["f_beta"] == row["f_beta"]
+        rows = json.loads(text)["result"]["rows"]
+        qs = q_list or [config["expansion"]["q"]]
+        assert [(r["q"], r["m"]) for r in rows] == [(q, m) for q in qs for m in m_list]
+        for row in rows:
+            single = dict(config, expansion=dict(config["expansion"], m=row["m"], q=row["q"]))
+            code, text = run_to_file(tmp_path, "approx", single)
+            assert code == EXIT_OK
+            report = json.loads(text)["result"]
+            assert report["f_beta"] == row["f_beta"]
+            assert report["m_error_bound"] == row["m_error_bound"]
+
+
+def test_compare_rejects_an_order_below_one(tmp_path):
+    for m_list in ("0,2", "-1,3"):
+        code, _text = run_to_file(tmp_path, "compare", base_config(), [f"--m-list={m_list}"])
+        assert code == EXIT_CONFIG
 
 
 def test_compare_q_differencing(tmp_path):

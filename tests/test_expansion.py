@@ -10,7 +10,6 @@ from bosepoly.expansion import (
     kp_diagnostic,
     onsite_log_partition,
     resolve_cutoff,
-    truncated_log_ratio,
 )
 from bosepoly.fock import onsite_energy, restricted_log_partition
 from bosepoly.lattice import interaction_edges
@@ -39,8 +38,8 @@ def test_onsite_log_partition_three_levels():
 def test_zero_couplings_give_zero_ratio():
     model = make_explicit(4, np.zeros((4, 4)), beta=0.4)
     for m in (1, 2, 3):
-        res = truncated_log_ratio(model, ExpansionConfig(m=m, q=2))
-        assert res.value == 0.0
+        res = approximate_log_partition(model, ExpansionConfig(m=m, q=2))
+        assert res.t_m == 0.0
         assert res.polymer_count == 0
     report = approximate_log_partition(model, ExpansionConfig(m=2, q=2))
     assert report.t_m == 0.0
@@ -50,12 +49,12 @@ def test_zero_couplings_give_zero_ratio():
 def test_m1_is_sum_of_single_edge_weights():
     model = make_chain(3, g=0.4, beta=0.3, U=1.0, mu=0.2)
     q = 2
-    res = truncated_log_ratio(model, ExpansionConfig(m=1, q=q))
+    res = approximate_log_partition(model, ExpansionConfig(m=1, q=q))
     expected = sum(
         polymer_weight(WeightRequest(Polymer((e,)), model, q)).value
         for e in interaction_edges(model.couplings, 0.0)
     )
-    assert res.value == pytest.approx(expected, rel=1e-12)
+    assert res.t_m == pytest.approx(expected, rel=1e-12)
 
 
 def test_single_polymer_resummation_converges_to_log1p():
@@ -63,13 +62,13 @@ def test_single_polymer_resummation_converges_to_log1p():
     # series must reproduce log(1 + w), not exp(w) - 1
     model = make_chain(2, g=0.3, beta=1.0, U=1.0, mu=0.0)
     w = (math.cosh(0.3) - 1) / 2
-    res = truncated_log_ratio(model, ExpansionConfig(m=6, q=1))
-    assert res.value == pytest.approx(math.log1p(w), abs=1e-9)
+    res = approximate_log_partition(model, ExpansionConfig(m=6, q=1))
+    assert res.t_m == pytest.approx(math.log1p(w), abs=1e-9)
     partial = 0.0
     for oc in res.per_order:
         partial += (-1) ** (oc.order - 1) * w**oc.order / oc.order
         assert oc.cluster_count == 1
-    assert res.value == pytest.approx(partial, rel=1e-12)
+    assert res.t_m == pytest.approx(partial, rel=1e-12)
 
 
 def test_order_two_mixed_term_is_minus_product():
@@ -82,7 +81,7 @@ def test_order_two_mixed_term_is_minus_product():
     for e in ((0, 1), (1, 2)):
         w[e] = polymer_weight(WeightRequest(Polymer((e,)), model, q)).value
     cfg = ExpansionConfig(m=2, q=q, polymer_threshold=0.0)
-    res = truncated_log_ratio(model, cfg)
+    res = approximate_log_partition(model, cfg)
     order2 = dict((oc.order, oc.contribution) for oc in res.per_order)[2]
     wa, wb = w[(0, 1)], w[(1, 2)]
     # exclude the two-edge polymer's own singleton cluster from the brute sum
@@ -97,8 +96,10 @@ def test_expansion_matches_exact_for_two_sites():
     # order-2 truncation of log(1+w): error ~ w^3/3 ~ 4e-6; the wrong Ursell
     # pairing would instead leave a w^2/2 ~ 2.6e-4 residue
     assert abs(report.f_beta - exact) < 1e-5
+    # order-6 error ~ w^7/7 ~ 4.3e-13
     report6 = approximate_log_partition(model, ExpansionConfig(m=6, q=1))
-    assert abs(report6.f_beta - exact) < 1e-9
+    assert abs(report6.f_beta - exact) < 1e-12
+    assert abs(report6.f_beta - exact) < abs(report.f_beta - exact)
 
 
 def test_error_non_increasing_in_m_vs_oracle():
@@ -164,7 +165,6 @@ def test_error_budget_formula():
     model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
     budget = error_budget(model, ExpansionConfig(m=4, q=2))
     assert budget.m_error == pytest.approx(4 * math.exp(-4))
-    assert budget.m_error_conditional
     assert budget.q_error_proxy is not None and budget.q_error_delta == 2
     # the proxy honestly reports the still-unconverged cutoff, and shrinks
     looser = error_budget(model, ExpansionConfig(m=4, q=6))
@@ -216,7 +216,7 @@ def test_cluster_beyond_ursell_cap_aborts_with_diagnostics():
     # graph exceeds the memo cap
     model = make_chain(2, g=0.3, beta=0.5, U=1.0, mu=0.0)
     with pytest.raises(ValueError, match="Ursell cap"):
-        truncated_log_ratio(model, ExpansionConfig(m=11, q=1))
+        approximate_log_partition(model, ExpansionConfig(m=11, q=1))
 
 
 def test_long_range_expansion_tracks_oracle():
@@ -241,7 +241,7 @@ def test_long_range_expansion_tracks_oracle():
 def test_weights_share_lattice_symmetry():
     # uniform periodic ring: every nearest-neighbor edge carries equal weight
     model = make_chain(4, g=0.4, beta=0.3, U=1.0, mu=0.1, periodic=True)
-    res = truncated_log_ratio(model, ExpansionConfig(m=1, q=2))
+    res = approximate_log_partition(model, ExpansionConfig(m=1, q=2))
     from bosepoly.weights import polymer_weight, WeightRequest
     from bosepoly.polymers import Polymer
 
@@ -251,7 +251,7 @@ def test_weights_share_lattice_symmetry():
     }
     vals = list(values.values())
     assert all(v == pytest.approx(vals[0], rel=1e-12) for v in vals)
-    assert res.value == pytest.approx(sum(vals), rel=1e-12)
+    assert res.t_m == pytest.approx(sum(vals), rel=1e-12)
 
 
 def test_two_dimensional_lattice_pipeline():
@@ -283,16 +283,3 @@ def test_polymer_threshold_knob():
     assert full.f_beta != cut.f_beta
     assert abs(full.f_beta - cut.f_beta) < 1e-4
 
-
-def test_prune_below_knob():
-    model = make_chain(3, g=0.3, beta=0.2, U=1.0, mu=0.0)
-    everything_pruned = approximate_log_partition(
-        model, ExpansionConfig(m=2, q=2, prune_below=1e30)
-    )
-    assert everything_pruned.t_m == 0.0
-    assert everything_pruned.polymer_count == 0
-    default_off = approximate_log_partition(model, ExpansionConfig(m=2, q=2))
-    keep_all = approximate_log_partition(
-        model, ExpansionConfig(m=2, q=2, prune_below=0.0)
-    )
-    assert default_off.t_m == keep_all.t_m

@@ -8,9 +8,8 @@ from bosepoly.polymers import (
     copy_incompatibility_graph,
     enumerate_clusters,
     enumerate_polymers,
-    incompatibility_graph,
     incompatible,
-    iter_polymers,
+    site_components,
 )
 
 CHAIN3 = ((0, 1), (1, 2))
@@ -159,8 +158,13 @@ def test_anchored_union_equals_unanchored():
     assert union == full
 
 
-def test_iter_polymers_same_sequence():
-    assert list(iter_polymers(TRIANGLE, 3)) == enumerate_polymers(TRIANGLE, 3)
+def test_site_components_merge_through_a_bridge():
+    assert site_components([]) == []
+    assert sorted(map(sorted, site_components([(0, 1), (2, 3)]))) == [[0], [1]]
+    # the third set joins the first two into one component
+    assert sorted(map(sorted, site_components([(0, 1), (2, 3), (1, 2), (5, 6)]))) == [
+        [0, 1, 2], [3]
+    ]
 
 
 # --- clusters ----------------------------------------------------------------
@@ -222,21 +226,6 @@ def test_cluster_validation():
 
 
 # --- incompatibility graphs --------------------------------------------------
-
-
-def test_incompatibility_graph_shapes():
-    a = Polymer(((0, 1),))
-    b = Polymer(((1, 2),))
-    c = Polymer(((0, 2),))
-
-    n, edges = incompatibility_graph(Cluster(((a, 3),)))
-    assert (n, edges) == (1, ())
-
-    n, edges = incompatibility_graph(Cluster(((a, 1), (b, 1))))
-    assert (n, edges) == (2, ((0, 1),))
-
-    n, edges = incompatibility_graph(Cluster(((a, 1), (b, 1), (c, 1))))
-    assert n == 3 and len(edges) == 3  # K3
 
 
 def test_copy_graph_expands_multiplicities():

@@ -207,3 +207,12 @@ def test_cycle_values_and_symmetric_fallback_key():
         assert ursell(g) == brute_ursell(n, edges) == (-1) ** (n - 1) * (n - 1)
     key = canonical_graph_key(UGraph(8, tuple((i, (i + 1) % 8) for i in range(8))))
     assert key[0] == "labeled"
+
+
+def test_package_attribute_is_the_module():
+    import types
+
+    import bosepoly
+
+    assert isinstance(bosepoly.ursell, types.ModuleType)
+    assert bosepoly.ursell.UGraph is UGraph
