@@ -3,7 +3,7 @@ for boson-number-truncated Bose-Hubbard lattice models."""
 
 __version__ = "0.1.0"
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 from .lattice import (  # noqa: F401
     CouplingError,
@@ -22,14 +22,7 @@ from .fock import (  # noqa: F401
     restricted_log_partition,
     sector_blocks,
 )
-from .polymers import (  # noqa: F401
-    Cluster,
-    Polymer,
-    enumerate_clusters,
-    enumerate_polymers,
-    incompatible,
-)
-from .ursell import UGraph, canonical_graph_key  # noqa: F401
+from .polymers import Polymer, enumerate_polymers  # noqa: F401
 from .weights import WeightRequest, WeightResult, polymer_weight, weight_table  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,

@@ -383,10 +383,11 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
     for q in q_list:
         if (q + 1) ** model.n_sites > dim_cap:
             raise DimensionCapError((q + 1) ** model.n_sites, dim_cap)
-        oracle_log_z = restricted_log_partition(model, region, edges, q)
         cfg = ExpansionConfig(m=max(m_list), q=q, polymer_threshold=base.polymer_threshold,
                               workers=base.workers)
+        # the expansion checks its own dimension cap before any solve
         report = approximate_log_partition(model, cfg)
+        oracle_log_z = restricted_log_partition(model, region, edges, q)
         for m in m_list:
             # the same left-to-right sum of orders 1..m as a run at this m
             t_m = 0.0

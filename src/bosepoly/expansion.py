@@ -1,14 +1,25 @@
 """Truncated cluster expansion T_m and the log-partition estimate f_beta.
 
 f_beta = log Z_W^(q) + T_m, where log Z_W^(q) is the hopping-free on-site
-reference and
+reference.  Grade each polymer gamma by z^|gamma|.  The polymer gas on a
+connected edge set K then has the partition function
 
-    T_m = sum over clusters with total size <= m of
-          phi(copy incompatibility graph) * prod_gamma w_gamma^mult / mult!
+    Xi_K(z) = sum_{A subset of K} z^|A| prod_{gamma in components(A)} w_gamma,
 
-Contributions are grouped and reported per total cluster size so the decay
-of the series is visible directly.  The Kotecky-Preiss diagnostic reports,
-per probe site x, the truncated sum
+and L_K = log Xi_K is taken as a power series truncated at z^m.  T_m is
+the numerical linked-cluster sum over polymers S with |S| <= m of
+
+    c_S = sum_{nonempty T subset of S} (-1)^(|S|-|T|) sum_{K in components(T)} L_K,
+
+whose z^k coefficient vanishes for k < |S| (only clusters whose polymers
+cover S survive the alternating sum).  The order-k contribution, the sum
+of [z^k] c_S over |S| <= k, is the sum over all clusters of total size k,
+so the decay of the series is visible directly.  This is the numerical
+linked-cluster expansion of Rigol, Bryant and Singh (PRL 97, 187202, 2006)
+run on the polymer gas; it needs no cluster enumeration and no Ursell
+functions.
+
+The Kotecky-Preiss diagnostic reports, per probe site x, the truncated sum
 
     lhs(x) = sum_{polymers gamma with x in support, |gamma| <= m}
              |w_gamma| * exp(|V_gamma|/2 + |gamma|)      vs   rhs = 1/2.
@@ -25,11 +36,12 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .fock import onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance, interaction_edges
-from .polymers import Cluster, copy_incompatibility_graph, enumerate_clusters, enumerate_polymers
-from .ursell import MEMO_VERTEX_CAP, UGraph, ursell
+from .oracle import DEFAULT_DIM_CAP, DimensionCapError
+from .polymers import Polymer, components, enumerate_polymers
 from .weights import weight_table
 
 __all__ = [
@@ -98,28 +110,54 @@ def onsite_log_partition(model: ModelInstance, q: int) -> float:
 class OrderContribution:
     order: int
     contribution: float
-    cluster_count: int
-
-
-def _cluster_term(cluster: Cluster, weights: dict) -> float:
-    n, edges = copy_incompatibility_graph(cluster)
-    if n > MEMO_VERTEX_CAP:
-        raise ValueError(
-            f"cluster with {n} polymer copies exceeds the Ursell cap "
-            f"({MEMO_VERTEX_CAP}); lower m"
-        )
-    phi = ursell(UGraph(n, edges))
-    term = float(phi)
-    for polymer, mult in cluster.members:
-        term *= weights[polymer].value ** mult / math.factorial(mult)
-    return term
 
 
 def _polymer_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
-    """Weight table of every polymer of size <= m, in canonical order."""
+    """Weight table of every polymer of size <= m, in canonical order.
+
+    Refuses, before any solve, a polymer support whose truncated space
+    (q+1)^|V| exceeds the oracle's dimension cap.
+    """
     edges = interaction_edges(model.couplings, cfg.polymer_threshold)
     polymers = enumerate_polymers(edges, cfg.m)
+    largest = max((len(p.support) for p in polymers), default=0)
+    if (q + 1) ** largest > DEFAULT_DIM_CAP:
+        raise DimensionCapError((q + 1) ** largest, DEFAULT_DIM_CAP)
     return weight_table(polymers, model, q, workers=cfg.workers)
+
+
+def _log_series(polymer: Polymer, weights: dict, m: int) -> list[float]:
+    """Coefficients of z^0..z^m of L_K = log Xi_K(z) for the edge set K."""
+    xi = [
+        math.fsum(
+            math.prod(weights[k].value for k in components(subset))
+            for subset in combinations(polymer.edges, size)
+        )
+        for size in range(polymer.size + 1)
+    ]
+    xi += [0.0] * (m + 1 - len(xi))
+    log = [0.0] * (m + 1)
+    for k in range(1, m + 1):
+        # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
+        log[k] = xi[k] - math.fsum(j * log[j] * xi[k - j] for j in range(1, k)) / k
+    return log
+
+
+def _linked_cluster_orders(weights: dict, m: int) -> list[float]:
+    """Order-k contributions of T_m for k = 1..m: the fsum of [z^k] c_S
+    over the polymers S of the table with |S| <= k."""
+    series: dict = {}
+    terms: list[list[float]] = [[] for _ in range(m + 1)]
+    for polymer in weights:
+        for size in range(1, polymer.size + 1):
+            sign = (-1.0) ** (polymer.size - size)
+            for subset in combinations(polymer.edges, size):
+                for k in components(subset):
+                    if k not in series:
+                        series[k] = _log_series(k, weights, m)
+                    for order in range(polymer.size, m + 1):
+                        terms[order].append(sign * series[k][order])
+    return [math.fsum(terms[order]) for order in range(1, m + 1)]
 
 
 @dataclass(frozen=True)
@@ -215,7 +253,6 @@ class ExpansionReport:
     kp_margin: tuple[KPDiagnosticRow, ...]
     kp_certified: bool
     polymer_count: int
-    cluster_count: int
     m: int
     q: int
     m_error_bound: float
@@ -228,8 +265,7 @@ class ExpansionReport:
             "log_z_w": self.log_z_w,
             "t_m": self.t_m,
             "per_order": [
-                {"order": oc.order, "contribution": oc.contribution,
-                 "cluster_count": oc.cluster_count}
+                {"order": oc.order, "contribution": oc.contribution}
                 for oc in self.per_order
             ],
             "kp_margin": [
@@ -238,7 +274,6 @@ class ExpansionReport:
             ],
             "kp_certified": self.kp_certified,
             "polymer_count": self.polymer_count,
-            "cluster_count": self.cluster_count,
             "m": self.m,
             "q": self.q,
             "m_error_bound": self.m_error_bound,
@@ -249,27 +284,20 @@ class ExpansionReport:
 def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> ExpansionReport:
     """Run the full pipeline and assemble the report (f = log Z_W + T_m).
 
-    Deterministic for a fixed config: polymers and clusters are traversed
-    in canonical order and the reduction order never depends on workers.
-    Each per-order contribution sums only the clusters of that total size,
-    so the per_order rows of a run at m are the first m rows of any run at
-    a larger m.
+    Deterministic for a fixed config: every order is one correctly rounded
+    sum, and weights never depend on workers.  Row k reads only series
+    coefficients up to z^k of polymers of size <= k, so the per_order rows
+    of a run at m are the first m rows of any run at a larger m.
     """
     start = time.perf_counter()
     q = resolve_cutoff(model, cfg)
 
     weights = _polymer_weights(model, cfg, q)
-    clusters = enumerate_clusters(weights, cfg.m)
-
-    by_order: dict[int, list[float]] = {s: [] for s in range(1, cfg.m + 1)}
-    for cluster in clusters:
-        by_order[cluster.total_size].append(_cluster_term(cluster, weights))
     per_order = []
     t_m = 0.0
-    for order in range(1, cfg.m + 1):
-        contribution = math.fsum(by_order[order])
+    for order, contribution in enumerate(_linked_cluster_orders(weights, cfg.m), start=1):
         t_m += contribution
-        per_order.append(OrderContribution(order, contribution, len(by_order[order])))
+        per_order.append(OrderContribution(order, contribution))
 
     log_z_w = onsite_log_partition(model, q)
     kp_rows = kp_diagnostic(model, cfg, q=q, weights=weights)
@@ -291,7 +319,6 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
         kp_margin=tuple(kp_rows),
         kp_certified=certified,
         polymer_count=len(weights),
-        cluster_count=len(clusters),
         m=cfg.m,
         q=q,
         m_error_bound=model.n_sites * math.exp(-cfg.m),

@@ -1,10 +1,9 @@
-"""Polymers (connected edge-sets) and clusters (multisets of polymers).
+"""Polymers: connected sets of interaction edges.
 
 A polymer is a set of distinct interaction edges whose edge-overlap graph
 (edges as vertices, adjacency = shared site) is connected.  Two polymers
-are incompatible when their site supports overlap; every polymer is
-incompatible with itself.  A cluster is a multiset of polymers whose
-incompatibility graph is connected, with total size sum(mult * |polymer|).
+are compatible when their site supports are disjoint, and an edge set
+splits into site-connected components, each of them a polymer.
 
 Enumeration is exact-once and deterministic: connected subsets are grown
 from their minimal element with include/exclude branching, then emitted in
@@ -17,11 +16,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "Polymer",
-    "Cluster",
-    "incompatible",
+    "components",
     "enumerate_polymers",
-    "enumerate_clusters",
-    "copy_incompatibility_graph",
     "site_components",
 ]
 
@@ -68,49 +64,47 @@ class Polymer:
         return (len(self.edges), self.edges)
 
 
-def incompatible(a: Polymer, b: Polymer) -> bool:
-    """True when the site supports overlap (every polymer clashes with itself)."""
-    return not a.support.isdisjoint(b.support)
+def components(edges) -> tuple[Polymer, ...]:
+    """Site-connected components of an edge set, in canonical order."""
+    edges = tuple(edges)
+    return tuple(sorted(
+        (Polymer(tuple(edges[k] for k in group)) for group in site_components(edges)),
+        key=lambda p: p.key,
+    ))
 
 
-def _connected_subsets(n: int, adjacency, max_weight: int, weight):
-    """All connected vertex subsets of a graph, each exactly once.
+def _connected_subsets(n: int, adjacency, max_size: int):
+    """All connected vertex subsets of a graph with at most max_size
+    vertices, each exactly once.
 
     ``adjacency[v]`` is a set of neighbor indices; subsets are grown only
     from their minimal element, with candidates processed in increasing
-    order so each subset has a unique include/exclude path.  Subsets whose
-    summed ``weight`` would exceed ``max_weight`` are pruned from the
-    include branch only.
+    order so each subset has a unique include/exclude path.
     """
     results = []
 
-    def rec(included: tuple, inc_weight: int, frontier: frozenset, excluded: frozenset, root: int):
+    def rec(included: tuple, frontier: frozenset, excluded: frozenset, root: int):
+        if len(included) == max_size:
+            return
         candidates = sorted(v for v in frontier if v > root and v not in excluded)
         for pos, v in enumerate(candidates):
-            if inc_weight + weight(v) <= max_weight:
-                new_inc = included + (v,)
-                results.append(new_inc)
-                rec(
-                    new_inc,
-                    inc_weight + weight(v),
-                    (frontier | adjacency[v]) - set(new_inc),
-                    excluded | set(candidates[:pos]),
-                    root,
-                )
+            new_inc = included + (v,)
+            results.append(new_inc)
+            rec(
+                new_inc,
+                (frontier | adjacency[v]) - set(new_inc),
+                excluded | set(candidates[:pos]),
+                root,
+            )
 
     for root in range(n):
-        if weight(root) <= max_weight:
-            results.append((root,))
-            rec((root,), weight(root), frozenset(adjacency[root]), frozenset(), root)
+        results.append((root,))
+        rec((root,), frozenset(adjacency[root]), frozenset(), root)
     return results
 
 
-def enumerate_polymers(edge_alphabet, max_size: int, anchor: int | None = None) -> list[Polymer]:
-    """All connected edge-sets of size <= max_size, in canonical order.
-
-    With ``anchor`` set, only polymers whose support contains the anchor
-    site are returned (same canonical order).
-    """
+def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
+    """All connected edge-sets of size <= max_size, in canonical order."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     edges = sorted(set(tuple(sorted(e)) for e in edge_alphabet))
@@ -123,110 +117,6 @@ def enumerate_polymers(edge_alphabet, max_size: int, anchor: int | None = None) 
         a = set(e)
         adjacency.append({m for m, f in enumerate(edges) if m != k and (f[0] in a or f[1] in a)})
 
-    subsets = _connected_subsets(len(edges), adjacency, max_size, lambda _v: 1)
+    subsets = _connected_subsets(len(edges), adjacency, max_size)
     polymers = [Polymer(tuple(edges[k] for k in subset)) for subset in subsets]
-    if anchor is not None:
-        polymers = [p for p in polymers if anchor in p.support]
     return sorted(polymers, key=lambda p: p.key)
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A multiset of polymers with a connected incompatibility graph."""
-
-    members: tuple[tuple[Polymer, int], ...]
-
-    def __post_init__(self):
-        members = tuple(sorted(self.members, key=lambda pm: pm[0].key))
-        if not members:
-            raise ValueError("cluster must contain at least one polymer")
-        if any(mult < 1 for _p, mult in members):
-            raise ValueError("multiplicities must be >= 1")
-        distinct = [p for p, _m in members]
-        if len(set(distinct)) != len(distinct):
-            raise ValueError("cluster members must be distinct polymers")
-        if len(site_components(p.support for p in distinct)) != 1:
-            raise ValueError("cluster incompatibility graph is not connected")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def total_size(self) -> int:
-        return sum(mult * p.size for p, mult in self.members)
-
-    @property
-    def n_copies(self) -> int:
-        return sum(mult for _p, mult in self.members)
-
-    @property
-    def key(self):
-        return (self.total_size, tuple((p.key, mult) for p, mult in self.members))
-
-
-def enumerate_clusters(polymers, max_total: int) -> list[Cluster]:
-    """All clusters with total size <= max_total, each exactly once.
-
-    Connectivity depends only on the distinct member set (copies of one
-    polymer always clash), so connected distinct sets are enumerated first
-    and multiplicity vectors are filled in afterwards.
-    """
-    if max_total < 1:
-        raise ValueError("max_total must be >= 1")
-    polymers = sorted(set(polymers), key=lambda p: p.key)
-    supports = [p.support for p in polymers]
-    adjacency = []
-    for k in range(len(polymers)):
-        adjacency.append(
-            {m for m in range(len(polymers)) if m != k and not supports[k].isdisjoint(supports[m])}
-        )
-
-    base_sets = _connected_subsets(
-        len(polymers), adjacency, max_total, lambda v: polymers[v].size
-    )
-
-    clusters = []
-    for subset in base_sets:
-        sizes = [polymers[k].size for k in subset]
-        base = sum(sizes)
-
-        def assign(pos: int, used: int, mults: tuple):
-            if pos == len(subset):
-                clusters.append(
-                    Cluster(tuple((polymers[k], m) for k, m in zip(subset, mults)))
-                )
-                return
-            # remaining members need at least one copy each
-            reserve = sum(sizes[pos + 1 :])
-            mult = 1
-            while used + mult * sizes[pos] + reserve <= max_total:
-                assign(pos + 1, used + mult * sizes[pos], mults + (mult,))
-                mult += 1
-
-        assign(0, 0, ())
-    return sorted(clusters, key=lambda c: c.key)
-
-
-def copy_incompatibility_graph(cluster: Cluster):
-    """Incompatibility graph with one vertex per polymer copy.
-
-    Copies of the same polymer are pairwise incompatible (the relation is
-    irreflexive), so each multiplicity group forms a clique; copies of
-    distinct polymers are joined exactly when the supports overlap.  This
-    is the graph whose Ursell value multiplies prod(w^mult / mult!).
-    """
-    groups = []
-    start = 0
-    for p, mult in cluster.members:
-        groups.append((p, range(start, start + mult)))
-        start += mult
-    edges = []
-    for gi, (pa, ra) in enumerate(groups):
-        for u in ra:
-            for v in ra:
-                if u < v:
-                    edges.append((u, v))
-        for pb, rb in groups[gi + 1 :]:
-            if incompatible(pa, pb):
-                for u in ra:
-                    for v in rb:
-                        edges.append((u, v))
-    return start, tuple(sorted(edges))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .fock import EigensolverError, onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance
-from .polymers import Polymer, site_components
+from .polymers import Polymer, components
 
 __all__ = ["WeightRequest", "WeightResult", "g_ratio", "polymer_weight", "weight_table"]
 
@@ -62,14 +62,6 @@ class WeightResult:
     elapsed: float
 
 
-def _components(subset) -> tuple[Polymer, ...]:
-    """Site-connected components of an edge subset, in canonical order."""
-    return tuple(sorted(
-        (Polymer(tuple(subset[k] for k in group)) for group in site_components(subset)),
-        key=lambda p: p.key,
-    ))
-
-
 def _log_g(model: ModelInstance, component: Polymer, q: int, beta: float) -> float:
     """log g(K) on the component's own support: hopping trace minus free trace."""
     region = tuple(sorted(component.support))
@@ -93,7 +85,7 @@ def g_ratio(model: ModelInstance, polymer: Polymer, edge_subset, q: int,
         raise ValueError("edge subset must lie inside the polymer")
     if beta is None:
         beta = model.beta
-    log_g = math.fsum(_log_g(model, k, q, beta) for k in _components(edge_subset))
+    log_g = math.fsum(_log_g(model, k, q, beta) for k in components(edge_subset))
     return float(np.exp(log_g))
 
 
@@ -140,7 +132,7 @@ def weight_table(
 
     plans = {
         p: [
-            ((-1.0) ** size, _components(subset))
+            ((-1.0) ** size, components(subset))
             for size in range(p.size + 1)
             for subset in combinations(p.edges, size)
         ]

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,8 +31,7 @@ from bosepoly.oracle import (
     occupation_distribution,
     thermalize,
 )
-from bosepoly.polymers import enumerate_clusters, enumerate_polymers, incompatible
-from bosepoly.ursell import UGraph, ursell
+from bosepoly.polymers import enumerate_polymers
 from bosepoly.weights import weight_table
 
 from conftest import make_chain, make_explicit, make_long_range_chain
@@ -51,7 +51,7 @@ def admissible_product_sum(polymers, weights):
     total = 0.0
     for r in range(len(polymers) + 1):
         for combo in itertools.combinations(polymers, r):
-            if all(not incompatible(a, b) for a, b in itertools.combinations(combo, 2)):
+            if all(a.support.isdisjoint(b.support) for a, b in itertools.combinations(combo, 2)):
                 term = 1.0
                 for p in combo:
                     term *= weights[p].value
@@ -183,52 +183,82 @@ def test_c04_q_truncation_decay():
     )
 
 
-# -- 5: Ursell suite -------------------------------------------------------------
+# -- 5: per-order rows vs the brute-force polymer-gas series -------------------------
 
 
-def _spanning_connected(n, subset):
-    parent = list(range(n))
+def _site_components(subset):
+    """Site-connected components of an edge subset (union-find on sites)."""
+    parent = {}
 
     def find(x):
+        parent.setdefault(x, x)
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     for (a, b) in subset:
         parent[find(a)] = find(b)
-    return len({find(v) for v in range(n)}) == 1
+    groups = {}
+    for e in subset:
+        groups.setdefault(find(e[0]), []).append(e)
+    return [tuple(sorted(g)) for g in groups.values()]
 
 
-def _brute_ursell(n, edges):
-    total = 0
-    for r in range(len(edges) + 1):
-        for subset in itertools.combinations(edges, r):
-            if _spanning_connected(n, subset):
-                total += (-1) ** r
-    return total
+def _brute_log_series(edges, weights, m):
+    """[z^k] log sum_{A subset of E} z^|A| prod_{components gamma of A} w_gamma
+    for k = 1..m, in exact rational arithmetic on the float weights."""
+    w = {p.edges: Fraction(r.value) for p, r in weights.items()}
+    x = [Fraction(0)] + [
+        sum(
+            (math.prod(w[c] for c in _site_components(a))
+             for a in itertools.combinations(edges, k)),
+            Fraction(0),
+        )
+        for k in range(1, m + 1)
+    ]
+    # log(1 + x) = sum_j (-1)^(j-1) x^j / j, where x has no constant term
+    log = [Fraction(0)] * (m + 1)
+    power = [Fraction(1)] + [Fraction(0)] * m
+    for j in range(1, m + 1):
+        power = [Fraction(0)] + [
+            sum((power[i] * x[k - i] for i in range(k)), Fraction(0)) for k in range(1, m + 1)
+        ]
+        for k in range(1, m + 1):
+            log[k] += (-1) ** (j - 1) * power[k] / j
+    return log[1:]
 
 
-def test_c05_ursell_suite():
+def test_c05_linked_cluster_rows_vs_brute_force():
     start = time.perf_counter()
-    checked = 0
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(2 ** len(pairs)):
-            edges = tuple(p for k, p in enumerate(pairs) if bits >> k & 1)
-            g = UGraph(n, edges)
-            if not g.is_connected():
-                continue
-            assert ursell(g) == _brute_ursell(n, edges)
-            checked += 1
-    for n in range(1, 6):
-        kn = UGraph(n, tuple(itertools.combinations(range(n), 2)))
-        assert ursell(kn) == (-1) ** (n - 1) * math.factorial(n - 1)
+    k4 = 0.2 * (np.ones((4, 4)) - np.eye(4))
+    star = np.zeros((5, 5))
+    star[0, 1:] = star[1:, 0] = [0.2, 0.25, 0.3, 0.35]
+    cases = [
+        (make_explicit(4, k4, beta=0.5, U=1.0, mu=0.3), 2, 6),  # K4: every subset
+        (make_explicit(5, star, beta=0.5, U=1.0, mu=0.2), 2, 4),  # star: all at one site
+        (make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2), 2, 4),
+        (make_chain(6, g=0.2, beta=0.5, U=1.1, mu=0.4), 3, 5),
+    ]
+    worst = 0.0
+    rows = 0
+    for model, q, m in cases:
+        edges = sorted(interaction_edges(model.couplings, 0.0))
+        weights = weight_table(enumerate_polymers(edges, m), model, q)
+        expected = _brute_log_series(edges, weights, m)
+        rep = approximate_log_partition(model, ExpansionConfig(m=m, q=q))
+        for oc, want in zip(rep.per_order, expected, strict=True):
+            worst = max(worst, abs(Fraction(oc.contribution) - want) / abs(want))
+            rows += 1
     elapsed = time.perf_counter() - start
-    report(5, True, f"{checked} connected graphs vs brute force, K_n values exact", elapsed, 10.0)
+    report(
+        5, worst <= 1e-11,
+        f"{rows} per-order rows on {len(cases)} models vs brute-force log series, "
+        f"max relative error {float(worst):.2e} <= 1e-11",
+        elapsed, 10.0,
+    )
 
 
-# -- 6: polymer/cluster counting --------------------------------------------------
+# -- 6: polymer counting ----------------------------------------------------------
 
 
 def _brute_connected_edge_sets(alphabet, max_size):
@@ -250,36 +280,6 @@ def _brute_connected_edge_sets(alphabet, max_size):
     return found
 
 
-def _brute_multisets(polymers, max_total):
-    """Index-increasing enumeration with budget, connectivity filtered last."""
-    found = set()
-
-    def connected(distinct):
-        comp = {0}
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(distinct)):
-                if k not in comp and any(
-                    distinct[k].support & distinct[c].support for c in comp
-                ):
-                    comp.add(k)
-                    changed = True
-        return len(comp) == len(distinct)
-
-    def rec(next_index, budget, chosen):
-        if chosen and connected([p for p, _m in chosen]):
-            found.add(tuple((p.key, m) for p, m in chosen))
-        for idx in range(next_index, len(polymers)):
-            p = polymers[idx]
-            for mult in range(1, budget // p.size + 1):
-                if mult * p.size <= budget:
-                    rec(idx + 1, budget - mult * p.size, chosen + [(p, mult)])
-
-    rec(0, max_total, [])
-    return found
-
-
 def test_c06_polymer_cluster_counting():
     start = time.perf_counter()
     k4 = tuple(itertools.combinations(range(4), 2))
@@ -294,15 +294,8 @@ def test_c06_polymer_cluster_counting():
             alphabets += 1
             got = {frozenset(p.edges) for p in enumerate_polymers(alphabet, len(alphabet))}
             assert got == _brute_connected_edge_sets(alphabet, len(alphabet))
-        # cluster counting on the full universe, m <= 4
-        polymers = enumerate_polymers(universe, 4)
-        got_clusters = {
-            tuple((p.key, m) for p, m in c.members)
-            for c in enumerate_clusters(polymers, 4)
-        }
-        assert got_clusters == _brute_multisets(polymers, 4)
     elapsed = time.perf_counter() - start
-    report(6, True, f"{alphabets} alphabets, clusters to m=4 on 3 full universes", elapsed, 10.0)
+    report(6, True, f"{alphabets} alphabets from 3 universes, polymers of every size", elapsed, 10.0)
 
 
 # -- 7: clustering decay -----------------------------------------------------------

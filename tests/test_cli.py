@@ -109,7 +109,7 @@ def test_approx_zero_coupling(tmp_path):
     code, text = run_to_file(tmp_path, "approx", config)
     assert code == EXIT_OK
     doc = json.loads(text)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["result"]["t_m"] == 0.0
     assert doc["result"]["f_beta"] == doc["result"]["log_z_w"]
 
@@ -164,6 +164,39 @@ def test_exact_dimension_cap_exit_code(tmp_path):
     config["oracle"] = {"q": 9, "dim_cap": 100}
     code, _ = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_RESOURCE
+
+
+def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    auto = {"m": 4, "q_policy": "auto", "workers": 1}
+    cases = [
+        # auto q on a 6-site chain at beta=0.1 resolves q=23, and m=4 reaches
+        # 5-site supports with 24^5 states, past the default cap of 20000
+        ("approx", [6], auto, 24**5),
+        ("kp", [6], auto, 24**5),
+        # the 5-site lattice fits the oracle cap below, but one polymer
+        # support (the whole lattice) at q=7 does not fit the expansion's
+        ("compare", [5], {"m": 4, "q": 7, "workers": 1}, 8**5),
+    ]
+    for command, dims, expansion, required in cases:
+        config = base_config()
+        config["model"]["dims"] = dims
+        config["expansion"] = expansion
+        config["oracle"] = {"q": 7, "dim_cap": 40000}
+        assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "resource_cap"
+        assert error["details"] == [f"required={required}", "allowed=20000"]
+    assert calls == []
 
 
 def test_exact_mutual_information(tmp_path):
@@ -285,7 +318,7 @@ def test_csv_output_round_trips(tmp_path):
     code, text = run_to_file(tmp_path, "kp", config)
     assert code == EXIT_OK
     lines = text.strip().splitlines()
-    assert lines[0] == "# bosepoly-schema: 1"
+    assert lines[0] == "# bosepoly-schema: 2"
     header = lines[1].split(",")
     assert header == ["site", "lhs", "rhs", "certified"]
     for line in lines[2:]:
@@ -331,7 +364,7 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "0.1.0" in out and "schema 1" in out
+    assert "0.1.0" in out and "schema 2" in out
 
 
 def test_determinism_byte_identical_excluding_timing(tmp_path):
@@ -344,6 +377,33 @@ def test_determinism_byte_identical_excluding_timing(tmp_path):
         path = write_config(tmp_path, config, name=f"cfg_{name}")
         assert run(["approx", path]) == EXIT_OK
         doc = json.loads(out.read_text())
+        doc.pop("timing")
+        docs.append(json.dumps(doc, sort_keys=True))
+    assert docs[0] == docs[1]
+
+
+def test_approx_output_independent_of_blas_threads(tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).parent.parent
+    docs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env.pop("BOSEPOLY_WORKERS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosepoly.cli", "approx",
+             str(root / "configs" / "chain4_nn.json"),
+             "--set", "model.dims=[8]", "--set", "expansion.m=5"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        doc = json.loads(proc.stdout)
         doc.pop("timing")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]

@@ -14,9 +14,10 @@ from bosepoly.expansion import (
 from bosepoly.fock import onsite_energy, restricted_log_partition
 from bosepoly.lattice import interaction_edges
 from bosepoly.polymers import Polymer, enumerate_polymers
-from bosepoly.weights import WeightRequest, polymer_weight
+from bosepoly.weights import WeightRequest, polymer_weight, weight_table
 
 from conftest import make_chain, make_explicit, make_long_range_chain
+from ursell_reference import cluster_per_order
 
 
 def test_onsite_log_partition_single_site():
@@ -67,7 +68,6 @@ def test_single_polymer_resummation_converges_to_log1p():
     partial = 0.0
     for oc in res.per_order:
         partial += (-1) ** (oc.order - 1) * w**oc.order / oc.order
-        assert oc.cluster_count == 1
     assert res.t_m == pytest.approx(partial, rel=1e-12)
 
 
@@ -211,12 +211,37 @@ def test_error_budget_reports_theta_target():
     assert budget.q_error_target == pytest.approx(4.0 ** (-2.0))
 
 
-def test_cluster_beyond_ursell_cap_aborts_with_diagnostics():
-    # a single edge at m = 11 produces a multiplicity-11 cluster whose copy
-    # graph exceeds the memo cap
+def test_single_edge_rows_are_the_log1p_series_to_order_eleven():
+    # one edge at m = 11: the order-11 cluster has eleven copies of one
+    # polymer, and row k must be the z^k coefficient of log(1 + w z)
     model = make_chain(2, g=0.3, beta=0.5, U=1.0, mu=0.0)
-    with pytest.raises(ValueError, match="Ursell cap"):
-        approximate_log_partition(model, ExpansionConfig(m=11, q=1))
+    w = polymer_weight(WeightRequest(Polymer(((0, 1),)), model, 1)).value
+    res = approximate_log_partition(model, ExpansionConfig(m=11, q=1))
+    assert [oc.order for oc in res.per_order] == list(range(1, 12))
+    for oc in res.per_order:
+        k = oc.order
+        assert oc.contribution == pytest.approx((-1) ** (k - 1) * w**k / k, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "model, q, m",
+    [
+        (make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5), 3, 4),
+        (make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2), 2, 3),
+        (make_explicit(4, 0.2 * (np.ones((4, 4)) - np.eye(4)), beta=0.5, U=1.0, mu=0.3), 1, 5),
+        (make_chain(6, g=0.2, beta=0.5, U=1.1, mu=0.4, d_c=2), 1, 4),
+    ],
+    ids=["chain4", "long-range-chain5", "complete-K4", "chain6-dc2"],
+)
+def test_linked_cluster_rows_match_ursell_cluster_sum(model, q, m):
+    # the Ursell-function cluster expansion, evaluated on the same weight
+    # table, is an independent route to every per-order row
+    edges = interaction_edges(model.couplings, 0.0)
+    weights = weight_table(enumerate_polymers(edges, m), model, q)
+    expected = cluster_per_order(weights, m)
+    res = approximate_log_partition(model, ExpansionConfig(m=m, q=q))
+    for oc, want in zip(res.per_order, expected, strict=True):
+        assert abs(oc.contribution - want) <= 1e-12 * abs(want), (oc.order, oc.contribution, want)
 
 
 def test_long_range_expansion_tracks_oracle():

@@ -2,14 +2,12 @@ import itertools
 
 import pytest
 
-from bosepoly.polymers import (
+from bosepoly.polymers import Polymer, components, enumerate_polymers, site_components
+from ursell_reference import (
     Cluster,
-    Polymer,
     copy_incompatibility_graph,
     enumerate_clusters,
-    enumerate_polymers,
     incompatible,
-    site_components,
 )
 
 CHAIN3 = ((0, 1), (1, 2))
@@ -148,16 +146,6 @@ def test_emission_order_is_canonical_and_duplicate_free():
     assert len(keys) == len(set(keys))
 
 
-def test_anchored_union_equals_unanchored():
-    full = set(enumerate_polymers(K4, 3))
-    union = set()
-    for anchor in range(4):
-        anchored = enumerate_polymers(K4, 3, anchor=anchor)
-        assert all(anchor in p.support for p in anchored)
-        union |= set(anchored)
-    assert union == full
-
-
 def test_site_components_merge_through_a_bridge():
     assert site_components([]) == []
     assert sorted(map(sorted, site_components([(0, 1), (2, 3)]))) == [[0], [1]]
@@ -167,7 +155,13 @@ def test_site_components_merge_through_a_bridge():
     ]
 
 
-# --- clusters ----------------------------------------------------------------
+def test_components_split_an_edge_set_in_canonical_order():
+    assert components(()) == ()
+    parts = components(((4, 5), (0, 1), (2, 3), (1, 2)))
+    assert [p.edges for p in parts] == [((4, 5),), ((0, 1), (1, 2), (2, 3))]
+
+
+# --- clusters (test-only Ursell reference) ---------------------------------------
 
 
 def test_clusters_chain3_m2():

@@ -12,7 +12,7 @@ from bosepoly.lattice import (
     build_lattice,
     interaction_edges,
 )
-from bosepoly.polymers import Polymer, enumerate_polymers, incompatible
+from bosepoly.polymers import Polymer, enumerate_polymers
 from bosepoly.weights import WeightRequest, g_ratio, polymer_weight, weight_table
 
 from conftest import make_chain, make_long_range_chain
@@ -90,7 +90,7 @@ def admissible_sets(polymers):
     for r in range(len(polymers) + 1):
         for combo in itertools.combinations(polymers, r):
             if all(
-                not incompatible(a, b)
+                a.support.isdisjoint(b.support)
                 for a, b in itertools.combinations(combo, 2)
             ):
                 out.append(combo)

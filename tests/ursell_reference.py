@@ -1,4 +1,13 @@
-"""Exact Ursell functions phi(G) on small incompatibility graphs.
+"""Test oracle: T_m per order as the Ursell-function cluster expansion.
+
+This is the route ``approx`` took before the linked-cluster sum, kept here
+only as an independent reference for it.  A cluster is a multiset of
+polymers whose incompatibility graph (supports overlap; every polymer
+clashes with itself) is connected, and its order-k term is
+
+    phi(copy incompatibility graph) * prod_gamma w_gamma^mult / mult!,
+
+summed over clusters of total size k.
 
 phi(G) = sum over edge subsets S of G with (V, S) connected and spanning
 of (-1)^|S| (no factorial normalization; the caller pairs this with
@@ -15,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
-__all__ = ["UGraph", "ursell", "canonical_graph_key", "MEMO_VERTEX_CAP"]
+from bosepoly.polymers import Polymer, site_components
 
 logger = logging.getLogger(__name__)
 
@@ -190,3 +200,144 @@ def canonical_graph_key(graph: UGraph):
         if best is None or bits < best:
             best = bits
     return ("canon", n, best)
+
+
+# --- clusters -------------------------------------------------------------------
+
+
+def incompatible(a: Polymer, b: Polymer) -> bool:
+    """True when the site supports overlap (every polymer clashes with itself)."""
+    return not a.support.isdisjoint(b.support)
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """A multiset of polymers with a connected incompatibility graph."""
+
+    members: tuple[tuple[Polymer, int], ...]
+
+    def __post_init__(self):
+        members = tuple(sorted(self.members, key=lambda pm: pm[0].key))
+        if not members:
+            raise ValueError("cluster must contain at least one polymer")
+        if any(mult < 1 for _p, mult in members):
+            raise ValueError("multiplicities must be >= 1")
+        distinct = [p for p, _m in members]
+        if len(set(distinct)) != len(distinct):
+            raise ValueError("cluster members must be distinct polymers")
+        if len(site_components(p.support for p in distinct)) != 1:
+            raise ValueError("cluster incompatibility graph is not connected")
+        object.__setattr__(self, "members", members)
+
+    @property
+    def total_size(self) -> int:
+        return sum(mult * p.size for p, mult in self.members)
+
+    @property
+    def key(self):
+        return (self.total_size, tuple((p.key, mult) for p, mult in self.members))
+
+
+def _connected_subsets(n: int, adjacency, max_weight: int, weight):
+    """All connected vertex subsets whose summed ``weight`` is at most
+    ``max_weight``, each exactly once (grown from the minimal element)."""
+    results = []
+
+    def rec(included: tuple, inc_weight: int, frontier: frozenset, excluded: frozenset, root: int):
+        candidates = sorted(v for v in frontier if v > root and v not in excluded)
+        for pos, v in enumerate(candidates):
+            if inc_weight + weight(v) <= max_weight:
+                new_inc = included + (v,)
+                results.append(new_inc)
+                rec(
+                    new_inc,
+                    inc_weight + weight(v),
+                    (frontier | adjacency[v]) - set(new_inc),
+                    excluded | set(candidates[:pos]),
+                    root,
+                )
+
+    for root in range(n):
+        if weight(root) <= max_weight:
+            results.append((root,))
+            rec((root,), weight(root), frozenset(adjacency[root]), frozenset(), root)
+    return results
+
+
+def enumerate_clusters(polymers, max_total: int) -> list[Cluster]:
+    """All clusters with total size <= max_total, each exactly once.
+
+    Connectivity depends only on the distinct member set (copies of one
+    polymer always clash), so connected distinct sets are enumerated first
+    and multiplicity vectors are filled in afterwards.
+    """
+    if max_total < 1:
+        raise ValueError("max_total must be >= 1")
+    polymers = sorted(set(polymers), key=lambda p: p.key)
+    supports = [p.support for p in polymers]
+    adjacency = [
+        {m for m in range(len(polymers)) if m != k and not supports[k].isdisjoint(supports[m])}
+        for k in range(len(polymers))
+    ]
+    base_sets = _connected_subsets(
+        len(polymers), adjacency, max_total, lambda v: polymers[v].size
+    )
+
+    clusters = []
+    for subset in base_sets:
+        sizes = [polymers[k].size for k in subset]
+
+        def assign(pos: int, used: int, mults: tuple):
+            if pos == len(subset):
+                clusters.append(
+                    Cluster(tuple((polymers[k], m) for k, m in zip(subset, mults)))
+                )
+                return
+            # remaining members need at least one copy each
+            reserve = sum(sizes[pos + 1 :])
+            mult = 1
+            while used + mult * sizes[pos] + reserve <= max_total:
+                assign(pos + 1, used + mult * sizes[pos], mults + (mult,))
+                mult += 1
+
+        assign(0, 0, ())
+    return sorted(clusters, key=lambda c: c.key)
+
+
+def copy_incompatibility_graph(cluster: Cluster):
+    """Incompatibility graph with one vertex per polymer copy.
+
+    Copies of the same polymer are pairwise incompatible, so each
+    multiplicity group forms a clique; copies of distinct polymers are
+    joined exactly when the supports overlap.
+    """
+    groups = []
+    start = 0
+    for p, mult in cluster.members:
+        groups.append((p, range(start, start + mult)))
+        start += mult
+    edges = []
+    for gi, (pa, ra) in enumerate(groups):
+        for u in ra:
+            for v in ra:
+                if u < v:
+                    edges.append((u, v))
+        for pb, rb in groups[gi + 1 :]:
+            if incompatible(pa, pb):
+                for u in ra:
+                    for v in rb:
+                        edges.append((u, v))
+    return start, tuple(sorted(edges))
+
+
+def cluster_per_order(weights: dict, m: int) -> list[float]:
+    """Order-k contributions, k = 1..m, of the Ursell cluster sum over a
+    weight table (polymer -> object with a ``value``)."""
+    by_order: list[list[float]] = [[] for _ in range(m + 1)]
+    for cluster in enumerate_clusters(weights, m):
+        n, edges = copy_incompatibility_graph(cluster)
+        term = float(ursell(UGraph(n, edges)))
+        for polymer, mult in cluster.members:
+            term *= weights[polymer].value ** mult / math.factorial(mult)
+        by_order[cluster.total_size].append(term)
+    return [math.fsum(by_order[k]) for k in range(1, m + 1)]
