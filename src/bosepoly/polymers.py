@@ -65,8 +65,7 @@ class Polymer:
 
 
 def components(edges) -> tuple[Polymer, ...]:
-    """Site-connected components of an edge set, in canonical order."""
-    edges = tuple(edges)
+    """Site-connected components of an edge tuple, in canonical order."""
     return tuple(sorted(
         (Polymer(tuple(edges[k] for k in group)) for group in site_components(edges)),
         key=lambda p: p.key,

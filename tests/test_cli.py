@@ -395,7 +395,7 @@ def test_approx_output_independent_of_blas_threads(tmp_path):
                    MKL_NUM_THREADS=threads)
         env.pop("BOSEPOLY_WORKERS", None)
         env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
         )
         proc = subprocess.run(
             [sys.executable, "-m", "bosepoly.cli", "approx",
