@@ -187,15 +187,16 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
     if weights is None:
         weights = _polymer_weights(model, cfg, q)
 
-    rows = []
-    for site in probe_sites:
-        lhs = math.fsum(
-            abs(res.value) * math.exp(len(polymer.support) / 2.0 + polymer.size)
-            for polymer, res in weights.items()
-            if site in polymer.support
-        )
-        rows.append(KPDiagnosticRow(int(site), lhs, KP_RHS))
-    return rows
+    # one pass over the polymers; each site's terms keep the polymer order
+    sites = [int(site) for site in probe_sites]
+    terms = {site: [] for site in sites}
+    for polymer, res in weights.items():
+        support = polymer.support
+        term = abs(res.value) * math.exp(len(support) / 2.0 + polymer.size)
+        for site in support:
+            if site in terms:
+                terms[site].append(term)
+    return [KPDiagnosticRow(site, math.fsum(terms[site]), KP_RHS) for site in sites]
 
 
 @dataclass(frozen=True)

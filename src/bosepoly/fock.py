@@ -10,7 +10,6 @@ log-sum-exp in canonical sector order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ __all__ = [
     "SectorBlock",
     "BlockMatrix",
     "onsite_energy",
-    "occupation_vectors",
+    "occupation_codes",
     "sector_blocks",
     "build_block_hamiltonian",
     "block_log_trace_exp",
@@ -43,45 +42,24 @@ def onsite_energy(U: float, mu: float, n: int) -> float:
     return 0.5 * U * n * (n - 1) - mu * n
 
 
-def occupation_vectors(n_sites: int, q: int, total: int):
-    """All occupation tuples of length n_sites with entries in 0..q summing
-    to ``total``, in lexicographic order."""
-    out = []
-    vec = [0] * n_sites
-
-    def rec(pos: int, remaining: int):
-        if pos == n_sites - 1:
-            if remaining <= q:
-                vec[pos] = remaining
-                out.append(tuple(vec))
-            return
-        # the sites after pos can absorb at most q each
-        cap = q * (n_sites - pos - 1)
-        lo = max(0, remaining - cap)
-        for n in range(lo, min(q, remaining) + 1):
-            vec[pos] = n
-            rec(pos + 1, remaining - n)
-
-    if 0 <= total <= q * n_sites:
-        rec(0, total)
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """Basis of occupation vectors over ``region`` with fixed total number."""
+    """Basis of occupation vectors over ``region`` with fixed total number.
+
+    ``occupations`` holds one row per basis state (``dim x |region|``, in
+    lexicographic order) and ``codes`` the rows read as base-(q+1) numbers,
+    first site most significant, so the codes ascend strictly.
+    """
 
     region: tuple[int, ...]
     q: int
     total: int
-    basis: tuple[tuple[int, ...], ...]
+    occupations: np.ndarray
+    codes: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def index(self) -> dict:
-        return {occ: k for k, occ in enumerate(self.basis)}
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -90,6 +68,16 @@ class BlockMatrix:
 
     block: SectorBlock
     entries: np.ndarray
+
+
+def _place_values(width: int, q: int) -> np.ndarray:
+    """(q+1)^(width-1), ..., (q+1)^0: the weight of each column in a code."""
+    return (q + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def occupation_codes(occupations: np.ndarray, q: int) -> np.ndarray:
+    """Base-(q+1) codes of occupation rows, first column most significant."""
+    return occupations @ _place_values(occupations.shape[1], q)
 
 
 def sector_blocks(region, q: int) -> list[SectorBlock]:
@@ -102,11 +90,16 @@ def sector_blocks(region, q: int) -> list[SectorBlock]:
         raise ValueError("region must be nonempty")
     if q < 0:
         raise ValueError("cutoff q must be nonnegative")
-    blocks = []
-    for total in range(q * len(region) + 1):
-        basis = tuple(occupation_vectors(len(region), q, total))
-        blocks.append(SectorBlock(region, q, total, basis))
-    return blocks
+    # every code of the full space, digits read off; a stable sort by total
+    # keeps each sector's rows in ascending code (lexicographic) order
+    codes = np.arange((q + 1) ** len(region), dtype=np.int64)
+    occupations = codes[:, None] // _place_values(len(region), q) % (q + 1)
+    totals = occupations.sum(axis=1)
+    order = np.argsort(totals, kind="stable")
+    return [
+        SectorBlock(region, q, total, occupations[rows], codes[rows])
+        for total, rows in enumerate(np.split(order, np.cumsum(np.bincount(totals))[:-1]))
+    ]
 
 
 def build_block_hamiltonian(
@@ -117,9 +110,12 @@ def build_block_hamiltonian(
 ) -> BlockMatrix:
     """Assemble H restricted to one number sector.
 
-    Diagonal: sum of on-site energies.  Off-diagonal: -J_ij sqrt((n_i+1) n_j)
-    for each active edge, with amplitudes leaving the per-site cutoff set to
-    zero.  Only edges inside ``region`` are allowed.
+    Diagonal: sum of on-site energies, added site by site in region order.
+    Off-diagonal: -J_ij sqrt((n_i+1) n_j) for each active edge, with
+    amplitudes leaving the per-site cutoff set to zero; a hop from dst to
+    src moves a state's code by (q+1)^(last-src) - (q+1)^(last-dst), and the
+    target is found among the ascending codes.  Only edges inside
+    ``region`` are allowed.
     """
     region = tuple(region)
     pos = {site: k for k, site in enumerate(region)}
@@ -133,31 +129,31 @@ def build_block_hamiltonian(
             raise ValueError(f"edge ({i}, {j}) is not inside region {region}")
 
     q = block.q
-    index = block.index()
-    dim = block.dim
-    H = np.zeros((dim, dim))
+    occ, codes = block.occupations, block.codes
+    place = _place_values(len(region), q)
+    H = np.zeros((block.dim, block.dim))
 
     U = model.onsite.U
     mu = model.onsite.mu
-    for k, occ in enumerate(block.basis):
-        H[k, k] = sum(
-            onsite_energy(U[site], mu[site], n) for site, n in zip(region, occ)
-        )
+    diag = np.zeros(block.dim)
+    for k, site in enumerate(region):
+        table = np.array([onsite_energy(U[site], mu[site], n) for n in range(q + 1)])
+        diag += table[occ[:, k]]
+    np.fill_diagonal(H, diag)
 
+    # a_src^dag a_dst for both orientations of every edge, all in one pass;
+    # each (target, source) pair is one hop of one orientation, so every
+    # off-diagonal entry is written exactly once
+    hops = []
     for (i, j) in active_edges:
         J = model.coupling(i, j)
-        if J == 0.0:
-            continue
-        pi, pj = pos[i], pos[j]
-        for k, occ in enumerate(block.basis):
-            # a_src^dag a_dst for both orientations of the edge
-            for src, dst in ((pi, pj), (pj, pi)):
-                if occ[dst] >= 1 and occ[src] + 1 <= q:
-                    moved = list(occ)
-                    moved[dst] -= 1
-                    moved[src] += 1
-                    t = index[tuple(moved)]
-                    H[t, k] += -J * math.sqrt((occ[src] + 1) * occ[dst])
+        if J != 0.0:
+            hops += [(pos[i], pos[j], J), (pos[j], pos[i], J)]
+    if hops:
+        src, dst, amp = (np.array(column) for column in zip(*hops))
+        ks, h = np.nonzero((occ[:, dst] >= 1) & (occ[:, src] < q))
+        targets = np.searchsorted(codes, codes[ks] + place[src[h]] - place[dst[h]])
+        H[targets, ks] = -amp[h] * np.sqrt((occ[ks, src[h]] + 1) * occ[ks, dst[h]])
 
     return BlockMatrix(block, H)
 
@@ -203,7 +199,9 @@ def block_log_trace_exp(matrix: BlockMatrix, beta: float) -> float:
     """
     H = matrix.entries
     diag = np.diag(H)
-    if np.count_nonzero(H - np.diag(diag)) == 0:
+    # no off-diagonal nonzero, counted without a dim x dim temporary; a
+    # non-finite diagonal still goes to the eigensolver, which reports it
+    if np.count_nonzero(H) == np.count_nonzero(diag) and np.isfinite(diag).all():
         eigvals = diag
     else:
         eigvals = _symmetric_eigenvalues(H)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SectorBlock, build_block_hamiltonian, logsumexp, sector_blocks
+from .fock import (
+    SectorBlock,
+    build_block_hamiltonian,
+    logsumexp,
+    occupation_codes,
+    sector_blocks,
+)
 from .lattice import ModelInstance, distance_matrix, interaction_edges
 
 __all__ = [
@@ -98,24 +104,25 @@ def number_op(site: int) -> MonomialOperator:
     return MonomialOperator(((site, "create"), (site, "annihilate")))
 
 
-def _apply_monomial(occ, factors, q):
-    """Apply the factor product to an occupation ket: (coefficient, occ') or
-    None when annihilated (including pushes past the per-site cutoff)."""
-    occ = list(occ)
-    coef = 1.0
+def _apply_monomial(block: SectorBlock, factors, q):
+    """Apply the factor product to every ket of a sector: (rows, coefficients,
+    occupations') of the kets it does not annihilate (including pushes past
+    the per-site cutoff)."""
+    rows = np.arange(block.dim)
+    occ = block.occupations.copy()
+    coef = np.ones(block.dim)
     for site, kind in reversed(factors):
-        n = occ[site]
+        n = occ[:, site]
+        keep = n >= 1 if kind == "annihilate" else n + 1 <= q
+        rows, occ, coef = rows[keep], occ[keep], coef[keep]
+        n = occ[:, site]
         if kind == "annihilate":
-            if n == 0:
-                return None
-            coef *= math.sqrt(n)
-            occ[site] = n - 1
+            coef *= np.sqrt(n)
+            occ[:, site] = n - 1
         else:
-            if n + 1 > q:
-                return None
-            coef *= math.sqrt(n + 1)
-            occ[site] = n + 1
-    return coef, tuple(occ)
+            coef *= np.sqrt(n + 1)
+            occ[:, site] = n + 1
+    return rows, coef, occ
 
 
 @dataclass(frozen=True)
@@ -195,23 +202,17 @@ def expectation(state: ThermalState, op: MonomialOperator) -> float:
 
     total = 0.0
     for b, block in enumerate(state.blocks):
-        index = block.index()
+        rows, coef, moved = _apply_monomial(block, op.factors, state.q)
+        if not rows.size:
+            continue
+        # number-conserving, so every surviving ket lands in this sector, and
+        # distinct kets land on distinct targets
+        targets = np.searchsorted(block.codes, occupation_codes(moved, state.q))
         U = state.eigenvectors[b]
         p = state.block_probabilities(b)
         OU = np.zeros_like(U)
-        hit = False
-        for k, occ in enumerate(block.basis):
-            res = _apply_monomial(occ, op.factors, state.q)
-            if res is None:
-                continue
-            coef, new_occ = res
-            t = index.get(new_occ)
-            if t is None:
-                continue
-            OU[t, :] += coef * U[k, :]
-            hit = True
-        if hit:
-            total += float(np.einsum("sk,sk,k->", U, OU, p))
+        OU[targets, :] += coef[:, None] * U[rows, :]
+        total += float(np.einsum("sk,sk,k->", U, OU, p))
     return total
 
 
@@ -303,7 +304,7 @@ def moments(state: ThermalState, site: int, l_max: int) -> list[float]:
     out = [0.0] * l_max
     for b, block in enumerate(state.blocks):
         diag = state.diagonal_probabilities(b)
-        occ = np.array([occv[site] for occv in block.basis], dtype=np.float64)
+        occ = block.occupations[:, site].astype(np.float64)
         for l in range(1, l_max + 1):
             out[l - 1] += float((occ**l * diag).sum())
     return out
@@ -314,9 +315,8 @@ def occupation_distribution(state: ThermalState, site: int) -> list[float]:
     state.model.lattice._check_site(site)
     p = np.zeros(state.q + 1)
     for b, block in enumerate(state.blocks):
-        diag = state.diagonal_probabilities(b)
-        for k, occ in enumerate(block.basis):
-            p[occ[site]] += diag[k]
+        # unbuffered, in basis order: the same sums as a loop over kets
+        np.add.at(p, block.occupations[:, site], state.diagonal_probabilities(b))
     total = p.sum()
     if abs(total - 1.0) > 1e-10:
         raise ArithmeticError(f"occupation distribution sums to {total}")
@@ -328,36 +328,45 @@ def _entropy_from_probabilities(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def reduced_density_blocks(state: ThermalState, subsystem) -> dict:
-    """Tr over the complement, returned per subsystem-total sector.
+def reduced_density_blocks(state: ThermalState, subsystems) -> list[dict]:
+    """Tr over each subsystem's complement, returned per subsystem-total sector.
 
     The full rho couples occupation pairs only within one lattice sector,
     and tracing out the complement forces equal subsystem totals, so the
-    reduced matrix is block diagonal in the subsystem number.
+    reduced matrix is block diagonal in the subsystem number.  Each
+    lattice sector's rho block is built once and added into every
+    subsystem's reduced blocks; within a sector the kets are grouped by
+    their complement occupation.  Groups sharing a subsystem total are added
+    in ascending complement code, which is also their order of first
+    appearance in the lexicographic basis.
     """
     model = state.model
-    sub = tuple(sorted(subsystem))
-    rest = tuple(i for i in range(model.n_sites) if i not in sub)
-    if not sub or not rest:
-        raise ValueError("subsystem must be a proper nonempty subset of the lattice")
-
-    sub_blocks = sector_blocks(sub, state.q)
-    sub_index = {blk.total: blk.index() for blk in sub_blocks}
-    reduced = {blk.total: np.zeros((blk.dim, blk.dim)) for blk in sub_blocks}
+    q = state.q
+    plans = []
+    for subsystem in subsystems:
+        sub = tuple(sorted(subsystem))
+        rest = tuple(i for i in range(model.n_sites) if i not in sub)
+        if not sub or not rest:
+            raise ValueError("subsystem must be a proper nonempty subset of the lattice")
+        plans.append((sub, rest, sector_blocks(sub, q)))
+    reduced = [{blk.total: np.zeros((blk.dim, blk.dim)) for blk in sub_blocks}
+               for _sub, _rest, sub_blocks in plans]
 
     for b, block in enumerate(state.blocks):
         U = state.eigenvectors[b]
         p = state.block_probabilities(b)
         rho_block = (U * p) @ U.T
-        groups: dict[tuple, list[int]] = {}
-        for k, occ in enumerate(block.basis):
-            key = tuple(occ[i] for i in rest)
-            groups.setdefault(key, []).append(k)
-        for ks in groups.values():
-            occ0 = block.basis[ks[0]]
-            n_sub = sum(occ0[i] for i in sub)
-            sel = [sub_index[n_sub][tuple(block.basis[k][i] for i in sub)] for k in ks]
-            reduced[n_sub][np.ix_(sel, sel)] += rho_block[np.ix_(ks, ks)]
+        for (sub, rest, sub_blocks), out in zip(plans, reduced):
+            occ_sub = block.occupations[:, sub]
+            sub_totals = occ_sub.sum(axis=1)
+            sub_codes = occupation_codes(occ_sub, q)
+            rest_codes = occupation_codes(block.occupations[:, rest], q)
+            order = np.argsort(rest_codes, kind="stable")
+            starts = np.flatnonzero(np.diff(rest_codes[order]))
+            for ks in np.split(order, starts + 1):
+                n_sub = int(sub_totals[ks[0]])
+                sel = np.searchsorted(sub_blocks[n_sub].codes, sub_codes[ks])
+                out[n_sub][np.ix_(sel, sel)] += rho_block[np.ix_(ks, ks)]
     return reduced
 
 
@@ -374,16 +383,15 @@ def mutual_information(state: ThermalState, partition) -> float:
     for bi in range(len(state.blocks)):
         s_total += _entropy_from_probabilities(state.block_probabilities(bi))
 
-    def reduced_entropy(sites) -> float:
+    def entropy(blocks: dict) -> float:
         total = 0.0
-        for mat in reduced_density_blocks(state, sites).values():
-            if mat.size == 0:
-                continue
+        for mat in blocks.values():
             eigvals = np.linalg.eigvalsh(mat)
             total += _entropy_from_probabilities(eigvals)
         return total
 
-    return reduced_entropy(a) + reduced_entropy(b) - s_total
+    rho_a, rho_b = reduced_density_blocks(state, (a, b))
+    return entropy(rho_a) + entropy(rho_b) - s_total
 
 
 def dense_thermal_matrix(model: ModelInstance, q: int, beta: float | None = None) -> tuple:
@@ -401,24 +409,14 @@ def dense_thermal_matrix(model: ModelInstance, q: int, beta: float | None = None
     import itertools
 
     basis = list(itertools.product(range(q + 1), repeat=n))
-    index = {occ: k for k, occ in enumerate(basis)}
+    region = tuple(range(n))
+    edges = interaction_edges(model.couplings, 0.0)
     H = np.zeros((dim, dim))
-    from .fock import onsite_energy
-
-    for k, occ in enumerate(basis):
-        H[k, k] = sum(
-            onsite_energy(model.onsite.U[i], model.onsite.mu[i], occ[i])
-            for i in range(n)
-        )
-    for (i, j) in interaction_edges(model.couplings, 0.0):
-        J = model.coupling(i, j)
-        for k, occ in enumerate(basis):
-            for src, dst in ((i, j), (j, i)):
-                if occ[dst] >= 1 and occ[src] + 1 <= q:
-                    moved = list(occ)
-                    moved[dst] -= 1
-                    moved[src] += 1
-                    H[index[tuple(moved)], k] += -J * math.sqrt((occ[src] + 1) * occ[dst])
+    # the lexicographic product basis is ordered by code, so each sector
+    # block lands on the rows and columns of its codes
+    for block in sector_blocks(region, q):
+        sel = np.ix_(block.codes, block.codes)
+        H[sel] = build_block_hamiltonian(model, region, edges, block).entries
 
     lam, vecs = np.linalg.eigh(H)
     weights = np.exp(-beta * lam - logsumexp(-beta * lam))

@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from bosepoly.fock import (
+    EigensolverError,
     block_log_trace_exp,
     build_block_hamiltonian,
-    occupation_vectors,
+    occupation_codes,
     onsite_energy,
     restricted_log_partition,
     sector_blocks,
     BlockMatrix,
-    SectorBlock,
 )
+from bosepoly.lattice import ModelInstance, OnsiteParams
 
-from conftest import make_chain, make_explicit
+import fock_reference
+from conftest import make_chain, make_explicit, make_long_range_chain
 
 
 def test_onsite_energy_values():
@@ -42,17 +44,77 @@ def test_sector_completeness(n_sites, q):
     # each occupation vector appears exactly once across blocks
     seen = set()
     for b in blocks:
-        for occ in b.basis:
+        for occ in map(tuple, b.occupations.tolist()):
             assert occ not in seen
             assert sum(occ) == b.total
             seen.add(occ)
     assert len(seen) == (q + 1) ** n_sites
 
 
-def test_occupation_vectors_lexicographic():
-    vecs = occupation_vectors(3, 2, 3)
-    assert vecs == sorted(vecs)
-    assert all(sum(v) == 3 and max(v) <= 2 for v in vecs)
+@pytest.mark.parametrize("n_sites,q", [(1, 0), (1, 4), (2, 3), (3, 2), (4, 1), (4, 4)])
+def test_sector_rows_lexicographic_with_ascending_codes(n_sites, q):
+    region = tuple(range(10, 10 + n_sites))
+    blocks = sector_blocks(region, q)
+    assert [b.total for b in blocks] == list(range(q * n_sites + 1))
+    for b in blocks:
+        rows = b.occupations.tolist()
+        assert b.region == region and b.q == q and b.dim == len(rows)
+        assert [tuple(r) for r in rows] == fock_reference.occupation_vectors(n_sites, q, b.total)
+        assert rows == sorted(rows)
+        assert b.occupations.min() >= 0 and b.occupations.max() <= q
+        assert np.array_equal(b.occupations.sum(axis=1), np.full(b.dim, b.total))
+        assert np.all(np.diff(b.codes) > 0)
+        assert np.array_equal(b.codes, occupation_codes(b.occupations, q))
+        assert b.codes.tolist() == [
+            sum(n * (q + 1) ** (n_sites - 1 - k) for k, n in enumerate(r)) for r in rows
+        ]
+
+
+def _disordered(model, seed):
+    rng = np.random.default_rng(seed)
+    n = model.n_sites
+    onsite = OnsiteParams(rng.uniform(0.8, 1.2, n), rng.uniform(-0.3, 1.0, n))
+    return ModelInstance(model.lattice, model.couplings, onsite, model.beta)
+
+
+def _zero_edge_explicit():
+    matrix = np.zeros((5, 5))
+    for (i, j), J in {(0, 1): 0.31, (0, 3): -0.17, (1, 2): 0.0, (2, 4): 0.23,
+                      (3, 4): 0.0, (1, 4): 0.05}.items():
+        matrix[i, j] = matrix[j, i] = J
+    return make_explicit(5, matrix, beta=0.7)
+
+
+# (model, region, edges): a non-contiguous region of an alpha=3 chain with
+# every pair hopping, a contiguous one listed out of order, and explicit
+# couplings whose edge list includes J=0 edges
+_BUILDER_CASES = {
+    "long-range-(1,4,5)": (
+        lambda: _disordered(make_long_range_chain(6, g=0.4, alpha=3.0, beta=0.5), 1),
+        (1, 4, 5), [(1, 4), (1, 5), (4, 5)],
+    ),
+    "long-range-(3,0,2,1)": (
+        lambda: _disordered(make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5), 2),
+        (3, 0, 2, 1), [(0, 1), (2, 0), (0, 3), (1, 2), (3, 1), (2, 3)],
+    ),
+    "explicit-zero-edges": (
+        lambda: _disordered(_zero_edge_explicit(), 3),
+        (0, 1, 2, 3, 4), [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4), (1, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
+def test_block_hamiltonian_bytes_equal_loop_reference(case, q):
+    make, region, edges = _BUILDER_CASES[case]
+    model = make()
+    for block in sector_blocks(region, q):
+        basis = [tuple(r) for r in block.occupations.tolist()]
+        want = fock_reference.block_hamiltonian(model, region, edges, q, basis)
+        got = build_block_hamiltonian(model, region, edges, block).entries
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"sector {block.total}"
 
 
 def test_block_hamiltonian_no_edges_is_diagonal():
@@ -88,20 +150,28 @@ def test_block_hamiltonian_edge_outside_region():
         build_block_hamiltonian(model, [0, 1], [(1, 2)], block)
 
 
+def test_block_hamiltonian_rejects_repeated_edges_and_self_loops():
+    model = make_chain(3, g=0.5, beta=1.0)
+    block = sector_blocks([0, 1, 2], 1)[1]
+    with pytest.raises(ValueError, match="distinct"):
+        build_block_hamiltonian(model, [0, 1, 2], [(0, 1), (1, 0)], block)
+    with pytest.raises(ValueError, match="self-loop"):
+        build_block_hamiltonian(model, [0, 1, 2], [(1, 1)], block)
+
+
 def test_block_log_trace_exp_closed_forms():
-    region = (0,)
-    blk = SectorBlock(region, 1, 0, ((0,),))
+    blk = sector_blocks((0,), 1)[0]
     one = BlockMatrix(blk, np.array([[2.5]]))
     assert block_log_trace_exp(one, 0.7) == pytest.approx(-0.7 * 2.5)
 
-    blk2 = SectorBlock((0, 1), 1, 1, ((0, 1), (1, 0)))
+    blk2 = sector_blocks((0, 1), 1)[1]
     hop = BlockMatrix(blk2, np.array([[0.0, -0.4], [-0.4, 0.0]]))
     beta = 1.3
     assert block_log_trace_exp(hop, beta) == pytest.approx(
         math.log(math.exp(beta * 0.4) + math.exp(-beta * 0.4))
     )
 
-    blk3 = SectorBlock((0, 1, 2), 1, 1, tuple((0,) * 3 for _ in range(3)))
+    blk3 = sector_blocks((0, 1, 2), 1)[1]
     zero = BlockMatrix(blk3, np.zeros((3, 3)))
     assert block_log_trace_exp(zero, 2.0) == pytest.approx(math.log(3))
 
@@ -112,10 +182,26 @@ def test_block_log_trace_exp_matches_direct_sum():
         dim = rng.integers(2, 8)
         A = rng.normal(size=(dim, dim))
         H = (A + A.T) / 2
-        blk = SectorBlock((0,), 1, 0, tuple((0,) for _ in range(dim)))
+        blk = sector_blocks((0,), 1)[0]
         got = block_log_trace_exp(BlockMatrix(blk, H), 0.9)
         direct = math.log(sum(math.exp(-0.9 * lam) for lam in np.linalg.eigvalsh(H)))
         assert got == pytest.approx(direct, rel=1e-12)
+
+
+def test_diagonal_blocks_skip_the_eigensolve(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("diagonal block reached the eigensolver")
+
+    blk = sector_blocks((0, 1, 2), 1)[1]
+    diag = np.array([0.5, -1.0, 0.0])
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = block_log_trace_exp(BlockMatrix(blk, np.diag(diag)), 1.1)
+    assert got == pytest.approx(math.log(np.exp(-1.1 * diag).sum()), rel=1e-14)
+    monkeypatch.undo()
+
+    # a non-finite diagonal is not taken for a diagonal block
+    with pytest.raises(EigensolverError):
+        block_log_trace_exp(BlockMatrix(blk, np.diag([0.5, np.nan, 0.0])), 1.1)
 
 
 def test_restricted_log_partition_single_site():
@@ -195,6 +281,6 @@ def test_block_assembly_matches_dense(n_sites, q):
     rebuilt = np.zeros_like(dense)
     for block in sector_blocks(region, q):
         bm = build_block_hamiltonian(model, region, edges, block)
-        sel = [index[occ] for occ in block.basis]
+        sel = [index[occ] for occ in map(tuple, block.occupations.tolist())]
         rebuilt[np.ix_(sel, sel)] = bm.entries
     assert np.array_equal(rebuilt, dense)  # hopping never leaves a sector

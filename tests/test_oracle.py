@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bosepoly.fock import onsite_energy, restricted_log_partition
-from bosepoly.lattice import interaction_edges
+from bosepoly.lattice import ModelInstance, OnsiteParams, interaction_edges
 from bosepoly.oracle import (
     DimensionCapError,
     MonomialOperator,
@@ -19,9 +19,11 @@ from bosepoly.oracle import (
     mutual_information,
     number_op,
     occupation_distribution,
+    reduced_density_blocks,
     thermalize,
 )
 
+import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
 
 
@@ -277,6 +279,26 @@ def test_mutual_information_against_dense_entropies():
     want = entropy(dense_reduced(a)) + entropy(dense_reduced(b)) - entropy(rho)
     got = mutual_information(state, (a, b))
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_one_pass_mutual_information_equals_two_pass_reference():
+    # a 6-site alpha=3 chain with disordered on-site terms, q=2 (13 sectors
+    # of up to 141 states); contiguous and interleaved bipartitions
+    model = make_long_range_chain(6, g=0.3, alpha=3.0, beta=0.4)
+    rng = np.random.default_rng(5)
+    onsite = OnsiteParams(rng.uniform(0.8, 1.2, 6), rng.uniform(0.0, 1.0, 6))
+    model = ModelInstance(model.lattice, model.couplings, onsite, model.beta)
+    state = thermalize(model, q=2)
+    for a in ([0], [0, 1, 2], [1, 4], [0, 2, 5]):
+        b = [i for i in range(6) if i not in a]
+        got = mutual_information(state, (a, b))
+        assert got > 0.0
+        assert got == fock_reference.mutual_information(state, (a, b))
+        for side, blocks in zip((a, b), reduced_density_blocks(state, (a, b))):
+            want = fock_reference.reduced_density_blocks(state, side)
+            assert list(blocks) == list(want)
+            for total, mat in blocks.items():
+                assert mat.tobytes() == want[total].tobytes()
 
 
 def test_clustering_scan_zero_couplings_has_no_fit():
