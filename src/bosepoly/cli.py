@@ -174,10 +174,13 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
         elif isinstance(value, list):
             if n_sites is not None and len(value) != n_sites:
                 problems.append(f"model.{name} list must have length N = {n_sites}")
+            for k, entry in enumerate(value):
+                x = _as_float(entry, f"model.{name}[{k}]", problems)
+                if name == "U" and x is not None and x <= 0:
+                    problems.append(f"model.U[{k}] must be strictly positive")
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"model.{name} must be a number or per-site list")
-    if isinstance(model.get("U"), (int, float)) and not isinstance(model.get("U"), bool):
-        if model["U"] <= 0:
+        elif name == "U" and value <= 0:
             problems.append("model.U must be strictly positive")
 
     expansion = config.get("expansion", {})

@@ -1,12 +1,14 @@
 """Exact diagonalization of the truncated model: ground truth at small N.
 
-A ThermalState holds one symmetric eigendecomposition per total-number
-sector.  Expectations route through the block structure: a monomial of
-ladder operators shifts the total number by (creations - annihilations),
-so number-non-conserving monomials vanish identically and conserving ones
-act inside each sector.  The full density matrix is never materialized;
-reduced density matrices are accumulated block by block via direct index
-marginalization (the subsystem total is itself conserved).
+A ThermalState holds, per total-number sector, the eigenvalues and an
+amplitude factor W = V diag(sqrt(p)) (eigenvectors V, Boltzmann weights p),
+so that the sector's block of rho is W W^T.  Expectations route through the
+block structure: a monomial of ladder operators shifts the total number by
+(creations - annihilations), so number-non-conserving monomials vanish
+identically and conserving ones act inside each sector, as inner products
+of rows of W.  No block of rho is ever formed: the diagonal is the row
+norms of W, and each reduced block is a sum of X X^T with X a reshaped
+slice of W's rows (the subsystem total is itself conserved).
 """
 
 from __future__ import annotations
@@ -127,14 +129,19 @@ def _apply_monomial(block: SectorBlock, factors, q):
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Block eigendecompositions of exp(-beta H) / Z for the full lattice."""
+    """exp(-beta H) / Z for the full lattice, one factor per number sector.
+
+    ``amplitudes[b]`` is the sector's eigenvector matrix with column k
+    scaled by sqrt(p_k), p_k = exp(-beta lambda_k) / Z, so the sector's rho
+    block is ``W @ W.T``; the eigenvectors themselves are not kept.
+    """
 
     model: ModelInstance
     q: int
     beta: float
     blocks: tuple[SectorBlock, ...]
     eigenvalues: tuple[np.ndarray, ...]
-    eigenvectors: tuple[np.ndarray, ...]
+    amplitudes: tuple[np.ndarray, ...]
     log_z: float
 
     def block_probabilities(self, block_index: int) -> np.ndarray:
@@ -143,9 +150,8 @@ class ThermalState:
 
     def diagonal_probabilities(self, block_index: int) -> np.ndarray:
         """rho's diagonal in the occupation basis of one sector."""
-        U = self.eigenvectors[block_index]
-        p = self.block_probabilities(block_index)
-        return (U * U * p).sum(axis=1)
+        W = self.amplitudes[block_index]
+        return np.einsum("sk,sk->s", W, W)
 
 
 def thermalize(model: ModelInstance, q: int, beta: float | None = None,
@@ -162,16 +168,19 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     edges = interaction_edges(model.couplings, 0.0)
     blocks = []
     eigenvalues = []
-    eigenvectors = []
+    amplitudes = []
     log_terms = []
     for block in sector_blocks(region, q):
         bm = build_block_hamiltonian(model, region, edges, block)
         lam, vecs = np.linalg.eigh(bm.entries)
         blocks.append(block)
         eigenvalues.append(lam)
-        eigenvectors.append(vecs)
+        amplitudes.append(vecs)
         log_terms.append(logsumexp(-beta * lam))
     log_z = logsumexp(log_terms)
+    # in place, so no second dim x dim copy of any sector is held
+    for lam, W in zip(eigenvalues, amplitudes):
+        W *= np.exp(0.5 * (-beta * lam - log_z))
 
     state = ThermalState(
         model=model,
@@ -179,7 +188,7 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
         beta=beta,
         blocks=tuple(blocks),
         eigenvalues=tuple(eigenvalues),
-        eigenvectors=tuple(eigenvectors),
+        amplitudes=tuple(amplitudes),
         log_z=log_z,
     )
     trace = sum(state.block_probabilities(b).sum() for b in range(len(blocks)))
@@ -208,11 +217,9 @@ def expectation(state: ThermalState, op: MonomialOperator) -> float:
         # number-conserving, so every surviving ket lands in this sector, and
         # distinct kets land on distinct targets
         targets = np.searchsorted(block.codes, occupation_codes(moved, state.q))
-        U = state.eigenvectors[b]
-        p = state.block_probabilities(b)
-        OU = np.zeros_like(U)
-        OU[targets, :] += coef[:, None] * U[rows, :]
-        total += float(np.einsum("sk,sk,k->", U, OU, p))
+        W = state.amplitudes[b]
+        # rho[r, t] = <W[r], W[t]>, one per surviving ket r with O|r> = c|t>
+        total += float(coef @ np.einsum("rk,rk->r", W[rows], W[targets]))
     return total
 
 
@@ -260,13 +267,15 @@ def clustering_scan(state: ThermalState, family: str, anchor: int) -> Clustering
     """
     model = state.model
     if family == "hopping":
-        ops = lambda j: (create(anchor), annihilate(j))
+        op_x, op_y = create(anchor), annihilate
         n_x = n_y = 1
     elif family == "density":
-        ops = lambda j: (number_op(anchor), number_op(j))
+        op_x, op_y = number_op(anchor), number_op
         n_x = n_y = 2
     else:
         raise ValueError(f"unknown scan family {family!r}")
+    # the anchor's mean is the same for every row
+    mean_x = expectation(state, op_x)
 
     alpha = model.couplings.alpha
     phi = _phi_reference(n_x, n_y, state.beta)
@@ -276,7 +285,8 @@ def clustering_scan(state: ThermalState, family: str, anchor: int) -> Clustering
     for j in range(model.n_sites):
         if j == anchor:
             continue
-        value = correlation(state, *ops(j))
+        # the same float operations as correlation(state, op_x, op_y(j))
+        value = expectation(state, op_x * op_y(j)) - mean_x * expectation(state, op_y(j))
         d = int(dist[anchor, j])
         if alpha is not None:
             bound_ref = phi / (1.0 + d) ** alpha
@@ -333,12 +343,12 @@ def reduced_density_blocks(state: ThermalState, subsystems) -> list[dict]:
 
     The full rho couples occupation pairs only within one lattice sector,
     and tracing out the complement forces equal subsystem totals, so the
-    reduced matrix is block diagonal in the subsystem number.  Each
-    lattice sector's rho block is built once and added into every
-    subsystem's reduced blocks; within a sector the kets are grouped by
-    their complement occupation.  Groups sharing a subsystem total are added
-    in ascending complement code, which is also their order of first
-    appearance in the lexicographic basis.
+    reduced matrix is block diagonal in the subsystem number.  Within one
+    lattice sector, the kets whose subsystem total is n are every subsystem
+    configuration of total n times every complement configuration of the
+    remaining total.  Ordered by (subsystem code, complement code), the rows
+    of the amplitude factor W for those kets reshape to X, one row per
+    subsystem configuration, and the sector adds X X^T to the reduced block.
     """
     model = state.model
     q = state.q
@@ -353,20 +363,20 @@ def reduced_density_blocks(state: ThermalState, subsystems) -> list[dict]:
                for _sub, _rest, sub_blocks in plans]
 
     for b, block in enumerate(state.blocks):
-        U = state.eigenvectors[b]
-        p = state.block_probabilities(b)
-        rho_block = (U * p) @ U.T
+        W = state.amplitudes[b]
         for (sub, rest, sub_blocks), out in zip(plans, reduced):
             occ_sub = block.occupations[:, sub]
             sub_totals = occ_sub.sum(axis=1)
-            sub_codes = occupation_codes(occ_sub, q)
-            rest_codes = occupation_codes(block.occupations[:, rest], q)
-            order = np.argsort(rest_codes, kind="stable")
-            starts = np.flatnonzero(np.diff(rest_codes[order]))
-            for ks in np.split(order, starts + 1):
+            order = np.lexsort((
+                occupation_codes(block.occupations[:, rest], q),
+                occupation_codes(occ_sub, q),
+                sub_totals,
+            ))
+            starts = np.flatnonzero(np.diff(sub_totals[order])) + 1
+            for ks in np.split(order, starts):
                 n_sub = int(sub_totals[ks[0]])
-                sel = np.searchsorted(sub_blocks[n_sub].codes, sub_codes[ks])
-                out[n_sub][np.ix_(sel, sel)] += rho_block[np.ix_(ks, ks)]
+                X = W[ks].reshape(sub_blocks[n_sub].dim, -1)
+                out[n_sub] += X @ X.T
     return reduced
 
 

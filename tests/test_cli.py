@@ -88,6 +88,38 @@ def test_validation_alpha_dimension():
     assert any("alpha" in p for p in problems)
 
 
+def _per_site_config(U, mu):
+    config = base_config()
+    config["model"]["dims"] = [3]
+    config["model"]["U"] = U
+    config["model"]["mu"] = mu
+    return config
+
+
+def test_validation_rejects_bool_entry_in_per_site_list(tmp_path, capsys):
+    config = _per_site_config([1.0, 1.0, 1.0], [0.5, 0.1, True])
+    assert validate_config(config, "exact") == ["model.mu[2] must be a number, got True"]
+    assert run(["exact", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "config_error"
+    assert error["details"] == ["model.mu[2] must be a number, got True"]
+
+
+def test_validation_lists_every_bad_per_site_entry(tmp_path, capsys):
+    config = _per_site_config([1, -2, 0], [0.5, "x", True])
+    want = [
+        "model.U[1] must be strictly positive",
+        "model.U[2] must be strictly positive",
+        "model.mu[1] must be a number, got 'x'",
+        "model.mu[2] must be a number, got True",
+    ]
+    assert validate_config(config, "exact") == want
+    assert run(["exact", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "config_error"
+    assert error["details"] == want
+
+
 def test_build_model_per_site_arrays():
     config = base_config()
     config["model"]["U"] = [1.0, 2.0, 1.5, 1.0]

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from bosepoly.fock import onsite_energy, restricted_log_partition
-from bosepoly.lattice import ModelInstance, OnsiteParams, interaction_edges
+from bosepoly.lattice import (
+    ModelInstance,
+    OnsiteParams,
+    build_couplings,
+    build_lattice,
+    interaction_edges,
+)
 from bosepoly.oracle import (
     DimensionCapError,
     MonomialOperator,
@@ -293,12 +299,31 @@ def test_one_pass_mutual_information_equals_two_pass_reference():
         b = [i for i in range(6) if i not in a]
         got = mutual_information(state, (a, b))
         assert got > 0.0
-        assert got == fock_reference.mutual_information(state, (a, b))
+        assert abs(got - fock_reference.mutual_information(state, (a, b))) <= 1e-14
         for side, blocks in zip((a, b), reduced_density_blocks(state, (a, b))):
             want = fock_reference.reduced_density_blocks(state, side)
             assert list(blocks) == list(want)
             for total, mat in blocks.items():
-                assert mat.tobytes() == want[total].tobytes()
+                assert mat.shape == want[total].shape
+                assert np.abs(mat - want[total]).max(initial=0.0) <= 1e-14
+
+
+def test_amplitude_factors_reproduce_dense_thermal_matrix():
+    # a disordered 2x3 square at q=2: each sector's W W^T is that sector's
+    # rows and columns of the dense product-basis rho
+    lattice = build_lattice([2, 3])
+    rng = np.random.default_rng(3)
+    onsite = OnsiteParams(rng.uniform(0.8, 1.2, 6), rng.uniform(0.0, 1.0, 6))
+    couplings = build_couplings(lattice, "finite_range", g=0.3, d_c=1)
+    model = ModelInstance(lattice, couplings, onsite, 0.5)
+    state = thermalize(model, q=2)
+    _basis, rho = dense_thermal_matrix(model, q=2)
+    covered = 0
+    for block, W in zip(state.blocks, state.amplitudes):
+        want = rho[np.ix_(block.codes, block.codes)]
+        assert np.abs(W @ W.T - want).max() <= 1e-14, f"sector {block.total}"
+        covered += block.dim
+    assert covered == rho.shape[0]
 
 
 def test_clustering_scan_zero_couplings_has_no_fit():
@@ -338,6 +363,17 @@ def test_clustering_scan_density_family(two_site_model):
     assert scan.rows[0].phi_ref == pytest.approx(2.0)
     got = scan.rows[0].value
     assert got == pytest.approx(correlation(state, number_op(0), number_op(1)), rel=1e-12)
+
+    # the anchor's mean is computed once per scan; every row is still the
+    # exact correlation value
+    model = make_long_range_chain(5, g=0.3, alpha=3.0, beta=0.4, U=1.0, mu=0.3)
+    state = thermalize(model, q=2)
+    for family, op_x, op_y in (("density", number_op, number_op),
+                               ("hopping", create, annihilate)):
+        scan = clustering_scan(state, family, anchor=1)
+        assert len(scan.rows) == 4
+        for row in scan.rows:
+            assert row.value == correlation(state, op_x(1), op_y(row.site_b))
 
 
 def test_hopping_correlation_symmetric_for_real_couplings():
