@@ -23,12 +23,11 @@ from .fock import (  # noqa: F401
     sector_blocks,
 )
 from .polymers import Polymer, enumerate_polymers  # noqa: F401
-from .weights import WeightRequest, WeightResult, polymer_weight, weight_table  # noqa: F401
+from .weights import WeightResult, weight_table  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,
     ExpansionReport,
     approximate_log_partition,
-    error_budget,
     kp_diagnostic,
     onsite_log_partition,
 )

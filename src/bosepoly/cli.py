@@ -25,7 +25,6 @@ from .expansion import (
     approximate_log_partition,
     kp_diagnostic,
     resolve_cutoff,
-    workers_from_env,
 )
 from .fock import EigensolverError, restricted_log_partition
 from .lattice import (
@@ -123,6 +122,9 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
         problems.append("missing or invalid section: model")
         model = {}
 
+    if not isinstance(model.get("periodic", False), bool):
+        problems.append("model.periodic must be true or false")
+
     dims = model.get("dims")
     n_sites = None
     if not isinstance(dims, list) or not dims or not all(
@@ -197,11 +199,11 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
         q = expansion.get("q")
         if q is not None and (not isinstance(q, int) or isinstance(q, bool) or q < 1):
             problems.append("expansion.q must be an integer >= 1")
-    workers = expansion.get("workers")
-    if workers is not None and (
-        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-    ):
-        problems.append("expansion.workers must be an integer >= 1")
+    for name in ("theta", "q_prefactor"):
+        if name in expansion:
+            x = _as_float(expansion[name], f"expansion.{name}", problems)
+            if x is not None and not x > 0:
+                problems.append(f"expansion.{name} must be positive")
     threshold = expansion.get("polymer_threshold")
     if threshold is not None:
         t = _as_float(threshold, "expansion.polymer_threshold", problems)
@@ -216,8 +218,10 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
         value = oracle.get(name)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             problems.append(f"oracle.{name} must be an integer")
-    if isinstance(oracle.get("l_max"), int) and oracle["l_max"] < 1:
-        problems.append("oracle.l_max must be >= 1")
+    for name in ("q", "dim_cap", "l_max"):
+        value = oracle.get(name)
+        if isinstance(value, int) and not isinstance(value, bool) and value < 1:
+            problems.append(f"oracle.{name} must be >= 1")
     family = oracle.get("family")
     if family is not None and family not in ("hopping", "density"):
         problems.append("oracle.family must be hopping or density")
@@ -281,7 +285,7 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
 
 def build_model(config: dict) -> ModelInstance:
     model = config["model"]
-    lattice = build_lattice(model["dims"], bool(model.get("periodic", False)))
+    lattice = build_lattice(model["dims"], model.get("periodic", False))
     coupling = model["coupling"]
     kind = coupling["kind"]
     matrix = coupling.get("matrix")
@@ -306,9 +310,6 @@ def build_model(config: dict) -> ModelInstance:
 
 def build_expansion_config(config: dict) -> ExpansionConfig:
     section = config.get("expansion", {})
-    workers = section.get("workers")
-    if workers is None:
-        workers = workers_from_env(1)
     return ExpansionConfig(
         m=section.get("m", 2),
         q=section.get("q"),
@@ -316,7 +317,6 @@ def build_expansion_config(config: dict) -> ExpansionConfig:
         theta=section.get("theta", 1.0),
         q_prefactor=section.get("q_prefactor", 2.0),
         polymer_threshold=section.get("polymer_threshold", 0.0),
-        workers=workers,
     )
 
 
@@ -386,8 +386,7 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
     for q in q_list:
         if (q + 1) ** model.n_sites > dim_cap:
             raise DimensionCapError((q + 1) ** model.n_sites, dim_cap)
-        cfg = ExpansionConfig(m=max(m_list), q=q, polymer_threshold=base.polymer_threshold,
-                              workers=base.workers)
+        cfg = ExpansionConfig(m=max(m_list), q=q, polymer_threshold=base.polymer_threshold)
         # the expansion checks its own dimension cap before any solve
         report = approximate_log_partition(model, cfg)
         oracle_log_z = restricted_log_partition(model, region, edges, q)

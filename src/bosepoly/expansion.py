@@ -33,12 +33,11 @@ the certificate holds, and is labeled conditional in every report.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .fock import onsite_log_trace, restricted_log_partition
+from .fock import onsite_log_trace
 from .lattice import ModelInstance, interaction_edges
 from .oracle import DEFAULT_DIM_CAP, DimensionCapError
 from .polymers import Polymer, components, enumerate_polymers
@@ -51,7 +50,6 @@ __all__ = [
     "onsite_log_partition",
     "resolve_cutoff",
     "kp_diagnostic",
-    "error_budget",
     "approximate_log_partition",
 ]
 
@@ -75,7 +73,6 @@ class ExpansionConfig:
     theta: float = 1.0
     q_prefactor: float = 2.0
     polymer_threshold: float = 0.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.m < 1:
@@ -89,8 +86,6 @@ class ExpansionConfig:
             raise ValueError("auto q_policy requires theta > 0 and q_prefactor > 0")
         if self.polymer_threshold < 0:
             raise ValueError("polymer_threshold must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def resolve_cutoff(model: ModelInstance, cfg: ExpansionConfig) -> int:
@@ -112,7 +107,7 @@ class OrderContribution:
     contribution: float
 
 
-def _polymer_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
+def _build_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
     """Weight table of every polymer of size <= m, in canonical order.
 
     Refuses, before any solve, a polymer support whose truncated space
@@ -123,7 +118,7 @@ def _polymer_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict
     largest = max((len(p.support) for p in polymers), default=0)
     if (q + 1) ** largest > DEFAULT_DIM_CAP:
         raise DimensionCapError((q + 1) ** largest, DEFAULT_DIM_CAP)
-    return weight_table(polymers, model, q, workers=cfg.workers)
+    return weight_table(polymers, model, q)
 
 
 def _log_series(polymer: Polymer, weights: dict, m: int) -> list[float]:
@@ -185,7 +180,7 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
     if q is None:
         q = resolve_cutoff(model, cfg)
     if weights is None:
-        weights = _polymer_weights(model, cfg, q)
+        weights = _build_weights(model, cfg, q)
 
     # one pass over the polymers; each site's terms keep the polymer order
     sites = [int(site) for site in probe_sites]
@@ -197,50 +192,6 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
             if site in terms:
                 terms[site].append(term)
     return [KPDiagnosticRow(site, math.fsum(terms[site]), KP_RHS) for site in sites]
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    m_error: float
-    q_error_proxy: float | None
-    q_error_delta: int | None
-    q_error_target: float | None
-
-    @property
-    def note(self) -> str:
-        return (
-            "m_error = N*exp(-m) holds only when every KP margin is certified; "
-            "q_error_proxy is an oracle difference, not a bound"
-        )
-
-
-def error_budget(model: ModelInstance, cfg: ExpansionConfig, theta: float | None = None,
-                 q: int | None = None, oracle_delta: int = 2,
-                 oracle_dim_cap: int = 20000) -> ErrorBudget:
-    """The m-truncation bound and, when exact differencing is affordable,
-    a measured q-truncation proxy |log Z^(q) - log Z^(q+delta)|.
-
-    ``theta`` sets the cutoff-error target N**(-theta) the proxy is meant
-    to be compared against (defaults to the config's theta).
-    """
-    if q is None:
-        q = resolve_cutoff(model, cfg)
-    if theta is None:
-        theta = cfg.theta
-    n = model.n_sites
-    m_error = n * math.exp(-cfg.m)
-
-    q_error = None
-    delta = None
-    big_q = q + oracle_delta
-    if (big_q + 1) ** n <= oracle_dim_cap:
-        edges = interaction_edges(model.couplings, cfg.polymer_threshold)
-        region = range(n)
-        lo = restricted_log_partition(model, region, edges, q)
-        hi = restricted_log_partition(model, region, edges, big_q)
-        q_error = abs(hi - lo)
-        delta = oracle_delta
-    return ErrorBudget(m_error, q_error, delta, float(n) ** (-theta))
 
 
 @dataclass(frozen=True)
@@ -286,14 +237,15 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     """Run the full pipeline and assemble the report (f = log Z_W + T_m).
 
     Deterministic for a fixed config: every order is one correctly rounded
-    sum, and weights never depend on workers.  Row k reads only series
-    coefficients up to z^k of polymers of size <= k, so the per_order rows
-    of a run at m are the first m rows of any run at a larger m.
+    sum, and each weight is a pure function of its polymer.  Row k reads
+    only series coefficients up to z^k of polymers of size <= k, so the
+    per_order rows of a run at m are the first m rows of any run at a
+    larger m.
     """
     start = time.perf_counter()
     q = resolve_cutoff(model, cfg)
 
-    weights = _polymer_weights(model, cfg, q)
+    weights = _build_weights(model, cfg, q)
     per_order = []
     t_m = 0.0
     for order, contribution in enumerate(_linked_cluster_orders(weights, cfg.m), start=1):
@@ -326,15 +278,3 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
         elapsed=time.perf_counter() - start,
         notes=tuple(notes),
     )
-
-
-def workers_from_env(default: int = 1) -> int:
-    """Worker count from BOSEPOLY_WORKERS, used when a config omits it."""
-    raw = os.environ.get("BOSEPOLY_WORKERS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)

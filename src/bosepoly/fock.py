@@ -19,7 +19,6 @@ from .lattice import ModelInstance
 __all__ = [
     "EigensolverError",
     "SectorBlock",
-    "BlockMatrix",
     "onsite_energy",
     "occupation_codes",
     "sector_blocks",
@@ -62,14 +61,6 @@ class SectorBlock:
         return len(self.codes)
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Dense real symmetric Hamiltonian restricted to one number sector."""
-
-    block: SectorBlock
-    entries: np.ndarray
-
-
 def _place_values(width: int, q: int) -> np.ndarray:
     """(q+1)^(width-1), ..., (q+1)^0: the weight of each column in a code."""
     return (q + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -107,8 +98,8 @@ def build_block_hamiltonian(
     region,
     active_edges,
     block: SectorBlock,
-) -> BlockMatrix:
-    """Assemble H restricted to one number sector.
+) -> np.ndarray:
+    """Assemble H restricted to one number sector as a dense symmetric array.
 
     Diagonal: sum of on-site energies, added site by site in region order.
     Off-diagonal: -J_ij sqrt((n_i+1) n_j) for each active edge, with
@@ -155,7 +146,7 @@ def build_block_hamiltonian(
         targets = np.searchsorted(codes, codes[ks] + place[src[h]] - place[dst[h]])
         H[targets, ks] = -amp[h] * np.sqrt((occ[ks, src[h]] + 1) * occ[ks, dst[h]])
 
-    return BlockMatrix(block, H)
+    return H
 
 
 def logsumexp(values) -> float:
@@ -191,13 +182,12 @@ def _symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigvals
 
 
-def block_log_trace_exp(matrix: BlockMatrix, beta: float) -> float:
+def block_log_trace_exp(H: np.ndarray, beta: float) -> float:
     """log Tr exp(-beta H) for one symmetric block.
 
     Diagonal blocks skip the eigensolve; the general path diagonalizes and
     reduces via log-sum-exp shifted by the minimal eigenvalue.
     """
-    H = matrix.entries
     diag = np.diag(H)
     # no off-diagonal nonzero, counted without a dim x dim temporary; a
     # non-finite diagonal still goes to the eigensolver, which reports it
@@ -227,6 +217,6 @@ def restricted_log_partition(
     active_edges = tuple(active_edges)
     values = []
     for block in sector_blocks(region, q):
-        bm = build_block_hamiltonian(model, region, active_edges, block)
-        values.append(block_log_trace_exp(bm, beta))
+        H = build_block_hamiltonian(model, region, active_edges, block)
+        values.append(block_log_trace_exp(H, beta))
     return logsumexp(values)

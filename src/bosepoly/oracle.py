@@ -171,8 +171,7 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     amplitudes = []
     log_terms = []
     for block in sector_blocks(region, q):
-        bm = build_block_hamiltonian(model, region, edges, block)
-        lam, vecs = np.linalg.eigh(bm.entries)
+        lam, vecs = np.linalg.eigh(build_block_hamiltonian(model, region, edges, block))
         blocks.append(block)
         eigenvalues.append(lam)
         amplitudes.append(vecs)
@@ -426,7 +425,7 @@ def dense_thermal_matrix(model: ModelInstance, q: int, beta: float | None = None
     # block lands on the rows and columns of its codes
     for block in sector_blocks(region, q):
         sel = np.ix_(block.codes, block.codes)
-        H[sel] = build_block_hamiltonian(model, region, edges, block).entries
+        H[sel] = build_block_hamiltonian(model, region, edges, block)
 
     lam, vecs = np.linalg.eigh(H)
     weights = np.exp(-beta * lam - logsumexp(-beta * lam))

@@ -14,18 +14,15 @@ do not interact, so
 
 Each component K is itself a connected edge set, i.e. a smaller polymer,
 and log g(K) takes one set of number-sector solves on its own support V_K.
-``weight_table`` solves every component its polymers need exactly once
-(the only step that may fan out across threads), then runs each polymer's
-near-cancelling alternating sum serially, in a fixed subset order with
-compensated accumulation.  A weight is therefore a pure function of its
-polymer: no bit depends on the worker count or on the rest of the table.
+``weight_table`` solves every component its polymers need exactly once,
+then runs each polymer's near-cancelling alternating sum in a fixed subset
+order with compensated accumulation.  A weight is therefore a pure
+function of its polymer: no bit depends on the rest of the table.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,38 +32,25 @@ from .fock import EigensolverError, onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance
 from .polymers import Polymer, components
 
-__all__ = ["WeightRequest", "WeightResult", "g_ratio", "polymer_weight", "weight_table"]
-
-
-@dataclass(frozen=True)
-class WeightRequest:
-    polymer: Polymer
-    model: ModelInstance
-    q: int
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("cutoff q must be >= 1")
-
-    @property
-    def effective_beta(self) -> float:
-        return self.model.beta if self.beta is None else self.beta
+__all__ = ["WeightResult", "weight_table"]
 
 
 @dataclass(frozen=True)
 class WeightResult:
+    """A polymer weight with its work counters: ``terms`` = 2^|gamma| edge
+    subsets and ``max_block_dim`` = largest number sector of its support
+    (read by the benchmark trace in ``perfbench/spans.py``)."""
+
     value: float
     terms: int
     max_block_dim: int
-    elapsed: float
 
 
-def _log_g(model: ModelInstance, component: Polymer, q: int, beta: float) -> float:
+def _log_g(model: ModelInstance, component: Polymer, q: int) -> float:
     """log g(K) on the component's own support: hopping trace minus free trace."""
     region = tuple(sorted(component.support))
-    return (restricted_log_partition(model, region, component.edges, q, beta)
-            - onsite_log_trace(model, region, q, beta))
+    return (restricted_log_partition(model, region, component.edges, q)
+            - onsite_log_trace(model, region, q, model.beta))
 
 
 def _largest_sector(n_sites: int, q: int) -> int:
@@ -75,18 +59,6 @@ def _largest_sector(n_sites: int, q: int) -> int:
     for _ in range(n_sites):
         counts = [sum(counts[max(0, k - q) : k + 1]) for k in range(len(counts) + q)]
     return max(counts)
-
-
-def g_ratio(model: ModelInstance, polymer: Polymer, edge_subset, q: int,
-            beta: float | None = None) -> float:
-    """g(T) = exp(sum over components K of T of log g(K)); g(()) = 1."""
-    edge_subset = tuple(tuple(sorted(e)) for e in edge_subset)
-    if not set(edge_subset) <= set(polymer.edges):
-        raise ValueError("edge subset must lie inside the polymer")
-    if beta is None:
-        beta = model.beta
-    log_g = math.fsum(_log_g(model, k, q, beta) for k in components(edge_subset))
-    return float(np.exp(log_g))
 
 
 def _neumaier_sum(values) -> float:
@@ -102,33 +74,19 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
-def polymer_weight(req: WeightRequest) -> WeightResult:
-    """Evaluate w_gamma by the alternating sum over all 2^|gamma| subsets."""
-    return weight_table([req.polymer], req.model, req.q, req.effective_beta)[req.polymer]
+def weight_table(polymers, model: ModelInstance, q: int) -> dict:
+    """Weights for a list of distinct polymers at ``model.beta``, keyed by
+    polymer.
 
-
-def weight_table(
-    polymers,
-    model: ModelInstance,
-    q: int,
-    beta: float | None = None,
-    workers: int = 1,
-) -> dict:
-    """Weights for a list of distinct polymers, keyed by polymer.
-
-    Every connected component of every edge subset is solved once; only
-    these solves fan out across threads, and each is a pure function of
-    its component, so the table contents do not depend on the worker
-    count.  A failing solve aborts the whole table with the identity of
-    the component attached.
+    Every connected component of every edge subset is solved once.  A
+    failing solve aborts the whole table with the identity of the
+    component attached.
     """
     polymers = list(polymers)
     if len(set(polymers)) != len(polymers):
         raise ValueError("duplicate polymer in weight_table input")
     if q < 1:
         raise ValueError("cutoff q must be >= 1")
-    if beta is None:
-        beta = model.beta
 
     plans = {
         p: [
@@ -141,30 +99,21 @@ def weight_table(
     needed = sorted({k for plan in plans.values() for _sign, ks in plan for k in ks},
                     key=lambda p: p.key)
 
-    def solve(component: Polymer):
-        start = time.perf_counter()
+    solved = {}
+    for component in needed:
         try:
-            value = _log_g(model, component, q, beta)
+            solved[component] = _log_g(model, component, q)
         except (EigensolverError, FloatingPointError) as exc:
             raise EigensolverError(
                 f"weight evaluation failed for polymer {component.edges}: {exc}"
             ) from exc
-        return value, time.perf_counter() - start
-
-    if workers > 1 and len(needed) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = dict(zip(needed, pool.map(solve, needed)))
-    else:
-        solved = {k: solve(k) for k in needed}
 
     table = {}
     for polymer, plan in plans.items():
-        start = time.perf_counter()
-        terms = [sign * np.exp(math.fsum(solved[k][0] for k in ks)) for sign, ks in plan]
+        terms = [sign * np.exp(math.fsum(solved[k] for k in ks)) for sign, ks in plan]
         table[polymer] = WeightResult(
             value=float((-1.0) ** polymer.size * _neumaier_sum(terms)),
             terms=len(plan),
             max_block_dim=_largest_sector(len(polymer.support), q),
-            elapsed=solved[polymer][1] + time.perf_counter() - start,
         )
     return table

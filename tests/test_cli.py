@@ -24,7 +24,7 @@ def base_config(**overrides):
             "mu": 0.5,
             "beta": 0.1,
         },
-        "expansion": {"m": 4, "q": 3, "workers": 1},
+        "expansion": {"m": 4, "q": 3},
         "oracle": {"q": 3, "l_max": 2, "site": 0},
         "output": {"format": "json"},
     }
@@ -86,6 +86,33 @@ def test_validation_alpha_dimension():
     config["model"]["coupling"] = {"kind": "long_range", "g": 0.1, "alpha": 0.5}
     problems = validate_config(config, "approx")
     assert any("alpha" in p for p in problems)
+
+
+def test_validation_checks_periodic_cutoff_knobs_and_oracle_bounds(tmp_path, capsys):
+    config = base_config()
+    config["model"]["periodic"] = "false"
+    config["expansion"] = {"m": 4, "q_policy": "auto", "theta": "x", "q_prefactor": True}
+    config["oracle"] = {"q": 0, "dim_cap": -1}
+    want = [
+        "model.periodic must be true or false",
+        "expansion.theta must be a number, got 'x'",
+        "expansion.q_prefactor must be a number, got True",
+        "oracle.q must be >= 1",
+        "oracle.dim_cap must be >= 1",
+    ]
+    for command in ("approx", "exact"):
+        assert validate_config(config, command) == want
+        assert run([command, write_config(tmp_path, config)]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "config_error"
+        assert error["details"] == want
+
+    config = base_config()
+    config["expansion"].update(theta=0, q_prefactor=-1.5)
+    assert validate_config(config, "approx") == [
+        "expansion.theta must be positive",
+        "expansion.q_prefactor must be positive",
+    ]
 
 
 def _per_site_config(U, mu):
@@ -209,7 +236,7 @@ def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, ca
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    auto = {"m": 4, "q_policy": "auto", "workers": 1}
+    auto = {"m": 4, "q_policy": "auto"}
     cases = [
         # auto q on a 6-site chain at beta=0.1 resolves q=23, and m=4 reaches
         # 5-site supports with 24^5 states, past the default cap of 20000
@@ -217,7 +244,7 @@ def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, ca
         ("kp", [6], auto, 24**5),
         # the 5-site lattice fits the oracle cap below, but one polymer
         # support (the whole lattice) at q=7 does not fit the expansion's
-        ("compare", [5], {"m": 4, "q": 7, "workers": 1}, 8**5),
+        ("compare", [5], {"m": 4, "q": 7}, 8**5),
     ]
     for command, dims, expansion, required in cases:
         config = base_config()
@@ -402,9 +429,8 @@ def test_version_flag(capsys):
 def test_determinism_byte_identical_excluding_timing(tmp_path):
     config = base_config()
     docs = []
-    for workers, name in ((1, "a.json"), (4, "b.json")):
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
-        config["expansion"]["workers"] = workers
         config["output"]["path"] = str(out)
         path = write_config(tmp_path, config, name=f"cfg_{name}")
         assert run(["approx", path]) == EXIT_OK
@@ -425,7 +451,6 @@ def test_approx_output_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
-        env.pop("BOSEPOLY_WORKERS", None)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")])
         )
@@ -441,19 +466,23 @@ def test_approx_output_independent_of_blas_threads(tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_worker_env_var_honored(tmp_path, monkeypatch):
-    config = base_config()
-    del config["expansion"]["workers"]
+def test_legacy_workers_key_is_ignored(tmp_path, monkeypatch):
+    # configs written for the removed thread pool still carry
+    # expansion.workers; it is ignored like any unknown key, and so is the
+    # old BOSEPOLY_WORKERS variable
+    def report(expansion):
+        config = base_config(expansion=expansion)
+        assert validate_config(config, "approx") == []
+        code, text = run_to_file(tmp_path, "approx", config)
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        doc.pop("timing")
+        return doc
+
     monkeypatch.setenv("BOSEPOLY_WORKERS", "4")
-    code, text = run_to_file(tmp_path, "approx", config)
-    assert code == EXIT_OK
-    # result identical to the explicit-workers run
+    legacy = report({"m": 4, "q": 3, "workers": 4})
     monkeypatch.delenv("BOSEPOLY_WORKERS")
-    config["expansion"]["workers"] = 1
-    code2, text2 = run_to_file(tmp_path, "approx", config)
-    doc, doc2 = json.loads(text), json.loads(text2)
-    doc.pop("timing"), doc2.pop("timing")
-    assert doc == doc2
+    assert legacy == report({"m": 4, "q": 3})
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

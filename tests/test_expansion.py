@@ -6,7 +6,6 @@ import pytest
 from bosepoly.expansion import (
     ExpansionConfig,
     approximate_log_partition,
-    error_budget,
     kp_diagnostic,
     onsite_log_partition,
     resolve_cutoff,
@@ -14,10 +13,14 @@ from bosepoly.expansion import (
 from bosepoly.fock import onsite_energy, restricted_log_partition
 from bosepoly.lattice import interaction_edges
 from bosepoly.polymers import Polymer, enumerate_polymers
-from bosepoly.weights import WeightRequest, polymer_weight, weight_table
+from bosepoly.weights import weight_table
 
 from conftest import make_chain, make_explicit, make_long_range_chain
 from ursell_reference import cluster_per_order
+
+
+def weight(polymer, model, q):
+    return weight_table([polymer], model, q)[polymer].value
 
 
 def test_onsite_log_partition_single_site():
@@ -52,7 +55,7 @@ def test_m1_is_sum_of_single_edge_weights():
     q = 2
     res = approximate_log_partition(model, ExpansionConfig(m=1, q=q))
     expected = sum(
-        polymer_weight(WeightRequest(Polymer((e,)), model, q)).value
+        weight(Polymer((e,)), model, q)
         for e in interaction_edges(model.couplings, 0.0)
     )
     assert res.t_m == pytest.approx(expected, rel=1e-12)
@@ -79,13 +82,13 @@ def test_order_two_mixed_term_is_minus_product():
     q = 1
     w = {}
     for e in ((0, 1), (1, 2)):
-        w[e] = polymer_weight(WeightRequest(Polymer((e,)), model, q)).value
+        w[e] = weight(Polymer((e,)), model, q)
     cfg = ExpansionConfig(m=2, q=q, polymer_threshold=0.0)
     res = approximate_log_partition(model, cfg)
     order2 = dict((oc.order, oc.contribution) for oc in res.per_order)[2]
     wa, wb = w[(0, 1)], w[(1, 2)]
     # exclude the two-edge polymer's own singleton cluster from the brute sum
-    big = polymer_weight(WeightRequest(Polymer(((0, 1), (1, 2))), model, q)).value
+    big = weight(Polymer(((0, 1), (1, 2))), model, q)
     assert order2 - big == pytest.approx(-(wa**2 + wb**2) / 2 - wa * wb, rel=1e-10)
 
 
@@ -126,12 +129,9 @@ def test_report_invariants():
     assert report.m_error_bound == pytest.approx(3 * math.exp(-3))
 
 
-def test_determinism_across_workers_and_runs():
+def test_determinism_across_runs():
     model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
-    reports = [
-        approximate_log_partition(model, ExpansionConfig(m=4, q=3, workers=w))
-        for w in (1, 4, 1)
-    ]
+    reports = [approximate_log_partition(model, ExpansionConfig(m=4, q=3)) for _ in range(3)]
     dicts = [r.to_dict() for r in reports]
     assert dicts[0] == dicts[1] == dicts[2]
 
@@ -161,31 +161,6 @@ def test_kp_flags_failure():
     assert any("no convergence certificate" in note for note in report.notes)
 
 
-def test_error_budget_formula():
-    model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
-    budget = error_budget(model, ExpansionConfig(m=4, q=2))
-    assert budget.m_error == pytest.approx(4 * math.exp(-4))
-    assert budget.q_error_proxy is not None and budget.q_error_delta == 2
-    # the proxy honestly reports the still-unconverged cutoff, and shrinks
-    looser = error_budget(model, ExpansionConfig(m=4, q=6))
-    assert looser.q_error_proxy < budget.q_error_proxy
-    tighter = error_budget(model, ExpansionConfig(m=12, q=2))
-    assert tighter.m_error < budget.m_error
-
-
-def test_error_budget_proxy_tiny_at_converged_cutoff():
-    model = make_chain(1, g=0.1, beta=0.1, U=1.0, mu=0.5)
-    budget = error_budget(model, ExpansionConfig(m=4, q=20))
-    assert budget.q_error_proxy is not None
-    assert budget.q_error_proxy < 1e-8
-
-
-def test_error_budget_without_oracle():
-    model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
-    budget = error_budget(model, ExpansionConfig(m=4, q=2), oracle_dim_cap=10)
-    assert budget.q_error_proxy is None
-
-
 def test_q_policy_auto():
     model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
     cfg = ExpansionConfig(m=2, q_policy="auto", theta=1.0, q_prefactor=2.0)
@@ -201,21 +176,13 @@ def test_config_validation():
         ExpansionConfig(m=2, q=None, q_policy="explicit")
     with pytest.raises(ValueError):
         ExpansionConfig(m=2, q=1, q_policy="bogus")
-    with pytest.raises(ValueError):
-        ExpansionConfig(m=2, q=1, workers=0)
-
-
-def test_error_budget_reports_theta_target():
-    model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
-    budget = error_budget(model, ExpansionConfig(m=4, q=2), theta=2.0)
-    assert budget.q_error_target == pytest.approx(4.0 ** (-2.0))
 
 
 def test_single_edge_rows_are_the_log1p_series_to_order_eleven():
     # one edge at m = 11: the order-11 cluster has eleven copies of one
     # polymer, and row k must be the z^k coefficient of log(1 + w z)
     model = make_chain(2, g=0.3, beta=0.5, U=1.0, mu=0.0)
-    w = polymer_weight(WeightRequest(Polymer(((0, 1),)), model, 1)).value
+    w = weight(Polymer(((0, 1),)), model, 1)
     res = approximate_log_partition(model, ExpansionConfig(m=11, q=1))
     assert [oc.order for oc in res.per_order] == list(range(1, 12))
     for oc in res.per_order:
@@ -267,11 +234,8 @@ def test_weights_share_lattice_symmetry():
     # uniform periodic ring: every nearest-neighbor edge carries equal weight
     model = make_chain(4, g=0.4, beta=0.3, U=1.0, mu=0.1, periodic=True)
     res = approximate_log_partition(model, ExpansionConfig(m=1, q=2))
-    from bosepoly.weights import polymer_weight, WeightRequest
-    from bosepoly.polymers import Polymer
-
     values = {
-        e: polymer_weight(WeightRequest(Polymer((e,)), model, 2)).value
+        e: weight(Polymer((e,)), model, 2)
         for e in interaction_edges(model.couplings, 0.0)
     }
     vals = list(values.values())

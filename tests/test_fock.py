@@ -12,7 +12,6 @@ from bosepoly.fock import (
     onsite_energy,
     restricted_log_partition,
     sector_blocks,
-    BlockMatrix,
 )
 from bosepoly.lattice import ModelInstance, OnsiteParams
 
@@ -112,7 +111,7 @@ def test_block_hamiltonian_bytes_equal_loop_reference(case, q):
     for block in sector_blocks(region, q):
         basis = [tuple(r) for r in block.occupations.tolist()]
         want = fock_reference.block_hamiltonian(model, region, edges, q, basis)
-        got = build_block_hamiltonian(model, region, edges, block).entries
+        got = build_block_hamiltonian(model, region, edges, block)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), f"sector {block.total}"
 
@@ -121,16 +120,16 @@ def test_block_hamiltonian_no_edges_is_diagonal():
     model = make_chain(3, g=0.5, beta=1.0, U=1.0, mu=0.25)
     blocks = sector_blocks([0, 1, 2], 2)
     for block in blocks:
-        bm = build_block_hamiltonian(model, [0, 1, 2], [], block)
-        assert np.count_nonzero(bm.entries - np.diag(np.diag(bm.entries))) == 0
+        H = build_block_hamiltonian(model, [0, 1, 2], [], block)
+        assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
 
 
 def test_block_hamiltonian_two_site_hop():
     model = make_chain(2, g=0.3, beta=1.0, U=2.0, mu=0.0)
     block = sector_blocks([0, 1], 1)[1]  # N_tot = 1
-    bm = build_block_hamiltonian(model, [0, 1], [(0, 1)], block)
-    assert np.allclose(bm.entries, [[0.0, -0.3], [-0.3, 0.0]])
-    assert np.allclose(np.linalg.eigvalsh(bm.entries), [-0.3, 0.3])
+    H = build_block_hamiltonian(model, [0, 1], [(0, 1)], block)
+    assert np.allclose(H, [[0.0, -0.3], [-0.3, 0.0]])
+    assert np.allclose(np.linalg.eigvalsh(H), [-0.3, 0.3])
 
 
 def test_block_hamiltonian_cutoff_kills_hopping():
@@ -138,9 +137,9 @@ def test_block_hamiltonian_cutoff_kills_hopping():
     # site to n = 2 and is projected away
     model = make_chain(2, g=0.3, beta=1.0, U=2.0, mu=0.0)
     block = sector_blocks([0, 1], 1)[2]
-    bm = build_block_hamiltonian(model, [0, 1], [(0, 1)], block)
-    assert bm.entries.shape == (1, 1)
-    assert bm.entries[0, 0] == 2 * onsite_energy(2.0, 0.0, 1)
+    H = build_block_hamiltonian(model, [0, 1], [(0, 1)], block)
+    assert H.shape == (1, 1)
+    assert H[0, 0] == 2 * onsite_energy(2.0, 0.0, 1)
 
 
 def test_block_hamiltonian_edge_outside_region():
@@ -160,20 +159,15 @@ def test_block_hamiltonian_rejects_repeated_edges_and_self_loops():
 
 
 def test_block_log_trace_exp_closed_forms():
-    blk = sector_blocks((0,), 1)[0]
-    one = BlockMatrix(blk, np.array([[2.5]]))
-    assert block_log_trace_exp(one, 0.7) == pytest.approx(-0.7 * 2.5)
+    assert block_log_trace_exp(np.array([[2.5]]), 0.7) == pytest.approx(-0.7 * 2.5)
 
-    blk2 = sector_blocks((0, 1), 1)[1]
-    hop = BlockMatrix(blk2, np.array([[0.0, -0.4], [-0.4, 0.0]]))
+    hop = np.array([[0.0, -0.4], [-0.4, 0.0]])
     beta = 1.3
     assert block_log_trace_exp(hop, beta) == pytest.approx(
         math.log(math.exp(beta * 0.4) + math.exp(-beta * 0.4))
     )
 
-    blk3 = sector_blocks((0, 1, 2), 1)[1]
-    zero = BlockMatrix(blk3, np.zeros((3, 3)))
-    assert block_log_trace_exp(zero, 2.0) == pytest.approx(math.log(3))
+    assert block_log_trace_exp(np.zeros((3, 3)), 2.0) == pytest.approx(math.log(3))
 
 
 def test_block_log_trace_exp_matches_direct_sum():
@@ -182,8 +176,7 @@ def test_block_log_trace_exp_matches_direct_sum():
         dim = rng.integers(2, 8)
         A = rng.normal(size=(dim, dim))
         H = (A + A.T) / 2
-        blk = sector_blocks((0,), 1)[0]
-        got = block_log_trace_exp(BlockMatrix(blk, H), 0.9)
+        got = block_log_trace_exp(H, 0.9)
         direct = math.log(sum(math.exp(-0.9 * lam) for lam in np.linalg.eigvalsh(H)))
         assert got == pytest.approx(direct, rel=1e-12)
 
@@ -192,16 +185,15 @@ def test_diagonal_blocks_skip_the_eigensolve(monkeypatch):
     def refuse(matrix):
         raise AssertionError("diagonal block reached the eigensolver")
 
-    blk = sector_blocks((0, 1, 2), 1)[1]
     diag = np.array([0.5, -1.0, 0.0])
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    got = block_log_trace_exp(BlockMatrix(blk, np.diag(diag)), 1.1)
+    got = block_log_trace_exp(np.diag(diag), 1.1)
     assert got == pytest.approx(math.log(np.exp(-1.1 * diag).sum()), rel=1e-14)
     monkeypatch.undo()
 
     # a non-finite diagonal is not taken for a diagonal block
     with pytest.raises(EigensolverError):
-        block_log_trace_exp(BlockMatrix(blk, np.diag([0.5, np.nan, 0.0])), 1.1)
+        block_log_trace_exp(np.diag([0.5, np.nan, 0.0]), 1.1)
 
 
 def test_restricted_log_partition_single_site():
@@ -280,7 +272,7 @@ def test_block_assembly_matches_dense(n_sites, q):
 
     rebuilt = np.zeros_like(dense)
     for block in sector_blocks(region, q):
-        bm = build_block_hamiltonian(model, region, edges, block)
+        H = build_block_hamiltonian(model, region, edges, block)
         sel = [index[occ] for occ in map(tuple, block.occupations.tolist())]
-        rebuilt[np.ix_(sel, sel)] = bm.entries
+        rebuilt[np.ix_(sel, sel)] = H
     assert np.array_equal(rebuilt, dense)  # hopping never leaves a sector

@@ -13,12 +13,25 @@ from bosepoly.lattice import (
     interaction_edges,
 )
 from bosepoly.polymers import Polymer, enumerate_polymers
-from bosepoly.weights import WeightRequest, g_ratio, polymer_weight, weight_table
+from bosepoly.weights import weight_table
 
 from conftest import make_chain, make_long_range_chain
 
 
 SINGLE_EDGE = Polymer(((0, 1),))
+
+
+def weight(polymer, model, q):
+    return weight_table([polymer], model, q)[polymer]
+
+
+def g_ratio(model, polymer, edge_subset, q):
+    """Reference g(T): the truncated-trace ratio on the polymer's full support."""
+    region = sorted(polymer.support)
+    return math.exp(
+        restricted_log_partition(model, region, edge_subset, q)
+        - restricted_log_partition(model, region, (), q)
+    )
 
 
 def test_g_ratio_empty_subset_is_one(two_site_model):
@@ -29,6 +42,8 @@ def test_g_ratio_single_edge_closed_form(two_site_model):
     beta_j = 0.3
     got = g_ratio(two_site_model, SINGLE_EDGE, ((0, 1),), q=1)
     assert got == pytest.approx((2 + 2 * math.cosh(beta_j)) / 4, rel=1e-12)
+    # a single-edge weight is g({e}) - g(())
+    assert weight(SINGLE_EDGE, two_site_model, 1).value == pytest.approx(got - 1, rel=1e-12)
 
 
 def test_g_ratio_zero_coupling_is_one():
@@ -38,13 +53,8 @@ def test_g_ratio_zero_coupling_is_one():
     assert g_ratio(model, SINGLE_EDGE, ((0, 1),), q=2) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_g_ratio_rejects_foreign_edges(two_site_model):
-    with pytest.raises(ValueError):
-        g_ratio(two_site_model, SINGLE_EDGE, ((1, 2),), q=1)
-
-
 def test_single_edge_weight_closed_form(two_site_model):
-    res = polymer_weight(WeightRequest(SINGLE_EDGE, two_site_model, q=1))
+    res = weight(SINGLE_EDGE, two_site_model, 1)
     assert res.value == pytest.approx((math.cosh(0.3) - 1) / 2, rel=1e-12)
     assert res.terms == 2
     assert res.max_block_dim == 2
@@ -55,19 +65,20 @@ def test_weight_zero_couplings_vanish():
 
     model = make_explicit(3, np.zeros((3, 3)), beta=0.7)
     poly = Polymer(((0, 1), (1, 2)))
-    res = polymer_weight(WeightRequest(poly, model, q=2))
+    res = weight(poly, model, 2)
     assert res.value == pytest.approx(0.0, abs=1e-14)
     assert res.terms == 4
 
 
 def test_weight_identity_limit():
     model = make_chain(2, g=0.5, beta=1e-8)
-    res = polymer_weight(WeightRequest(SINGLE_EDGE, model, q=2))
+    res = weight(SINGLE_EDGE, model, 2)
     assert abs(res.value) <= 1e-6
 
 
-def test_weight_beta_override(two_site_model):
-    half = polymer_weight(WeightRequest(SINGLE_EDGE, two_site_model, q=1, beta=0.5))
+def test_weight_beta_override():
+    # the weight follows model.beta: the two-site fixture's chain at beta = 0.5
+    half = weight(SINGLE_EDGE, make_chain(2, g=0.3, beta=0.5, U=1.0, mu=0.0), 1)
     assert half.value == pytest.approx((math.cosh(0.15) - 1) / 2, rel=1e-12)
 
 
@@ -79,7 +90,7 @@ def test_weight_smallness_trend_in_beta():
         values = []
         for beta in (0.05, 0.1, 0.2):
             model = make_chain(n_sites, g=1.0, beta=beta, U=1.0, mu=0.0)
-            values.append(abs(polymer_weight(WeightRequest(poly, model, q=5)).value))
+            values.append(abs(weight(poly, model, 5).value))
             assert values[-1] <= (2.0 * math.sqrt(beta)) ** poly.size
         assert values[0] < values[1] < values[2]
 
@@ -139,8 +150,8 @@ def test_compatibility_factorization():
     log_free = restricted_log_partition(model, [0, 1, 2, 3], (), q)
     ratio_joint = math.exp(log_joint - log_free)
 
-    r1 = g_ratio(model, left, ((0, 1),), q)
-    r2 = g_ratio(model, right, ((2, 3),), q)
+    # a single-edge polymer has g({e}) = 1 + w
+    r1, r2 = (1 + weight(p, model, q).value for p in (left, right))
     assert ratio_joint == pytest.approx(r1 * r2, rel=1e-10)
 
 
@@ -152,16 +163,6 @@ def test_weight_table_contract(two_site_model):
 
     with pytest.raises(ValueError):
         weight_table([SINGLE_EDGE, SINGLE_EDGE], two_site_model, q=1)
-
-
-def test_weight_table_worker_independence():
-    model = make_chain(4, g=0.3, beta=0.2, U=1.0, mu=0.1)
-    edges = interaction_edges(model.couplings, 0.0)
-    polymers = enumerate_polymers(edges, 3)
-    serial = weight_table(polymers, model, q=2, workers=1)
-    parallel = weight_table(polymers, model, q=2, workers=4)
-    for p in polymers:
-        assert serial[p].value == parallel[p].value
 
 
 def test_trace_region_choice_cancels():
@@ -253,10 +254,9 @@ def test_weight_independent_of_table_context():
         weight_table(polymers, model, q),
         weight_table(enumerate_polymers(edges, m + 1), model, q),
         weight_table(polymers[::-1], model, q),
-        weight_table(polymers, model, q, workers=4),
     ]
     for p in polymers:
-        alone = polymer_weight(WeightRequest(p, model, q)).value
+        alone = weight(p, model, q).value
         assert all(t[p].value == alone for t in tables), p.edges
 
 
