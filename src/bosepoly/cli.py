@@ -380,7 +380,9 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
         raise ValueError("truncation order m must be >= 1")
     dim_cap = config.get("oracle", {}).get("dim_cap", DEFAULT_DIM_CAP)
 
-    edges = interaction_edges(model.couplings, base.polymer_threshold)
+    # the oracle keeps every coupling, so abs_error includes what the
+    # polymer threshold drops
+    edges = interaction_edges(model.couplings, 0.0)
     region = range(model.n_sites)
     rows = []
     for q in q_list:
@@ -452,12 +454,17 @@ def cmd_moments(config: dict):
     site = section.get("site", 0)
     l_max = section.get("l_max", 2)
     beta_list = section.get("beta_list", [model.beta])
-    rows = []
-    for beta in beta_list:
-        state = thermalize(model, q, beta=float(beta),
-                           dim_cap=section.get("dim_cap", DEFAULT_DIM_CAP))
-        for l, value in enumerate(moments(state, site, l_max), start=1):
-            rows.append({"beta": float(beta), "site": site, "l": l, "value": value})
+    dim_cap = section.get("dim_cap", DEFAULT_DIM_CAP)
+
+    def beta_rows(beta: float) -> list[dict]:
+        # the state dies on return, so no two thermal states are held at once
+        state = thermalize(model, q, beta=beta, dim_cap=dim_cap)
+        return [
+            {"beta": beta, "site": site, "l": l, "value": value}
+            for l, value in enumerate(moments(state, site, l_max), start=1)
+        ]
+
+    rows = [row for beta in beta_list for row in beta_rows(float(beta))]
     columns = ["beta", "site", "l", "value"]
     return (
         {"rows": rows, "columns": columns, "q": q},

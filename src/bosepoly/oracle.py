@@ -134,6 +134,8 @@ class ThermalState:
     ``amplitudes[b]`` is the sector's eigenvector matrix with column k
     scaled by sqrt(p_k), p_k = exp(-beta lambda_k) / Z, so the sector's rho
     block is ``W @ W.T``; the eigenvectors themselves are not kept.
+    ``blocks``, ``eigenvalues`` and ``amplitudes`` are in ascending sector
+    total N, whatever order ``thermalize`` solved them in.
     """
 
     model: ModelInstance
@@ -156,7 +158,15 @@ class ThermalState:
 
 def thermalize(model: ModelInstance, q: int, beta: float | None = None,
                dim_cap: int = DEFAULT_DIM_CAP) -> ThermalState:
-    """Diagonalize every number sector of the truncated model."""
+    """Diagonalize every number sector of the truncated model.
+
+    Sectors are solved in descending dimension, ties in ascending N, so the
+    peak memory is one solve's transient (the block, LAPACK's copy, its
+    workspace and the output: about 5-6 n^2 doubles for n states) plus the
+    amplitude factors already solved, none of them smaller than that sector.
+    The results are stored, and log Z summed, in ascending N, so they do not
+    depend on the solve order.
+    """
     if beta is None:
         beta = model.beta
     n = model.n_sites
@@ -166,16 +176,16 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
 
     region = tuple(range(n))
     edges = interaction_edges(model.couplings, 0.0)
-    blocks = []
-    eigenvalues = []
-    amplitudes = []
-    log_terms = []
-    for block in sector_blocks(region, q):
-        lam, vecs = np.linalg.eigh(build_block_hamiltonian(model, region, edges, block))
-        blocks.append(block)
-        eigenvalues.append(lam)
-        amplitudes.append(vecs)
-        log_terms.append(logsumexp(-beta * lam))
+    blocks = sector_blocks(region, q)
+    eigenvalues = [None] * len(blocks)
+    amplitudes = [None] * len(blocks)
+    log_terms = [None] * len(blocks)
+    # largest first, so no small sector's factor is held through a big solve
+    for b in sorted(range(len(blocks)), key=lambda b: (-blocks[b].dim, b)):
+        lam, vecs = np.linalg.eigh(build_block_hamiltonian(model, region, edges, blocks[b]))
+        eigenvalues[b] = lam
+        amplitudes[b] = vecs
+        log_terms[b] = logsumexp(-beta * lam)
     log_z = logsumexp(log_terms)
     # in place, so no second dim x dim copy of any sector is held
     for lam, W in zip(eigenvalues, amplitudes):

@@ -10,6 +10,8 @@ by grouping kets on their complement occupation; ``mutual_information`` is
 the two-pass form that does this once per side of the bipartition.  The
 tests require the vectorized Hamiltonian builder to reproduce these bit for
 bit, and the oracle's partial traces to match them within 1e-14.
+``thermalize`` solves the sectors in ascending N, the order the oracle's
+results are stored in; the oracle's own solve order must not change a bit.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import math
 
 import numpy as np
 
-from bosepoly.fock import onsite_energy
-from bosepoly.oracle import _entropy_from_probabilities
+from bosepoly.fock import build_block_hamiltonian, logsumexp, onsite_energy, sector_blocks
+from bosepoly.lattice import interaction_edges
+from bosepoly.oracle import ThermalState, _entropy_from_probabilities
 
 
 def occupation_vectors(n_sites: int, q: int, total: int):
@@ -123,3 +126,23 @@ def mutual_information(state, partition) -> float:
         return total
 
     return reduced_entropy(a) + reduced_entropy(b) - s_total
+
+
+def thermalize(model, q: int, beta: float) -> ThermalState:
+    """The oracle's thermal state with every sector solved in ascending N."""
+    region = tuple(range(model.n_sites))
+    edges = interaction_edges(model.couplings, 0.0)
+    blocks = sector_blocks(region, q)
+    eigenvalues = []
+    amplitudes = []
+    log_terms = []
+    for block in blocks:
+        lam, vecs = np.linalg.eigh(build_block_hamiltonian(model, region, edges, block))
+        eigenvalues.append(lam)
+        amplitudes.append(vecs)
+        log_terms.append(logsumexp(-beta * lam))
+    log_z = logsumexp(log_terms)
+    for lam, W in zip(eigenvalues, amplitudes):
+        W *= np.exp(0.5 * (-beta * lam - log_z))
+    return ThermalState(model, q, beta, tuple(blocks), tuple(eigenvalues),
+                        tuple(amplitudes), log_z)

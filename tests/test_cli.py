@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -316,6 +317,22 @@ def test_compare_rows_match_standalone_approx(tmp_path):
             assert report["m_error_bound"] == row["m_error_bound"]
 
 
+def test_compare_oracle_keeps_couplings_below_the_polymer_threshold(tmp_path):
+    # the threshold truncates the expansion only; the oracle column is the
+    # full model's log Z, so abs_error shows what the threshold dropped
+    config = base_config()
+    config["model"]["coupling"] = {"kind": "long_range", "g": 0.3, "alpha": 3.0}
+    config["expansion"]["polymer_threshold"] = 0.02
+    code, text = run_to_file(tmp_path, "compare", config, ["--m-list", "3", "--q-list", "3"])
+    assert code == EXIT_OK
+    (row,) = json.loads(text)["result"]["rows"]
+    code, text = run_to_file(tmp_path, "exact", config)
+    assert code == EXIT_OK
+    log_z = json.loads(text)["result"]["log_z"]
+    assert abs(row["oracle_log_z_q"] - log_z) <= 1e-12
+    assert row["abs_error"] > 1e-9
+
+
 def test_compare_rejects_an_order_below_one(tmp_path):
     for m_list in ("0,2", "-1,3"):
         code, _text = run_to_file(tmp_path, "compare", base_config(), [f"--m-list={m_list}"])
@@ -356,6 +373,33 @@ def test_moments_two_betas_give_rows_for_slope(tmp_path):
     assert code == EXIT_OK
     rows = json.loads(text)["result"]["rows"]
     assert len(rows) == 8
+
+
+def test_moments_holds_one_thermal_state_at_a_time(tmp_path):
+    # a disordered 2x3 square at q=2: a second beta re-solves the model, but
+    # the first state must be gone by then, so the peak barely moves
+    config = base_config()
+    config["model"]["dims"] = [2, 3]
+    config["model"]["coupling"] = {"kind": "finite_range", "g": 0.3, "d_c": 1}
+    config["model"]["U"] = [0.9, 1.1, 1.0, 1.2, 0.8, 1.05]
+    config["model"]["mu"] = [0.2, 0.7, 0.4, 0.1, 0.9, 0.5]
+    config["model"]["beta"] = 0.5
+
+    def run_betas(beta_list):
+        config["oracle"] = {"q": 2, "site": 0, "l_max": 2, "beta_list": beta_list}
+        tracemalloc.start()
+        try:
+            code, text = run_to_file(tmp_path, "moments", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        return json.loads(text)["result"]["rows"], peak
+
+    one_rows, one_peak = run_betas([0.5])
+    two_rows, two_peak = run_betas([0.5, 0.4])
+    assert two_rows[: len(one_rows)] == one_rows
+    assert two_peak <= 1.1 * one_peak
 
 
 def test_kp_zero_coupling(tmp_path):

@@ -67,6 +67,54 @@ def test_thermalize_matches_restricted_log_partition():
     assert state.log_z == pytest.approx(direct, abs=1e-10)
 
 
+def _disordered_models():
+    # a disordered 2x3 square and a disordered 6-site alpha=3 chain
+    rng = np.random.default_rng(7)
+    square = build_lattice([2, 3])
+    chain = make_long_range_chain(6, g=0.3, alpha=3.0, beta=0.4)
+    return [
+        ModelInstance(
+            square,
+            build_couplings(square, "finite_range", g=0.3, d_c=1),
+            OnsiteParams(rng.uniform(0.8, 1.2, 6), rng.uniform(0.0, 1.0, 6)),
+            0.5,
+        ),
+        ModelInstance(
+            chain.lattice,
+            chain.couplings,
+            OnsiteParams(rng.uniform(0.8, 1.2, 6), rng.uniform(0.0, 1.0, 6)),
+            chain.beta,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("model_index", [0, 1])
+def test_thermalize_equals_ascending_order_reference(model_index):
+    model = _disordered_models()[model_index]
+    state = thermalize(model, q=2)
+    want = fock_reference.thermalize(model, 2, model.beta)
+    assert state.log_z == want.log_z
+    assert [b.total for b in state.blocks] == [b.total for b in want.blocks]
+    for got_lam, want_lam in zip(state.eigenvalues, want.eigenvalues, strict=True):
+        assert np.array_equal(got_lam, want_lam)
+    for got_w, want_w in zip(state.amplitudes, want.amplitudes, strict=True):
+        assert np.array_equal(got_w, want_w)
+
+
+def test_thermalize_solves_largest_sector_first(monkeypatch):
+    dims = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        dims.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    state = thermalize(_disordered_models()[0], q=2)
+    assert sorted(dims) == sorted(b.dim for b in state.blocks)
+    assert dims == sorted(dims, reverse=True)
+
+
 def test_dimension_cap():
     model = make_chain(4, g=0.1, beta=0.1)
     with pytest.raises(DimensionCapError) as err:
