@@ -180,7 +180,6 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     eigenvalues = [None] * len(blocks)
     amplitudes = [None] * len(blocks)
     log_terms = [None] * len(blocks)
-    # largest first, so no small sector's factor is held through a big solve
     for b in sorted(range(len(blocks)), key=lambda b: (-blocks[b].dim, b)):
         lam, vecs = np.linalg.eigh(build_block_hamiltonian(model, region, edges, blocks[b]))
         eigenvalues[b] = lam
