@@ -42,6 +42,7 @@ from .oracle import (
     moments,
     mutual_information,
     occupation_distribution,
+    rescale_beta,
     thermalize,
 )
 
@@ -456,15 +457,16 @@ def cmd_moments(config: dict):
     beta_list = section.get("beta_list", [model.beta])
     dim_cap = section.get("dim_cap", DEFAULT_DIM_CAP)
 
-    def beta_rows(beta: float) -> list[dict]:
-        # the state dies on return, so no two thermal states are held at once
-        state = thermalize(model, q, beta=beta, dim_cap=dim_cap)
-        return [
-            {"beta": beta, "site": site, "l": l, "value": value}
-            for l, value in enumerate(moments(state, site, l_max), start=1)
-        ]
-
-    rows = [row for beta in beta_list for row in beta_rows(float(beta))]
+    # one set of solves: the first beta's state, rescaled in place to each
+    # other beta in ascending order, so one thermal state is held at a time
+    betas = [float(b) for b in beta_list]
+    state = thermalize(model, q, beta=betas[0], dim_cap=dim_cap)
+    values = {betas[0]: moments(state, site, l_max)}
+    for beta in sorted(set(betas) - {betas[0]}):
+        state = rescale_beta(state, beta)
+        values[beta] = moments(state, site, l_max)
+    rows = [{"beta": beta, "site": site, "l": l, "value": value}
+            for beta in betas for l, value in enumerate(values[beta], start=1)]
     columns = ["beta", "site", "l", "value"]
     return (
         {"rows": rows, "columns": columns, "q": q},

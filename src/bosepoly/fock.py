@@ -6,11 +6,18 @@ Because hopping conserves the total boson number, the (q+1)^|L| space
 splits into sectors of fixed total occupation; each trace is computed
 block by block with a symmetric eigendecomposition and accumulated with
 log-sum-exp in canonical sector order.
+
+The layout of that space is cached per (|L|, q).  A region's Hamiltonian is
+one pass over it: every state's diagonal, and every hop of every active
+edge, whose target's code is the source's plus a fixed offset, so no search
+is needed.  Dense blocks are filled one sector at a time, so the peak memory
+is one sector's block; a sector no hop reaches is traced from its diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +29,7 @@ __all__ = [
     "onsite_energy",
     "occupation_codes",
     "sector_blocks",
-    "build_block_hamiltonian",
-    "block_log_trace_exp",
+    "RegionHamiltonian",
     "restricted_log_partition",
     "logsumexp",
     "onsite_log_trace",
@@ -71,82 +77,117 @@ def occupation_codes(occupations: np.ndarray, q: int) -> np.ndarray:
     return occupations @ _place_values(occupations.shape[1], q)
 
 
+@lru_cache(maxsize=None)
+def _layout(width: int, q: int) -> tuple:
+    """(occupations, codes, rows, starts) of the (q+1)^width space.
+
+    ``occupations`` holds every state once, sectors in ascending N and each
+    sector's codes ascending; sector N spans rows ``starts[N]:starts[N+1]``.
+    ``rows[code]`` is a state's row within its sector.  Read-only: every
+    caller of the cache shares the arrays.
+    """
+    codes = np.arange((q + 1) ** width, dtype=np.int64)
+    occupations = codes[:, None] // _place_values(width, q) % (q + 1)
+    totals = occupations.sum(axis=1)
+    # a stable sort by total keeps each sector's codes ascending
+    order = np.argsort(totals, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(totals))))
+    rows = np.empty_like(codes)
+    rows[order] = np.arange(codes.size) - starts[totals[order]]
+    layout = (occupations[order], order, rows, starts)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
 def sector_blocks(region, q: int) -> list[SectorBlock]:
     """Number-sector bases for N_tot = 0 .. q*|region|.
 
-    The block bases partition the (q+1)^|region| per-site-truncated space.
+    The block bases partition the (q+1)^|region| per-site-truncated space;
+    their arrays are read-only views of the cached layout.
     """
     region = tuple(region)
     if not region:
         raise ValueError("region must be nonempty")
     if q < 0:
         raise ValueError("cutoff q must be nonnegative")
-    # every code of the full space, digits read off; a stable sort by total
-    # keeps each sector's rows in ascending code (lexicographic) order
-    codes = np.arange((q + 1) ** len(region), dtype=np.int64)
-    occupations = codes[:, None] // _place_values(len(region), q) % (q + 1)
-    totals = occupations.sum(axis=1)
-    order = np.argsort(totals, kind="stable")
+    occupations, codes, _rows, starts = _layout(len(region), q)
     return [
-        SectorBlock(region, q, total, occupations[rows], codes[rows])
-        for total, rows in enumerate(np.split(order, np.cumsum(np.bincount(totals))[:-1]))
+        SectorBlock(region, q, total, occupations[lo:hi], codes[lo:hi])
+        for total, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
     ]
 
 
-def build_block_hamiltonian(
-    model: ModelInstance,
-    region,
-    active_edges,
-    block: SectorBlock,
-) -> np.ndarray:
-    """Assemble H restricted to one number sector as a dense symmetric array.
+class RegionHamiltonian:
+    """H on a region's truncated space, with hopping only on ``active_edges``,
+    held as entries over the full space and filled one sector at a time.
 
     Diagonal: sum of on-site energies, added site by site in region order.
     Off-diagonal: -J_ij sqrt((n_i+1) n_j) for each active edge, with
     amplitudes leaving the per-site cutoff set to zero; a hop from dst to
     src moves a state's code by (q+1)^(last-src) - (q+1)^(last-dst), and the
-    target is found among the ascending codes.  Only edges inside
-    ``region`` are allowed.
+    layout gives the target's row.  Only edges inside ``region`` are
+    allowed.  ``blocks`` are the sectors in ascending N.
     """
-    region = tuple(region)
-    pos = {site: k for k, site in enumerate(region)}
-    active_edges = tuple(tuple(sorted(e)) for e in active_edges)
-    if len(set(active_edges)) != len(active_edges):
-        raise ValueError("active_edges must be distinct")
-    for (i, j) in active_edges:
-        if i == j:
-            raise ValueError(f"self-loop edge ({i}, {j})")
-        if i not in pos or j not in pos:
-            raise ValueError(f"edge ({i}, {j}) is not inside region {region}")
 
-    q = block.q
-    occ, codes = block.occupations, block.codes
-    place = _place_values(len(region), q)
-    H = np.zeros((block.dim, block.dim))
+    def __init__(self, model: ModelInstance, region, active_edges, q: int):
+        region = tuple(region)
+        self.blocks = sector_blocks(region, q)
+        pos = {site: k for k, site in enumerate(region)}
+        active_edges = tuple(tuple(sorted(e)) for e in active_edges)
+        if len(set(active_edges)) != len(active_edges):
+            raise ValueError("active_edges must be distinct")
+        for (i, j) in active_edges:
+            if i == j:
+                raise ValueError(f"self-loop edge ({i}, {j})")
+            if i not in pos or j not in pos:
+                raise ValueError(f"edge ({i}, {j}) is not inside region {region}")
 
-    U = model.onsite.U
-    mu = model.onsite.mu
-    diag = np.zeros(block.dim)
-    for k, site in enumerate(region):
-        table = np.array([onsite_energy(U[site], mu[site], n) for n in range(q + 1)])
-        diag += table[occ[:, k]]
-    np.fill_diagonal(H, diag)
+        occ, codes, rows, self._starts = _layout(len(region), q)
+        U = model.onsite.U
+        mu = model.onsite.mu
+        self._diagonal = np.zeros(len(occ))
+        for k, site in enumerate(region):
+            table = np.array([onsite_energy(U[site], mu[site], n) for n in range(q + 1)])
+            self._diagonal += table[occ[:, k]]
 
-    # a_src^dag a_dst for both orientations of every edge, all in one pass;
-    # each (target, source) pair is one hop of one orientation, so every
-    # off-diagonal entry is written exactly once
-    hops = []
-    for (i, j) in active_edges:
-        J = model.coupling(i, j)
-        if J != 0.0:
-            hops += [(pos[i], pos[j], J), (pos[j], pos[i], J)]
-    if hops:
-        src, dst, amp = (np.array(column) for column in zip(*hops))
-        ks, h = np.nonzero((occ[:, dst] >= 1) & (occ[:, src] < q))
-        targets = np.searchsorted(codes, codes[ks] + place[src[h]] - place[dst[h]])
-        H[targets, ks] = -amp[h] * np.sqrt((occ[ks, src[h]] + 1) * occ[ks, dst[h]])
+        # a_src^dag a_dst for both orientations of every edge, all in one
+        # pass over the space; each (target, source) pair is one hop of one
+        # orientation, so every off-diagonal entry is written exactly once
+        hops = [(pos[i], pos[j], J) for (i, j) in active_edges
+                if (J := model.coupling(i, j)) != 0.0]
+        hops += [(b, a, J) for (a, b, J) in hops]
+        src, dst, amp = np.array(hops, dtype=np.float64).reshape(-1, 3).T
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+        # row-major, so the sources ascend and each sector's hops are contiguous
+        states, h = np.nonzero((occ[:, dst] >= 1) & (occ[:, src] < q))
+        place = _place_values(len(region), q)
+        self._sources = states
+        self._targets = rows[codes[states] + place[src[h]] - place[dst[h]]]
+        self._values = -amp[h] * np.sqrt((occ[states, src[h]] + 1) * occ[states, dst[h]])
+        self._bounds = np.searchsorted(states, self._starts)
 
-    return H
+    def block(self, b: int) -> np.ndarray:
+        """Sector b as a dense symmetric array."""
+        lo, hi = self._starts[b], self._starts[b + 1]
+        entries = slice(self._bounds[b], self._bounds[b + 1])
+        H = np.zeros((hi - lo, hi - lo))
+        np.fill_diagonal(H, self._diagonal[lo:hi])
+        H[self._targets[entries], self._sources[entries] - lo] = self._values[entries]
+        return H
+
+    def log_trace_exp(self, b: int, beta: float) -> float:
+        """log Tr exp(-beta H) over sector b, reduced via log-sum-exp.
+
+        A sector that no hop reaches skips the eigensolve; a non-finite
+        diagonal still goes to the eigensolver, which reports it.
+        """
+        diag = self._diagonal[self._starts[b] : self._starts[b + 1]]
+        if self._bounds[b] == self._bounds[b + 1] and np.isfinite(diag).all():
+            eigvals = diag
+        else:
+            eigvals = _symmetric_eigenvalues(self.block(b))
+        return logsumexp(-beta * eigvals)
 
 
 def logsumexp(values) -> float:
@@ -182,22 +223,6 @@ def _symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigvals
 
 
-def block_log_trace_exp(H: np.ndarray, beta: float) -> float:
-    """log Tr exp(-beta H) for one symmetric block.
-
-    Diagonal blocks skip the eigensolve; the general path diagonalizes and
-    reduces via log-sum-exp shifted by the minimal eigenvalue.
-    """
-    diag = np.diag(H)
-    # no off-diagonal nonzero, counted without a dim x dim temporary; a
-    # non-finite diagonal still goes to the eigensolver, which reports it
-    if np.count_nonzero(H) == np.count_nonzero(diag) and np.isfinite(diag).all():
-        eigvals = diag
-    else:
-        eigvals = _symmetric_eigenvalues(H)
-    return logsumexp(-beta * eigvals)
-
-
 def restricted_log_partition(
     model: ModelInstance,
     region,
@@ -213,10 +238,5 @@ def restricted_log_partition(
     """
     if beta is None:
         beta = model.beta
-    region = tuple(region)
-    active_edges = tuple(active_edges)
-    values = []
-    for block in sector_blocks(region, q):
-        H = build_block_hamiltonian(model, region, active_edges, block)
-        values.append(block_log_trace_exp(H, beta))
-    return logsumexp(values)
+    H = RegionHamiltonian(model, region, active_edges, q)
+    return logsumexp([H.log_trace_exp(b, beta) for b in range(len(H.blocks))])

@@ -14,17 +14,11 @@ slice of W's rows (the subsystem total is itself conserved).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import (
-    SectorBlock,
-    build_block_hamiltonian,
-    logsumexp,
-    occupation_codes,
-    sector_blocks,
-)
+from .fock import RegionHamiltonian, SectorBlock, logsumexp, occupation_codes, sector_blocks
 from .lattice import ModelInstance, distance_matrix, interaction_edges
 
 __all__ = [
@@ -35,6 +29,7 @@ __all__ = [
     "number_op",
     "ThermalState",
     "thermalize",
+    "rescale_beta",
     "expectation",
     "correlation",
     "ClusteringScanRow",
@@ -43,7 +38,6 @@ __all__ = [
     "moments",
     "occupation_distribution",
     "mutual_information",
-    "dense_thermal_matrix",
 ]
 
 DEFAULT_DIM_CAP = 20000
@@ -163,7 +157,8 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     Sectors are solved in descending dimension, ties in ascending N, so the
     peak memory is one solve's transient (the block, LAPACK's copy, its
     workspace and the output: about 5-6 n^2 doubles for n states) plus the
-    amplitude factors already solved, none of them smaller than that sector.
+    amplitude factors already solved, none of them smaller than that sector,
+    and the model's hop entries (a few arrays of the (q+1)^N space's size).
     The results are stored, and log Z summed, in ascending N, so they do not
     depend on the solve order.
     """
@@ -174,14 +169,13 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     if total_dim > dim_cap:
         raise DimensionCapError(total_dim, dim_cap)
 
-    region = tuple(range(n))
-    edges = interaction_edges(model.couplings, 0.0)
-    blocks = sector_blocks(region, q)
+    H = RegionHamiltonian(model, range(n), interaction_edges(model.couplings, 0.0), q)
+    blocks = H.blocks
     eigenvalues = [None] * len(blocks)
     amplitudes = [None] * len(blocks)
     log_terms = [None] * len(blocks)
     for b in sorted(range(len(blocks)), key=lambda b: (-blocks[b].dim, b)):
-        lam, vecs = np.linalg.eigh(build_block_hamiltonian(model, region, edges, blocks[b]))
+        lam, vecs = np.linalg.eigh(H.block(b))
         eigenvalues[b] = lam
         amplitudes[b] = vecs
         log_terms[b] = logsumexp(-beta * lam)
@@ -190,7 +184,7 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     for lam, W in zip(eigenvalues, amplitudes):
         W *= np.exp(0.5 * (-beta * lam - log_z))
 
-    state = ThermalState(
+    return _normalized(ThermalState(
         model=model,
         q=q,
         beta=beta,
@@ -198,8 +192,21 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
         eigenvalues=tuple(eigenvalues),
         amplitudes=tuple(amplitudes),
         log_z=log_z,
-    )
-    trace = sum(state.block_probabilities(b).sum() for b in range(len(blocks)))
+    ))
+
+
+def rescale_beta(state: ThermalState, beta: float) -> ThermalState:
+    """The thermal state at another beta from the same solves: each W is
+    rescaled in place by sqrt(p'/p), so ``state`` is spent.  A fall in beta
+    cannot restore an amplitude that had underflowed at the higher beta."""
+    log_z = logsumexp([logsumexp(-beta * lam) for lam in state.eigenvalues])
+    for lam, W in zip(state.eigenvalues, state.amplitudes):
+        W *= np.exp(0.5 * (-(beta - state.beta) * lam - (log_z - state.log_z)))
+    return _normalized(replace(state, beta=beta, log_z=log_z))
+
+
+def _normalized(state: ThermalState) -> ThermalState:
+    trace = sum(state.block_probabilities(b).sum() for b in range(len(state.blocks)))
     if abs(trace - 1.0) > 1e-10:
         raise ArithmeticError(f"thermal state failed normalization: Tr rho = {trace}")
     return state
@@ -410,33 +417,3 @@ def mutual_information(state: ThermalState, partition) -> float:
 
     rho_a, rho_b = reduced_density_blocks(state, (a, b))
     return entropy(rho_a) + entropy(rho_b) - s_total
-
-
-def dense_thermal_matrix(model: ModelInstance, q: int, beta: float | None = None) -> tuple:
-    """Cross-check path: full (q+1)^N rho over the product basis (tiny N only).
-
-    Returns (basis, rho) with the basis in lexicographic occupation order.
-    """
-    if beta is None:
-        beta = model.beta
-    n = model.n_sites
-    dim = (q + 1) ** n
-    if dim > 4096:
-        raise DimensionCapError(dim, 4096)
-
-    import itertools
-
-    basis = list(itertools.product(range(q + 1), repeat=n))
-    region = tuple(range(n))
-    edges = interaction_edges(model.couplings, 0.0)
-    H = np.zeros((dim, dim))
-    # the lexicographic product basis is ordered by code, so each sector
-    # block lands on the rows and columns of its codes
-    for block in sector_blocks(region, q):
-        sel = np.ix_(block.codes, block.codes)
-        H[sel] = build_block_hamiltonian(model, region, edges, block)
-
-    lam, vecs = np.linalg.eigh(H)
-    weights = np.exp(-beta * lam - logsumexp(-beta * lam))
-    rho = (vecs * weights) @ vecs.T
-    return basis, rho

@@ -1,28 +1,43 @@
-"""Loop reference for the integer-coded sector blocks and the oracle's
-partial traces.
+"""Reference builders for the sector Hamiltonians and the oracle.
 
-This is the tuple-based assembly ``bosepoly.fock`` used before its sector
-bases became occupation arrays with ascending codes: a recursive
-lexicographic basis, a dict from occupation tuple to row, and Python loops
-over basis states and edges.  ``reduced_density_blocks`` forms each
+Two assemblies ``bosepoly.fock`` used before its cached full-space layout:
+
+- the tuple-based loop (``occupation_vectors``, ``block_hamiltonian``): a
+  recursive lexicographic basis, a dict from occupation tuple to row, and
+  Python loops over basis states and edges;
+- the per-sector vectorized builder (``build_block_hamiltonian``): one
+  sector's rows at a time, each hop target found among the ascending codes
+  with ``searchsorted``, and ``block_log_trace_exp`` deciding from the
+  assembled block whether it needs an eigensolve.
+
+The tests require ``fock.RegionHamiltonian`` to reproduce both bit for bit,
+and ``fock.restricted_log_partition`` to equal this module's.
+``dense_thermal_matrix`` is the full product-basis rho, with no sector
+machinery, for tiny lattices.  ``reduced_density_blocks`` forms each
 sector's rho block from the thermal state's amplitude factor and traces it
 by grouping kets on their complement occupation; ``mutual_information`` is
 the two-pass form that does this once per side of the bipartition.  The
-tests require the vectorized Hamiltonian builder to reproduce these bit for
-bit, and the oracle's partial traces to match them within 1e-14.
-``thermalize`` solves the sectors in ascending N, the order the oracle's
-results are stored in; the oracle's own solve order must not change a bit.
+oracle's partial traces must match them within 1e-14.  ``thermalize``
+solves the sectors in ascending N, the order the oracle's results are
+stored in; the oracle's own solve order must not change a bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from bosepoly.fock import build_block_hamiltonian, logsumexp, onsite_energy, sector_blocks
+from bosepoly.fock import (
+    SectorBlock,
+    _symmetric_eigenvalues,
+    logsumexp,
+    onsite_energy,
+    sector_blocks,
+)
 from bosepoly.lattice import interaction_edges
-from bosepoly.oracle import ThermalState, _entropy_from_probabilities
+from bosepoly.oracle import DimensionCapError, ThermalState, _entropy_from_probabilities
 
 
 def occupation_vectors(n_sites: int, q: int, total: int):
@@ -80,6 +95,79 @@ def block_hamiltonian(model, region, active_edges, q: int, basis) -> np.ndarray:
                     t = index[tuple(moved)]
                     H[t, k] += -J * math.sqrt((occ[src] + 1) * occ[dst])
     return H
+
+
+def build_block_hamiltonian(model, region, active_edges, block: SectorBlock) -> np.ndarray:
+    """H on one number sector, built from that sector's rows alone: a hop
+    from dst to src moves a state's code by (q+1)^(last-src) -
+    (q+1)^(last-dst), and the target is found among the ascending codes."""
+    region = tuple(region)
+    pos = {site: k for k, site in enumerate(region)}
+    active_edges = tuple(tuple(sorted(e)) for e in active_edges)
+    q = block.q
+    occ, codes = block.occupations, block.codes
+    place = (q + 1) ** np.arange(len(region) - 1, -1, -1, dtype=np.int64)
+    H = np.zeros((block.dim, block.dim))
+
+    U = model.onsite.U
+    mu = model.onsite.mu
+    diag = np.zeros(block.dim)
+    for k, site in enumerate(region):
+        table = np.array([onsite_energy(U[site], mu[site], n) for n in range(q + 1)])
+        diag += table[occ[:, k]]
+    np.fill_diagonal(H, diag)
+
+    hops = []
+    for (i, j) in active_edges:
+        J = model.coupling(i, j)
+        if J != 0.0:
+            hops += [(pos[i], pos[j], J), (pos[j], pos[i], J)]
+    if hops:
+        src, dst, amp = (np.array(column) for column in zip(*hops))
+        ks, h = np.nonzero((occ[:, dst] >= 1) & (occ[:, src] < q))
+        targets = np.searchsorted(codes, codes[ks] + place[src[h]] - place[dst[h]])
+        H[targets, ks] = -amp[h] * np.sqrt((occ[ks, src[h]] + 1) * occ[ks, dst[h]])
+    return H
+
+
+def block_log_trace_exp(H: np.ndarray, beta: float) -> float:
+    """log Tr exp(-beta H) for one symmetric block; a block with no
+    off-diagonal nonzero and a finite diagonal skips the eigensolve."""
+    diag = np.diag(H)
+    if np.count_nonzero(H) == np.count_nonzero(diag) and np.isfinite(diag).all():
+        eigvals = diag
+    else:
+        eigvals = _symmetric_eigenvalues(H)
+    return logsumexp(-beta * eigvals)
+
+
+def restricted_log_partition(model, region, active_edges, q: int, beta=None) -> float:
+    """log Tr exp(-beta H) on the region, one reference block per sector."""
+    beta = model.beta if beta is None else beta
+    return logsumexp([
+        block_log_trace_exp(build_block_hamiltonian(model, region, active_edges, block), beta)
+        for block in sector_blocks(region, q)
+    ])
+
+
+def dense_thermal_matrix(model, q: int, beta=None) -> tuple:
+    """Full (q+1)^N rho over the product basis (tiny N only): every entry of
+    H from the tuple loop, no number sectors.
+
+    Returns (basis, rho) with the basis in lexicographic occupation order.
+    """
+    beta = model.beta if beta is None else beta
+    n = model.n_sites
+    dim = (q + 1) ** n
+    if dim > 4096:
+        raise DimensionCapError(dim, 4096)
+    basis = list(itertools.product(range(q + 1), repeat=n))
+    edges = interaction_edges(model.couplings, 0.0)
+    H = block_hamiltonian(model, range(n), edges, q, basis)
+    lam, vecs = np.linalg.eigh(H)
+    weights = np.exp(-beta * lam - logsumexp(-beta * lam))
+    rho = (vecs * weights) @ vecs.T
+    return basis, rho
 
 
 def reduced_density_blocks(state, subsystem) -> dict:

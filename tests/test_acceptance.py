@@ -29,7 +29,6 @@ from bosepoly.oracle import (
     annihilate,
     clustering_scan,
     create,
-    dense_thermal_matrix,
     moments,
     mutual_information,
     occupation_distribution,
@@ -39,6 +38,7 @@ from bosepoly.polymers import enumerate_polymers
 from bosepoly.weights import weight_table
 
 from conftest import make_chain, make_explicit, make_long_range_chain
+from fock_reference import dense_thermal_matrix
 
 ROOT = pathlib.Path(__file__).parent.parent
 

@@ -6,17 +6,20 @@ import pytest
 
 from bosepoly.fock import (
     EigensolverError,
-    block_log_trace_exp,
-    build_block_hamiltonian,
+    RegionHamiltonian,
+    _layout,
     occupation_codes,
     onsite_energy,
     restricted_log_partition,
     sector_blocks,
 )
-from bosepoly.lattice import ModelInstance, OnsiteParams
+from bosepoly.lattice import ModelInstance, OnsiteParams, interaction_edges
+from bosepoly.polymers import enumerate_polymers
+from bosepoly.weights import weight_table
 
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
+from fock_reference import block_log_trace_exp
 
 
 def test_onsite_energy_values():
@@ -108,26 +111,72 @@ _BUILDER_CASES = {
 def test_block_hamiltonian_bytes_equal_loop_reference(case, q):
     make, region, edges = _BUILDER_CASES[case]
     model = make()
-    for block in sector_blocks(region, q):
+    H = RegionHamiltonian(model, region, edges, q)
+    for b, block in enumerate(H.blocks):
         basis = [tuple(r) for r in block.occupations.tolist()]
         want = fock_reference.block_hamiltonian(model, region, edges, q, basis)
-        got = build_block_hamiltonian(model, region, edges, block)
+        got = H.block(b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), f"sector {block.total}"
 
 
+def _all_pairs(sites):
+    return [(i, j) for k, i in enumerate(sites) for j in sites[k + 1:]]
+
+
+# the builder cases, plus all six sites of an alpha=3 chain hopping pairwise,
+# no edges at all, and a lone J=0 edge
+_REFERENCE_CASES = dict(_BUILDER_CASES, **{
+    "long-range-all-pairs-6": (
+        lambda: _disordered(make_long_range_chain(6, g=0.4, alpha=3.0, beta=0.5), 4),
+        tuple(range(6)), _all_pairs(tuple(range(6))),
+    ),
+    "no-edges-(0,2,5)": (
+        lambda: _disordered(make_long_range_chain(6, g=0.4, alpha=3.0, beta=0.5), 5),
+        (0, 2, 5), [],
+    ),
+    "zero-J-edge": (lambda: _disordered(_zero_edge_explicit(), 6), (1, 2, 3), [(1, 2)]),
+})
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_region_blocks_equal_per_sector_reference(case, q):
+    make, region, edges = _REFERENCE_CASES[case]
+    model = make()
+    H = RegionHamiltonian(model, region, edges, q)
+    for b, block in enumerate(H.blocks):
+        want = fock_reference.build_block_hamiltonian(model, region, edges, block)
+        assert np.array_equal(H.block(b), want), f"sector {block.total}"
+    got = restricted_log_partition(model, region, edges, q)
+    assert got == fock_reference.restricted_log_partition(model, region, edges, q)
+
+
+def test_layout_is_built_once_per_size_and_cutoff():
+    # the approx-chain-deep shape: a disordered 7-site chain, m=5, q=3, whose
+    # polymers have supports of 2 to 6 sites
+    model = _disordered(make_chain(7, g=0.2, beta=0.5), 1)
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 5)
+    _layout.cache_clear()
+    weight_table(polymers, model, 3)
+    info = _layout.cache_info()
+    assert info.misses == info.currsize == 5 and info.hits > 0
+    blocks = sector_blocks((4, 5, 6), 3)
+    assert _layout.cache_info().misses == 5
+    assert not any(b.occupations.flags.writeable or b.codes.flags.writeable for b in blocks)
+
+
 def test_block_hamiltonian_no_edges_is_diagonal():
     model = make_chain(3, g=0.5, beta=1.0, U=1.0, mu=0.25)
-    blocks = sector_blocks([0, 1, 2], 2)
-    for block in blocks:
-        H = build_block_hamiltonian(model, [0, 1, 2], [], block)
-        assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
+    H = RegionHamiltonian(model, [0, 1, 2], [], 2)
+    for b in range(len(H.blocks)):
+        block = H.block(b)
+        assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
 
 
 def test_block_hamiltonian_two_site_hop():
     model = make_chain(2, g=0.3, beta=1.0, U=2.0, mu=0.0)
-    block = sector_blocks([0, 1], 1)[1]  # N_tot = 1
-    H = build_block_hamiltonian(model, [0, 1], [(0, 1)], block)
+    H = RegionHamiltonian(model, [0, 1], [(0, 1)], 1).block(1)  # N_tot = 1
     assert np.allclose(H, [[0.0, -0.3], [-0.3, 0.0]])
     assert np.allclose(np.linalg.eigvalsh(H), [-0.3, 0.3])
 
@@ -136,26 +185,28 @@ def test_block_hamiltonian_cutoff_kills_hopping():
     # N_tot = 2 with q = 1 is the single state |1,1>; hopping would push a
     # site to n = 2 and is projected away
     model = make_chain(2, g=0.3, beta=1.0, U=2.0, mu=0.0)
-    block = sector_blocks([0, 1], 1)[2]
-    H = build_block_hamiltonian(model, [0, 1], [(0, 1)], block)
+    H = RegionHamiltonian(model, [0, 1], [(0, 1)], 1).block(2)
     assert H.shape == (1, 1)
     assert H[0, 0] == 2 * onsite_energy(2.0, 0.0, 1)
 
 
 def test_block_hamiltonian_edge_outside_region():
     model = make_chain(3, g=0.5, beta=1.0)
-    block = sector_blocks([0, 1], 1)[1]
-    with pytest.raises(ValueError):
-        build_block_hamiltonian(model, [0, 1], [(1, 2)], block)
+    message = r"^edge \(1, 2\) is not inside region \(0, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        RegionHamiltonian(model, [0, 1], [(1, 2)], 1)
+    with pytest.raises(ValueError, match=message):
+        restricted_log_partition(model, [0, 1], [(2, 1)], 1)
 
 
 def test_block_hamiltonian_rejects_repeated_edges_and_self_loops():
     model = make_chain(3, g=0.5, beta=1.0)
-    block = sector_blocks([0, 1, 2], 1)[1]
-    with pytest.raises(ValueError, match="distinct"):
-        build_block_hamiltonian(model, [0, 1, 2], [(0, 1), (1, 0)], block)
-    with pytest.raises(ValueError, match="self-loop"):
-        build_block_hamiltonian(model, [0, 1, 2], [(1, 1)], block)
+    with pytest.raises(ValueError, match="^active_edges must be distinct$"):
+        RegionHamiltonian(model, [0, 1, 2], [(0, 1), (1, 0)], 1)
+    with pytest.raises(ValueError, match=r"^self-loop edge \(1, 1\)$"):
+        RegionHamiltonian(model, [0, 1, 2], [(1, 1)], 1)
+    with pytest.raises(ValueError, match="^active_edges must be distinct$"):
+        restricted_log_partition(model, [0, 1, 2], [(1, 2), (2, 1)], 1)
 
 
 def test_block_log_trace_exp_closed_forms():
@@ -182,18 +233,35 @@ def test_block_log_trace_exp_matches_direct_sum():
 
 
 def test_diagonal_blocks_skip_the_eigensolve(monkeypatch):
-    def refuse(matrix):
-        raise AssertionError("diagonal block reached the eigensolver")
+    # q=2 on (0, 2, 3) with one edge: only N=0 and N=6 are out of the hop's
+    # reach; the reference finds the same sectors by scanning each block
+    model = _disordered(make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5), 7)
+    region, edges, q = (0, 2, 3), [(0, 2)], 2
+    want = fock_reference.restricted_log_partition(model, region, edges, q)
+    hopping = [
+        b.dim for b in sector_blocks(region, q)
+        if np.count_nonzero(fock_reference.build_block_hamiltonian(model, region, edges, b))
+        > b.dim
+    ]
+    assert len(hopping) == len(sector_blocks(region, q)) - 2
 
-    diag = np.array([0.5, -1.0, 0.0])
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    got = block_log_trace_exp(np.diag(diag), 1.1)
-    assert got == pytest.approx(math.log(np.exp(-1.1 * diag).sum()), rel=1e-14)
-    monkeypatch.undo()
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or eigvalsh(m))
+    assert restricted_log_partition(model, region, edges, q) == want
+    assert solved == hopping
+    solved.clear()
+    got = restricted_log_partition(model, region, [], q)
+    assert solved == []
+    assert got == pytest.approx(
+        fock_reference.restricted_log_partition(model, region, [], q), rel=1e-15
+    )
 
-    # a non-finite diagonal is not taken for a diagonal block
-    with pytest.raises(EigensolverError):
-        block_log_trace_exp(np.diag([0.5, np.nan, 0.0]), 1.1)
+    # a non-finite diagonal is not taken for a diagonal block: at q=3,
+    # U n(n-1)/2 overflows for U = 1e308
+    huge = make_chain(2, g=0.3, beta=1.0, U=1e308)
+    with np.errstate(over="ignore"), pytest.raises(EigensolverError):
+        restricted_log_partition(huge, [0, 1], [], 3)
 
 
 def test_restricted_log_partition_single_site():
@@ -271,8 +339,8 @@ def test_block_assembly_matches_dense(n_sites, q):
     index = {occ: k for k, occ in enumerate(basis)}
 
     rebuilt = np.zeros_like(dense)
-    for block in sector_blocks(region, q):
-        H = build_block_hamiltonian(model, region, edges, block)
+    H = RegionHamiltonian(model, region, edges, q)
+    for b, block in enumerate(H.blocks):
         sel = [index[occ] for occ in map(tuple, block.occupations.tolist())]
-        rebuilt[np.ix_(sel, sel)] = H
+        rebuilt[np.ix_(sel, sel)] = H.block(b)
     assert np.array_equal(rebuilt, dense)  # hopping never leaves a sector

@@ -19,18 +19,19 @@ from bosepoly.oracle import (
     clustering_scan,
     correlation,
     create,
-    dense_thermal_matrix,
     expectation,
     moments,
     mutual_information,
     number_op,
     occupation_distribution,
     reduced_density_blocks,
+    rescale_beta,
     thermalize,
 )
 
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
+from fock_reference import dense_thermal_matrix
 
 
 def scalar_gibbs(q, beta, U, mu):
@@ -372,6 +373,16 @@ def test_amplitude_factors_reproduce_dense_thermal_matrix():
         assert np.abs(W @ W.T - want).max() <= 1e-14, f"sector {block.total}"
         covered += block.dim
     assert covered == rho.shape[0]
+
+
+def test_rescale_beta_matches_a_fresh_thermal_state():
+    model = _disordered_models()[1]
+    for start, beta in ((0.3, 0.8), (0.8, 0.3)):
+        state = rescale_beta(thermalize(model, 2, beta=start), beta)
+        want = thermalize(model, 2, beta=beta)
+        assert state.beta == beta and state.log_z == want.log_z
+        for got_w, want_w in zip(state.amplitudes, want.amplitudes, strict=True):
+            assert np.abs(got_w - want_w).max() <= 1e-14
 
 
 def test_clustering_scan_zero_couplings_has_no_fit():
