@@ -38,11 +38,11 @@ from .lattice import (
 from .oracle import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
+    _rescale_beta,
     clustering_scan,
     moments,
     mutual_information,
     occupation_distribution,
-    rescale_beta,
     thermalize,
 )
 
@@ -457,22 +457,20 @@ def cmd_moments(config: dict):
     beta_list = section.get("beta_list", [model.beta])
     dim_cap = section.get("dim_cap", DEFAULT_DIM_CAP)
 
-    # one set of solves: the first beta's state, rescaled in place to each
-    # other beta in ascending order, so one thermal state is held at a time
+    # W is rescaled only upward in beta; the betas below the first take a second solve
     betas = [float(b) for b in beta_list]
-    state = thermalize(model, q, beta=betas[0], dim_cap=dim_cap)
-    values = {betas[0]: moments(state, site, l_max)}
-    for beta in sorted(set(betas) - {betas[0]}):
-        state = rescale_beta(state, beta)
+    values, state = {}, None
+    for beta in sorted(set(betas), key=lambda b: (b < betas[0], b)):
+        if state is not None and beta < state.beta:
+            state = None
+        state = (thermalize(model, q, beta=beta, dim_cap=dim_cap) if state is None
+                 else _rescale_beta(state, beta))
         values[beta] = moments(state, site, l_max)
     rows = [{"beta": beta, "site": site, "l": l, "value": value}
             for beta in betas for l, value in enumerate(values[beta], start=1)]
     columns = ["beta", "site", "l", "value"]
-    return (
-        {"rows": rows, "columns": columns, "q": q},
-        (columns, rows),
-        {"elapsed_seconds": time.perf_counter() - start},
-    )
+    return ({"rows": rows, "columns": columns, "q": q}, (columns, rows),
+            {"elapsed_seconds": time.perf_counter() - start})
 
 
 def cmd_kp(config: dict):

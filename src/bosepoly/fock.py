@@ -92,7 +92,7 @@ def _layout(width: int, q: int) -> tuple:
     # a stable sort by total keeps each sector's codes ascending
     order = np.argsort(totals, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(totals))))
-    rows = np.empty_like(codes)
+    rows = np.empty(codes.size, dtype=np.int32)  # no space nears 2^31 states
     rows[order] = np.arange(codes.size) - starts[totals[order]]
     layout = (occupations[order], order, rows, starts)
     for array in layout:
@@ -160,11 +160,13 @@ class RegionHamiltonian:
         src, dst, amp = np.array(hops, dtype=np.float64).reshape(-1, 3).T
         src, dst = src.astype(np.int64), dst.astype(np.int64)
         # row-major, so the sources ascend and each sector's hops are contiguous
-        states, h = np.nonzero((occ[:, dst] >= 1) & (occ[:, src] < q))
+        states, h = np.nonzero((occ >= 1)[:, dst] & (occ < q)[:, src])
         place = _place_values(len(region), q)
-        self._sources = states
-        self._targets = rows[codes[states] + place[src[h]] - place[dst[h]]]
-        self._values = -amp[h] * np.sqrt((occ[states, src[h]] + 1) * occ[states, dst[h]])
+        self._sources = states.astype(np.int32)
+        self._targets = rows[codes[states] + (place[src] - place[dst])[h]]
+        # -J sqrt((n_src + 1) n_dst), per orientation and occupation pair
+        table = -amp[:, None, None] * np.sqrt(np.outer(np.arange(q + 1) + 1, np.arange(q + 1)))
+        self._values = table[h, occ[states, src[h]], occ[states, dst[h]]]
         self._bounds = np.searchsorted(states, self._starts)
 
     def block(self, b: int) -> np.ndarray:

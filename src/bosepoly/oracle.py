@@ -29,7 +29,6 @@ __all__ = [
     "number_op",
     "ThermalState",
     "thermalize",
-    "rescale_beta",
     "expectation",
     "correlation",
     "ClusteringScanRow",
@@ -195,10 +194,11 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     ))
 
 
-def rescale_beta(state: ThermalState, beta: float) -> ThermalState:
-    """The thermal state at another beta from the same solves: each W is
-    rescaled in place by sqrt(p'/p), so ``state`` is spent.  A fall in beta
-    cannot restore an amplitude that had underflowed at the higher beta."""
+def _rescale_beta(state: ThermalState, beta: float) -> ThermalState:
+    """The state at a higher beta from the same solves, W rescaled in place by
+    sqrt(p'/p) (``state`` is spent).  A fall could not restore underflowed W."""
+    if beta < state.beta:
+        raise ValueError(f"cannot rescale a thermal state down from beta {state.beta} to {beta}")
     log_z = logsumexp([logsumexp(-beta * lam) for lam in state.eigenvalues])
     for lam, W in zip(state.eigenvalues, state.amplitudes):
         W *= np.exp(0.5 * (-(beta - state.beta) * lam - (log_z - state.log_z)))
@@ -206,8 +206,9 @@ def rescale_beta(state: ThermalState, beta: float) -> ThermalState:
 
 
 def _normalized(state: ThermalState) -> ThermalState:
-    trace = sum(state.block_probabilities(b).sum() for b in range(len(state.blocks)))
-    if abs(trace - 1.0) > 1e-10:
+    """Tr rho = 1 on the row norms of every W; a non-finite trace fails too."""
+    trace = sum(state.diagonal_probabilities(b).sum() for b in range(len(state.blocks)))
+    if not abs(trace - 1.0) <= 1e-10:
         raise ArithmeticError(f"thermal state failed normalization: Tr rho = {trace}")
     return state
 

@@ -405,17 +405,18 @@ def test_moments_holds_one_thermal_state_at_a_time(tmp_path):
 
 
 def test_moments_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
-    # the same 2x3 square: three betas, listed out of order, take one eigh
-    # per sector, and every row stays within 1e-14 of its own thermal state
+    # the same 2x3 square: three betas, the first the smallest and the others
+    # out of order, take one eigh per sector, and every row stays within
+    # 1e-14 of its own thermal state
     config = base_config()
     config["model"]["dims"] = [2, 3]
     config["model"]["coupling"] = {"kind": "finite_range", "g": 0.3, "d_c": 1}
     config["model"]["U"] = [0.9, 1.1, 1.0, 1.2, 0.8, 1.05]
     config["model"]["mu"] = [0.2, 0.7, 0.4, 0.1, 0.9, 0.5]
-    config["oracle"] = {"q": 2, "site": 1, "l_max": 3, "beta_list": [0.4, 0.1, 0.7]}
+    config["oracle"] = {"q": 2, "site": 1, "l_max": 3, "beta_list": [0.1, 0.7, 0.4]}
     model = build_model(config)
     want = {
-        beta: moments(thermalize(model, 2, beta=beta), 1, 3) for beta in (0.4, 0.1, 0.7)
+        beta: moments(thermalize(model, 2, beta=beta), 1, 3) for beta in (0.1, 0.7, 0.4)
     }
 
     solved = []
@@ -426,11 +427,40 @@ def test_moments_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
     assert len(solved) == 2 * 6 + 1
     rows = json.loads(text)["result"]["rows"]
     assert [(r["beta"], r["l"]) for r in rows] == [
-        (beta, l) for beta in (0.4, 0.1, 0.7) for l in (1, 2, 3)
+        (beta, l) for beta in (0.1, 0.7, 0.4) for l in (1, 2, 3)
     ]
     for r in rows:
         assert abs(r["value"] - want[r["beta"]][r["l"] - 1]) <= 1e-14 * abs(r["value"])
-    assert [r["value"] for r in rows[:3]] == want[0.4]
+    assert [r["value"] for r in rows[:3]] == want[0.1]
+
+
+def test_moments_betas_below_the_first_are_solved_again(tmp_path, monkeypatch):
+    # a 3-site chain at q=3 whose spectrum spans about 50: at beta=100 the
+    # top of it underflows in W, so a lower beta cannot be reached from that
+    # state; the betas below the first take one more solve, at the smallest
+    config = base_config()
+    config["model"]["dims"] = [3]
+    config["model"]["U"] = 6.0
+    config["model"]["coupling"] = {"kind": "finite_range", "g": 0.3, "d_c": 1}
+    config["oracle"] = {"q": 3, "site": 1, "l_max": 3, "beta_list": [100.0, 1.0, 4.0]}
+    model = build_model(config)
+    want = {
+        beta: moments(thermalize(model, 3, beta=beta), 1, 3) for beta in (100.0, 1.0, 4.0)
+    }
+
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(len(m)) or eigh(m))
+    code, text = run_to_file(tmp_path, "moments", config)
+    assert code == EXIT_OK
+    assert len(solved) == 2 * (3 * 3 + 1)
+    rows = json.loads(text)["result"]["rows"]
+    assert [(r["beta"], r["l"]) for r in rows] == [
+        (beta, l) for beta in (100.0, 1.0, 4.0) for l in (1, 2, 3)
+    ]
+    for r in rows:
+        assert abs(r["value"] - want[r["beta"]][r["l"] - 1]) <= 1e-14 * abs(r["value"])
+    assert [r["value"] for r in rows[:6]] == want[100.0] + want[1.0]
 
 
 def test_kp_zero_coupling(tmp_path):

@@ -19,7 +19,6 @@ from bosepoly.weights import weight_table
 
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
-from fock_reference import block_log_trace_exp
 
 
 def test_onsite_energy_values():
@@ -210,26 +209,38 @@ def test_block_hamiltonian_rejects_repeated_edges_and_self_loops():
 
 
 def test_block_log_trace_exp_closed_forms():
-    assert block_log_trace_exp(np.array([[2.5]]), 0.7) == pytest.approx(-0.7 * 2.5)
+    # one site: each sector is one state, traced from its on-site energy
+    model = make_explicit(1, np.zeros((1, 1)), beta=0.7, U=1.3, mu=0.4)
+    H = RegionHamiltonian(model, [0], [], 3)
+    for n in range(4):
+        assert H.log_trace_exp(n, 0.7) == -0.7 * onsite_energy(1.3, 0.4, n)
 
-    hop = np.array([[0.0, -0.4], [-0.4, 0.0]])
-    beta = 1.3
-    assert block_log_trace_exp(hop, beta) == pytest.approx(
-        math.log(math.exp(beta * 0.4) + math.exp(-beta * 0.4))
-    )
+    # two sites at q=1 and mu=0, where every on-site energy is 0: the N=1
+    # sector is one hop, log(2 cosh(beta J))
+    model = make_chain(2, g=0.4, beta=1.3)
+    J = model.coupling(0, 1)
+    H = RegionHamiltonian(model, [0, 1], [(0, 1)], 1)
+    assert H.log_trace_exp(1, 1.3) == pytest.approx(math.log(2 * math.cosh(1.3 * J)), rel=1e-14)
 
-    assert block_log_trace_exp(np.zeros((3, 3)), 2.0) == pytest.approx(math.log(3))
+    # no edges at q=1 and mu=0: every state has energy 0, so each sector
+    # gives log(dim)
+    model = make_chain(4, g=0.4, beta=2.0)
+    H = RegionHamiltonian(model, [0, 1, 2, 3], [], 1)
+    for b, block in enumerate(H.blocks):
+        assert H.log_trace_exp(b, 2.0) == pytest.approx(math.log(block.dim), rel=1e-15)
 
 
 def test_block_log_trace_exp_matches_direct_sum():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        dim = rng.integers(2, 8)
-        A = rng.normal(size=(dim, dim))
-        H = (A + A.T) / 2
-        got = block_log_trace_exp(H, 0.9)
-        direct = math.log(sum(math.exp(-0.9 * lam) for lam in np.linalg.eigvalsh(H)))
-        assert got == pytest.approx(direct, rel=1e-12)
+    # every sector of all-pairs alpha=3 chains against the direct sum over
+    # the reference block's eigenvalues
+    for seed, (n, q) in enumerate(((4, 1), (4, 2), (3, 3))):
+        model = _disordered(make_long_range_chain(n, g=0.4, alpha=3.0, beta=0.9), seed)
+        edges = interaction_edges(model.couplings, 0.0)
+        H = RegionHamiltonian(model, range(n), edges, q)
+        for b, block in enumerate(H.blocks):
+            ref = fock_reference.build_block_hamiltonian(model, range(n), edges, block)
+            direct = math.log(sum(math.exp(-0.9 * lam) for lam in np.linalg.eigvalsh(ref)))
+            assert H.log_trace_exp(b, 0.9) == pytest.approx(direct, rel=1e-12)
 
 
 def test_diagonal_blocks_skip_the_eigensolve(monkeypatch):

@@ -25,9 +25,9 @@ from bosepoly.oracle import (
     number_op,
     occupation_distribution,
     reduced_density_blocks,
-    rescale_beta,
     thermalize,
 )
+from bosepoly.oracle import _normalized, _rescale_beta
 
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
@@ -376,13 +376,26 @@ def test_amplitude_factors_reproduce_dense_thermal_matrix():
 
 
 def test_rescale_beta_matches_a_fresh_thermal_state():
-    model = _disordered_models()[1]
-    for start, beta in ((0.3, 0.8), (0.8, 0.3)):
-        state = rescale_beta(thermalize(model, 2, beta=start), beta)
-        want = thermalize(model, 2, beta=beta)
+    wide = make_chain(3, g=0.3, beta=1.0, U=6.0, mu=0.5)
+    for model, q, start, beta in ((_disordered_models()[1], 2, 0.3, 0.8), (wide, 3, 1.0, 100.0)):
+        state = _rescale_beta(thermalize(model, q, beta=start), beta)
+        want = thermalize(model, q, beta=beta)
         assert state.beta == beta and state.log_z == want.log_z
         for got_w, want_w in zip(state.amplitudes, want.amplitudes, strict=True):
             assert np.abs(got_w - want_w).max() <= 1e-14
+
+
+def test_rescale_beta_only_rises():
+    state = thermalize(_disordered_models()[1], 2, beta=0.8)
+    with pytest.raises(ValueError, match="cannot rescale"):
+        _rescale_beta(state, 0.3)
+
+
+def test_normalization_check_reads_the_amplitudes():
+    state = thermalize(_disordered_models()[1], 2, beta=0.8)
+    state.amplitudes[-1][0, 0] = np.nan
+    with pytest.raises(ArithmeticError, match="normalization"):
+        _normalized(state)
 
 
 def test_clustering_scan_zero_couplings_has_no_fit():
