@@ -13,7 +13,6 @@ from .lattice import (  # noqa: F401
     OnsiteParams,
     build_couplings,
     build_lattice,
-    graph_distance,
     interaction_edges,
 )
 from .fock import (  # noqa: F401
@@ -22,7 +21,7 @@ from .fock import (  # noqa: F401
     restricted_log_partition,
     sector_blocks,
 )
-from .polymers import Polymer, enumerate_polymers  # noqa: F401
+from .polymers import Polymer, PolymerCountError, enumerate_polymers  # noqa: F401
 from .weights import WeightResult, weight_table  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,

@@ -45,6 +45,7 @@ from .oracle import (
     occupation_distribution,
     thermalize,
 )
+from .polymers import PolymerCountError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,13 +102,6 @@ def _as_float(value, name, problems):
         problems.append(f"{name} must be a number, got {value!r}")
         return None
     return float(value)
-
-
-def _as_int(value, name, problems):
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{name} must be an integer, got {value!r}")
-        return None
-    return value
 
 
 _NEEDS_EXPANSION = {"approx", "compare", "kp"}
@@ -618,7 +612,7 @@ def run(argv=None) -> int:
     except (CouplingError, ValueError) as exc:
         _emit_error("config_error", str(exc), [str(exc)])
         return EXIT_CONFIG
-    except DimensionCapError as exc:
+    except (DimensionCapError, PolymerCountError) as exc:
         _emit_error(
             "resource_cap", str(exc),
             [f"required={exc.required}", f"allowed={exc.allowed}"],

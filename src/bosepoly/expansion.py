@@ -17,7 +17,7 @@ of [z^k] c_S over |S| <= k, is the sum over all clusters of total size k,
 so the decay of the series is visible directly.  This is the numerical
 linked-cluster expansion of Rigol, Bryant and Singh (PRL 97, 187202, 2006)
 run on the polymer gas; it needs no cluster enumeration and no Ursell
-functions.
+functions.  Xi_K and c_S read their subsets from ``Polymer.subsets``.
 
 The Kotecky-Preiss diagnostic reports, per probe site x, the truncated sum
 
@@ -35,12 +35,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .fock import onsite_log_trace
 from .lattice import ModelInstance, interaction_edges
 from .oracle import DEFAULT_DIM_CAP, DimensionCapError
-from .polymers import Polymer, components, enumerate_polymers
+from .polymers import Polymer, enumerate_polymers
 from .weights import weight_table
 
 __all__ = [
@@ -122,15 +121,11 @@ def _build_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
 
 
 def _log_series(polymer: Polymer, weights: dict, m: int) -> list[float]:
-    """Coefficients of z^0..z^m of L_K = log Xi_K(z) for the edge set K."""
-    xi = [
-        math.fsum(
-            math.prod(weights[k].value for k in components(subset))
-            for subset in combinations(polymer.edges, size)
-        )
-        for size in range(polymer.size + 1)
-    ]
-    xi += [0.0] * (m + 1 - len(xi))
+    """Coefficients of z^0..z^m of L_K = log Xi_K(z) for an edge set |K| <= m."""
+    terms: list[list[float]] = [[] for _ in range(m + 1)]
+    for size, ks in polymer.subsets:
+        terms[size].append(math.prod(weights[k].value for k in ks))
+    xi = [math.fsum(t) for t in terms]
     log = [0.0] * (m + 1)
     for k in range(1, m + 1):
         # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
@@ -140,18 +135,16 @@ def _log_series(polymer: Polymer, weights: dict, m: int) -> list[float]:
 
 def _linked_cluster_orders(weights: dict, m: int) -> list[float]:
     """Order-k contributions of T_m for k = 1..m: the fsum of [z^k] c_S
-    over the polymers S of the table with |S| <= k."""
-    series: dict = {}
+    over the polymers S of the table with |S| <= k.  Every component of a
+    subset of a table polymer is itself a table polymer."""
+    series = {polymer: _log_series(polymer, weights, m) for polymer in weights}
     terms: list[list[float]] = [[] for _ in range(m + 1)]
     for polymer in weights:
-        for size in range(1, polymer.size + 1):
+        for size, ks in polymer.subsets[1:]:
             sign = (-1.0) ** (polymer.size - size)
-            for subset in combinations(polymer.edges, size):
-                for k in components(subset):
-                    if k not in series:
-                        series[k] = _log_series(k, weights, m)
-                    for order in range(polymer.size, m + 1):
-                        terms[order].append(sign * series[k][order])
+            for k in ks:
+                for order in range(polymer.size, m + 1):
+                    terms[order].append(sign * series[k][order])
     return [math.fsum(terms[order]) for order in range(1, m + 1)]
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "ModelInstance",
     "CouplingError",
     "build_lattice",
-    "graph_distance",
     "distance_matrix",
     "build_couplings",
     "interaction_edges",
@@ -121,12 +120,6 @@ def distance_matrix(lattice: Lattice) -> np.ndarray:
                     queue.append(nb)
     dist.setflags(write=False)
     return dist
-
-
-def graph_distance(lattice: Lattice, i: int, j: int) -> int:
-    lattice._check_site(i)
-    lattice._check_site(j)
-    return int(distance_matrix(lattice)[i, j])
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,39 @@ splits into site-connected components, each of them a polymer.
 
 Enumeration is exact-once and deterministic: connected subsets are grown
 from their minimal element with include/exclude branching, then emitted in
-canonical (size-then-lexicographic) order.
+canonical (size-then-lexicographic) order, at most ``MAX_POLYMERS``.
+``Polymer.subsets`` splits every edge subset into components once; the
+weights and the expansion's sums all read that one decomposition.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 __all__ = [
+    "MAX_POLYMERS",
     "Polymer",
+    "PolymerCountError",
     "components",
     "enumerate_polymers",
     "site_components",
 ]
+
+# Above every count reached so far: 2,193 polymers on a 6x6 square at m=4
+# and 31,480 on a 16-site all-pairs chain at m=3.
+MAX_POLYMERS = 50_000
+
+
+class PolymerCountError(RuntimeError):
+    """An edge alphabet yields more than ``MAX_POLYMERS`` polymers."""
+
+    def __init__(self, required: int):
+        super().__init__(f"at least {required} polymers exceed the cap {MAX_POLYMERS}")
+        self.required, self.allowed = required, MAX_POLYMERS
 
 
 def site_components(site_sets) -> list[list[int]]:
@@ -63,6 +83,13 @@ class Polymer:
         """Canonical sort key: size first, then the sorted edge tuple."""
         return (len(self.edges), self.edges)
 
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, tuple[Polymer, ...]], ...]:
+        """``(size, components(subset))`` of every edge subset, by ascending
+        size and each size in ``combinations`` order; computed once."""
+        return tuple((size, components(subset)) for size in range(self.size + 1)
+                     for subset in combinations(self.edges, size))
+
 
 def components(edges) -> tuple[Polymer, ...]:
     """Site-connected components of an edge tuple, in canonical order."""
@@ -83,6 +110,8 @@ def _connected_subsets(n: int, adjacency, max_size: int):
     results = []
 
     def rec(included: tuple, frontier: frozenset, excluded: frozenset, root: int):
+        if len(results) > MAX_POLYMERS:
+            raise PolymerCountError(len(results))
         if len(included) == max_size:
             return
         candidates = sorted(v for v in frontier if v > root and v not in excluded)
@@ -110,11 +139,17 @@ def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
     if any(e[0] == e[1] for e in edges):
         raise ValueError("self-loop edges are not allowed")
 
+    incident = defaultdict(set)
+    for k, (a, b) in enumerate(edges):
+        incident[a].add(k)
+        incident[b].add(k)
+    # polymers of size <= 2, exactly: two distinct edges share at most one site
+    pairs = sum(math.comb(len(ks), 2) for ks in incident.values()) if max_size > 1 else 0
+    if len(edges) + pairs > MAX_POLYMERS:
+        raise PolymerCountError(len(edges) + pairs)
+
     # line-graph adjacency: edges are adjacent when they share a site
-    adjacency = []
-    for k, e in enumerate(edges):
-        a = set(e)
-        adjacency.append({m for m, f in enumerate(edges) if m != k and (f[0] in a or f[1] in a)})
+    adjacency = [(incident[a] | incident[b]) - {k} for k, (a, b) in enumerate(edges)]
 
     subsets = _connected_subsets(len(edges), adjacency, max_size)
     polymers = [Polymer(tuple(edges[k] for k in subset)) for subset in subsets]

@@ -14,23 +14,22 @@ do not interact, so
 
 Each component K is itself a connected edge set, i.e. a smaller polymer,
 and log g(K) takes one set of number-sector solves on its own support V_K.
-``weight_table`` solves every component its polymers need exactly once,
-then runs each polymer's near-cancelling alternating sum in a fixed subset
-order with compensated accumulation.  A weight is therefore a pure
-function of its polymer: no bit depends on the rest of the table.
+``weight_table`` solves every component of ``Polymer.subsets`` once, then
+runs each polymer's near-cancelling alternating sum in that subset order
+with compensated accumulation.  A weight is therefore a pure function of
+its polymer: no bit depends on the rest of the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .fock import EigensolverError, onsite_log_trace, restricted_log_partition
+from .fock import EigensolverError, onsite_log_trace, restricted_log_partition, sector_blocks
 from .lattice import ModelInstance
-from .polymers import Polymer, components
+from .polymers import Polymer
 
 __all__ = ["WeightResult", "weight_table"]
 
@@ -51,14 +50,6 @@ def _log_g(model: ModelInstance, component: Polymer, q: int) -> float:
     region = tuple(sorted(component.support))
     return (restricted_log_partition(model, region, component.edges, q)
             - onsite_log_trace(model, region, q, model.beta))
-
-
-def _largest_sector(n_sites: int, q: int) -> int:
-    """Dimension of the largest number sector of n_sites sites capped at q."""
-    counts = [1]
-    for _ in range(n_sites):
-        counts = [sum(counts[max(0, k - q) : k + 1]) for k in range(len(counts) + q)]
-    return max(counts)
 
 
 def _neumaier_sum(values) -> float:
@@ -88,15 +79,7 @@ def weight_table(polymers, model: ModelInstance, q: int) -> dict:
     if q < 1:
         raise ValueError("cutoff q must be >= 1")
 
-    plans = {
-        p: [
-            ((-1.0) ** size, components(subset))
-            for size in range(p.size + 1)
-            for subset in combinations(p.edges, size)
-        ]
-        for p in polymers
-    }
-    needed = sorted({k for plan in plans.values() for _sign, ks in plan for k in ks},
+    needed = sorted({k for p in polymers for _size, ks in p.subsets for k in ks},
                     key=lambda p: p.key)
 
     solved = {}
@@ -109,11 +92,12 @@ def weight_table(polymers, model: ModelInstance, q: int) -> dict:
             ) from exc
 
     table = {}
-    for polymer, plan in plans.items():
-        terms = [sign * np.exp(math.fsum(solved[k] for k in ks)) for sign, ks in plan]
+    for polymer in polymers:
+        terms = [(-1.0) ** size * np.exp(math.fsum(solved[k] for k in ks))
+                 for size, ks in polymer.subsets]
         table[polymer] = WeightResult(
             value=float((-1.0) ** polymer.size * _neumaier_sum(terms)),
-            terms=len(plan),
-            max_block_dim=_largest_sector(len(polymer.support), q),
+            terms=len(terms),
+            max_block_dim=max(b.dim for b in sector_blocks(sorted(polymer.support), q)),
         )
     return table

@@ -1,10 +1,13 @@
 import json
 import math
+import pathlib
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import bosepoly.polymers
 from bosepoly.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -259,6 +262,33 @@ def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, ca
         assert error["code"] == "resource_cap"
         assert error["details"] == [f"required={required}", "allowed=20000"]
     assert calls == []
+
+
+def test_long_range_chain_past_the_polymer_cap_exits_fast(capsys):
+    # 79,800 all-pairs edges: 31,840,200 polymers of size <= 2 alone
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain6_longrange.json")
+    start = time.perf_counter()
+    assert run(["approx", config, "--set", "model.dims=[400]"]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 20.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "resource_cap"
+    assert error["details"] == ["required=31840200", f"allowed={bosepoly.polymers.MAX_POLYMERS}"]
+
+
+# chain4_nn has 3 edges and 6 polymers, 5 of them of size <= 2: a cap of 4
+# refuses before the line graph, a cap of 5 stops the enumeration itself
+@pytest.mark.parametrize("cap,required", [(4, 5), (5, 6)])
+def test_polymer_cap_refuses_before_any_solve(cap, required, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", cap)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run(["approx", config]) == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == [f"required={required}", f"allowed={cap}"]
 
 
 def test_exact_mutual_information(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bosepoly.polymers
 from bosepoly.expansion import (
     ExpansionConfig,
     approximate_log_partition,
@@ -127,6 +128,21 @@ def test_report_invariants():
     assert report.f_beta == report.log_z_w + report.t_m
     assert report.q == 2 and report.m == 3
     assert report.m_error_bound == pytest.approx(3 * math.exp(-3))
+
+
+def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
+    model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
+    calls = []
+    components = bosepoly.polymers.components
+
+    def counting(edges):
+        calls.append(edges)
+        return components(edges)
+
+    monkeypatch.setattr(bosepoly.polymers, "components", counting)
+    approximate_log_partition(model, ExpansionConfig(m=3, q=2))
+    assert len(calls) == sum(2**p.size for p in polymers)
 
 
 def test_determinism_across_runs():

@@ -9,7 +9,6 @@ from bosepoly.lattice import (
     build_couplings,
     build_lattice,
     distance_matrix,
-    graph_distance,
     interaction_edges,
 )
 
@@ -17,7 +16,7 @@ from bosepoly.lattice import (
 def test_chain_of_four():
     lat = build_lattice([4])
     assert lat.n_sites == 4
-    assert graph_distance(lat, 0, 3) == 3
+    assert distance_matrix(lat)[0, 3] == 3
 
 
 def test_grid_2x2():
@@ -26,12 +25,12 @@ def test_grid_2x2():
     # row-major: site 1 = (0,1), site 2 = (1,0)
     assert lat.coords(1) == (0, 1)
     assert lat.coords(2) == (1, 0)
-    assert graph_distance(lat, 0, 3) == 2
+    assert distance_matrix(lat)[0, 3] == 2
 
 
 def test_periodic_ring_wraps():
     lat = build_lattice([3], periodic=True)
-    assert graph_distance(lat, 0, 2) == 1
+    assert distance_matrix(lat)[0, 2] == 1
 
 
 def test_empty_dims_rejected():
@@ -44,7 +43,7 @@ def test_empty_dims_rejected():
 def test_out_of_range_site():
     lat = build_lattice([3])
     with pytest.raises(ValueError):
-        graph_distance(lat, 0, 3)
+        lat.coords(3)
 
 
 @pytest.mark.parametrize(

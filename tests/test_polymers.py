@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from bosepoly.polymers import Polymer, components, enumerate_polymers, site_components
+import bosepoly.polymers
+from bosepoly.polymers import (
+    Polymer,
+    PolymerCountError,
+    components,
+    enumerate_polymers,
+    site_components,
+)
 from ursell_reference import (
     Cluster,
     copy_incompatibility_graph,
@@ -159,6 +166,43 @@ def test_components_split_an_edge_set_in_canonical_order():
     assert components(()) == ()
     parts = components(((4, 5), (0, 1), (2, 3), (1, 2)))
     assert [p.edges for p in parts] == [((4, 5),), ((0, 1), (1, 2), (2, 3))]
+
+
+def test_subsets_decompose_every_edge_subset_in_size_then_combinations_order():
+    for polymer in enumerate_polymers(K4, len(K4)):
+        expected = tuple(
+            (size, components(subset))
+            for size in range(polymer.size + 1)
+            for subset in itertools.combinations(polymer.edges, size)
+        )
+        assert polymer.subsets == expected
+        assert polymer.subsets[0] == (0, ())
+        assert polymer.subsets is polymer.subsets
+
+
+MIXED = ((0, 1), (0, 2), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7))
+
+
+@pytest.mark.parametrize("alphabet", [K4, tuple(itertools.combinations(range(8), 2)), MIXED])
+def test_polymer_cap_counts_sizes_up_to_two_exactly(alphabet, monkeypatch):
+    # |E| + sum over sites of C(deg, 2): two distinct edges share at most one site
+    count = len(enumerate_polymers(alphabet, 2))
+    monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", count)
+    assert len(enumerate_polymers(alphabet, 2)) == count
+    monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", count - 1)
+    with pytest.raises(PolymerCountError) as info:
+        enumerate_polymers(alphabet, 3)
+    assert (info.value.required, info.value.allowed) == (count, count - 1)
+
+
+def test_polymer_cap_stops_the_enumeration(monkeypatch):
+    total = len(enumerate_polymers(K4, 4))
+    small = len(enumerate_polymers(K4, 2))
+    monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", small)
+    with pytest.raises(PolymerCountError) as info:
+        enumerate_polymers(K4, 4)
+    assert small < total
+    assert (info.value.required, info.value.allowed) == (small + 1, small)
 
 
 # --- clusters (test-only Ursell reference) ---------------------------------------
