@@ -106,6 +106,7 @@ def _as_float(value, name, problems):
 
 _NEEDS_EXPANSION = {"approx", "compare", "kp"}
 _NEEDS_ORACLE_Q = {"exact", "clustering", "moments"}
+_TABULAR = {"compare", "clustering", "moments", "kp"}
 
 
 def validate_config(config: dict, command: str | None = None) -> list[str]:
@@ -261,6 +262,8 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
         problems.append("output.format must be json or csv")
+    elif fmt == "csv" and command is not None and command not in _TABULAR:
+        problems.append(f"output.format=csv is only supported for {sorted(_TABULAR)}")
 
     expansion_resolvable = q_policy == "auto" or expansion.get("q") is not None
     if command in _NEEDS_EXPANSION:
@@ -315,11 +318,24 @@ def build_expansion_config(config: dict) -> ExpansionConfig:
     )
 
 
-def _oracle_q(config: dict, model: ModelInstance) -> int:
-    section = config.get("oracle", {})
-    if section.get("q") is not None:
-        return int(section["q"])
-    return resolve_cutoff(model, build_expansion_config(config))
+def _cutoff(config: dict, cfg: ExpansionConfig) -> int:
+    model = config["model"]
+    return resolve_cutoff(math.prod(model["dims"]), float(model["beta"]), cfg)
+
+
+def _oracle_q(config: dict) -> int:
+    q = config.get("oracle", {}).get("q")
+    return int(q) if q is not None else _cutoff(config, build_expansion_config(config))
+
+
+def _dim_cap(config: dict, q: int) -> int:
+    """The oracle's dimension cap, checked from the config alone, so that a
+    refused run never builds the model's N x N arrays."""
+    n = math.prod(config["model"]["dims"])
+    dim_cap = config.get("oracle", {}).get("dim_cap", DEFAULT_DIM_CAP)
+    if (q + 1) ** n > dim_cap:
+        raise DimensionCapError((q + 1) ** n, dim_cap)
+    return dim_cap
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +351,10 @@ def cmd_approx(config: dict):
 
 def cmd_exact(config: dict):
     start = time.perf_counter()
+    q = _oracle_q(config)
+    dim_cap = _dim_cap(config, q)
     model = build_model(config)
     section = config.get("oracle", {})
-    q = _oracle_q(config, model)
-    dim_cap = section.get("dim_cap", DEFAULT_DIM_CAP)
     state = thermalize(model, q, dim_cap=dim_cap)
 
     result: dict = {"log_z": state.log_z, "q": q, "n_sites": model.n_sites}
@@ -365,15 +381,16 @@ def cmd_exact(config: dict):
 
 def cmd_compare(config: dict, m_list=None, q_list=None):
     start = time.perf_counter()
-    model = build_model(config)
     base = build_expansion_config(config)
     if not m_list:
         m_list = [base.m]
     if not q_list:
-        q_list = [resolve_cutoff(model, base)]
+        q_list = [_cutoff(config, base)]
     if min(m_list) < 1:
         raise ValueError("truncation order m must be >= 1")
-    dim_cap = config.get("oracle", {}).get("dim_cap", DEFAULT_DIM_CAP)
+    for q in q_list:
+        _dim_cap(config, q)
+    model = build_model(config)
 
     # the oracle keeps every coupling, so abs_error includes what the
     # polymer threshold drops
@@ -381,8 +398,6 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
     region = range(model.n_sites)
     rows = []
     for q in q_list:
-        if (q + 1) ** model.n_sites > dim_cap:
-            raise DimensionCapError((q + 1) ** model.n_sites, dim_cap)
         cfg = ExpansionConfig(m=max(m_list), q=q, polymer_threshold=base.polymer_threshold)
         # the expansion checks its own dimension cap before any solve
         report = approximate_log_partition(model, cfg)
@@ -413,10 +428,11 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
 
 def cmd_clustering(config: dict):
     start = time.perf_counter()
+    q = _oracle_q(config)
+    dim_cap = _dim_cap(config, q)
     model = build_model(config)
     section = config.get("oracle", {})
-    q = _oracle_q(config, model)
-    state = thermalize(model, q, dim_cap=section.get("dim_cap", DEFAULT_DIM_CAP))
+    state = thermalize(model, q, dim_cap=dim_cap)
     scan = clustering_scan(state, section.get("family", "hopping"), section.get("anchor", 0))
     rows = [
         {
@@ -443,13 +459,13 @@ def cmd_clustering(config: dict):
 
 def cmd_moments(config: dict):
     start = time.perf_counter()
+    q = _oracle_q(config)
+    dim_cap = _dim_cap(config, q)
     model = build_model(config)
     section = config.get("oracle", {})
-    q = _oracle_q(config, model)
     site = section.get("site", 0)
     l_max = section.get("l_max", 2)
     beta_list = section.get("beta_list", [model.beta])
-    dim_cap = section.get("dim_cap", DEFAULT_DIM_CAP)
 
     # W is rescaled only upward in beta; the betas below the first take a second solve
     betas = [float(b) for b in beta_list]
@@ -471,7 +487,7 @@ def cmd_kp(config: dict):
     start = time.perf_counter()
     model = build_model(config)
     cfg = build_expansion_config(config)
-    q = resolve_cutoff(model, cfg)
+    q = resolve_cutoff(model.n_sites, model.beta, cfg)
     rows_dc = kp_diagnostic(model, cfg, q=q)
     rows = [
         {"site": r.site, "lhs": r.lhs, "rhs": r.rhs, "certified": r.certified}
@@ -530,9 +546,6 @@ def _emit(text: str, path: str | None) -> None:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-_TABULAR = {"compare", "clustering", "moments", "kp"}
-
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -593,12 +606,7 @@ def run(argv=None) -> int:
             raise ConfigError([f"unknown command {args.command}"])
 
         output = config.get("output", {})
-        fmt = output.get("format", "json")
-        if fmt == "csv" and args.command not in _TABULAR:
-            raise ConfigError(
-                [f"output.format=csv is only supported for {sorted(_TABULAR)}"]
-            )
-        if fmt == "csv":
+        if output.get("format", "json") == "csv":
             columns, row_dicts = rows
             text = render_csv(columns, row_dicts)
         else:

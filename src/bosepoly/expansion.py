@@ -87,11 +87,11 @@ class ExpansionConfig:
             raise ValueError("polymer_threshold must be nonnegative")
 
 
-def resolve_cutoff(model: ModelInstance, cfg: ExpansionConfig) -> int:
+def resolve_cutoff(n_sites: int, beta: float, cfg: ExpansionConfig) -> int:
+    """The boson cutoff q; it depends on the model only through N and beta."""
     if cfg.q_policy == "explicit":
         return int(cfg.q)
-    n = model.n_sites
-    raw = cfg.q_prefactor * (cfg.theta + 1.0) * math.log(max(n, 2)) / math.sqrt(model.beta)
+    raw = cfg.q_prefactor * (cfg.theta + 1.0) * math.log(max(n_sites, 2)) / math.sqrt(beta)
     return max(1, math.ceil(raw))
 
 
@@ -171,7 +171,7 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
     if probe_sites is None:
         probe_sites = range(model.n_sites)
     if q is None:
-        q = resolve_cutoff(model, cfg)
+        q = resolve_cutoff(model.n_sites, model.beta, cfg)
     if weights is None:
         weights = _build_weights(model, cfg, q)
 
@@ -236,7 +236,7 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     larger m.
     """
     start = time.perf_counter()
-    q = resolve_cutoff(model, cfg)
+    q = resolve_cutoff(model.n_sites, model.beta, cfg)
 
     weights = _build_weights(model, cfg, q)
     per_order = []

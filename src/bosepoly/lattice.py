@@ -2,8 +2,9 @@
 
 Sites of a D-dimensional lattice are indexed row-major (C order) over the
 extents ``dims``.  Distances are graph distances on the nearest-neighbor
-adjacency, with periodic wrap when requested.  Coupling matrices come in
-three kinds:
+adjacency, with periodic wrap when requested; on these hypercubic lattices
+they are computed in closed form, as the per-axis coordinate differences
+summed over axes.  Coupling matrices come in three kinds:
 
 * ``long_range``:   |J_ij| <= g / (1 + d_ij)**alpha, generated saturating;
 * ``finite_range``: |J_ij| <= g for d_ij <= d_c, zero beyond the cutoff;
@@ -16,9 +17,7 @@ which case it is validated against that kind's envelope entry by entry.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,40 +60,6 @@ class Lattice:
     def n_dims(self) -> int:
         return len(self.dims)
 
-    def coords(self, site: int) -> tuple[int, ...]:
-        self._check_site(site)
-        out = []
-        for extent in reversed(self.dims):
-            out.append(site % extent)
-            site //= extent
-        return tuple(reversed(out))
-
-    def site_index(self, coords) -> int:
-        idx = 0
-        for c, extent in zip(coords, self.dims, strict=True):
-            if not 0 <= c < extent:
-                raise ValueError(f"coordinate {coords} outside extents {self.dims}")
-            idx = idx * extent + c
-        return idx
-
-    def neighbors(self, site: int) -> tuple[int, ...]:
-        """Nearest neighbors under +-1 steps per axis (wrapping if periodic)."""
-        coords = self.coords(site)
-        found = set()
-        for axis, extent in enumerate(self.dims):
-            for step in (-1, 1):
-                c = coords[axis] + step
-                if self.periodic:
-                    c %= extent
-                elif not 0 <= c < extent:
-                    continue
-                moved = list(coords)
-                moved[axis] = c
-                idx = self.site_index(moved)
-                if idx != site:
-                    found.add(idx)
-        return tuple(sorted(found))
-
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"site {site} out of range [0, {self.n_sites})")
@@ -104,21 +69,17 @@ def build_lattice(dims, periodic: bool = False) -> Lattice:
     return Lattice(tuple(dims), bool(periodic))
 
 
-@lru_cache(maxsize=None)
 def distance_matrix(lattice: Lattice) -> np.ndarray:
-    """All-pairs shortest-path distances on the nearest-neighbor adjacency."""
-    n = lattice.n_sites
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nb in lattice.neighbors(cur):
-                if dist[src, nb] < 0:
-                    dist[src, nb] = dist[src, cur] + 1
-                    queue.append(nb)
-    dist.setflags(write=False)
+    """All-pairs graph distances on the nearest-neighbor adjacency.
+
+    On a hypercubic lattice this is the per-axis coordinate difference
+    |dc| (``min(|dc|, L - |dc|)`` on a periodic axis) summed over axes.
+    """
+    coords = np.indices(lattice.dims).reshape(lattice.n_dims, -1)
+    dist = np.zeros((lattice.n_sites, lattice.n_sites), dtype=np.int64)
+    for c, extent in zip(coords, lattice.dims):
+        step = np.abs(c[:, None] - c[None, :])
+        dist += np.minimum(step, extent - step) if lattice.periodic else step
     return dist
 
 
@@ -165,11 +126,6 @@ class OnsiteParams:
     def uniform(cls, n_sites: int, U: float, mu: float) -> "OnsiteParams":
         return cls(np.full(n_sites, float(U)), np.full(n_sites, float(mu)))
 
-    @property
-    def bounds(self) -> tuple[float, float, float]:
-        """(U_min, U_max, mu_max) over the sites."""
-        return (float(self.U.min()), float(self.U.max()), float(np.abs(self.mu).max()))
-
 
 def _validate_square(matrix: np.ndarray, n: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
@@ -177,12 +133,13 @@ def _validate_square(matrix: np.ndarray, n: int) -> np.ndarray:
         raise CouplingError("complex couplings are not supported")
     if m.shape != (n, n):
         raise CouplingError(f"coupling matrix must be {n}x{n}, got {m.shape}")
-    for i in range(n):
-        if m[i, i] != 0.0:
+    # the first problem in row-major order; a row's diagonal comes first
+    bad = np.argwhere(np.triu(m != m.T, 1) | np.diag(np.diag(m) != 0.0))
+    if bad.size:
+        i, j = map(int, bad[0])
+        if i == j:
             raise CouplingError(f"nonzero diagonal coupling at ({i}, {i})")
-        for j in range(i + 1, n):
-            if m[i, j] != m[j, i]:
-                raise CouplingError(f"asymmetric coupling at ({i}, {j})")
+        raise CouplingError(f"asymmetric coupling at ({i}, {j})")
     return m
 
 
@@ -201,9 +158,8 @@ def build_couplings(
     With ``matrix``, entries are checked against the declared kind's bound
     and the first offending pair is reported.
     """
-    n = lattice.n_sites
-    dist = distance_matrix(lattice)
-
+    if kind in ("long_range", "finite_range"):
+        dist = distance_matrix(lattice)
     if kind == "long_range":
         if g is None or g <= 0:
             raise CouplingError("long_range requires hopping strength g > 0")
@@ -213,53 +169,36 @@ def build_couplings(
             )
         envelope = g / (1.0 + dist) ** alpha
         np.fill_diagonal(envelope, 0.0)
-        if matrix is None:
-            entries = envelope
-        else:
-            entries = _validate_square(matrix, n)
-            bad = np.argwhere(np.abs(entries) > envelope + 1e-15 * g)
-            if bad.size:
-                i, j = map(int, bad[0])
-                raise CouplingError(
-                    f"|J[{i},{j}]| = {abs(entries[i, j])} exceeds the long-range "
-                    f"envelope {envelope[i, j]}"
-                )
-        entries = np.array(entries, dtype=np.float64)
-        entries.setflags(write=False)
-        return CouplingMatrix(entries, "long_range", g=float(g), alpha=float(alpha))
-
-    if kind == "finite_range":
+        params = {"g": float(g), "alpha": float(alpha)}
+    elif kind == "finite_range":
         if g is None or g <= 0:
             raise CouplingError("finite_range requires hopping strength g > 0")
         if d_c is None or int(d_c) < 1:
             raise CouplingError("finite_range requires integer cutoff d_c >= 1")
-        d_c = int(d_c)
-        inside = dist <= d_c
-        np.fill_diagonal(inside, False)
+        envelope = np.where((dist > 0) & (dist <= int(d_c)), float(g), 0.0)
+        params = {"g": float(g), "d_c": int(d_c)}
+    elif kind == "explicit":
         if matrix is None:
-            entries = np.where(inside, float(g), 0.0)
-        else:
-            entries = _validate_square(matrix, n)
-            bad = np.argwhere(np.abs(entries) > np.where(inside, g, 0.0) + 1e-15 * g)
+            raise CouplingError("explicit kind requires a matrix")
+        envelope, params = None, {}
+    else:
+        raise CouplingError(f"unknown coupling kind {kind!r}")
+
+    if matrix is None:
+        entries = envelope
+    else:
+        entries = _validate_square(matrix, lattice.n_sites)
+        if envelope is not None:
+            bad = np.argwhere(np.abs(entries) > envelope + 1e-15 * g)
             if bad.size:
                 i, j = map(int, bad[0])
                 raise CouplingError(
-                    f"|J[{i},{j}]| = {abs(entries[i, j])} violates the finite-range "
-                    f"bound (d = {int(dist[i, j])}, d_c = {d_c})"
+                    f"|J[{i},{j}]| = {abs(entries[i, j])} exceeds the {kind} bound "
+                    f"{envelope[i, j]} at d = {int(dist[i, j])}"
                 )
-        entries = np.array(entries, dtype=np.float64)
-        entries.setflags(write=False)
-        return CouplingMatrix(entries, "finite_range", g=float(g), d_c=d_c)
-
-    if kind == "explicit":
-        if matrix is None:
-            raise CouplingError("explicit kind requires a matrix")
-        entries = _validate_square(matrix, n)
-        entries = np.array(entries, dtype=np.float64)
-        entries.setflags(write=False)
-        return CouplingMatrix(entries, "explicit")
-
-    raise CouplingError(f"unknown coupling kind {kind!r}")
+    entries = np.array(entries, dtype=np.float64)
+    entries.setflags(write=False)
+    return CouplingMatrix(entries, kind, **params)
 
 
 def interaction_edges(couplings: CouplingMatrix, threshold: float = 0.0) -> tuple:
@@ -267,17 +206,13 @@ def interaction_edges(couplings: CouplingMatrix, threshold: float = 0.0) -> tupl
 
     This pair set is the alphabet the polymer enumeration draws from.  The
     threshold is an explicit approximation knob (default 0: keep every
-    nonzero coupling); it is never applied implicitly elsewhere.
+    nonzero coupling); it is never applied implicitly elsewhere.  Pairs
+    come in row-major order.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    n = couplings.n_sites
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(couplings.entries[i, j]) > threshold:
-                edges.append((i, j))
-    return tuple(edges)
+    rows, cols = np.nonzero(np.triu(np.abs(couplings.entries) > threshold, 1))
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bosepoly.cli
+import bosepoly.lattice
 import bosepoly.polymers
 from bosepoly.cli import (
     EXIT_CONFIG,
@@ -229,6 +231,20 @@ def test_exact_dimension_cap_exit_code(tmp_path):
     config["oracle"] = {"q": 9, "dim_cap": 100}
     code, _ = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments", "compare"])
+def test_oracle_cap_refuses_before_the_model_is_built(command, tmp_path, monkeypatch, capsys):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the coupling matrix was built")
+
+    monkeypatch.setattr(bosepoly.lattice, "build_couplings", no_model)
+    monkeypatch.setattr(bosepoly.cli, "build_couplings", no_model)
+    config = base_config()
+    config["model"]["dims"] = [3000]
+    assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == [f"required={4**3000}", "allowed=20000"]
 
 
 def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, capsys):
@@ -523,11 +539,20 @@ def test_csv_output_round_trips(tmp_path):
         assert repr(float(cells[1])) == cells[1]
 
 
-def test_csv_rejected_for_approx(tmp_path):
+def test_csv_rejected_for_approx(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
     config = base_config()
     config["output"]["format"] = "csv"
     code, _ = run_to_file(tmp_path, "approx", config)
     assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == [
+        "output.format=csv is only supported for ['clustering', 'compare', 'kp', 'moments']"
+    ]
 
 
 def test_set_override(tmp_path):

@@ -180,9 +180,9 @@ def test_kp_flags_failure():
 def test_q_policy_auto():
     model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
     cfg = ExpansionConfig(m=2, q_policy="auto", theta=1.0, q_prefactor=2.0)
-    q = resolve_cutoff(model, cfg)
+    q = resolve_cutoff(model.n_sites, model.beta, cfg)
     assert q == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
-    assert resolve_cutoff(model, ExpansionConfig(m=2, q=7)) == 7
+    assert resolve_cutoff(model.n_sites, model.beta, ExpansionConfig(m=2, q=7)) == 7
 
 
 def test_config_validation():

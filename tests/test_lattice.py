@@ -1,8 +1,11 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from lattice_reference import bfs_distance_matrix, loop_interaction_edges
 
+from bosepoly.cli import build_model
 from bosepoly.lattice import (
     CouplingError,
     OnsiteParams,
@@ -20,12 +23,31 @@ def test_chain_of_four():
 
 
 def test_grid_2x2():
-    lat = build_lattice([2, 2])
-    assert lat.n_sites == 4
-    # row-major: site 1 = (0,1), site 2 = (1,0)
-    assert lat.coords(1) == (0, 1)
-    assert lat.coords(2) == (1, 0)
-    assert distance_matrix(lat)[0, 3] == 2
+    lat = build_lattice([2, 3])
+    assert lat.n_sites == 6
+    # row-major: site 2 = (0,2), site 3 = (1,0)
+    d = distance_matrix(lat)
+    assert d[0, 3] == 1
+    assert d[0, 2] == 2
+    assert distance_matrix(build_lattice([2, 2]))[0, 3] == 2
+
+
+SWEEP = [
+    (list(dims), periodic)
+    for n_dims in (1, 2, 3)
+    for dims in itertools.product(range(1, 6), repeat=n_dims)
+    for periodic in (False, True)
+]
+
+
+def test_distance_matrix_equals_breadth_first_search():
+    assert len(SWEEP) == 310
+    for dims, periodic in SWEEP:
+        lat = build_lattice(dims, periodic)
+        d = distance_matrix(lat)
+        ref = bfs_distance_matrix(lat)
+        assert d.dtype == ref.dtype, (dims, periodic)
+        assert np.array_equal(d, ref), (dims, periodic)
 
 
 def test_periodic_ring_wraps():
@@ -43,7 +65,10 @@ def test_empty_dims_rejected():
 def test_out_of_range_site():
     lat = build_lattice([3])
     with pytest.raises(ValueError):
-        lat.coords(3)
+        lat._check_site(3)
+    with pytest.raises(ValueError):
+        lat._check_site(-1)
+    lat._check_site(2)
 
 
 @pytest.mark.parametrize(
@@ -116,6 +141,21 @@ def test_explicit_matrix_validated_against_declared_bound():
     assert coup.kind == "explicit"
 
 
+def test_explicit_matrix_validated_against_long_range_envelope():
+    lat = build_lattice([3])
+    bad = np.zeros((3, 3))
+    bad[0, 1] = bad[1, 0] = 0.25  # the envelope g/(1+d)^alpha at d = 1
+    bad[0, 2] = bad[2, 0] = 0.2  # above 1/9 at d = 2
+    with pytest.raises(CouplingError) as info:
+        build_couplings(lat, "long_range", g=1.0, alpha=2.0, matrix=bad)
+    message = str(info.value)
+    assert "[0,2]" in message and "0.2" in message
+    assert repr(1 / 9) in message and "d = 2" in message
+    bad[0, 2] = bad[2, 0] = 1 / 9
+    coup = build_couplings(lat, "long_range", g=1.0, alpha=2.0, matrix=bad)
+    assert coup.kind == "long_range" and coup.alpha == 2.0
+
+
 def test_asymmetric_and_diagonal_rejected():
     lat = build_lattice([2])
     with pytest.raises(CouplingError):
@@ -166,4 +206,35 @@ def test_onsite_params_validation():
     with pytest.raises(ValueError):
         OnsiteParams(np.array([1.0, 1.0]), np.array([0.0]))
     p = OnsiteParams(np.array([1.0, 2.0]), np.array([-0.3, 0.5]))
-    assert p.bounds == (1.0, 2.0, 0.5)
+    assert p.U.tolist() == [1.0, 2.0] and p.mu.tolist() == [-0.3, 0.5]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.1])
+def test_interaction_edges_equal_the_pair_loop(threshold):
+    rng = np.random.default_rng(3)
+    lat = build_lattice([3, 4], periodic=True)
+    random = rng.uniform(-0.3, 0.3, (12, 12)) * (rng.random((12, 12)) < 0.5)
+    random = np.triu(random, 1) + np.triu(random, 1).T
+    for coup in [
+        build_couplings(lat, "long_range", g=0.9, alpha=2.5),
+        build_couplings(lat, "finite_range", g=0.4, d_c=2),
+        build_couplings(lat, "explicit", matrix=random),
+    ]:
+        edges = interaction_edges(coup, threshold)
+        assert edges == loop_interaction_edges(coup, threshold)
+        assert all(type(i) is int and type(j) is int for i, j in edges)
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [{"kind": "finite_range", "g": 0.1, "d_c": 2},
+     {"kind": "long_range", "g": 0.1, "alpha": 3.0}],
+)
+def test_build_model_of_a_2000_site_chain_is_fast(coupling):
+    config = {"model": {"dims": [2000], "coupling": coupling, "U": 1.0, "mu": 0.5,
+                        "beta": 1.0}}
+    start = time.perf_counter()
+    model = build_model(config)
+    assert time.perf_counter() - start < 5.0
+    envelope = {"finite_range": [0.1, 0.1, 0.0], "long_range": [0.1 / 8, 0.1 / 27, 0.1 / 64]}
+    assert model.couplings.entries[0, 1:4].tolist() == envelope[coupling["kind"]]
