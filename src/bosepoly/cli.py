@@ -2,11 +2,11 @@
 
 One JSON configuration file drives every subcommand; the only positional
 arguments are the subcommand and the config path, with ``--set
-section.key=value`` overrides layered on top.  Reports are JSON documents
-(schema-stamped, timing isolated under a single ``timing`` subtree so
-golden-file comparisons can exclude exactly one key); tabular commands can
-emit CSV instead.  Exit codes: 0 success, 2 config error, 3 resource cap,
-4 numerical failure.
+section.key=value`` overrides layered on top; a key set to null reads as
+absent.  Reports are JSON documents (schema-stamped, timing isolated under
+a single ``timing`` subtree so golden-file comparisons can exclude exactly
+one key); tabular commands can emit CSV instead.  Exit codes: 0 success,
+2 config error, 3 resource cap, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .oracle import (
     moments,
     mutual_information,
     occupation_distribution,
+    printable_int,
     thermalize,
 )
 from .polymers import PolymerCountError
@@ -97,11 +99,35 @@ def load_config(path: str, overrides=()) -> dict:
     return config
 
 
-def _as_float(value, name, problems):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _get(config: dict, path: str, default=None):
+    """The value at a dotted config path.  A key that is absent or null, or
+    that sits under a section that is not an object, reads as ``default``."""
+    value = config
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    return default if value is None else value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name, problems, bad, requirement):
+    """Report a value that is not a number (bools are not), or one that
+    ``bad`` flags as failing ``requirement``."""
+    if not _is_number(value):
         problems.append(f"{name} must be a number, got {value!r}")
-        return None
-    return float(value)
+    elif bad is not None and bad(float(value)):
+        problems.append(f"{name} {requirement}")
+
+
+def _section(config, name, problems):
+    if not isinstance(_get(config, name, {}), dict):
+        problems.append(f"{name} section must be an object")
 
 
 _NEEDS_EXPANSION = {"approx", "compare", "kp"}
@@ -113,119 +139,97 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     """Collect every validation problem (never stops at the first)."""
     problems: list[str] = []
 
-    model = config.get("model")
-    if not isinstance(model, dict):
+    if not isinstance(_get(config, "model"), dict):
         problems.append("missing or invalid section: model")
-        model = {}
 
-    if not isinstance(model.get("periodic", False), bool):
+    periodic = _get(config, "model.periodic")
+    if periodic is not None and not isinstance(periodic, bool):
         problems.append("model.periodic must be true or false")
 
-    dims = model.get("dims")
+    dims = _get(config, "model.dims")
     n_sites = None
-    if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
-    ):
+    if not isinstance(dims, list) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
         problems.append("model.dims must be a nonempty list of integers >= 1")
     else:
         n_sites = math.prod(dims)
 
-    if "beta" not in model:
+    beta = _get(config, "model.beta")
+    if beta is None:
         problems.append("model.beta is required")
     else:
-        beta = _as_float(model["beta"], "model.beta", problems)
-        if beta is not None and not beta > 0:
-            problems.append("model.beta must be positive")
+        _number(beta, "model.beta", problems, lambda b: not b > 0, "must be positive")
 
-    coupling = model.get("coupling")
-    if not isinstance(coupling, dict):
+    if not isinstance(_get(config, "model.coupling"), dict):
         problems.append("model.coupling must be an object with a kind")
-        coupling = {}
-    kind = coupling.get("kind")
+    kind = _get(config, "model.coupling.kind")
     if kind not in ("long_range", "finite_range", "explicit"):
         problems.append(
             "model.coupling.kind must be one of long_range, finite_range, explicit"
         )
+    # an absent g or alpha reads as 0, which the bounds refuse
+    if kind in ("long_range", "finite_range"):
+        g = _get(config, "model.coupling.g", 0.0)
+        _number(g, "model.coupling.g", problems, lambda g: g <= 0, "must be positive")
     if kind == "long_range":
-        g = _as_float(coupling.get("g", 0.0), "model.coupling.g", problems)
-        if g is not None and g <= 0:
-            problems.append("model.coupling.g must be positive")
-        alpha = _as_float(coupling.get("alpha", 0.0), "model.coupling.alpha", problems)
-        if alpha is not None and dims and isinstance(dims, list) and alpha <= len(dims):
-            problems.append(f"model.coupling.alpha must exceed the dimension D = {len(dims)}")
+        n_dims = len(dims) if isinstance(dims, list) else 0
+        _number(_get(config, "model.coupling.alpha", 0.0), "model.coupling.alpha", problems,
+                lambda a: 0 < n_dims and a <= n_dims, f"must exceed the dimension D = {n_dims}")
     elif kind == "finite_range":
-        g = _as_float(coupling.get("g", 0.0), "model.coupling.g", problems)
-        if g is not None and g <= 0:
-            problems.append("model.coupling.g must be positive")
-        d_c = coupling.get("d_c")
-        if not isinstance(d_c, int) or isinstance(d_c, bool) or d_c < 1:
+        d_c = _get(config, "model.coupling.d_c")
+        if not _is_int(d_c) or d_c < 1:
             problems.append("model.coupling.d_c must be an integer >= 1")
-    elif kind == "explicit":
-        matrix = coupling.get("matrix")
-        if not isinstance(matrix, list):
-            problems.append("model.coupling.matrix is required for explicit kind")
+    elif kind == "explicit" and not isinstance(_get(config, "model.coupling.matrix"), list):
+        problems.append("model.coupling.matrix is required for explicit kind")
 
-    for name in ("U", "mu"):
-        value = model.get(name)
+    for name, bad in (("U", lambda x: x <= 0), ("mu", None)):
+        value = _get(config, f"model.{name}")
         if value is None:
             problems.append(f"model.{name} is required")
         elif isinstance(value, list):
             if n_sites is not None and len(value) != n_sites:
                 problems.append(f"model.{name} list must have length N = {n_sites}")
             for k, entry in enumerate(value):
-                x = _as_float(entry, f"model.{name}[{k}]", problems)
-                if name == "U" and x is not None and x <= 0:
-                    problems.append(f"model.U[{k}] must be strictly positive")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                _number(entry, f"model.{name}[{k}]", problems, bad, "must be strictly positive")
+        elif not _is_number(value):
             problems.append(f"model.{name} must be a number or per-site list")
-        elif name == "U" and value <= 0:
-            problems.append("model.U must be strictly positive")
+        elif bad is not None and bad(value):
+            problems.append(f"model.{name} must be strictly positive")
 
-    expansion = config.get("expansion", {})
-    if not isinstance(expansion, dict):
-        problems.append("expansion section must be an object")
-        expansion = {}
-    m = expansion.get("m")
-    if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+    _section(config, "expansion", problems)
+    m = _get(config, "expansion.m")
+    if m is not None and (not _is_int(m) or m < 1):
         problems.append("expansion.m must be an integer >= 1")
-    q_policy = expansion.get("q_policy", "explicit")
-    if q_policy not in ("explicit", "auto"):
+    q_policy = _get(config, "expansion.q_policy")
+    if q_policy not in (None, "explicit", "auto"):
         problems.append("expansion.q_policy must be explicit or auto")
-    if q_policy == "explicit":
-        q = expansion.get("q")
-        if q is not None and (not isinstance(q, int) or isinstance(q, bool) or q < 1):
-            problems.append("expansion.q must be an integer >= 1")
+    q = _get(config, "expansion.q")
+    if q_policy in (None, "explicit") and q is not None and (not _is_int(q) or q < 1):
+        problems.append("expansion.q must be an integer >= 1")
     for name in ("theta", "q_prefactor"):
-        if name in expansion:
-            x = _as_float(expansion[name], f"expansion.{name}", problems)
-            if x is not None and not x > 0:
-                problems.append(f"expansion.{name} must be positive")
-    threshold = expansion.get("polymer_threshold")
+        value = _get(config, f"expansion.{name}")
+        if value is not None:
+            _number(value, f"expansion.{name}", problems, lambda x: not x > 0, "must be positive")
+    threshold = _get(config, "expansion.polymer_threshold")
     if threshold is not None:
-        t = _as_float(threshold, "expansion.polymer_threshold", problems)
-        if t is not None and t < 0:
-            problems.append("expansion.polymer_threshold must be nonnegative")
+        _number(threshold, "expansion.polymer_threshold", problems,
+                lambda t: t < 0, "must be nonnegative")
 
-    oracle = config.get("oracle", {})
-    if not isinstance(oracle, dict):
-        problems.append("oracle section must be an object")
-        oracle = {}
-    for name in ("q", "dim_cap", "l_max", "site", "anchor"):
-        value = oracle.get(name)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+    _section(config, "oracle", problems)
+    ints = {name: _get(config, f"oracle.{name}")
+            for name in ("q", "dim_cap", "l_max", "site", "anchor")}
+    for name, value in ints.items():
+        if value is not None and not _is_int(value):
             problems.append(f"oracle.{name} must be an integer")
     for name in ("q", "dim_cap", "l_max"):
-        value = oracle.get(name)
-        if isinstance(value, int) and not isinstance(value, bool) and value < 1:
+        if _is_int(ints[name]) and ints[name] < 1:
             problems.append(f"oracle.{name} must be >= 1")
-    family = oracle.get("family")
-    if family is not None and family not in ("hopping", "density"):
+    if _get(config, "oracle.family") not in (None, "hopping", "density"):
         problems.append("oracle.family must be hopping or density")
     for name in ("site", "anchor"):
-        value = oracle.get(name)
+        value = ints[name]
         if isinstance(value, int) and n_sites is not None and not 0 <= value < n_sites:
             problems.append(f"oracle.{name} must be a site index in [0, {n_sites})")
-    partitions = oracle.get("partitions")
+    partitions = _get(config, "oracle.partitions")
     if partitions is not None:
         if not isinstance(partitions, list):
             problems.append("oracle.partitions must be a list of site lists")
@@ -235,10 +239,7 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
                     problems.append("oracle.partitions entries must be nonempty site lists")
                     continue
                 if n_sites is not None:
-                    if any(
-                        not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n_sites
-                        for s in part
-                    ):
+                    if any(not _is_int(s) or not 0 <= s < n_sites for s in part):
                         problems.append(f"oracle.partitions entry {part} has invalid sites")
                     elif len(set(part)) == n_sites:
                         problems.append(
@@ -247,95 +248,82 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
                         )
                     elif len(set(part)) != len(part):
                         problems.append(f"oracle.partitions entry {part} repeats sites")
-    beta_list = oracle.get("beta_list")
+    beta_list = _get(config, "oracle.beta_list")
     if beta_list is not None:
         if not isinstance(beta_list, list) or not beta_list or any(
-            isinstance(b, bool) or not isinstance(b, (int, float)) or b <= 0
-            for b in beta_list
+            not _is_number(b) or b <= 0 for b in beta_list
         ):
             problems.append("oracle.beta_list must be a nonempty list of positive numbers")
 
-    output = config.get("output", {})
-    if not isinstance(output, dict):
-        problems.append("output section must be an object")
-        output = {}
-    fmt = output.get("format", "json")
-    if fmt not in ("json", "csv"):
+    _section(config, "output", problems)
+    fmt = _get(config, "output.format")
+    if fmt not in (None, "json", "csv"):
         problems.append("output.format must be json or csv")
     elif fmt == "csv" and command is not None and command not in _TABULAR:
         problems.append(f"output.format=csv is only supported for {sorted(_TABULAR)}")
+    path = _get(config, "output.path")
+    if path is not None and not isinstance(path, str):
+        problems.append("output.path must be a string")
 
-    expansion_resolvable = q_policy == "auto" or expansion.get("q") is not None
+    resolvable = q_policy == "auto" or q is not None
     if command in _NEEDS_EXPANSION:
-        if expansion.get("m") is None:
+        if m is None:
             problems.append("expansion.m is required for this command")
-        if not expansion_resolvable:
-            problems.append(
-                "expansion.q is required unless expansion.q_policy is auto"
-            )
-    if command in _NEEDS_ORACLE_Q and oracle.get("q") is None and not expansion_resolvable:
-        problems.append(
-            "oracle.q is required unless the expansion section resolves a cutoff"
-        )
+        if not resolvable:
+            problems.append("expansion.q is required unless expansion.q_policy is auto")
+    if command in _NEEDS_ORACLE_Q and ints["q"] is None and not resolvable:
+        problems.append("oracle.q is required unless the expansion section resolves a cutoff")
 
     return problems
 
 
 def build_model(config: dict) -> ModelInstance:
-    model = config["model"]
-    lattice = build_lattice(model["dims"], model.get("periodic", False))
-    coupling = model["coupling"]
-    kind = coupling["kind"]
-    matrix = coupling.get("matrix")
+    lattice = build_lattice(_get(config, "model.dims"), _get(config, "model.periodic", False))
+    matrix = _get(config, "model.coupling.matrix")
     if matrix is not None:
         matrix = np.asarray(matrix, dtype=np.float64)
     couplings = build_couplings(
         lattice,
-        kind,
-        g=coupling.get("g"),
-        alpha=coupling.get("alpha"),
-        d_c=coupling.get("d_c"),
+        _get(config, "model.coupling.kind"),
+        g=_get(config, "model.coupling.g"),
+        alpha=_get(config, "model.coupling.alpha"),
+        d_c=_get(config, "model.coupling.d_c"),
         matrix=matrix,
     )
     n = lattice.n_sites
-    U = model["U"]
-    mu = model["mu"]
+    U, mu = _get(config, "model.U"), _get(config, "model.mu")
     U_arr = np.asarray(U if isinstance(U, list) else [U] * n, dtype=np.float64)
     mu_arr = np.asarray(mu if isinstance(mu, list) else [mu] * n, dtype=np.float64)
     onsite = OnsiteParams(U_arr, mu_arr)
-    return ModelInstance(lattice, couplings, onsite, float(model["beta"]))
+    return ModelInstance(lattice, couplings, onsite, float(_get(config, "model.beta")))
 
 
 def build_expansion_config(config: dict) -> ExpansionConfig:
-    section = config.get("expansion", {})
-    return ExpansionConfig(
-        m=section.get("m", 2),
-        q=section.get("q"),
-        q_policy=section.get("q_policy", "explicit"),
-        theta=section.get("theta", 1.0),
-        q_prefactor=section.get("q_prefactor", 2.0),
-        polymer_threshold=section.get("polymer_threshold", 0.0),
-    )
+    """The expansion section's knobs; an absent one keeps ExpansionConfig's
+    default.  Unknown keys (a legacy ``workers``) are ignored."""
+    knobs = {f.name: _get(config, f"expansion.{f.name}") for f in fields(ExpansionConfig)}
+    return ExpansionConfig(**{name: v for name, v in knobs.items() if v is not None})
 
 
 def _cutoff(config: dict, cfg: ExpansionConfig) -> int:
-    model = config["model"]
-    return resolve_cutoff(math.prod(model["dims"]), float(model["beta"]), cfg)
+    n_sites = math.prod(_get(config, "model.dims"))
+    return resolve_cutoff(n_sites, float(_get(config, "model.beta")), cfg)
 
 
-def _oracle_q(config: dict) -> int:
-    q = config.get("oracle", {}).get("q")
-    return int(q) if q is not None else _cutoff(config, build_expansion_config(config))
+def _oracle_model(config: dict, qs=None):
+    """The cutoffs, dimension cap and model of an oracle run.
 
-
-def _dim_cap(config: dict, q: int) -> int:
-    """The oracle's dimension cap, checked from the config alone, so that a
-    refused run never builds the model's N x N arrays."""
-    n = math.prod(config["model"]["dims"])
-    dim_cap = config.get("oracle", {}).get("dim_cap", DEFAULT_DIM_CAP)
-    if (q + 1) ** n > dim_cap:
-        raise DimensionCapError((q + 1) ** n, dim_cap)
-    return dim_cap
+    ``qs`` defaults to ``[oracle.q]``, or else the expansion's cutoff.  Each
+    ``(q+1)^N`` is checked against ``oracle.dim_cap`` from the config alone,
+    so that a refused run never builds the model's N x N arrays.
+    """
+    n_sites = math.prod(_get(config, "model.dims"))
+    qs = qs or [_get(config, "oracle.q") or _cutoff(config, build_expansion_config(config))]
+    dim_cap = _get(config, "oracle.dim_cap", DEFAULT_DIM_CAP)
+    for q in qs:
+        if (q + 1) ** n_sites > dim_cap:
+            raise DimensionCapError((q + 1) ** n_sites, dim_cap)
+    return qs, dim_cap, build_model(config)
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +339,24 @@ def cmd_approx(config: dict):
 
 def cmd_exact(config: dict):
     start = time.perf_counter()
-    q = _oracle_q(config)
-    dim_cap = _dim_cap(config, q)
-    model = build_model(config)
-    section = config.get("oracle", {})
+    (q,), dim_cap, model = _oracle_model(config)
     state = thermalize(model, q, dim_cap=dim_cap)
 
     result: dict = {"log_z": state.log_z, "q": q, "n_sites": model.n_sites}
-    if section.get("l_max") is not None:
-        site = section.get("site", 0)
-        result["moments"] = {
-            "site": site,
-            "values": moments(state, site, section["l_max"]),
-        }
-    if section.get("site") is not None:
+    site, l_max = _get(config, "oracle.site"), _get(config, "oracle.l_max")
+    if l_max is not None:
+        moment_site = _get(config, "oracle.site", 0)
+        result["moments"] = {"site": moment_site,
+                             "values": moments(state, moment_site, l_max)}
+    if site is not None:
         result["occupation_distribution"] = {
-            "site": section["site"],
-            "p": occupation_distribution(state, section["site"]),
+            "site": site,
+            "p": occupation_distribution(state, site),
         }
-    if section.get("partitions"):
+    partitions = _get(config, "oracle.partitions")
+    if partitions:
         rows = []
-        for part in section["partitions"]:
+        for part in partitions:
             a = sorted(set(part))
             b = [i for i in range(model.n_sites) if i not in set(a)]
             rows.append({"A": a, "mutual_information": mutual_information(state, (a, b))})
@@ -382,15 +367,10 @@ def cmd_exact(config: dict):
 def cmd_compare(config: dict, m_list=None, q_list=None):
     start = time.perf_counter()
     base = build_expansion_config(config)
-    if not m_list:
-        m_list = [base.m]
-    if not q_list:
-        q_list = [_cutoff(config, base)]
+    m_list = m_list or [base.m]
     if min(m_list) < 1:
         raise ValueError("truncation order m must be >= 1")
-    for q in q_list:
-        _dim_cap(config, q)
-    model = build_model(config)
+    q_list, _, model = _oracle_model(config, q_list or [_cutoff(config, base)])
 
     # the oracle keeps every coupling, so abs_error includes what the
     # polymer threshold drops
@@ -428,12 +408,11 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
 
 def cmd_clustering(config: dict):
     start = time.perf_counter()
-    q = _oracle_q(config)
-    dim_cap = _dim_cap(config, q)
-    model = build_model(config)
-    section = config.get("oracle", {})
+    (q,), dim_cap, model = _oracle_model(config)
     state = thermalize(model, q, dim_cap=dim_cap)
-    scan = clustering_scan(state, section.get("family", "hopping"), section.get("anchor", 0))
+    scan = clustering_scan(
+        state, _get(config, "oracle.family", "hopping"), _get(config, "oracle.anchor", 0)
+    )
     rows = [
         {
             "site_a": r.site_a,
@@ -459,16 +438,12 @@ def cmd_clustering(config: dict):
 
 def cmd_moments(config: dict):
     start = time.perf_counter()
-    q = _oracle_q(config)
-    dim_cap = _dim_cap(config, q)
-    model = build_model(config)
-    section = config.get("oracle", {})
-    site = section.get("site", 0)
-    l_max = section.get("l_max", 2)
-    beta_list = section.get("beta_list", [model.beta])
+    (q,), dim_cap, model = _oracle_model(config)
+    site = _get(config, "oracle.site", 0)
+    l_max = _get(config, "oracle.l_max", 2)
 
     # W is rescaled only upward in beta; the betas below the first take a second solve
-    betas = [float(b) for b in beta_list]
+    betas = [float(b) for b in _get(config, "oracle.beta_list", [model.beta])]
     values, state = {}, None
     for beta in sorted(set(betas), key=lambda b: (b < betas[0], b)):
         if state is not None and beta < state.beta:
@@ -537,15 +512,28 @@ def render_json(command: str, result: dict, timing: dict) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError([f"output.path {path!r} cannot be written: {exc.strerror}"])
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+COMMANDS = {
+    "approx": ("run the truncated cluster expansion", cmd_approx),
+    "exact": ("exact diagonalization: log Z and requested observables", cmd_exact),
+    "compare": ("expansion vs exact oracle over m and q grids", cmd_compare),
+    "clustering": ("correlation-decay scan from an anchor site", cmd_clustering),
+    "moments": ("local particle-number moments, optionally over a beta list", cmd_moments),
+    "kp": ("convergence-condition margins per site", cmd_kp),
+}
+
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -558,24 +546,13 @@ def run(argv=None) -> int:
         version=f"bosepoly {__version__} (schema {SCHEMA_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (descr, _handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=descr)
         p.add_argument("config", help="path to the JSON run configuration")
         p.add_argument(
             "--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
             help="override a config value (repeatable)",
         )
-
-    for name, descr in [
-        ("approx", "run the truncated cluster expansion"),
-        ("exact", "exact diagonalization: log Z and requested observables"),
-        ("compare", "expansion vs exact oracle over m and q grids"),
-        ("clustering", "correlation-decay scan from an anchor site"),
-        ("moments", "local particle-number moments, optionally over a beta list"),
-        ("kp", "convergence-condition margins per site"),
-    ]:
-        p = sub.add_parser(name, help=descr)
-        add_common(p)
         if name == "compare":
             p.add_argument("--m-list", default="", help="comma-separated truncation orders")
             p.add_argument("--q-list", default="", help="comma-separated boson cutoffs")
@@ -588,30 +565,16 @@ def run(argv=None) -> int:
         if problems:
             raise ConfigError(problems)
 
-        if args.command == "approx":
-            result, rows, timing = cmd_approx(config)
-        elif args.command == "exact":
-            result, rows, timing = cmd_exact(config)
-        elif args.command == "compare":
-            m_list = [int(x) for x in args.m_list.split(",") if x]
-            q_list = [int(x) for x in args.q_list.split(",") if x]
-            result, rows, timing = cmd_compare(config, m_list, q_list)
-        elif args.command == "clustering":
-            result, rows, timing = cmd_clustering(config)
-        elif args.command == "moments":
-            result, rows, timing = cmd_moments(config)
-        elif args.command == "kp":
-            result, rows, timing = cmd_kp(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError([f"unknown command {args.command}"])
+        # compare's --m-list and --q-list reach it as its m_list and q_list
+        grids = {key: [int(x) for x in value.split(",") if x]
+                 for key, value in vars(args).items() if key.endswith("_list")}
+        result, rows, timing = COMMANDS[args.command][1](config, **grids)
 
-        output = config.get("output", {})
-        if output.get("format", "json") == "csv":
-            columns, row_dicts = rows
-            text = render_csv(columns, row_dicts)
+        if _get(config, "output.format") == "csv":
+            text = render_csv(*rows)
         else:
             text = render_json(args.command, result, timing)
-        _emit(text, output.get("path"))
+        _emit(text, _get(config, "output.path"))
         return EXIT_OK
 
     except ConfigError as exc:
@@ -623,7 +586,7 @@ def run(argv=None) -> int:
     except (DimensionCapError, PolymerCountError) as exc:
         _emit_error(
             "resource_cap", str(exc),
-            [f"required={exc.required}", f"allowed={exc.allowed}"],
+            [f"required={printable_int(exc.required)}", f"allowed={exc.allowed}"],
         )
         return EXIT_RESOURCE
     except (EigensolverError, ArithmeticError) as exc:

@@ -19,7 +19,7 @@ linked-cluster expansion of Rigol, Bryant and Singh (PRL 97, 187202, 2006)
 run on the polymer gas; it needs no cluster enumeration and no Ursell
 functions.  Xi_K and c_S read their subsets from ``Polymer.subsets``.
 
-The Kotecky-Preiss diagnostic reports, per probe site x, the truncated sum
+The Kotecky-Preiss diagnostic reports, per site x, the truncated sum
 
     lhs(x) = sum_{polymers gamma with x in support, |gamma| <= m}
              |w_gamma| * exp(|V_gamma|/2 + |gamma|)      vs   rhs = 1/2.
@@ -63,10 +63,11 @@ class ExpansionConfig:
     q = max(1, ceil(q_prefactor * (theta + 1) * log(N) / sqrt(beta))).
     The prefactor stands in for a nonconstructive constant and defaults
     to 2.0.  ``polymer_threshold`` drops couplings with |J| <= threshold
-    from the polymer alphabet.
+    from the polymer alphabet.  ``m`` may be left out by a config that
+    only resolves the cutoff.
     """
 
-    m: int
+    m: int | None = None
     q: int | None = None
     q_policy: str = "explicit"
     theta: float = 1.0
@@ -74,7 +75,7 @@ class ExpansionConfig:
     polymer_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.m < 1:
+        if self.m is not None and self.m < 1:
             raise ValueError("truncation order m must be >= 1")
         if self.q_policy not in ("explicit", "auto"):
             raise ValueError(f"unknown q_policy {self.q_policy!r}")
@@ -112,6 +113,8 @@ def _build_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
     Refuses, before any solve, a polymer support whose truncated space
     (q+1)^|V| exceeds the oracle's dimension cap.
     """
+    if cfg.m is None:
+        raise ValueError("the expansion needs a truncation order m")
     edges = interaction_edges(model.couplings, cfg.polymer_threshold)
     polymers = enumerate_polymers(edges, cfg.m)
     largest = max((len(p.support) for p in polymers), default=0)
@@ -159,32 +162,27 @@ class KPDiagnosticRow:
         return self.lhs < self.rhs
 
 
-def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig,
-                  probe_sites=None, q: int | None = None,
+def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig, q: int | None = None,
                   weights: dict | None = None) -> list[KPDiagnosticRow]:
-    """Truncated convergence-condition margins per probe site.
+    """Truncated convergence-condition margins per site.
 
     Lower bounds only: a row with lhs >= rhs means no convergence
     certificate at this order; all rows passing certifies nothing beyond
     the enumerated sizes.
     """
-    if probe_sites is None:
-        probe_sites = range(model.n_sites)
     if q is None:
         q = resolve_cutoff(model.n_sites, model.beta, cfg)
     if weights is None:
         weights = _build_weights(model, cfg, q)
 
     # one pass over the polymers; each site's terms keep the polymer order
-    sites = [int(site) for site in probe_sites]
-    terms = {site: [] for site in sites}
+    terms = [[] for _ in range(model.n_sites)]
     for polymer, res in weights.items():
         support = polymer.support
         term = abs(res.value) * math.exp(len(support) / 2.0 + polymer.size)
         for site in support:
-            if site in terms:
-                terms[site].append(term)
-    return [KPDiagnosticRow(site, math.fsum(terms[site]), KP_RHS) for site in sites]
+            terms[site].append(term)
+    return [KPDiagnosticRow(site, math.fsum(t), KP_RHS) for site, t in enumerate(terms)]
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,21 @@ DEFAULT_DIM_CAP = 20000
 CORRELATION_NOISE_FLOOR = 1e-13
 
 
+def printable_int(n: int) -> str:
+    """n in decimal, or as d.dddde+X past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        exponent = math.log10(n)
+        return f"{10 ** (exponent % 1):.4f}e+{math.floor(exponent)}"
+
+
 class DimensionCapError(RuntimeError):
     """The requested truncated space exceeds the configured dimension cap."""
 
     def __init__(self, required: int, allowed: int):
         super().__init__(
-            f"truncated space dimension {required} exceeds the cap {allowed}"
+            f"truncated space dimension {printable_int(required)} exceeds the cap {allowed}"
         )
         self.required = required
         self.allowed = allowed

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import pathlib
@@ -155,6 +156,276 @@ def test_validation_lists_every_bad_per_site_entry(tmp_path, capsys):
     assert error["details"] == want
 
 
+_DELETE = object()
+
+
+def _edit(config, changes):
+    """A copy of config with each dotted path set, or removed for _DELETE."""
+    config = copy.deepcopy(config)
+    for path, value in changes.items():
+        *sections, key = path.split(".")
+        node = config
+        for name in sections:
+            node = node.setdefault(name, {})
+        if value is _DELETE:
+            node.pop(key, None)
+        else:
+            node[key] = value
+    return config
+
+
+_LONG_RANGE = {"kind": "long_range", "g": 0.1, "alpha": 3.0}
+_KIND_MESSAGE = "model.coupling.kind must be one of long_range, finite_range, explicit"
+
+# one case per validate_config message, on base_config(): (command, changes, list)
+_MESSAGE_CASES = [
+    ("approx", {"model": _DELETE}, [
+        "missing or invalid section: model",
+        "model.dims must be a nonempty list of integers >= 1",
+        "model.beta is required",
+        "model.coupling must be an object with a kind",
+        _KIND_MESSAGE,
+        "model.U is required",
+        "model.mu is required",
+    ]),
+    ("approx", {"model.periodic": "false"}, ["model.periodic must be true or false"]),
+    ("approx", {"model.dims": [2, True]},
+     ["model.dims must be a nonempty list of integers >= 1"]),
+    ("approx", {"model.beta": _DELETE}, ["model.beta is required"]),
+    ("approx", {"model.beta": "x"}, ["model.beta must be a number, got 'x'"]),
+    ("approx", {"model.beta": 0}, ["model.beta must be positive"]),
+    ("approx", {"model.coupling": 5},
+     ["model.coupling must be an object with a kind", _KIND_MESSAGE]),
+    ("approx", {"model.coupling.kind": "nonsense"}, [_KIND_MESSAGE]),
+    ("approx", {"model.coupling": dict(_LONG_RANGE, g="x")},
+     ["model.coupling.g must be a number, got 'x'"]),
+    ("approx", {"model.coupling": dict(_LONG_RANGE, g=-1)},
+     ["model.coupling.g must be positive"]),
+    ("approx", {"model.coupling": dict(_LONG_RANGE, alpha=True)},
+     ["model.coupling.alpha must be a number, got True"]),
+    ("approx", {"model.coupling": dict(_LONG_RANGE, alpha=1)},
+     ["model.coupling.alpha must exceed the dimension D = 1"]),
+    ("approx", {"model.coupling.d_c": 0}, ["model.coupling.d_c must be an integer >= 1"]),
+    ("approx", {"model.coupling": {"kind": "explicit"}},
+     ["model.coupling.matrix is required for explicit kind"]),
+    ("approx", {"model.U": _DELETE}, ["model.U is required"]),
+    ("approx", {"model.mu": [0.0, 0.1]}, ["model.mu list must have length N = 4"]),
+    ("approx", {"model.U": [1, 1, 1, 0], "model.mu": [0, 0, 0, "x"]},
+     ["model.U[3] must be strictly positive", "model.mu[3] must be a number, got 'x'"]),
+    ("approx", {"model.U": "x"}, ["model.U must be a number or per-site list"]),
+    ("approx", {"model.U": 0}, ["model.U must be strictly positive"]),
+    ("approx", {"expansion": 5}, [
+        "expansion section must be an object",
+        "expansion.m is required for this command",
+        "expansion.q is required unless expansion.q_policy is auto",
+    ]),
+    ("approx", {"expansion.m": 0}, ["expansion.m must be an integer >= 1"]),
+    ("approx", {"expansion.q_policy": "x"}, ["expansion.q_policy must be explicit or auto"]),
+    ("approx", {"expansion.q": 0}, ["expansion.q must be an integer >= 1"]),
+    ("approx", {"expansion.theta": "x", "expansion.q_prefactor": 0},
+     ["expansion.theta must be a number, got 'x'", "expansion.q_prefactor must be positive"]),
+    ("approx", {"expansion.polymer_threshold": "x"},
+     ["expansion.polymer_threshold must be a number, got 'x'"]),
+    ("approx", {"expansion.polymer_threshold": -1},
+     ["expansion.polymer_threshold must be nonnegative"]),
+    ("exact", {"oracle": 5}, ["oracle section must be an object"]),
+    ("exact",
+     {"oracle.q": "x", "oracle.dim_cap": 0, "oracle.l_max": True, "oracle.anchor": 1.5}, [
+         "oracle.q must be an integer",
+         "oracle.l_max must be an integer",
+         "oracle.anchor must be an integer",
+         "oracle.dim_cap must be >= 1",
+     ]),
+    ("clustering", {"oracle.family": "x"}, ["oracle.family must be hopping or density"]),
+    ("exact", {"oracle.site": 4, "oracle.anchor": -1}, [
+        "oracle.site must be a site index in [0, 4)",
+        "oracle.anchor must be a site index in [0, 4)",
+    ]),
+    ("exact", {"oracle.partitions": 5}, ["oracle.partitions must be a list of site lists"]),
+    ("exact", {"oracle.partitions": [[], [0, 9], [0, 1, 2, 3], [0, 0]]}, [
+        "oracle.partitions entries must be nonempty site lists",
+        "oracle.partitions entry [0, 9] has invalid sites",
+        "oracle.partitions entry [0, 1, 2, 3] covers the whole lattice (complement is empty)",
+        "oracle.partitions entry [0, 0] repeats sites",
+    ]),
+    ("moments", {"oracle.beta_list": [0.1, 0]},
+     ["oracle.beta_list must be a nonempty list of positive numbers"]),
+    ("approx", {"output": 5}, ["output section must be an object"]),
+    ("approx", {"output.format": "xml"}, ["output.format must be json or csv"]),
+    ("approx", {"output.format": "csv"},
+     ["output.format=csv is only supported for ['clustering', 'compare', 'kp', 'moments']"]),
+    ("approx", {"expansion.m": _DELETE}, ["expansion.m is required for this command"]),
+    ("approx", {"expansion.q": _DELETE},
+     ["expansion.q is required unless expansion.q_policy is auto"]),
+    ("exact", {"oracle.q": _DELETE, "expansion.q": _DELETE},
+     ["oracle.q is required unless the expansion section resolves a cutoff"]),
+]
+
+
+def _case_id(command, changes):
+    edits = (f"{path}={'<absent>' if value is _DELETE else json.dumps(value)}"
+             for path, value in changes.items())
+    return f"{command}:{','.join(edits)}"
+
+
+@pytest.mark.parametrize("command,changes,want", _MESSAGE_CASES,
+                         ids=[_case_id(*case[:2]) for case in _MESSAGE_CASES])
+def test_validation_message(command, changes, want):
+    assert validate_config(_edit(base_config(), changes), command) == want
+
+
+# one config per coupling kind with as many problems as it can carry at once
+_EVERY_PROBLEM = {
+    "long_range": ("approx", {
+        "model": {"periodic": "no", "dims": [2, 2], "beta": -1,
+                  "coupling": {"kind": "long_range", "g": 0, "alpha": 2},
+                  "U": [1, 0, 1], "mu": "x"},
+        "expansion": {"m": 0, "q_policy": "auto", "theta": "x", "q_prefactor": 0,
+                      "polymer_threshold": -1},
+        "oracle": {"q": 0, "dim_cap": "x", "l_max": True, "site": 4, "anchor": 1.5,
+                   "family": "x", "partitions": [[0, 5], [0, 1, 2, 3]], "beta_list": []},
+        "output": {"format": "csv"},
+    }, [
+        "model.periodic must be true or false",
+        "model.beta must be positive",
+        "model.coupling.g must be positive",
+        "model.coupling.alpha must exceed the dimension D = 2",
+        "model.U list must have length N = 4",
+        "model.U[1] must be strictly positive",
+        "model.mu must be a number or per-site list",
+        "expansion.m must be an integer >= 1",
+        "expansion.theta must be a number, got 'x'",
+        "expansion.q_prefactor must be positive",
+        "expansion.polymer_threshold must be nonnegative",
+        "oracle.dim_cap must be an integer",
+        "oracle.l_max must be an integer",
+        "oracle.anchor must be an integer",
+        "oracle.q must be >= 1",
+        "oracle.family must be hopping or density",
+        "oracle.site must be a site index in [0, 4)",
+        "oracle.partitions entry [0, 5] has invalid sites",
+        "oracle.partitions entry [0, 1, 2, 3] covers the whole lattice (complement is empty)",
+        "oracle.beta_list must be a nonempty list of positive numbers",
+        "output.format=csv is only supported for ['clustering', 'compare', 'kp', 'moments']",
+    ]),
+    "finite_range": ("exact", {
+        "model": {"periodic": 1, "dims": [3], "beta": "x",
+                  "coupling": {"kind": "finite_range", "g": "x", "d_c": 1.5},
+                  "U": "x", "mu": [0, True]},
+        "expansion": 5,
+        "oracle": {"dim_cap": 0, "site": -1, "anchor": 3, "partitions": [[1, 1], []]},
+        "output": {"format": "xml"},
+    }, [
+        "model.periodic must be true or false",
+        "model.beta must be a number, got 'x'",
+        "model.coupling.g must be a number, got 'x'",
+        "model.coupling.d_c must be an integer >= 1",
+        "model.U must be a number or per-site list",
+        "model.mu list must have length N = 3",
+        "model.mu[1] must be a number, got True",
+        "expansion section must be an object",
+        "oracle.dim_cap must be >= 1",
+        "oracle.site must be a site index in [0, 3)",
+        "oracle.anchor must be a site index in [0, 3)",
+        "oracle.partitions entry [1, 1] repeats sites",
+        "oracle.partitions entries must be nonempty site lists",
+        "output.format must be json or csv",
+        "oracle.q is required unless the expansion section resolves a cutoff",
+    ]),
+    "explicit": ("moments", {
+        "model": {"dims": [], "coupling": {"kind": "explicit"}, "U": 0},
+        "expansion": {"q_policy": "x", "q": 0, "theta": 0, "polymer_threshold": "x"},
+        "oracle": {"l_max": 0, "partitions": 5, "beta_list": [0.1, True]},
+        "output": 5,
+    }, [
+        "model.dims must be a nonempty list of integers >= 1",
+        "model.beta is required",
+        "model.coupling.matrix is required for explicit kind",
+        "model.U must be strictly positive",
+        "model.mu is required",
+        "expansion.q_policy must be explicit or auto",
+        "expansion.theta must be positive",
+        "expansion.polymer_threshold must be a number, got 'x'",
+        "oracle.l_max must be >= 1",
+        "oracle.partitions must be a list of site lists",
+        "oracle.beta_list must be a nonempty list of positive numbers",
+        "output section must be an object",
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EVERY_PROBLEM))
+def test_validation_message_order_across_keys(kind):
+    command, config, want = _EVERY_PROBLEM[kind]
+    assert validate_config(config, command) == want
+
+
+# every key a config can carry, on a config that sets all of them
+_FULL = _edit(base_config(), {
+    "model.coupling": {"kind": "long_range", "g": 0.1, "alpha": 3.0, "d_c": 1,
+                       "matrix": [[0.0] * 4 for _ in range(4)]},
+    "expansion": {"m": 2, "q": 2, "q_policy": "explicit", "theta": 1.0,
+                  "q_prefactor": 2.0, "polymer_threshold": 0.0},
+    "oracle": {"q": 2, "dim_cap": 20000, "l_max": 2, "site": 1, "anchor": 0,
+               "family": "density", "partitions": [[0, 1]], "beta_list": [0.1]},
+    "output": {"format": "json", "path": "out.json"},
+})
+_PATHS = [
+    f"{section}.{key}" if key else section
+    for section, keys in [
+        ("model", ["", "periodic", "dims", "beta", "coupling", "U", "mu"]),
+        ("model.coupling", ["kind", "g", "alpha", "d_c", "matrix"]),
+        ("expansion", ["", "m", "q", "q_policy", "theta", "q_prefactor",
+                       "polymer_threshold"]),
+        ("oracle", ["", "q", "dim_cap", "l_max", "site", "anchor", "family",
+                    "partitions", "beta_list"]),
+        ("output", ["", "format", "path"]),
+    ]
+    for key in keys
+]
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_validation_reads_null_as_absent(path):
+    for command in ("approx", "exact", "compare", "clustering", "moments", "kp"):
+        null = validate_config(_edit(_FULL, {path: None}), command)
+        absent = validate_config(_edit(_FULL, {path: _DELETE}), command)
+        assert null == absent, (command, null, absent)
+
+
+def _stdout_run(capsys, tmp_path, command, config):
+    code = run([command, write_config(tmp_path, config)])
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("timing", None)
+    return code, doc
+
+
+# keys whose null once passed validation and then failed inside a command
+_NULL_RUNS = [
+    ("approx", {"expansion.polymer_threshold": None}),
+    ("exact", {"oracle.dim_cap": None}),
+    ("moments", {"oracle.l_max": None}),
+    ("exact", {"oracle.site": None}),
+    ("moments", {"oracle.site": None}),
+    ("clustering", {"oracle.anchor": None}),
+    ("moments", {"oracle.beta_list": None}),
+    ("exact", {"oracle.q": None, "expansion.m": None}),
+    ("clustering", {"oracle.family": None}),
+    ("approx", {"output.path": None}),
+]
+
+
+@pytest.mark.parametrize("command,changes", _NULL_RUNS,
+                         ids=[_case_id(*case) for case in _NULL_RUNS])
+def test_null_key_runs_as_if_absent(command, changes, tmp_path, capsys):
+    config = _edit(base_config(), {"model.dims": [3], "oracle.beta_list": [0.1, 0.2],
+                                   "oracle.anchor": 1, "oracle.family": "density"})
+    absent = _edit(config, {path: _DELETE for path in changes})
+    code, doc = _stdout_run(capsys, tmp_path, command, absent)
+    assert code == EXIT_OK
+    assert _stdout_run(capsys, tmp_path, command, _edit(config, changes)) == (code, doc)
+
+
 def test_build_model_per_site_arrays():
     config = base_config()
     config["model"]["U"] = [1.0, 2.0, 1.5, 1.0]
@@ -245,6 +516,16 @@ def test_oracle_cap_refuses_before_the_model_is_built(command, tmp_path, monkeyp
     assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["details"] == [f"required={4**3000}", "allowed=20000"]
+
+
+def test_oracle_cap_past_the_int_to_str_digit_limit(capsys):
+    # 4**8000 has 4817 digits, past Python's default int-to-str limit of 4300
+    config = pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json"
+    assert run(["exact", str(config), "--set", "model.dims=[8000]"]) == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "resource_cap"
+    assert error["details"] == ["required=3.0195e+4816", "allowed=20000"]
+    assert error["message"] == "truncated space dimension 3.0195e+4816 exceeds the cap 20000"
 
 
 def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, capsys):
@@ -553,6 +834,26 @@ def test_csv_rejected_for_approx(tmp_path, monkeypatch, capsys):
     assert error["details"] == [
         "output.format=csv is only supported for ['clustering', 'compare', 'kp', 'moments']"
     ]
+
+
+def test_output_path_must_be_a_string(tmp_path, capsys):
+    config = base_config(output={"path": 7})
+    assert validate_config(config, "approx") == ["output.path must be a string"]
+    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == ["output.path must be a string"]
+
+
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    config = base_config(output={"path": str(out)})
+    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "config_error"
+    assert error["details"] == [
+        f"output.path {str(out)!r} cannot be written: No such file or directory"
+    ]
+    assert not out.exists()
 
 
 def test_set_override(tmp_path):

@@ -162,8 +162,8 @@ def test_kp_lhs_decreases_with_beta():
     lhs = []
     for beta in (0.2, 0.1):
         model = make_chain(3, g=0.5, beta=beta, U=1.0, mu=0.0)
-        rows = kp_diagnostic(model, ExpansionConfig(m=3, q=2), probe_sites=[1])
-        lhs.append(rows[0].lhs)
+        rows = kp_diagnostic(model, ExpansionConfig(m=3, q=2))
+        lhs.append(rows[1].lhs)
     assert lhs[1] < lhs[0]
 
 
@@ -288,3 +288,10 @@ def test_polymer_threshold_knob():
     assert full.f_beta != cut.f_beta
     assert abs(full.f_beta - cut.f_beta) < 1e-4
 
+
+
+def test_config_without_m_only_resolves_the_cutoff():
+    cfg = ExpansionConfig(q_policy="auto")
+    assert resolve_cutoff(4, 0.1, cfg) == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
+    with pytest.raises(ValueError, match="truncation order m"):
+        approximate_log_partition(make_chain(2, g=0.1, beta=0.1), cfg)
