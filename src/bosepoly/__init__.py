@@ -16,6 +16,7 @@ from .lattice import (  # noqa: F401
     interaction_edges,
 )
 from .fock import (  # noqa: F401
+    DimensionCapError,
     EigensolverError,
     onsite_energy,
     restricted_log_partition,
@@ -28,10 +29,8 @@ from .expansion import (  # noqa: F401
     ExpansionReport,
     approximate_log_partition,
     kp_diagnostic,
-    onsite_log_partition,
 )
 from .oracle import (  # noqa: F401
-    DimensionCapError,
     MonomialOperator,
     ThermalState,
     clustering_scan,

@@ -16,18 +16,20 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .expansion import (
     ExpansionConfig,
+    KPDiagnosticRow,
     approximate_log_partition,
     kp_diagnostic,
     resolve_cutoff,
 )
-from .fock import EigensolverError, restricted_log_partition
+from .fock import DEFAULT_DIM_CAP, DimensionCapError, EigensolverError, check_dim_cap
+from .fock import printable_int, restricted_log_partition
 from .lattice import (
     CouplingError,
     ModelInstance,
@@ -37,14 +39,12 @@ from .lattice import (
     interaction_edges,
 )
 from .oracle import (
-    DEFAULT_DIM_CAP,
-    DimensionCapError,
+    ClusteringScanRow,
     _rescale_beta,
     clustering_scan,
     moments,
     mutual_information,
     occupation_distribution,
-    printable_int,
     thermalize,
 )
 from .polymers import PolymerCountError
@@ -116,11 +116,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value, name, problems, bad, requirement):
-    """Report a value that is not a number (bools are not), or one that
-    ``bad`` flags as failing ``requirement``."""
+def _number(value, name, problems, bad=None, requirement=None):
+    """Report a value that is not a finite number (bools are not), or one
+    that ``bad`` flags as failing ``requirement``."""
     if not _is_number(value):
         problems.append(f"{name} must be a number, got {value!r}")
+    elif not math.isfinite(value):
+        problems.append(f"{name} must be finite, got {value!r}")
     elif bad is not None and bad(float(value)):
         problems.append(f"{name} {requirement}")
 
@@ -192,8 +194,8 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
                 _number(entry, f"model.{name}[{k}]", problems, bad, "must be strictly positive")
         elif not _is_number(value):
             problems.append(f"model.{name} must be a number or per-site list")
-        elif bad is not None and bad(value):
-            problems.append(f"model.{name} must be strictly positive")
+        else:
+            _number(value, f"model.{name}", problems, bad, "must be strictly positive")
 
     _section(config, "expansion", problems)
     m = _get(config, "expansion.m")
@@ -254,6 +256,9 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
             not _is_number(b) or b <= 0 for b in beta_list
         ):
             problems.append("oracle.beta_list must be a nonempty list of positive numbers")
+        else:
+            for k, b in enumerate(beta_list):
+                _number(b, f"oracle.beta_list[{k}]", problems)
 
     _section(config, "output", problems)
     fmt = _get(config, "output.format")
@@ -321,8 +326,7 @@ def _oracle_model(config: dict, qs=None):
     qs = qs or [_get(config, "oracle.q") or _cutoff(config, build_expansion_config(config))]
     dim_cap = _get(config, "oracle.dim_cap", DEFAULT_DIM_CAP)
     for q in qs:
-        if (q + 1) ** n_sites > dim_cap:
-            raise DimensionCapError((q + 1) ** n_sites, dim_cap)
+        check_dim_cap(q, n_sites, dim_cap)
     return qs, dim_cap, build_model(config)
 
 
@@ -331,10 +335,9 @@ def _oracle_model(config: dict, qs=None):
 
 
 def cmd_approx(config: dict):
-    model = build_model(config)
-    cfg = build_expansion_config(config)
-    report = approximate_log_partition(model, cfg)
-    return report.to_dict(), None, {"elapsed_seconds": report.elapsed}
+    start = time.perf_counter()
+    report = approximate_log_partition(build_model(config), build_expansion_config(config))
+    return asdict(report), None, {"elapsed_seconds": time.perf_counter() - start}
 
 
 def cmd_exact(config: dict):
@@ -413,27 +416,9 @@ def cmd_clustering(config: dict):
     scan = clustering_scan(
         state, _get(config, "oracle.family", "hopping"), _get(config, "oracle.anchor", 0)
     )
-    rows = [
-        {
-            "site_a": r.site_a,
-            "site_b": r.site_b,
-            "distance": r.distance,
-            "value": r.value,
-            "phi_ref": r.phi_ref,
-            "bound_ref": r.bound_ref,
-            "ratio": r.ratio,
-        }
-        for r in scan.rows
-    ]
-    columns = ["site_a", "site_b", "distance", "value", "phi_ref", "bound_ref", "ratio"]
-    result = {
-        "family": scan.family,
-        "anchor": scan.anchor,
-        "fitted_exponent": scan.fitted_exponent,
-        "rows": rows,
-        "columns": columns,
-    }
-    return result, (columns, rows), {"elapsed_seconds": time.perf_counter() - start}
+    columns = [f.name for f in fields(ClusteringScanRow)]
+    result = dict(asdict(scan), columns=columns)
+    return result, (columns, result["rows"]), {"elapsed_seconds": time.perf_counter() - start}
 
 
 def cmd_moments(config: dict):
@@ -463,18 +448,14 @@ def cmd_kp(config: dict):
     model = build_model(config)
     cfg = build_expansion_config(config)
     q = resolve_cutoff(model.n_sites, model.beta, cfg)
-    rows_dc = kp_diagnostic(model, cfg, q=q)
-    rows = [
-        {"site": r.site, "lhs": r.lhs, "rhs": r.rhs, "certified": r.certified}
-        for r in rows_dc
-    ]
-    columns = ["site", "lhs", "rhs", "certified"]
+    rows = [asdict(r) for r in kp_diagnostic(model, cfg, q=q)]
+    columns = [f.name for f in fields(KPDiagnosticRow)]
     result = {
         "rows": rows,
         "columns": columns,
         "m": cfg.m,
         "q": q,
-        "certified": all(r.certified for r in rows_dc),
+        "certified": all(r["certified"] for r in rows),
         "note": "lhs is a size-truncated lower bound; it can refute convergence, not certify it",
     }
     return result, (columns, rows), {"elapsed_seconds": time.perf_counter() - start}

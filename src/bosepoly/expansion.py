@@ -33,12 +33,10 @@ the certificate holds, and is labeled conditional in every report.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .fock import onsite_log_trace
+from .fock import check_dim_cap, onsite_log_trace
 from .lattice import ModelInstance, interaction_edges
-from .oracle import DEFAULT_DIM_CAP, DimensionCapError
 from .polymers import Polymer, enumerate_polymers
 from .weights import weight_table
 
@@ -46,7 +44,6 @@ __all__ = [
     "ExpansionConfig",
     "ExpansionReport",
     "KPDiagnosticRow",
-    "onsite_log_partition",
     "resolve_cutoff",
     "kp_diagnostic",
     "approximate_log_partition",
@@ -82,9 +79,9 @@ class ExpansionConfig:
         if self.q_policy == "explicit":
             if self.q is None or self.q < 1:
                 raise ValueError("explicit q_policy requires q >= 1")
-        elif self.theta <= 0 or self.q_prefactor <= 0:
-            raise ValueError("auto q_policy requires theta > 0 and q_prefactor > 0")
-        if self.polymer_threshold < 0:
+        elif not (0 < self.theta < math.inf and 0 < self.q_prefactor < math.inf):
+            raise ValueError("auto q_policy requires finite theta > 0 and q_prefactor > 0")
+        if not self.polymer_threshold >= 0:
             raise ValueError("polymer_threshold must be nonnegative")
 
 
@@ -94,11 +91,6 @@ def resolve_cutoff(n_sites: int, beta: float, cfg: ExpansionConfig) -> int:
         return int(cfg.q)
     raw = cfg.q_prefactor * (cfg.theta + 1.0) * math.log(max(n_sites, 2)) / math.sqrt(beta)
     return max(1, math.ceil(raw))
-
-
-def onsite_log_partition(model: ModelInstance, q: int) -> float:
-    """log Z_W^(q): all hopping off, product over sites."""
-    return onsite_log_trace(model, range(model.n_sites), q, model.beta)
 
 
 @dataclass(frozen=True)
@@ -111,15 +103,13 @@ def _build_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
     """Weight table of every polymer of size <= m, in canonical order.
 
     Refuses, before any solve, a polymer support whose truncated space
-    (q+1)^|V| exceeds the oracle's dimension cap.
+    (q+1)^|V| exceeds the default dimension cap.
     """
     if cfg.m is None:
         raise ValueError("the expansion needs a truncation order m")
     edges = interaction_edges(model.couplings, cfg.polymer_threshold)
     polymers = enumerate_polymers(edges, cfg.m)
-    largest = max((len(p.support) for p in polymers), default=0)
-    if (q + 1) ** largest > DEFAULT_DIM_CAP:
-        raise DimensionCapError((q + 1) ** largest, DEFAULT_DIM_CAP)
+    check_dim_cap(q, max((len(p.support) for p in polymers), default=0))
     return weight_table(polymers, model, q)
 
 
@@ -156,10 +146,7 @@ class KPDiagnosticRow:
     site: int
     lhs: float
     rhs: float
-
-    @property
-    def certified(self) -> bool:
-        return self.lhs < self.rhs
+    certified: bool
 
 
 def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig, q: int | None = None,
@@ -182,12 +169,13 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig, q: int | None = No
         term = abs(res.value) * math.exp(len(support) / 2.0 + polymer.size)
         for site in support:
             terms[site].append(term)
-    return [KPDiagnosticRow(site, math.fsum(t), KP_RHS) for site, t in enumerate(terms)]
+    lhs = [math.fsum(t) for t in terms]
+    return [KPDiagnosticRow(site, x, KP_RHS, x < KP_RHS) for site, x in enumerate(lhs)]
 
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Primary output record of the approximation run."""
+    """Primary output record of the approximation run, serialized by ``asdict``."""
 
     f_beta: float
     log_z_w: float
@@ -199,29 +187,7 @@ class ExpansionReport:
     m: int
     q: int
     m_error_bound: float
-    elapsed: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "f_beta": self.f_beta,
-            "log_z_w": self.log_z_w,
-            "t_m": self.t_m,
-            "per_order": [
-                {"order": oc.order, "contribution": oc.contribution}
-                for oc in self.per_order
-            ],
-            "kp_margin": [
-                {"site": r.site, "lhs": r.lhs, "rhs": r.rhs, "certified": r.certified}
-                for r in self.kp_margin
-            ],
-            "kp_certified": self.kp_certified,
-            "polymer_count": self.polymer_count,
-            "m": self.m,
-            "q": self.q,
-            "m_error_bound": self.m_error_bound,
-            "notes": list(self.notes),
-        }
+    notes: tuple[str, ...]
 
 
 def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> ExpansionReport:
@@ -233,7 +199,6 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     per_order rows of a run at m are the first m rows of any run at a
     larger m.
     """
-    start = time.perf_counter()
     q = resolve_cutoff(model.n_sites, model.beta, cfg)
 
     weights = _build_weights(model, cfg, q)
@@ -243,7 +208,7 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
         t_m += contribution
         per_order.append(OrderContribution(order, contribution))
 
-    log_z_w = onsite_log_partition(model, q)
+    log_z_w = onsite_log_trace(model, range(model.n_sites), q, model.beta)
     kp_rows = kp_diagnostic(model, cfg, q=q, weights=weights)
     certified = all(r.certified for r in kp_rows)
 
@@ -266,6 +231,5 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
         m=cfg.m,
         q=q,
         m_error_bound=model.n_sites * math.exp(-cfg.m),
-        elapsed=time.perf_counter() - start,
         notes=tuple(notes),
     )

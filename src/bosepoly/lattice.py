@@ -97,9 +97,6 @@ class CouplingMatrix:
     def n_sites(self) -> int:
         return self.entries.shape[0]
 
-    def coupling(self, i: int, j: int) -> float:
-        return float(self.entries[i, j])
-
 
 @dataclass(frozen=True)
 class OnsiteParams:
@@ -133,6 +130,8 @@ def _validate_square(matrix: np.ndarray, n: int) -> np.ndarray:
         raise CouplingError("complex couplings are not supported")
     if m.shape != (n, n):
         raise CouplingError(f"coupling matrix must be {n}x{n}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise CouplingError("coupling matrix entries must be finite")
     # the first problem in row-major order; a row's diagonal comes first
     bad = np.argwhere(np.triu(m != m.T, 1) | np.diag(np.diag(m) != 0.0))
     if bad.size:
@@ -160,19 +159,17 @@ def build_couplings(
     """
     if kind in ("long_range", "finite_range"):
         dist = distance_matrix(lattice)
+        if g is None or not 0 < g < math.inf:
+            raise CouplingError(f"{kind} requires a finite hopping strength g > 0")
     if kind == "long_range":
-        if g is None or g <= 0:
-            raise CouplingError("long_range requires hopping strength g > 0")
-        if alpha is None or alpha <= lattice.n_dims:
+        if alpha is None or not lattice.n_dims < alpha < math.inf:
             raise CouplingError(
-                f"long_range requires decay exponent alpha > D = {lattice.n_dims}"
+                f"long_range requires a finite decay exponent alpha > D = {lattice.n_dims}"
             )
         envelope = g / (1.0 + dist) ** alpha
         np.fill_diagonal(envelope, 0.0)
         params = {"g": float(g), "alpha": float(alpha)}
     elif kind == "finite_range":
-        if g is None or g <= 0:
-            raise CouplingError("finite_range requires hopping strength g > 0")
         if d_c is None or int(d_c) < 1:
             raise CouplingError("finite_range requires integer cutoff d_c >= 1")
         envelope = np.where((dist > 0) & (dist <= int(d_c)), float(g), 0.0)
@@ -209,7 +206,7 @@ def interaction_edges(couplings: CouplingMatrix, threshold: float = 0.0) -> tupl
     nonzero coupling); it is never applied implicitly elsewhere.  Pairs
     come in row-major order.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     rows, cols = np.nonzero(np.triu(np.abs(couplings.entries) > threshold, 1))
     return tuple(zip(rows.tolist(), cols.tolist()))
@@ -238,4 +235,4 @@ class ModelInstance:
         return self.lattice.n_sites
 
     def coupling(self, i: int, j: int) -> float:
-        return self.couplings.coupling(i, j)
+        return float(self.couplings.entries[i, j])

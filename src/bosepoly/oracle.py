@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fock import DEFAULT_DIM_CAP, DimensionCapError, check_dim_cap
 from .fock import RegionHamiltonian, SectorBlock, logsumexp, occupation_codes, sector_blocks
 from .lattice import ModelInstance, distance_matrix, interaction_edges
 
@@ -39,28 +40,7 @@ __all__ = [
     "mutual_information",
 ]
 
-DEFAULT_DIM_CAP = 20000
 CORRELATION_NOISE_FLOOR = 1e-13
-
-
-def printable_int(n: int) -> str:
-    """n in decimal, or as d.dddde+X past Python's int-to-str digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        exponent = math.log10(n)
-        return f"{10 ** (exponent % 1):.4f}e+{math.floor(exponent)}"
-
-
-class DimensionCapError(RuntimeError):
-    """The requested truncated space exceeds the configured dimension cap."""
-
-    def __init__(self, required: int, allowed: int):
-        super().__init__(
-            f"truncated space dimension {printable_int(required)} exceeds the cap {allowed}"
-        )
-        self.required = required
-        self.allowed = allowed
 
 
 @dataclass(frozen=True)
@@ -172,12 +152,9 @@ def thermalize(model: ModelInstance, q: int, beta: float | None = None,
     """
     if beta is None:
         beta = model.beta
-    n = model.n_sites
-    total_dim = (q + 1) ** n
-    if total_dim > dim_cap:
-        raise DimensionCapError(total_dim, dim_cap)
+    check_dim_cap(q, model.n_sites, dim_cap)
 
-    H = RegionHamiltonian(model, range(n), interaction_edges(model.couplings, 0.0), q)
+    H = RegionHamiltonian(model, range(model.n_sites), interaction_edges(model.couplings, 0.0), q)
     blocks = H.blocks
     eigenvalues = [None] * len(blocks)
     amplitudes = [None] * len(blocks)

@@ -820,6 +820,95 @@ def test_csv_output_round_trips(tmp_path):
         assert repr(float(cells[1])) == cells[1]
 
 
+# the result keys and the columns of each tabular command, as emitted
+_TABLE_SHAPES = {
+    "compare": ({"rows", "columns"},
+                ["m", "q", "f_beta", "oracle_log_z_q", "abs_error", "m_error_bound"]),
+    "clustering": ({"family", "anchor", "fitted_exponent", "rows", "columns"},
+                   ["site_a", "site_b", "distance", "value", "phi_ref", "bound_ref", "ratio"]),
+    "moments": ({"rows", "columns", "q"}, ["beta", "site", "l", "value"]),
+    "kp": ({"rows", "columns", "m", "q", "certified", "note"},
+           ["site", "lhs", "rhs", "certified"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_SHAPES))
+def test_tabular_output_shape(command, tmp_path):
+    keys, columns = _TABLE_SHAPES[command]
+    config = base_config()
+    code, text = run_to_file(tmp_path, command, config)
+    assert code == EXIT_OK
+    result = json.loads(text)["result"]
+    assert set(result) == keys
+    assert result["columns"] == columns
+    assert result["rows"] and all(set(row) == set(columns) for row in result["rows"])
+
+    config["output"]["format"] = "csv"
+    code, text = run_to_file(tmp_path, command, config)
+    assert code == EXIT_OK
+    assert text.splitlines()[:2] == ["# bosepoly-schema: 2", ",".join(columns)]
+
+
+def test_single_site_clustering_csv_is_header_only(tmp_path):
+    config = base_config()
+    config["model"]["dims"] = [1]
+    config["output"]["format"] = "csv"
+    code, text = run_to_file(tmp_path, "clustering", config)
+    assert code == EXIT_OK
+    assert text == "# bosepoly-schema: 2\nsite_a,site_b,distance,value,phi_ref,bound_ref,ratio\n"
+
+
+def test_exact_and_approx_result_keys(tmp_path):
+    config = base_config()
+    config["oracle"]["partitions"] = [[0, 1]]
+    code, text = run_to_file(tmp_path, "exact", config)
+    assert code == EXIT_OK
+    assert set(json.loads(text)["result"]) == {
+        "log_z", "q", "n_sites", "moments", "occupation_distribution", "mutual_information",
+    }
+    code, text = run_to_file(tmp_path, "approx", config)
+    assert code == EXIT_OK
+    result = json.loads(text)["result"]
+    assert set(result) == {
+        "f_beta", "log_z_w", "t_m", "per_order", "kp_margin", "kp_certified",
+        "polymer_count", "m", "q", "m_error_bound", "notes",
+    }
+    assert [set(row) for row in result["per_order"]] == [{"order", "contribution"}] * 4
+    assert [set(row) for row in result["kp_margin"]] == [{"site", "lhs", "rhs", "certified"}] * 4
+
+
+# every numeric config key, with a command that reads it and the problem's prefix
+_NUMERIC_KEYS = [
+    ("approx", "model.beta", "model.beta"),
+    ("approx", "model.coupling.g", "model.coupling.g"),
+    ("approx", "model.coupling.alpha", "model.coupling.alpha"),
+    ("approx", "model.U", "model.U"),
+    ("approx", "model.mu", "model.mu"),
+    ("approx", "model.U=[1,1,1,{}]", "model.U[3]"),
+    ("approx", "model.mu=[0,0,0,{}]", "model.mu[3]"),
+    ("approx", "expansion.theta", "expansion.theta"),
+    ("approx", "expansion.q_prefactor", "expansion.q_prefactor"),
+    ("approx", "expansion.polymer_threshold", "expansion.polymer_threshold"),
+    ("moments", "oracle.beta_list=[{}]", "oracle.beta_list"),
+    ("moments", "oracle.beta_list=[0.1,{}]", "oracle.beta_list"),
+]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command,setting,name", _NUMERIC_KEYS,
+                         ids=[case[1] for case in _NUMERIC_KEYS])
+def test_non_finite_number_is_a_config_error(command, setting, name, value, tmp_path, capsys):
+    config = _edit(base_config(), {"model.coupling": _LONG_RANGE,
+                                   "expansion.q_policy": "auto", "expansion.q": _DELETE})
+    override = setting.format(value) if "=" in setting else f"{setting}={value}"
+    code = run([command, write_config(tmp_path, config), "--set", override])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_CONFIG, "")
+    error = json.loads(out)["error"]
+    assert error["code"] == "config_error"
+    assert any(detail.startswith(name) for detail in error["details"]), error["details"]
+
+
 def test_csv_rejected_for_approx(tmp_path, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("an eigensolve ran")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from bosepoly.expansion import (
     ExpansionConfig,
     approximate_log_partition,
     kp_diagnostic,
-    onsite_log_partition,
     resolve_cutoff,
 )
-from bosepoly.fock import onsite_energy, restricted_log_partition
+from bosepoly.fock import onsite_energy, onsite_log_trace, restricted_log_partition
 from bosepoly.lattice import interaction_edges
 from bosepoly.polymers import Polymer, enumerate_polymers
 from bosepoly.weights import weight_table
@@ -26,18 +26,20 @@ def weight(polymer, model, q):
 
 def test_onsite_log_partition_single_site():
     model = make_chain(1, g=0.1, beta=1.0, U=1.0, mu=0.0)
-    assert onsite_log_partition(model, 1) == pytest.approx(math.log(2))
+    assert onsite_log_trace(model, range(1), 1, model.beta) == pytest.approx(math.log(2))
 
 
 def test_onsite_log_partition_product_structure():
     model = make_chain(5, g=0.1, beta=1.0, U=1.0, mu=0.0)
-    assert onsite_log_partition(model, 1) == pytest.approx(5 * math.log(2))
+    assert onsite_log_trace(model, range(5), 1, model.beta) == pytest.approx(5 * math.log(2))
 
 
 def test_onsite_log_partition_three_levels():
     model = make_chain(1, g=0.1, beta=1.0, U=1.0, mu=0.5)
     # W(0)=0, W(1)=-1/2, W(2)=0
-    assert onsite_log_partition(model, 2) == pytest.approx(math.log(2 + math.exp(0.5)))
+    assert onsite_log_trace(model, range(1), 2, model.beta) == pytest.approx(
+        math.log(2 + math.exp(0.5))
+    )
 
 
 def test_zero_couplings_give_zero_ratio():
@@ -148,7 +150,7 @@ def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
 def test_determinism_across_runs():
     model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
     reports = [approximate_log_partition(model, ExpansionConfig(m=4, q=3)) for _ in range(3)]
-    dicts = [r.to_dict() for r in reports]
+    dicts = [asdict(r) for r in reports]
     assert dicts[0] == dicts[1] == dicts[2]
 
 
@@ -192,6 +194,18 @@ def test_config_validation():
         ExpansionConfig(m=2, q=None, q_policy="explicit")
     with pytest.raises(ValueError):
         ExpansionConfig(m=2, q=1, q_policy="bogus")
+
+
+@pytest.mark.parametrize("knobs", [
+    {"polymer_threshold": math.nan},
+    {"q_policy": "auto", "theta": math.nan},
+    {"q_policy": "auto", "theta": math.inf},
+    {"q_policy": "auto", "q_prefactor": math.nan},
+    {"q_policy": "auto", "q_prefactor": math.inf},
+])
+def test_config_refuses_non_finite_knobs(knobs):
+    with pytest.raises(ValueError):
+        ExpansionConfig(**dict({"m": 2, "q": 2}, **knobs))
 
 
 def test_single_edge_rows_are_the_log1p_series_to_order_eleven():

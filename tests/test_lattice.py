@@ -170,6 +170,34 @@ def test_long_range_alpha_must_exceed_dimension():
         build_couplings(lat, "long_range", g=1.0, alpha=2.0)
 
 
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("kind,params", [
+    ("long_range", {"g": 1.0, "alpha": 3.0}),
+    ("finite_range", {"g": 1.0, "d_c": 1}),
+])
+def test_non_finite_coupling_parameters_are_refused(kind, params, value):
+    lat = build_lattice([3])
+    for name in ("g", "alpha") if kind == "long_range" else ("g",):
+        with pytest.raises(CouplingError, match=f"finite .* {name} >"):
+            build_couplings(lat, kind, **dict(params, **{name: value}))
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_non_finite_matrix_entry_is_refused(value):
+    matrix = np.array([[0.0, value], [value, 0.0]])
+    with pytest.raises(CouplingError, match="must be finite"):
+        build_couplings(build_lattice([2]), "explicit", matrix=matrix)
+
+
+def test_nan_threshold_is_refused():
+    coup = build_couplings(build_lattice([3]), "long_range", g=1.0, alpha=2.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        interaction_edges(coup, float("nan"))
+
+
 def test_interaction_edges():
     lat = build_lattice([3])
     zero = build_couplings(lat, "explicit", matrix=np.zeros((3, 3)))
