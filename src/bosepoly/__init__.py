@@ -22,8 +22,8 @@ from .fock import (  # noqa: F401
     restricted_log_partition,
     sector_blocks,
 )
-from .polymers import Polymer, PolymerCountError, enumerate_polymers  # noqa: F401
-from .weights import WeightResult, weight_table  # noqa: F401
+from .polymers import OrderCapError, Polymer, PolymerCountError, enumerate_polymers  # noqa: F401
+from .weights import weight_table  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,
     ExpansionReport,

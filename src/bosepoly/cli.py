@@ -47,7 +47,7 @@ from .oracle import (
     occupation_distribution,
     thermalize,
 )
-from .polymers import PolymerCountError
+from .polymers import OrderCapError, PolymerCountError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,7 +121,7 @@ def _number(value, name, problems, bad=None, requirement=None):
     that ``bad`` flags as failing ``requirement``."""
     if not _is_number(value):
         problems.append(f"{name} must be a number, got {value!r}")
-    elif not math.isfinite(value):
+    elif not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past a float
         problems.append(f"{name} must be finite, got {value!r}")
     elif bad is not None and bad(float(value)):
         problems.append(f"{name} {requirement}")
@@ -285,8 +285,10 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
 def build_model(config: dict) -> ModelInstance:
     lattice = build_lattice(_get(config, "model.dims"), _get(config, "model.periodic", False))
     matrix = _get(config, "model.coupling.matrix")
-    if matrix is not None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+    try:
+        matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
+    except OverflowError:
+        raise CouplingError("coupling matrix entries must be finite") from None
     couplings = build_couplings(
         lattice,
         _get(config, "model.coupling.kind"),
@@ -564,7 +566,7 @@ def run(argv=None) -> int:
     except (CouplingError, ValueError) as exc:
         _emit_error("config_error", str(exc), [str(exc)])
         return EXIT_CONFIG
-    except (DimensionCapError, PolymerCountError) as exc:
+    except (DimensionCapError, OrderCapError, PolymerCountError) as exc:
         _emit_error(
             "resource_cap", str(exc),
             [f"required={printable_int(exc.required)}", f"allowed={exc.allowed}"],

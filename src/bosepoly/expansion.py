@@ -17,7 +17,7 @@ of [z^k] c_S over |S| <= k, is the sum over all clusters of total size k,
 so the decay of the series is visible directly.  This is the numerical
 linked-cluster expansion of Rigol, Bryant and Singh (PRL 97, 187202, 2006)
 run on the polymer gas; it needs no cluster enumeration and no Ursell
-functions.  Xi_K and c_S read their subsets from ``Polymer.subsets``.
+functions.  Xi_K and c_S read their subsets from ``subset_components``.
 
 The Kotecky-Preiss diagnostic reports, per site x, the truncated sum
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .fock import check_dim_cap, onsite_log_trace
 from .lattice import ModelInstance, interaction_edges
-from .polymers import Polymer, enumerate_polymers
+from .polymers import enumerate_polymers, subset_components
 from .weights import weight_table
 
 __all__ = [
@@ -113,11 +113,11 @@ def _build_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
     return weight_table(polymers, model, q)
 
 
-def _log_series(polymer: Polymer, weights: dict, m: int) -> list[float]:
+def _log_series(edges: tuple, weights: dict, m: int) -> list[float]:
     """Coefficients of z^0..z^m of L_K = log Xi_K(z) for an edge set |K| <= m."""
     terms: list[list[float]] = [[] for _ in range(m + 1)]
-    for size, ks in polymer.subsets:
-        terms[size].append(math.prod(weights[k].value for k in ks))
+    for size, ks in subset_components(edges):
+        terms[size].append(math.prod(weights[k] for k in ks))
     xi = [math.fsum(t) for t in terms]
     log = [0.0] * (m + 1)
     for k in range(1, m + 1):
@@ -130,13 +130,13 @@ def _linked_cluster_orders(weights: dict, m: int) -> list[float]:
     """Order-k contributions of T_m for k = 1..m: the fsum of [z^k] c_S
     over the polymers S of the table with |S| <= k.  Every component of a
     subset of a table polymer is itself a table polymer."""
-    series = {polymer: _log_series(polymer, weights, m) for polymer in weights}
+    series = {edges: _log_series(edges, weights, m) for edges in weights}
     terms: list[list[float]] = [[] for _ in range(m + 1)]
-    for polymer in weights:
-        for size, ks in polymer.subsets[1:]:
-            sign = (-1.0) ** (polymer.size - size)
+    for edges in weights:
+        for size, ks in subset_components(edges):
+            sign = (-1.0) ** (len(edges) - size)
             for k in ks:
-                for order in range(polymer.size, m + 1):
+                for order in range(len(edges), m + 1):
                     terms[order].append(sign * series[k][order])
     return [math.fsum(terms[order]) for order in range(1, m + 1)]
 
@@ -164,9 +164,9 @@ def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig, q: int | None = No
 
     # one pass over the polymers; each site's terms keep the polymer order
     terms = [[] for _ in range(model.n_sites)]
-    for polymer, res in weights.items():
-        support = polymer.support
-        term = abs(res.value) * math.exp(len(support) / 2.0 + polymer.size)
+    for edges, weight in weights.items():
+        support = {s for e in edges for s in e}
+        term = abs(weight) * math.exp(len(support) / 2.0 + len(edges))
         for site in support:
             terms[site].append(term)
     lhs = [math.fsum(t) for t in terms]

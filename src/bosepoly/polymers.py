@@ -7,9 +7,11 @@ splits into site-connected components, each of them a polymer.
 
 Enumeration is exact-once and deterministic: connected subsets are grown
 from their minimal element with include/exclude branching, then emitted in
-canonical (size-then-lexicographic) order, at most ``MAX_POLYMERS``.
-``Polymer.subsets`` splits every edge subset into components once; the
-weights and the expansion's sums all read that one decomposition.
+canonical (size-then-lexicographic) order, at most ``MAX_POLYMERS`` of at
+most ``MAX_ORDER`` edges.  ``subset_components`` splits each edge subset of
+a polymer into components, which depend only on the polymer's line graph
+(which of its sorted edges share a site).  So the split runs once per line
+graph, on bitmasks over its edges, for every polymer of that shape.
 """
 
 from __future__ import annotations
@@ -17,21 +19,26 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import combinations
 
 __all__ = [
+    "MAX_ORDER",
     "MAX_POLYMERS",
+    "OrderCapError",
     "Polymer",
     "PolymerCountError",
-    "components",
     "enumerate_polymers",
-    "site_components",
+    "subset_components",
 ]
 
 # Above every count reached so far: 2,193 polymers on a 6x6 square at m=4
 # and 31,480 on a 16-site all-pairs chain at m=3.
 MAX_POLYMERS = 50_000
+
+# Above every truncation order run so far (11).  A polymer of 16 edges has
+# 65,536 edge subsets, and the expansion's log series is quadratic in m.
+MAX_ORDER = 16
 
 
 class PolymerCountError(RuntimeError):
@@ -42,18 +49,59 @@ class PolymerCountError(RuntimeError):
         self.required, self.allowed = required, MAX_POLYMERS
 
 
-def site_components(site_sets) -> list[list[int]]:
-    """Indices of the given site sets, grouped into the connected components
-    of their overlap graph (two sets are adjacent when they share a site)."""
-    groups: list[tuple[set, list]] = []
-    for index, sites in enumerate(site_sets):
-        merged, members = set(sites), [index]
-        for group in [g for g in groups if not g[0].isdisjoint(merged)]:
-            groups.remove(group)
-            merged |= group[0]
-            members += group[1]
-        groups.append((merged, members))
-    return [members for _sites, members in groups]
+class OrderCapError(RuntimeError):
+    """Polymers of more than ``MAX_ORDER`` edges were asked for."""
+
+    def __init__(self, required: int):
+        super().__init__(f"truncation order {required} exceeds the cap {MAX_ORDER}")
+        self.required, self.allowed = required, MAX_ORDER
+
+
+def _line_graph(edges) -> tuple[int, ...]:
+    """Bit j of entry k is set when edges k != j share a site."""
+    return tuple(sum(1 << j for j, f in enumerate(edges) if j != k and (a in f or b in f))
+                 for k, (a, b) in enumerate(edges))
+
+
+def _split(line_graph, mask: int) -> tuple[int, ...]:
+    """Components of the edge subset ``mask`` as bitmasks, by size, then by
+    lowest edge: they are found lowest edge first, and sorted stably."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = line_graph[low.bit_length() - 1] & mask & ~part
+            part |= grown
+            frontier |= grown
+        parts.append(part)
+        mask &= ~part
+    return tuple(sorted(parts, key=int.bit_count))
+
+
+@lru_cache(maxsize=None)
+def _decomposition(line_graph: tuple[int, ...]) -> tuple:
+    """``(parts, subsets)`` of every polymer with this line graph: each
+    distinct component once, as its edge positions, and ``(size, part
+    indices)`` of every edge subset.  Held for the life of the process, one
+    entry per distinct line graph."""
+    n, index, subsets = len(line_graph), {}, []
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            parts = _split(line_graph, sum(1 << j for j in subset))
+            subsets.append((size, tuple(index.setdefault(part, len(index)) for part in parts)))
+    return tuple(tuple(j for j in range(n) if part >> j & 1) for part in index), tuple(subsets)
+
+
+def subset_components(edges):
+    """``(size, components)`` of every subset of a polymer's sorted edges, by
+    ascending size and each size in ``combinations`` order.  Components are
+    sorted edge tuples, in ``Polymer.key`` order (size, then lowest edge)."""
+    parts, subsets = _decomposition(_line_graph(edges))
+    named = [tuple(edges[j] for j in part) for part in parts]
+    for size, ids in subsets:
+        yield size, tuple([named[i] for i in ids])
 
 
 @dataclass(frozen=True)
@@ -66,7 +114,7 @@ class Polymer:
         edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         if len(set(edges)) != len(edges):
             raise ValueError("polymer edges must be distinct")
-        if len(site_components(edges)) != 1:
+        if len(_split(_line_graph(edges), (1 << len(edges)) - 1)) != 1:
             raise ValueError(f"edge set {edges} is not connected")
         object.__setattr__(self, "edges", edges)
 
@@ -82,21 +130,6 @@ class Polymer:
     def key(self):
         """Canonical sort key: size first, then the sorted edge tuple."""
         return (len(self.edges), self.edges)
-
-    @cached_property
-    def subsets(self) -> tuple[tuple[int, tuple[Polymer, ...]], ...]:
-        """``(size, components(subset))`` of every edge subset, by ascending
-        size and each size in ``combinations`` order; computed once."""
-        return tuple((size, components(subset)) for size in range(self.size + 1)
-                     for subset in combinations(self.edges, size))
-
-
-def components(edges) -> tuple[Polymer, ...]:
-    """Site-connected components of an edge tuple, in canonical order."""
-    return tuple(sorted(
-        (Polymer(tuple(edges[k] for k in group)) for group in site_components(edges)),
-        key=lambda p: p.key,
-    ))
 
 
 def _connected_subsets(n: int, adjacency, max_size: int):
@@ -135,6 +168,8 @@ def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
     """All connected edge-sets of size <= max_size, in canonical order."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    if max_size > MAX_ORDER:
+        raise OrderCapError(max_size)
     edges = sorted(set(tuple(sorted(e)) for e in edge_alphabet))
     if any(e[0] == e[1] for e in edges):
         raise ValueError("self-loop edges are not allowed")

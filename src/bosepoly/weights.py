@@ -14,42 +14,33 @@ do not interact, so
 
 Each component K is itself a connected edge set, i.e. a smaller polymer,
 and log g(K) takes one set of number-sector solves on its own support V_K.
-``weight_table`` solves every component of ``Polymer.subsets`` once, then
-runs each polymer's near-cancelling alternating sum in that subset order
-with compensated accumulation.  A weight is therefore a pure function of
-its polymer: no bit depends on the rest of the table.
+``weight_table`` solves each component that ``subset_components`` yields
+once, and runs each polymer's near-cancelling alternating sum in that
+subset order with compensated accumulation.  A weight is a plain float and
+a pure function of its polymer: no bit depends on the rest of the table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import EigensolverError, onsite_log_trace, restricted_log_partition, sector_blocks
+from .fock import EigensolverError, onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance
-from .polymers import Polymer
+from .polymers import subset_components
 
-__all__ = ["WeightResult", "weight_table"]
-
-
-@dataclass(frozen=True)
-class WeightResult:
-    """A polymer weight with its work counters: ``terms`` = 2^|gamma| edge
-    subsets and ``max_block_dim`` = largest number sector of its support
-    (read by the benchmark trace in ``perfbench/spans.py``)."""
-
-    value: float
-    terms: int
-    max_block_dim: int
+__all__ = ["weight_table"]
 
 
-def _log_g(model: ModelInstance, component: Polymer, q: int) -> float:
+def _log_g(model: ModelInstance, edges: tuple, q: int) -> float:
     """log g(K) on the component's own support: hopping trace minus free trace."""
-    region = tuple(sorted(component.support))
-    return (restricted_log_partition(model, region, component.edges, q)
-            - onsite_log_trace(model, region, q, model.beta))
+    region = tuple(sorted({s for e in edges for s in e}))
+    try:
+        return (restricted_log_partition(model, region, edges, q)
+                - onsite_log_trace(model, region, q, model.beta))
+    except (EigensolverError, FloatingPointError) as exc:
+        raise EigensolverError(f"weight evaluation failed for polymer {edges}: {exc}") from exc
 
 
 def _neumaier_sum(values) -> float:
@@ -67,11 +58,11 @@ def _neumaier_sum(values) -> float:
 
 def weight_table(polymers, model: ModelInstance, q: int) -> dict:
     """Weights for a list of distinct polymers at ``model.beta``, keyed by
-    polymer.
+    each polymer's edge tuple.
 
-    Every connected component of every edge subset is solved once.  A
-    failing solve aborts the whole table with the identity of the
-    component attached.
+    Every connected component of every edge subset is solved once, when
+    first met.  A failing solve aborts the whole table with the identity of
+    the component attached.
     """
     polymers = list(polymers)
     if len(set(polymers)) != len(polymers):
@@ -79,25 +70,14 @@ def weight_table(polymers, model: ModelInstance, q: int) -> dict:
     if q < 1:
         raise ValueError("cutoff q must be >= 1")
 
-    needed = sorted({k for p in polymers for _size, ks in p.subsets for k in ks},
-                    key=lambda p: p.key)
-
-    solved = {}
-    for component in needed:
-        try:
-            solved[component] = _log_g(model, component, q)
-        except (EigensolverError, FloatingPointError) as exc:
-            raise EigensolverError(
-                f"weight evaluation failed for polymer {component.edges}: {exc}"
-            ) from exc
-
+    solved: dict = {}
     table = {}
     for polymer in polymers:
-        terms = [(-1.0) ** size * np.exp(math.fsum(solved[k] for k in ks))
-                 for size, ks in polymer.subsets]
-        table[polymer] = WeightResult(
-            value=float((-1.0) ** polymer.size * _neumaier_sum(terms)),
-            terms=len(terms),
-            max_block_dim=max(b.dim for b in sector_blocks(sorted(polymer.support), q)),
-        )
+        terms = []
+        for size, ks in subset_components(polymer.edges):
+            for k in ks:
+                if k not in solved:
+                    solved[k] = _log_g(model, k, q)
+            terms.append((-1.0) ** size * np.exp(math.fsum(solved[k] for k in ks)))
+        table[polymer.edges] = float((-1.0) ** polymer.size * _neumaier_sum(terms))
     return table

@@ -60,7 +60,7 @@ def admissible_product_sum(polymers, weights):
             if all(a.support.isdisjoint(b.support) for a, b in itertools.combinations(combo, 2)):
                 term = 1.0
                 for p in combo:
-                    term *= weights[p].value
+                    term *= weights[p.edges]
                 total += term
     return total
 
@@ -213,7 +213,7 @@ def _site_components(subset):
 def _brute_log_series(edges, weights, m):
     """[z^k] log sum_{A subset of E} z^|A| prod_{components gamma of A} w_gamma
     for k = 1..m, in exact rational arithmetic on the float weights."""
-    w = {p.edges: Fraction(r.value) for p, r in weights.items()}
+    w = {edges: Fraction(value) for edges, value in weights.items()}
     x = [Fraction(0)] + [
         sum(
             (math.prod(w[c] for c in _site_components(a))

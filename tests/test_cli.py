@@ -588,6 +588,28 @@ def test_polymer_cap_refuses_before_any_solve(cap, required, monkeypatch, capsys
     assert error["details"] == [f"required={required}", f"allowed={cap}"]
 
 
+@pytest.mark.parametrize("command,args", [
+    ("approx", ["--set", "expansion.m={}"]),
+    ("kp", ["--set", "expansion.m={}"]),
+    ("compare", ["--m-list", "1,{}"]),
+])
+@pytest.mark.parametrize("m", [bosepoly.polymers.MAX_ORDER + 1, 10**400])
+def test_truncation_order_past_the_cap_refuses_before_any_solve(command, args, m,
+                                                                 monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    start = time.perf_counter()
+    assert run([command, config, *(a.format(m) for a in args)]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 5.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "resource_cap"
+    assert error["details"] == [f"required={m}", f"allowed={bosepoly.polymers.MAX_ORDER}"]
+
+
 def test_exact_mutual_information(tmp_path):
     config = base_config()
     config["oracle"] = {"q": 1, "partitions": [[0, 1], [0]]}
@@ -894,7 +916,9 @@ _NUMERIC_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+# an integer past the float64 range is not finite either
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                   pytest.param("1" + "0" * 400, id="int-1e400")])
 @pytest.mark.parametrize("command,setting,name", _NUMERIC_KEYS,
                          ids=[case[1] for case in _NUMERIC_KEYS])
 def test_non_finite_number_is_a_config_error(command, setting, name, value, tmp_path, capsys):
@@ -906,7 +930,17 @@ def test_non_finite_number_is_a_config_error(command, setting, name, value, tmp_
     assert (code, err) == (EXIT_CONFIG, "")
     error = json.loads(out)["error"]
     assert error["code"] == "config_error"
-    assert any(detail.startswith(name) for detail in error["details"]), error["details"]
+    assert any(detail.startswith(name) and (not value.isdigit() or "must be finite" in detail)
+               for detail in error["details"]), error["details"]
+
+
+def test_coupling_matrix_integer_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    matrix = np.zeros((4, 4)).tolist()
+    matrix[0][1] = matrix[1][0] = 10**400
+    config = _edit(base_config(), {"model.coupling": {"kind": "explicit", "matrix": matrix}})
+    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == ["coupling matrix entries must be finite"]
 
 
 def test_csv_rejected_for_approx(tmp_path, monkeypatch, capsys):

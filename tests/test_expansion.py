@@ -21,7 +21,7 @@ from ursell_reference import cluster_per_order
 
 
 def weight(polymer, model, q):
-    return weight_table([polymer], model, q)[polymer].value
+    return weight_table([polymer], model, q)[polymer.edges]
 
 
 def test_onsite_log_partition_single_site():
@@ -133,18 +133,43 @@ def test_report_invariants():
 
 
 def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
+    # once per line graph (which sorted edges share a site), for all the
+    # polymers of that shape; each Polymer splits its whole edge set once
+    # to check that it is connected
     model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
+    shapes = {
+        tuple(frozenset(j for j, f in enumerate(p.edges) if j != k and set(e) & set(f))
+              for k, e in enumerate(p.edges))
+        for p in polymers
+    }
     calls = []
-    components = bosepoly.polymers.components
+    split = bosepoly.polymers._split
 
-    def counting(edges):
-        calls.append(edges)
-        return components(edges)
+    def counting(line_graph, mask):
+        calls.append(mask)
+        return split(line_graph, mask)
 
-    monkeypatch.setattr(bosepoly.polymers, "components", counting)
+    bosepoly.polymers._decomposition.cache_clear()
+    monkeypatch.setattr(bosepoly.polymers, "_split", counting)
     approximate_log_partition(model, ExpansionConfig(m=3, q=2))
-    assert len(calls) == sum(2**p.size for p in polymers)
+    assert len(calls) == len(polymers) + sum(2 ** len(shape) for shape in shapes)
+    assert len(shapes) < len(polymers) // 4
+
+
+def test_approx_builds_one_polymer_per_enumerated_polymer(monkeypatch):
+    model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
+    count = len(enumerate_polymers(interaction_edges(model.couplings, 0.0), 3))
+    built = []
+    post_init = Polymer.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Polymer, "__post_init__", counting)
+    approximate_log_partition(model, ExpansionConfig(m=3, q=2))
+    assert len(built) == count
 
 
 def test_determinism_across_runs():

@@ -1,14 +1,15 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 import bosepoly.polymers
+from bosepoly.lattice import build_couplings, build_lattice, interaction_edges
 from bosepoly.polymers import (
     Polymer,
     PolymerCountError,
-    components,
     enumerate_polymers,
-    site_components,
+    subset_components,
 )
 from ursell_reference import (
     Cluster,
@@ -20,6 +21,8 @@ from ursell_reference import (
 CHAIN3 = ((0, 1), (1, 2))
 TRIANGLE = ((0, 1), (1, 2), (0, 2))
 K4 = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+MIXED = ((0, 1), (0, 2), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7))
+ALL_PAIRS6 = tuple(itertools.combinations(range(6), 2))
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -41,6 +44,18 @@ def edge_sets_connected(edges):
                 reached.add(k)
                 changed = True
     return len(reached) == len(edges)
+
+
+def brute_components(subset):
+    """The maximal connected parts of an edge subset, by size, then lowest
+    edge.  Largest first, a connected part that meets no part found so far
+    is a whole component: a larger one would have been found before it."""
+    parts = []
+    for size in range(len(subset), 0, -1):
+        for part in itertools.combinations(subset, size):
+            if edge_sets_connected(part) and not any(set(part) & set(p) for p in parts):
+                parts.append(part)
+    return tuple(sorted(parts, key=lambda p: (len(p), p)))
 
 
 def brute_polymers(alphabet, max_size):
@@ -153,34 +168,41 @@ def test_emission_order_is_canonical_and_duplicate_free():
     assert len(keys) == len(set(keys))
 
 
-def test_site_components_merge_through_a_bridge():
-    assert site_components([]) == []
-    assert sorted(map(sorted, site_components([(0, 1), (2, 3)]))) == [[0], [1]]
-    # the third set joins the first two into one component
-    assert sorted(map(sorted, site_components([(0, 1), (2, 3), (1, 2), (5, 6)]))) == [
-        [0, 1, 2], [3]
-    ]
-
-
 def test_components_split_an_edge_set_in_canonical_order():
-    assert components(()) == ()
-    parts = components(((4, 5), (0, 1), (2, 3), (1, 2)))
-    assert [p.edges for p in parts] == [((4, 5),), ((0, 1), (1, 2), (2, 3))]
+    # the path 0-1-2-3-4-5, given out of order; (1, 2) bridges (0, 1) and (2, 3)
+    polymer = Polymer(((4, 5), (0, 1), (2, 3), (1, 2), (3, 4)))
+    split = {tuple(sorted(sum(parts, ()))): parts
+             for _size, parts in subset_components(polymer.edges)}
+    assert split[()] == ()
+    assert split[((0, 1), (1, 2), (2, 3), (4, 5))] == (((4, 5),), ((0, 1), (1, 2), (2, 3)))
+    assert split[((0, 1), (2, 3), (4, 5))] == (((0, 1),), ((2, 3),), ((4, 5),))
 
 
 def test_subsets_decompose_every_edge_subset_in_size_then_combinations_order():
-    for polymer in enumerate_polymers(K4, len(K4)):
-        expected = tuple(
-            (size, components(subset))
-            for size in range(polymer.size + 1)
-            for subset in itertools.combinations(polymer.edges, size)
-        )
-        assert polymer.subsets == expected
-        assert polymer.subsets[0] == (0, ())
-        assert polymer.subsets is polymer.subsets
+    for alphabet, max_size in ((K4, len(K4)), (MIXED, len(MIXED)), (ALL_PAIRS6, 4)):
+        for polymer in enumerate_polymers(alphabet, max_size):
+            expected = [
+                (size, brute_components(subset))
+                for size in range(polymer.size + 1)
+                for subset in itertools.combinations(polymer.edges, size)
+            ]
+            assert list(subset_components(polymer.edges)) == expected, polymer.edges
 
 
-MIXED = ((0, 1), (0, 2), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7))
+def test_walking_every_subset_retains_little_memory():
+    square = build_couplings(build_lattice([4, 4]), "finite_range", g=0.1, d_c=1)
+    polymers = enumerate_polymers(interaction_edges(square, 0.0), 5)
+    bosepoly.polymers._decomposition.cache_clear()
+    tracemalloc.start()
+    try:
+        for polymer in polymers:
+            for _subset in subset_components(polymer.edges):
+                pass
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(2**p.size for p in polymers) == 44_336
+    assert retained < 2 * 2**20
 
 
 @pytest.mark.parametrize("alphabet", [K4, tuple(itertools.combinations(range(8), 2)), MIXED])

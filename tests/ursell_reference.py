@@ -27,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from bosepoly.polymers import Polymer, site_components
+from bosepoly.polymers import Polymer
 
 logger = logging.getLogger(__name__)
 
@@ -205,6 +205,18 @@ def canonical_graph_key(graph: UGraph):
 # --- clusters -------------------------------------------------------------------
 
 
+def _overlap_connected(site_sets) -> bool:
+    """True when a nonempty list of site sets is connected through shared
+    sites (sets are adjacent in the overlap graph when they intersect)."""
+    pending = [set(sites) for sites in site_sets]
+    reached = pending.pop(0)
+    while grown := [s for s in pending if not s.isdisjoint(reached)]:
+        for sites in grown:
+            pending.remove(sites)
+            reached |= sites
+    return not pending
+
+
 def incompatible(a: Polymer, b: Polymer) -> bool:
     """True when the site supports overlap (every polymer clashes with itself)."""
     return not a.support.isdisjoint(b.support)
@@ -225,7 +237,7 @@ class Cluster:
         distinct = [p for p, _m in members]
         if len(set(distinct)) != len(distinct):
             raise ValueError("cluster members must be distinct polymers")
-        if len(site_components(p.support for p in distinct)) != 1:
+        if not _overlap_connected(p.support for p in distinct):
             raise ValueError("cluster incompatibility graph is not connected")
         object.__setattr__(self, "members", members)
 
@@ -332,12 +344,12 @@ def copy_incompatibility_graph(cluster: Cluster):
 
 def cluster_per_order(weights: dict, m: int) -> list[float]:
     """Order-k contributions, k = 1..m, of the Ursell cluster sum over a
-    weight table (polymer -> object with a ``value``)."""
+    weight table (polymer edge tuple -> float)."""
     by_order: list[list[float]] = [[] for _ in range(m + 1)]
-    for cluster in enumerate_clusters(weights, m):
+    for cluster in enumerate_clusters([Polymer(edges) for edges in weights], m):
         n, edges = copy_incompatibility_graph(cluster)
         term = float(ursell(UGraph(n, edges)))
         for polymer, mult in cluster.members:
-            term *= weights[polymer].value ** mult / math.factorial(mult)
+            term *= weights[polymer.edges] ** mult / math.factorial(mult)
         by_order[cluster.total_size].append(term)
     return [math.fsum(by_order[k]) for k in range(1, m + 1)]
