@@ -11,6 +11,7 @@ from .lattice import (  # noqa: F401
     Lattice,
     ModelInstance,
     OnsiteParams,
+    SiteCapError,
     build_couplings,
     build_lattice,
     interaction_edges,
@@ -23,18 +24,15 @@ from .fock import (  # noqa: F401
     sector_blocks,
 )
 from .polymers import OrderCapError, Polymer, PolymerCountError, enumerate_polymers  # noqa: F401
-from .weights import weight_table  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,
     ExpansionReport,
     approximate_log_partition,
-    kp_diagnostic,
 )
 from .oracle import (  # noqa: F401
     MonomialOperator,
     ThermalState,
     clustering_scan,
-    correlation,
     expectation,
     moments,
     mutual_information,

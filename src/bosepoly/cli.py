@@ -25,7 +25,6 @@ from .expansion import (
     ExpansionConfig,
     KPDiagnosticRow,
     approximate_log_partition,
-    kp_diagnostic,
     resolve_cutoff,
 )
 from .fock import DEFAULT_DIM_CAP, DimensionCapError, EigensolverError, check_dim_cap
@@ -34,6 +33,7 @@ from .lattice import (
     CouplingError,
     ModelInstance,
     OnsiteParams,
+    SiteCapError,
     build_couplings,
     build_lattice,
     interaction_edges,
@@ -447,17 +447,15 @@ def cmd_moments(config: dict):
 
 def cmd_kp(config: dict):
     start = time.perf_counter()
-    model = build_model(config)
-    cfg = build_expansion_config(config)
-    q = resolve_cutoff(model.n_sites, model.beta, cfg)
-    rows = [asdict(r) for r in kp_diagnostic(model, cfg, q=q)]
+    report = approximate_log_partition(build_model(config), build_expansion_config(config))
+    rows = [asdict(r) for r in report.kp_margin]
     columns = [f.name for f in fields(KPDiagnosticRow)]
     result = {
         "rows": rows,
         "columns": columns,
-        "m": cfg.m,
-        "q": q,
-        "certified": all(r["certified"] for r in rows),
+        "m": report.m,
+        "q": report.q,
+        "certified": report.kp_certified,
         "note": "lhs is a size-truncated lower bound; it can refute convergence, not certify it",
     }
     return result, (columns, rows), {"elapsed_seconds": time.perf_counter() - start}
@@ -566,7 +564,7 @@ def run(argv=None) -> int:
     except (CouplingError, ValueError) as exc:
         _emit_error("config_error", str(exc), [str(exc)])
         return EXIT_CONFIG
-    except (DimensionCapError, OrderCapError, PolymerCountError) as exc:
+    except (DimensionCapError, OrderCapError, PolymerCountError, SiteCapError) as exc:
         _emit_error(
             "resource_cap", str(exc),
             [f"required={printable_int(exc.required)}", f"allowed={exc.allowed}"],

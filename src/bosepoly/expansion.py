@@ -1,5 +1,21 @@
 """Truncated cluster expansion T_m and the log-partition estimate f_beta.
 
+The weight of a polymer gamma with edges e_1..e_s over support V is
+
+    w_gamma = (-1)^s * sum_{T subset of edges} (-1)^|T| g(T),
+
+where g(T) = Tr(Pi exp(-beta H_T)) / Tr(Pi exp(-beta W)) is a ratio of
+truncated traces: the numerator keeps on-site terms but hopping only on
+the edges of T.  Sites that T does not touch give the same factor to both
+traces and cancel, and sites in different site-connected components of T
+do not interact, so
+
+    log g(T) = sum over components K of T of log g(K).
+
+Each component K is itself a connected edge set, i.e. a smaller polymer,
+and log g(K) takes one set of number-sector solves on its own support V_K.
+A weight is a plain float and a pure function of its polymer.
+
 f_beta = log Z_W^(q) + T_m, where log Z_W^(q) is the hopping-free on-site
 reference.  Grade each polymer gamma by z^|gamma|.  The polymer gas on a
 connected edge set K then has the partition function
@@ -17,7 +33,9 @@ of [z^k] c_S over |S| <= k, is the sum over all clusters of total size k,
 so the decay of the series is visible directly.  This is the numerical
 linked-cluster expansion of Rigol, Bryant and Singh (PRL 97, 187202, 2006)
 run on the polymer gas; it needs no cluster enumeration and no Ursell
-functions.  Xi_K and c_S read their subsets from ``subset_components``.
+functions.  The weight, Xi_K and c_S of a polymer all read one walk over
+its subsets from ``subset_components``; the weight's near-cancelling
+alternating sum runs in that subset order with compensated accumulation.
 
 The Kotecky-Preiss diagnostic reports, per site x, the truncated sum
 
@@ -35,17 +53,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import check_dim_cap, onsite_log_trace
+import numpy as np
+
+from .fock import EigensolverError, check_dim_cap, onsite_log_trace, restricted_log_partition
 from .lattice import ModelInstance, interaction_edges
-from .polymers import enumerate_polymers, subset_components
-from .weights import weight_table
+from .polymers import check_polymer_caps, enumerate_polymers, subset_components
 
 __all__ = [
     "ExpansionConfig",
     "ExpansionReport",
     "KPDiagnosticRow",
     "resolve_cutoff",
-    "kp_diagnostic",
     "approximate_log_partition",
 ]
 
@@ -99,48 +117,6 @@ class OrderContribution:
     contribution: float
 
 
-def _build_weights(model: ModelInstance, cfg: ExpansionConfig, q: int) -> dict:
-    """Weight table of every polymer of size <= m, in canonical order.
-
-    Refuses, before any solve, a polymer support whose truncated space
-    (q+1)^|V| exceeds the default dimension cap.
-    """
-    if cfg.m is None:
-        raise ValueError("the expansion needs a truncation order m")
-    edges = interaction_edges(model.couplings, cfg.polymer_threshold)
-    polymers = enumerate_polymers(edges, cfg.m)
-    check_dim_cap(q, max((len(p.support) for p in polymers), default=0))
-    return weight_table(polymers, model, q)
-
-
-def _log_series(edges: tuple, weights: dict, m: int) -> list[float]:
-    """Coefficients of z^0..z^m of L_K = log Xi_K(z) for an edge set |K| <= m."""
-    terms: list[list[float]] = [[] for _ in range(m + 1)]
-    for size, ks in subset_components(edges):
-        terms[size].append(math.prod(weights[k] for k in ks))
-    xi = [math.fsum(t) for t in terms]
-    log = [0.0] * (m + 1)
-    for k in range(1, m + 1):
-        # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
-        log[k] = xi[k] - math.fsum(j * log[j] * xi[k - j] for j in range(1, k)) / k
-    return log
-
-
-def _linked_cluster_orders(weights: dict, m: int) -> list[float]:
-    """Order-k contributions of T_m for k = 1..m: the fsum of [z^k] c_S
-    over the polymers S of the table with |S| <= k.  Every component of a
-    subset of a table polymer is itself a table polymer."""
-    series = {edges: _log_series(edges, weights, m) for edges in weights}
-    terms: list[list[float]] = [[] for _ in range(m + 1)]
-    for edges in weights:
-        for size, ks in subset_components(edges):
-            sign = (-1.0) ** (len(edges) - size)
-            for k in ks:
-                for order in range(len(edges), m + 1):
-                    terms[order].append(sign * series[k][order])
-    return [math.fsum(terms[order]) for order in range(1, m + 1)]
-
-
 @dataclass(frozen=True)
 class KPDiagnosticRow:
     site: int
@@ -149,28 +125,73 @@ class KPDiagnosticRow:
     certified: bool
 
 
-def kp_diagnostic(model: ModelInstance, cfg: ExpansionConfig, q: int | None = None,
-                  weights: dict | None = None) -> list[KPDiagnosticRow]:
-    """Truncated convergence-condition margins per site.
+def _log_g(model: ModelInstance, edges: tuple, q: int) -> float:
+    """log g(K) on the component's own support: hopping trace minus free trace."""
+    region = tuple(sorted({s for e in edges for s in e}))
+    try:
+        return (restricted_log_partition(model, region, edges, q)
+                - onsite_log_trace(model, region, q, model.beta))
+    except (EigensolverError, FloatingPointError) as exc:
+        raise EigensolverError(f"weight evaluation failed for polymer {edges}: {exc}") from exc
 
-    Lower bounds only: a row with lhs >= rhs means no convergence
-    certificate at this order; all rows passing certifies nothing beyond
-    the enumerated sizes.
+
+def _neumaier_sum(values) -> float:
+    total = 0.0
+    comp = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    return total + comp
+
+
+def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list[float]]:
+    """The weight of every polymer of size <= m, keyed by its edge tuple in
+    canonical order, and the order-k contributions of T_m for k = 1..m.
+
+    Each polymer S is solved once, and one walk over its edge subsets gives
+    w_S, then L_S, then the terms of c_S.  Every component of a proper
+    subset of S is an earlier polymer, so its log g, weight and series are
+    known; the last subset is S itself.  Refuses, from the thresholded
+    couplings and before the alphabet is built, an order or polymer count
+    past the caps, and, before any solve, a polymer support whose truncated
+    space (q+1)^|V| exceeds the default dimension cap.
     """
-    if q is None:
-        q = resolve_cutoff(model.n_sites, model.beta, cfg)
-    if weights is None:
-        weights = _build_weights(model, cfg, q)
+    if cfg.m is None:
+        raise ValueError("the expansion needs a truncation order m")
+    m = cfg.m
+    check_polymer_caps((np.abs(model.couplings.entries) > cfg.polymer_threshold).sum(axis=1), m)
+    polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)
+    check_dim_cap(q, max((len(p.support) for p in polymers), default=0))
 
-    # one pass over the polymers; each site's terms keep the polymer order
-    terms = [[] for _ in range(model.n_sites)]
-    for edges, weight in weights.items():
-        support = {s for e in edges for s in e}
-        term = abs(weight) * math.exp(len(support) / 2.0 + len(edges))
-        for site in support:
-            terms[site].append(term)
-    lhs = [math.fsum(t) for t in terms]
-    return [KPDiagnosticRow(site, x, KP_RHS, x < KP_RHS) for site, x in enumerate(lhs)]
+    log_g, weights, series = {}, {}, {}
+    orders: list[list[float]] = [[] for _ in range(m + 1)]
+    for polymer in polymers:
+        s = polymer.edges
+        log_g[s] = _log_g(model, s, q)
+        w_terms, xi_terms = [], [[] for _ in range(m + 1)]
+        for size, ks in subset_components(s):
+            w_terms.append((-1.0) ** size * np.exp(math.fsum(log_g[k] for k in ks)))
+            if size < len(s):  # S itself, the last subset, enters below
+                xi_terms[size].append(math.prod(weights[k] for k in ks))
+                sign = (-1.0) ** (len(s) - size)
+                for k in ks:
+                    for order in range(len(s), m + 1):
+                        orders[order].append(sign * series[k][order])
+        weights[s] = float((-1.0) ** len(s) * _neumaier_sum(w_terms))
+        xi_terms[len(s)].append(weights[s])
+        xi = [math.fsum(t) for t in xi_terms]
+        log = [0.0] * (m + 1)
+        for k in range(1, m + 1):
+            # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
+            log[k] = xi[k] - math.fsum(j * log[j] * xi[k - j] for j in range(1, k)) / k
+        series[s] = log
+        for order in range(len(s), m + 1):
+            orders[order].append(log[order])
+    return weights, [math.fsum(orders[k]) for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)
@@ -201,15 +222,23 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     """
     q = resolve_cutoff(model.n_sites, model.beta, cfg)
 
-    weights = _build_weights(model, cfg, q)
+    weights, orders = _expand(model, cfg, q)
     per_order = []
     t_m = 0.0
-    for order, contribution in enumerate(_linked_cluster_orders(weights, cfg.m), start=1):
+    for order, contribution in enumerate(orders, start=1):
         t_m += contribution
         per_order.append(OrderContribution(order, contribution))
 
     log_z_w = onsite_log_trace(model, range(model.n_sites), q, model.beta)
-    kp_rows = kp_diagnostic(model, cfg, q=q, weights=weights)
+    # one pass over the polymers; each site's KP terms keep the polymer order
+    kp_terms = [[] for _ in range(model.n_sites)]
+    for edges, weight in weights.items():
+        support = {s for e in edges for s in e}
+        term = abs(weight) * math.exp(len(support) / 2.0 + len(edges))
+        for site in support:
+            kp_terms[site].append(term)
+    kp_rows = [KPDiagnosticRow(site, lhs, KP_RHS, lhs < KP_RHS)
+               for site, lhs in enumerate(map(math.fsum, kp_terms))]
     certified = all(r.certified for r in kp_rows)
 
     notes = [

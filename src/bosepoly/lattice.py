@@ -27,6 +27,8 @@ __all__ = [
     "OnsiteParams",
     "ModelInstance",
     "CouplingError",
+    "MAX_SITES",
+    "SiteCapError",
     "build_lattice",
     "distance_matrix",
     "build_couplings",
@@ -36,6 +38,19 @@ __all__ = [
 
 class CouplingError(ValueError):
     """A coupling matrix violates its declared kind's invariant."""
+
+
+# At or above every lattice run so far (4,000 sites).  A model holds N x N
+# coupling and distance arrays, about 24 bytes per site pair at their peak.
+MAX_SITES = 4096
+
+
+class SiteCapError(RuntimeError):
+    """A lattice has more than ``MAX_SITES`` sites."""
+
+    def __init__(self, required: int):
+        super().__init__(f"{required} lattice sites exceed the cap {MAX_SITES}")
+        self.required, self.allowed = required, MAX_SITES
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,8 @@ class Lattice:
         if any(int(d) < 1 for d in self.dims):
             raise ValueError(f"lattice extents must be >= 1, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if self.n_sites > MAX_SITES:
+            raise SiteCapError(self.n_sites)
 
     @property
     def n_sites(self) -> int:

@@ -31,7 +31,6 @@ __all__ = [
     "ThermalState",
     "thermalize",
     "expectation",
-    "correlation",
     "ClusteringScanRow",
     "ClusteringScan",
     "clustering_scan",
@@ -225,15 +224,6 @@ def expectation(state: ThermalState, op: MonomialOperator) -> float:
     return total
 
 
-def correlation(state: ThermalState, op_x: MonomialOperator,
-                op_y: MonomialOperator) -> float:
-    """C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)."""
-    if not op_x.support.isdisjoint(op_y.support):
-        raise ValueError("correlation requires disjoint operator supports")
-    joint = expectation(state, op_x * op_y)
-    return joint - expectation(state, op_x) * expectation(state, op_y)
-
-
 @dataclass(frozen=True)
 class ClusteringScanRow:
     site_a: int
@@ -287,7 +277,7 @@ def clustering_scan(state: ThermalState, family: str, anchor: int) -> Clustering
     for j in range(model.n_sites):
         if j == anchor:
             continue
-        # the same float operations as correlation(state, op_x, op_y(j))
+        # C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)
         value = expectation(state, op_x * op_y(j)) - mean_x * expectation(state, op_y(j))
         d = int(dist[anchor, j])
         if alpha is not None:

@@ -16,11 +16,12 @@ graph, on bitmasks over its edges, for every polymer of that shape.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 __all__ = [
     "MAX_ORDER",
@@ -28,6 +29,7 @@ __all__ = [
     "OrderCapError",
     "Polymer",
     "PolymerCountError",
+    "check_polymer_caps",
     "enumerate_polymers",
     "subset_components",
 ]
@@ -164,12 +166,25 @@ def _connected_subsets(n: int, adjacency, max_size: int):
     return results
 
 
-def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
-    """All connected edge-sets of size <= max_size, in canonical order."""
+def check_polymer_caps(degrees, max_size: int) -> None:
+    """Refuse, from each site's edge count alone, an order above
+    ``MAX_ORDER`` or an alphabet with more than ``MAX_POLYMERS`` polymers of
+    size <= 2: |E| edges and sum_i C(deg_i, 2) pairs, exactly, since two
+    distinct edges share at most one site."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if max_size > MAX_ORDER:
         raise OrderCapError(max_size)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    count = int(degrees.sum()) // 2
+    if max_size > 1:
+        count += int((degrees * (degrees - 1) // 2).sum())
+    if count > MAX_POLYMERS:
+        raise PolymerCountError(count)
+
+
+def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
+    """All connected edge-sets of size <= max_size, in canonical order."""
     edges = sorted(set(tuple(sorted(e)) for e in edge_alphabet))
     if any(e[0] == e[1] for e in edges):
         raise ValueError("self-loop edges are not allowed")
@@ -178,10 +193,7 @@ def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
     for k, (a, b) in enumerate(edges):
         incident[a].add(k)
         incident[b].add(k)
-    # polymers of size <= 2, exactly: two distinct edges share at most one site
-    pairs = sum(math.comb(len(ks), 2) for ks in incident.values()) if max_size > 1 else 0
-    if len(edges) + pairs > MAX_POLYMERS:
-        raise PolymerCountError(len(edges) + pairs)
+    check_polymer_caps([len(ks) for ks in incident.values()], max_size)
 
     # line-graph adjacency: edges are adjacent when they share a site
     adjacency = [(incident[a] | incident[b]) - {k} for k, (a, b) in enumerate(edges)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bosepoly.expansion import ExpansionConfig, _expand
 from bosepoly.lattice import ModelInstance, OnsiteParams, build_couplings, build_lattice
 
 
@@ -24,6 +25,16 @@ def make_explicit(n, matrix, beta, U=1.0, mu=0.0, periodic=False):
     coup = build_couplings(lat, "explicit", matrix=np.asarray(matrix, dtype=float))
     onsite = OnsiteParams.uniform(n, U, mu)
     return ModelInstance(lat, coup, onsite, beta)
+
+
+def weights_at(model, m, q):
+    """The expansion pass's weight of every polymer of size <= m, keyed by
+    edge tuple in canonical order."""
+    return _expand(model, ExpansionConfig(m=m, q=q), q)[0]
+
+
+def weight(polymer, model, q):
+    return weights_at(model, polymer.size, q)[polymer.edges]
 
 
 @pytest.fixture

@@ -35,9 +35,8 @@ from bosepoly.oracle import (
     thermalize,
 )
 from bosepoly.polymers import enumerate_polymers
-from bosepoly.weights import weight_table
 
-from conftest import make_chain, make_explicit, make_long_range_chain
+from conftest import make_chain, make_explicit, make_long_range_chain, weights_at
 from fock_reference import dense_thermal_matrix
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -76,7 +75,7 @@ def test_c01_telescoping_identity():
         edges = interaction_edges(model.couplings, 0.0)
         for q in (1, 2):
             polymers = enumerate_polymers(edges, len(edges))
-            weights = weight_table(polymers, model, q)
+            weights = weights_at(model, len(edges), q)
             got = admissible_product_sum(polymers, weights)
             region = range(model.n_sites)
             expected = math.exp(
@@ -249,8 +248,7 @@ def test_c05_linked_cluster_rows_vs_brute_force():
     rows = 0
     for model, q, m in cases:
         edges = sorted(interaction_edges(model.couplings, 0.0))
-        weights = weight_table(enumerate_polymers(edges, m), model, q)
-        expected = _brute_log_series(edges, weights, m)
+        expected = _brute_log_series(edges, weights_at(model, m, q), m)
         rep = approximate_log_partition(model, ExpansionConfig(m=m, q=q))
         for oc, want in zip(rep.per_order, expected, strict=True):
             worst = max(worst, abs(Fraction(oc.contribution) - want) / abs(want))

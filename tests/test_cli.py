@@ -4,11 +4,13 @@ import math
 import pathlib
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import bosepoly.cli
+import bosepoly.expansion
 import bosepoly.lattice
 import bosepoly.polymers
 from bosepoly.cli import (
@@ -572,6 +574,42 @@ def test_long_range_chain_past_the_polymer_cap_exits_fast(capsys):
     assert error["details"] == ["required=31840200", f"allowed={bosepoly.polymers.MAX_POLYMERS}"]
 
 
+@pytest.mark.parametrize("command,n_sites", [("approx", 400), ("kp", 400), ("approx", 4000)])
+def test_polymer_cap_refuses_before_the_alphabet_is_built(command, n_sites, monkeypatch, capsys):
+    # an all-pairs chain has C(N, 2) edges and N C(N - 1, 2) pairs of edges
+    # sharing a site, counted from the coupling matrix before any edge tuple
+    def no_alphabet(*args, **kwargs):
+        raise AssertionError("the edge alphabet was built")
+
+    monkeypatch.setattr(bosepoly.expansion, "interaction_edges", no_alphabet)
+    monkeypatch.setattr(bosepoly.expansion, "enumerate_polymers", no_alphabet)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain6_longrange.json")
+    start = time.perf_counter()
+    assert run([command, config, "--set", f"model.dims=[{n_sites}]"]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 5.0
+    required = math.comb(n_sites, 2) + n_sites * math.comb(n_sites - 1, 2)
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "resource_cap"
+    assert error["details"] == [f"required={required}", f"allowed={bosepoly.polymers.MAX_POLYMERS}"]
+
+
+@pytest.mark.parametrize("command", ["approx", "kp"])
+@pytest.mark.parametrize("dims", [[1000000], [65, 64]])
+def test_lattice_past_the_site_cap_is_refused_before_its_arrays(command, dims, monkeypatch,
+                                                                 capsys):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an N x N array was built")
+
+    monkeypatch.setattr(bosepoly.lattice, "distance_matrix", no_arrays)
+    monkeypatch.setattr(bosepoly.cli, "build_couplings", no_arrays)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run([command, config, "--set", f"model.dims={json.dumps(dims)}"]) == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "resource_cap"
+    assert error["details"] == [f"required={math.prod(dims)}",
+                                f"allowed={bosepoly.lattice.MAX_SITES}"]
+
+
 # chain4_nn has 3 edges and 6 polymers, 5 of them of size <= 2: a cap of 4
 # refuses before the line graph, a cap of 5 stops the enumeration itself
 @pytest.mark.parametrize("cap,required", [(4, 5), (5, 6)])
@@ -823,6 +861,25 @@ def test_kp_zero_coupling(tmp_path):
     result = json.loads(text)["result"]
     assert all(r["lhs"] == 0.0 for r in result["rows"])
     assert result["certified"] is True
+
+
+def test_kp_reports_the_margins_of_the_approx_run(monkeypatch, capsys):
+    reports = []
+    approximate = bosepoly.cli.approximate_log_partition
+
+    def keeping(model, cfg):
+        reports.append(approximate(model, cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(bosepoly.cli, "approximate_log_partition", keeping)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain6_longrange.json")
+    assert run(["kp", config]) == EXIT_OK
+    kp = json.loads(capsys.readouterr().out)["result"]
+    (report,) = reports
+    assert kp["rows"] == json.loads(json.dumps([asdict(r) for r in report.kp_margin]))
+    assert (kp["certified"], kp["m"], kp["q"]) == (report.kp_certified, report.m, report.q)
+    assert run(["approx", config]) == EXIT_OK
+    assert kp["rows"] == json.loads(capsys.readouterr().out)["result"]["kp_margin"]
 
 
 def test_csv_output_round_trips(tmp_path):

@@ -4,24 +4,19 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import bosepoly.expansion
 import bosepoly.polymers
 from bosepoly.expansion import (
     ExpansionConfig,
     approximate_log_partition,
-    kp_diagnostic,
     resolve_cutoff,
 )
 from bosepoly.fock import onsite_energy, onsite_log_trace, restricted_log_partition
 from bosepoly.lattice import interaction_edges
 from bosepoly.polymers import Polymer, enumerate_polymers
-from bosepoly.weights import weight_table
 
-from conftest import make_chain, make_explicit, make_long_range_chain
+from conftest import make_chain, make_explicit, make_long_range_chain, weight, weights_at
 from ursell_reference import cluster_per_order
-
-
-def weight(polymer, model, q):
-    return weight_table([polymer], model, q)[polymer.edges]
 
 
 def test_onsite_log_partition_single_site():
@@ -157,6 +152,31 @@ def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
     assert len(shapes) < len(polymers) // 4
 
 
+def test_approx_solves_each_polymer_once_and_walks_its_subsets_once(monkeypatch):
+    # the weight, the log series and the linked-cluster term of a polymer
+    # all come from one walk; its proper subsets' components are earlier
+    # polymers, already solved
+    model = make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2)
+    walked, solved = [], []
+    walk = bosepoly.expansion.subset_components
+    solve = bosepoly.expansion.restricted_log_partition
+
+    def counting_walk(edges):
+        walked.append(edges)
+        return walk(edges)
+
+    def counting_solve(model, region, edges, q):
+        solved.append(edges)
+        return solve(model, region, edges, q)
+
+    monkeypatch.setattr(bosepoly.expansion, "subset_components", counting_walk)
+    monkeypatch.setattr(bosepoly.expansion, "restricted_log_partition", counting_solve)
+    report = approximate_log_partition(model, ExpansionConfig(m=4, q=2))
+    polymers = [p.edges for p in enumerate_polymers(interaction_edges(model.couplings, 0.0), 4)]
+    assert walked == solved == polymers
+    assert report.polymer_count == len(polymers)
+
+
 def test_approx_builds_one_polymer_per_enumerated_polymer(monkeypatch):
     model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
     count = len(enumerate_polymers(interaction_edges(model.couplings, 0.0), 3))
@@ -181,7 +201,7 @@ def test_determinism_across_runs():
 
 def test_kp_diagnostic_zero_couplings():
     model = make_explicit(3, np.zeros((3, 3)), beta=0.5)
-    rows = kp_diagnostic(model, ExpansionConfig(m=2, q=2))
+    rows = approximate_log_partition(model, ExpansionConfig(m=2, q=2)).kp_margin
     assert all(r.lhs == 0.0 and r.rhs == 0.5 and r.certified for r in rows)
 
 
@@ -189,7 +209,7 @@ def test_kp_lhs_decreases_with_beta():
     lhs = []
     for beta in (0.2, 0.1):
         model = make_chain(3, g=0.5, beta=beta, U=1.0, mu=0.0)
-        rows = kp_diagnostic(model, ExpansionConfig(m=3, q=2))
+        rows = approximate_log_partition(model, ExpansionConfig(m=3, q=2)).kp_margin
         lhs.append(rows[1].lhs)
     assert lhs[1] < lhs[0]
 
@@ -197,9 +217,8 @@ def test_kp_lhs_decreases_with_beta():
 def test_kp_flags_failure():
     # strong coupling at this beta blows past the margin
     model = make_chain(2, g=8.0, beta=1.0, U=1.0, mu=0.0)
-    rows = kp_diagnostic(model, ExpansionConfig(m=2, q=3))
-    assert any(not r.certified for r in rows)
     report = approximate_log_partition(model, ExpansionConfig(m=2, q=3))
+    assert any(not r.certified for r in report.kp_margin)
     assert not report.kp_certified
     assert any("no convergence certificate" in note for note in report.notes)
 
@@ -258,9 +277,7 @@ def test_single_edge_rows_are_the_log1p_series_to_order_eleven():
 def test_linked_cluster_rows_match_ursell_cluster_sum(model, q, m):
     # the Ursell-function cluster expansion, evaluated on the same weight
     # table, is an independent route to every per-order row
-    edges = interaction_edges(model.couplings, 0.0)
-    weights = weight_table(enumerate_polymers(edges, m), model, q)
-    expected = cluster_per_order(weights, m)
+    expected = cluster_per_order(weights_at(model, m, q), m)
     res = approximate_log_partition(model, ExpansionConfig(m=m, q=q))
     for oc, want in zip(res.per_order, expected, strict=True):
         assert abs(oc.contribution - want) <= 1e-12 * abs(want), (oc.order, oc.contribution, want)

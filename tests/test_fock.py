@@ -14,11 +14,9 @@ from bosepoly.fock import (
     sector_blocks,
 )
 from bosepoly.lattice import ModelInstance, OnsiteParams, interaction_edges
-from bosepoly.polymers import enumerate_polymers
-from bosepoly.weights import weight_table
 
 import fock_reference
-from conftest import make_chain, make_explicit, make_long_range_chain
+from conftest import make_chain, make_explicit, make_long_range_chain, weights_at
 
 
 def test_onsite_energy_values():
@@ -155,9 +153,8 @@ def test_layout_is_built_once_per_size_and_cutoff():
     # the approx-chain-deep shape: a disordered 7-site chain, m=5, q=3, whose
     # polymers have supports of 2 to 6 sites
     model = _disordered(make_chain(7, g=0.2, beta=0.5), 1)
-    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 5)
     _layout.cache_clear()
-    weight_table(polymers, model, 3)
+    weights_at(model, 5, 3)
     info = _layout.cache_info()
     assert info.misses == info.currsize == 5 and info.hits > 0
     blocks = sector_blocks((4, 5, 6), 3)

@@ -7,8 +7,10 @@ from lattice_reference import bfs_distance_matrix, loop_interaction_edges
 
 from bosepoly.cli import build_model
 from bosepoly.lattice import (
+    MAX_SITES,
     CouplingError,
     OnsiteParams,
+    SiteCapError,
     build_couplings,
     build_lattice,
     distance_matrix,
@@ -20,6 +22,13 @@ def test_chain_of_four():
     lat = build_lattice([4])
     assert lat.n_sites == 4
     assert distance_matrix(lat)[0, 3] == 3
+
+
+def test_lattice_past_the_site_cap_is_refused():
+    assert build_lattice([MAX_SITES]).n_sites == MAX_SITES
+    with pytest.raises(SiteCapError) as info:
+        build_lattice([MAX_SITES // 2 + 1, 2])
+    assert (info.value.required, info.value.allowed) == (MAX_SITES + 2, MAX_SITES)
 
 
 def test_grid_2x2():

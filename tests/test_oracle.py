@@ -17,7 +17,6 @@ from bosepoly.oracle import (
     MonomialOperator,
     annihilate,
     clustering_scan,
-    correlation,
     create,
     expectation,
     moments,
@@ -32,6 +31,11 @@ from bosepoly.oracle import _normalized, _rescale_beta
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
 from fock_reference import dense_thermal_matrix
+
+
+def connected(state, op_x, op_y):
+    """C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)."""
+    return expectation(state, op_x * op_y) - expectation(state, op_x) * expectation(state, op_y)
 
 
 def scalar_gibbs(q, beta, U, mu):
@@ -145,22 +149,16 @@ def test_expectation_out_of_range_support(two_site_model):
         expectation(state, number_op(5))
 
 
-def test_correlation_requires_disjoint_supports(two_site_model):
-    state = thermalize(two_site_model, q=1)
-    with pytest.raises(ValueError):
-        correlation(state, number_op(0), number_op(0))
-
-
 def test_correlation_vanishes_for_product_state():
     model = make_explicit(3, np.zeros((3, 3)), beta=0.6, U=1.0, mu=0.2)
     state = thermalize(model, q=2)
-    assert correlation(state, number_op(0), number_op(2)) == pytest.approx(0.0, abs=1e-12)
-    assert correlation(state, create(0), annihilate(1)) == pytest.approx(0.0, abs=1e-12)
+    assert connected(state, number_op(0), number_op(2)) == pytest.approx(0.0, abs=1e-12)
+    assert connected(state, create(0), annihilate(1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hopping_correlation_closed_form(two_site_model):
     state = thermalize(two_site_model, q=1)
-    got = correlation(state, create(0), annihilate(1))
+    got = connected(state, create(0), annihilate(1))
     beta_j = 0.3
     assert got == pytest.approx(math.sinh(beta_j) / (2 + 2 * math.cosh(beta_j)), rel=1e-12)
 
@@ -434,7 +432,7 @@ def test_clustering_scan_density_family(two_site_model):
     # N(n_i) = 2 on each side: Phi = sqrt(2! * 2!) * beta^(-1) = 2 at beta = 1
     assert scan.rows[0].phi_ref == pytest.approx(2.0)
     got = scan.rows[0].value
-    assert got == pytest.approx(correlation(state, number_op(0), number_op(1)), rel=1e-12)
+    assert got == pytest.approx(connected(state, number_op(0), number_op(1)), rel=1e-12)
 
     # the anchor's mean is computed once per scan; every row is still the
     # exact correlation value
@@ -445,15 +443,15 @@ def test_clustering_scan_density_family(two_site_model):
         scan = clustering_scan(state, family, anchor=1)
         assert len(scan.rows) == 4
         for row in scan.rows:
-            assert row.value == correlation(state, op_x(1), op_y(row.site_b))
+            assert row.value == connected(state, op_x(1), op_y(row.site_b))
 
 
 def test_hopping_correlation_symmetric_for_real_couplings():
     model = make_long_range_chain(4, g=0.3, alpha=2.0, beta=0.4, U=1.0, mu=0.1)
     state = thermalize(model, q=2)
     for i, j in ((0, 1), (0, 3), (1, 2)):
-        ab = correlation(state, create(i), annihilate(j))
-        ba = correlation(state, create(j), annihilate(i))
+        ab = connected(state, create(i), annihilate(j))
+        ba = connected(state, create(j), annihilate(i))
         assert ab == pytest.approx(ba, abs=1e-10)
 
 

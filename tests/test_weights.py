@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bosepoly.fock import restricted_log_partition, sector_blocks
+from bosepoly.fock import RegionHamiltonian, restricted_log_partition, sector_blocks
 from bosepoly.lattice import (
     ModelInstance,
     OnsiteParams,
@@ -13,16 +13,11 @@ from bosepoly.lattice import (
     interaction_edges,
 )
 from bosepoly.polymers import Polymer, enumerate_polymers
-from bosepoly.weights import weight_table
 
-from conftest import make_chain, make_long_range_chain
+from conftest import make_chain, make_explicit, make_long_range_chain, weight, weights_at
 
 
 SINGLE_EDGE = Polymer(((0, 1),))
-
-
-def weight(polymer, model, q):
-    return weight_table([polymer], model, q)[polymer.edges]
 
 
 def g_ratio(model, polymer, edge_subset, q):
@@ -47,8 +42,6 @@ def test_g_ratio_single_edge_closed_form(two_site_model):
 
 
 def test_g_ratio_zero_coupling_is_one():
-    from conftest import make_explicit
-
     model = make_explicit(2, [[0.0, 0.0], [0.0, 0.0]], beta=0.5)
     assert g_ratio(model, SINGLE_EDGE, ((0, 1),), q=2) == pytest.approx(1.0, abs=1e-14)
 
@@ -59,11 +52,9 @@ def test_single_edge_weight_closed_form(two_site_model):
 
 
 def test_weight_zero_couplings_vanish():
-    from conftest import make_explicit
-
+    # a zero coupling is no edge of the alphabet, so no polymer carries weight
     model = make_explicit(3, np.zeros((3, 3)), beta=0.7)
-    poly = Polymer(((0, 1), (1, 2)))
-    assert weight(poly, model, 2) == pytest.approx(0.0, abs=1e-14)
+    assert weights_at(model, 2, 2) == {}
 
 
 def test_weight_identity_limit():
@@ -117,7 +108,7 @@ def test_telescoping_identity(model_fn, q):
     model = model_fn()
     edges = interaction_edges(model.couplings, 0.0)
     polymers = enumerate_polymers(edges, len(edges))
-    weights = weight_table(polymers, model, q)
+    weights = weights_at(model, len(edges), q)
 
     total = 0.0
     for combo in admissible_sets(polymers):
@@ -151,14 +142,14 @@ def test_compatibility_factorization():
 
 
 def test_weight_table_contract(two_site_model):
-    table = weight_table([SINGLE_EDGE], two_site_model, q=1)
-    assert table == {SINGLE_EDGE.edges: weight(SINGLE_EDGE, two_site_model, 1)}
+    # {edge tuple: float}, in canonical polymer order
+    table = weights_at(two_site_model, 1, 1)
+    assert list(table) == [SINGLE_EDGE.edges]
     assert type(table[SINGLE_EDGE.edges]) is float
 
-    assert weight_table([], two_site_model, q=1) == {}
-
-    with pytest.raises(ValueError):
-        weight_table([SINGLE_EDGE, SINGLE_EDGE], two_site_model, q=1)
+    model = make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5)
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
+    assert list(weights_at(model, 3, 2)) == [p.edges for p in polymers]
 
 
 def test_trace_region_choice_cancels():
@@ -234,24 +225,23 @@ def square_2x3(g, beta):
 def test_weight_table_matches_brute_force_reference(model, q, m):
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), m)
     assert sum(splits(p) for p in polymers) >= 3
-    table = weight_table(polymers, model, q)
+    table = weights_at(model, m, q)
     for p in polymers:
         assert abs(table[p.edges] - brute_force_weight(model, p, q)) <= 1e-13, p.edges
 
 
 def test_weight_independent_of_table_context():
     model = disordered(make_long_range_chain(5, g=0.4, alpha=3.0, beta=0.5), seed=5)
-    edges = interaction_edges(model.couplings, 0.0)
     m, q = 2, 2
-    polymers = enumerate_polymers(edges, m)
-    tables = [
-        weight_table(polymers, model, q),
-        weight_table(enumerate_polymers(edges, m + 1), model, q),
-        weight_table(polymers[::-1], model, q),
-    ]
-    for p in polymers:
-        alone = weight(p, model, q)
-        assert all(t[p.edges] == alone for t in tables), p.edges
+    tables = [weights_at(model, m, q), weights_at(model, m + 1, q)]
+    for p in enumerate_polymers(interaction_edges(model.couplings, 0.0), m):
+        # the same polymer in a model that keeps only its own couplings
+        kept = np.zeros_like(model.couplings.entries)
+        for i, j in p.edges:
+            kept[i, j] = kept[j, i] = model.coupling(i, j)
+        coup = build_couplings(model.lattice, "explicit", matrix=kept)
+        alone = ModelInstance(model.lattice, coup, model.onsite, model.beta)
+        assert all(t[p.edges] == weight(p, alone, q) for t in tables), p.edges
 
 
 def test_one_eigensolve_per_sector_block_of_each_polymer(monkeypatch):
@@ -266,8 +256,60 @@ def test_one_eigensolve_per_sector_block_of_each_polymer(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    weight_table(polymers, model, q)
+    weights_at(model, 5, q)
     bound = sum(
         sum(b.dim > 1 for b in sector_blocks(sorted(p.support), q)) for p in polymers
     )
     assert 0 < len(calls) <= bound
+
+
+# --- 50-digit reference ------------------------------------------------------
+
+
+def mp_weight(mpmath, model, polymer, q):
+    """(w_gamma, sum_T g(T)) with every g(T) a ratio of traces on the
+    polymer's whole support, each trace from ``mpmath.eigsy`` on the same
+    float64 sector blocks: no factorization into components."""
+    region = sorted(polymer.support)
+    beta = mpmath.mpf(model.beta)
+
+    def trace(edges):
+        H = RegionHamiltonian(model, region, edges, q)
+        return mpmath.fsum(
+            mpmath.exp(-beta * lam)
+            for b in range(len(H.blocks))
+            for lam in mpmath.eigsy(mpmath.matrix(H.block(b).tolist()), eigvals_only=True)
+        )
+
+    free = trace(())
+    ratios = [((-1) ** size, trace(subset) / free)
+              for size in range(polymer.size + 1)
+              for subset in itertools.combinations(polymer.edges, size)]
+    return (-1) ** polymer.size * mpmath.fsum(s * g for s, g in ratios), mpmath.fsum(
+        g for _, g in ratios)
+
+
+@pytest.mark.parametrize(
+    "model,q",
+    [
+        (disordered(make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5), seed=3), 1),
+        (disordered(make_chain(4, g=0.3, beta=0.5), seed=1), 2),
+    ],
+    ids=["long-range-chain4-q1", "chain4-q2"],
+)
+def test_weights_up_to_size_three_match_a_50_digit_reference(model, q):
+    mpmath = pytest.importorskip("mpmath")
+    table = weights_at(model, 3, q)
+    assert max(len(edges) for edges in table) == 3
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(50):
+        for edges, w in table.items():
+            polymer = Polymer(edges)
+            want, g_total = mp_weight(mpmath, model, polymer, q)
+            # the float64 floor: g(T) is a ratio of two traces over |V|
+            # sites, each with about one rounding per site (the site-by-site
+            # on-site sums, and eigenvalues backward stable to eps |H|), so
+            # |d log g(T)| <= 2 eps |V| to first order, and the alternating
+            # sum passes on sum_T g(T) |d log g(T)|
+            bound = 2 * eps * len(polymer.support) * float(g_total)
+            assert abs(float(mpmath.mpf(w) - want)) <= bound, (edges, w, float(want))
