@@ -11,19 +11,18 @@ from .lattice import (  # noqa: F401
     Lattice,
     ModelInstance,
     OnsiteParams,
-    SiteCapError,
+    ResourceCapError,
     build_couplings,
     build_lattice,
     interaction_edges,
 )
 from .fock import (  # noqa: F401
-    DimensionCapError,
     EigensolverError,
     onsite_energy,
     restricted_log_partition,
     sector_blocks,
 )
-from .polymers import OrderCapError, Polymer, PolymerCountError, enumerate_polymers  # noqa: F401
+from .polymers import Polymer, enumerate_polymers  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,
     ExpansionReport,

@@ -27,13 +27,12 @@ from .expansion import (
     approximate_log_partition,
     resolve_cutoff,
 )
-from .fock import DEFAULT_DIM_CAP, DimensionCapError, EigensolverError, check_dim_cap
-from .fock import printable_int, restricted_log_partition
+from .fock import DEFAULT_DIM_CAP, check_dim_cap, restricted_log_partition
 from .lattice import (
     CouplingError,
     ModelInstance,
     OnsiteParams,
-    SiteCapError,
+    ResourceCapError,
     build_couplings,
     build_lattice,
     interaction_edges,
@@ -47,7 +46,6 @@ from .oracle import (
     occupation_distribution,
     thermalize,
 )
-from .polymers import OrderCapError, PolymerCountError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -561,16 +559,13 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("config_error", str(exc), exc.problems)
         return EXIT_CONFIG
-    except (CouplingError, ValueError) as exc:
+    except ValueError as exc:
         _emit_error("config_error", str(exc), [str(exc)])
         return EXIT_CONFIG
-    except (DimensionCapError, OrderCapError, PolymerCountError, SiteCapError) as exc:
-        _emit_error(
-            "resource_cap", str(exc),
-            [f"required={printable_int(exc.required)}", f"allowed={exc.allowed}"],
-        )
+    except ResourceCapError as exc:
+        _emit_error("resource_cap", str(exc), exc.details)
         return EXIT_RESOURCE
-    except (EigensolverError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         _emit_error("numerical_failure", str(exc), [str(exc)])
         return EXIT_NUMERICAL
 

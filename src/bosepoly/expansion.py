@@ -131,7 +131,7 @@ def _log_g(model: ModelInstance, edges: tuple, q: int) -> float:
     try:
         return (restricted_log_partition(model, region, edges, q)
                 - onsite_log_trace(model, region, q, model.beta))
-    except (EigensolverError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         raise EigensolverError(f"weight evaluation failed for polymer {edges}: {exc}") from exc
 
 
@@ -158,7 +158,8 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     known; the last subset is S itself.  Refuses, from the thresholded
     couplings and before the alphabet is built, an order or polymer count
     past the caps, and, before any solve, a polymer support whose truncated
-    space (q+1)^|V| exceeds the default dimension cap.
+    space (q+1)^|V| exceeds the default dimension cap.  A weight that is
+    not finite (an overflowing exp(log g)) raises ArithmeticError.
     """
     if cfg.m is None:
         raise ValueError("the expansion needs a truncation order m")
@@ -182,6 +183,8 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
                     for order in range(len(s), m + 1):
                         orders[order].append(sign * series[k][order])
         weights[s] = float((-1.0) ** len(s) * _neumaier_sum(w_terms))
+        if not math.isfinite(weights[s]):
+            raise ArithmeticError(f"the weight of polymer {s} is not finite ({weights[s]})")
         xi_terms[len(s)].append(weights[s])
         xi = [math.fsum(t) for t in xi_terms]
         log = [0.0] * (m + 1)

@@ -16,16 +16,14 @@ is one sector's block; a sector no hop reaches is traced from its diagonal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import ModelInstance
+from .lattice import ModelInstance, ResourceCapError
 
 __all__ = [
-    "DimensionCapError",
     "check_dim_cap",
     "EigensolverError",
     "SectorBlock",
@@ -42,33 +40,13 @@ __all__ = [
 DEFAULT_DIM_CAP = 20000
 
 
-def printable_int(n: int) -> str:
-    """n in decimal, or as d.dddde+X past Python's int-to-str digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        exponent = math.log10(n)
-        return f"{10 ** (exponent % 1):.4f}e+{math.floor(exponent)}"
-
-
-class DimensionCapError(RuntimeError):
-    """The requested truncated space exceeds the configured dimension cap."""
-
-    def __init__(self, required: int, allowed: int):
-        super().__init__(
-            f"truncated space dimension {printable_int(required)} exceeds the cap {allowed}"
-        )
-        self.required = required
-        self.allowed = allowed
-
-
 def check_dim_cap(q: int, width: int, cap: int = DEFAULT_DIM_CAP) -> None:
     """Refuse a (q+1)^width truncated space above ``cap``, before it is built."""
     if (q + 1) ** width > cap:
-        raise DimensionCapError((q + 1) ** width, cap)
+        raise ResourceCapError("truncated space dimension {} exceeds", (q + 1) ** width, cap)
 
 
-class EigensolverError(RuntimeError):
+class EigensolverError(ArithmeticError):
     """A symmetric eigensolve failed to converge or returned non-finite data."""
 
 

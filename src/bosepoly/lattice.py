@@ -28,7 +28,7 @@ __all__ = [
     "ModelInstance",
     "CouplingError",
     "MAX_SITES",
-    "SiteCapError",
+    "ResourceCapError",
     "build_lattice",
     "distance_matrix",
     "build_couplings",
@@ -40,17 +40,27 @@ class CouplingError(ValueError):
     """A coupling matrix violates its declared kind's invariant."""
 
 
+class ResourceCapError(RuntimeError):
+    """A run needs ``required`` of a resource capped at ``allowed``.
+
+    ``what`` names the need, with ``{}`` where ``required`` goes.  A count
+    past Python's int-to-str digit limit is shown as d.dddde+X.
+    """
+
+    def __init__(self, what: str, required: int, allowed: int):
+        try:
+            shown = str(required)
+        except ValueError:
+            exponent = math.log10(required)
+            shown = f"{10 ** (exponent % 1):.4f}e+{math.floor(exponent)}"
+        super().__init__(f"{what.format(shown)} the cap {allowed}")
+        self.required, self.allowed = required, allowed
+        self.details = [f"required={shown}", f"allowed={allowed}"]
+
+
 # At or above every lattice run so far (4,000 sites).  A model holds N x N
 # coupling and distance arrays, about 24 bytes per site pair at their peak.
 MAX_SITES = 4096
-
-
-class SiteCapError(RuntimeError):
-    """A lattice has more than ``MAX_SITES`` sites."""
-
-    def __init__(self, required: int):
-        super().__init__(f"{required} lattice sites exceed the cap {MAX_SITES}")
-        self.required, self.allowed = required, MAX_SITES
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class Lattice:
             raise ValueError(f"lattice extents must be >= 1, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.n_sites > MAX_SITES:
-            raise SiteCapError(self.n_sites)
+            raise ResourceCapError("{} lattice sites exceed", self.n_sites, MAX_SITES)
 
     @property
     def n_sites(self) -> int:

@@ -18,12 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, DimensionCapError, check_dim_cap
+from .fock import DEFAULT_DIM_CAP, check_dim_cap
 from .fock import RegionHamiltonian, SectorBlock, logsumexp, occupation_codes, sector_blocks
 from .lattice import ModelInstance, distance_matrix, interaction_edges
 
 __all__ = [
-    "DimensionCapError",
     "MonomialOperator",
     "create",
     "annihilate",

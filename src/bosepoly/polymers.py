@@ -23,12 +23,12 @@ from itertools import combinations
 
 import numpy as np
 
+from .lattice import ResourceCapError
+
 __all__ = [
     "MAX_ORDER",
     "MAX_POLYMERS",
-    "OrderCapError",
     "Polymer",
-    "PolymerCountError",
     "check_polymer_caps",
     "enumerate_polymers",
     "subset_components",
@@ -41,22 +41,6 @@ MAX_POLYMERS = 50_000
 # Above every truncation order run so far (11).  A polymer of 16 edges has
 # 65,536 edge subsets, and the expansion's log series is quadratic in m.
 MAX_ORDER = 16
-
-
-class PolymerCountError(RuntimeError):
-    """An edge alphabet yields more than ``MAX_POLYMERS`` polymers."""
-
-    def __init__(self, required: int):
-        super().__init__(f"at least {required} polymers exceed the cap {MAX_POLYMERS}")
-        self.required, self.allowed = required, MAX_POLYMERS
-
-
-class OrderCapError(RuntimeError):
-    """Polymers of more than ``MAX_ORDER`` edges were asked for."""
-
-    def __init__(self, required: int):
-        super().__init__(f"truncation order {required} exceeds the cap {MAX_ORDER}")
-        self.required, self.allowed = required, MAX_ORDER
 
 
 def _line_graph(edges) -> tuple[int, ...]:
@@ -146,7 +130,7 @@ def _connected_subsets(n: int, adjacency, max_size: int):
 
     def rec(included: tuple, frontier: frozenset, excluded: frozenset, root: int):
         if len(results) > MAX_POLYMERS:
-            raise PolymerCountError(len(results))
+            raise ResourceCapError("at least {} polymers exceed", len(results), MAX_POLYMERS)
         if len(included) == max_size:
             return
         candidates = sorted(v for v in frontier if v > root and v not in excluded)
@@ -174,13 +158,13 @@ def check_polymer_caps(degrees, max_size: int) -> None:
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if max_size > MAX_ORDER:
-        raise OrderCapError(max_size)
+        raise ResourceCapError("truncation order {} exceeds", max_size, MAX_ORDER)
     degrees = np.asarray(degrees, dtype=np.int64)
     count = int(degrees.sum()) // 2
     if max_size > 1:
         count += int((degrees * (degrees - 1) // 2).sum())
     if count > MAX_POLYMERS:
-        raise PolymerCountError(count)
+        raise ResourceCapError("at least {} polymers exceed", count, MAX_POLYMERS)
 
 
 def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:

@@ -36,8 +36,8 @@ from bosepoly.fock import (
     onsite_energy,
     sector_blocks,
 )
-from bosepoly.lattice import interaction_edges
-from bosepoly.oracle import DimensionCapError, ThermalState, _entropy_from_probabilities
+from bosepoly.lattice import ResourceCapError, interaction_edges
+from bosepoly.oracle import ThermalState, _entropy_from_probabilities
 
 
 def occupation_vectors(n_sites: int, q: int, total: int):
@@ -160,7 +160,7 @@ def dense_thermal_matrix(model, q: int, beta=None) -> tuple:
     n = model.n_sites
     dim = (q + 1) ** n
     if dim > 4096:
-        raise DimensionCapError(dim, 4096)
+        raise ResourceCapError("truncated space dimension {} exceeds", dim, 4096)
     basis = list(itertools.product(range(q + 1), repeat=n))
     edges = interaction_edges(model.couplings, 0.0)
     H = block_hamiltonian(model, range(n), edges, q, basis)

@@ -648,6 +648,40 @@ def test_truncation_order_past_the_cap_refuses_before_any_solve(command, args, m
     assert error["details"] == [f"required={m}", f"allowed={bosepoly.polymers.MAX_ORDER}"]
 
 
+# every kind of refusal, with its exact message and details
+_REFUSALS = {
+    "site_cap": ("approx", "chain4_nn", ["model.dims=[1000000]"], None,
+                 "1000000 lattice sites exceed the cap 4096", 1000000, 4096),
+    "order_cap": ("approx", "chain4_nn", ["expansion.m=17"], None,
+                  "truncation order 17 exceeds the cap 16", 17, 16),
+    "polymer_cap_from_the_mask": ("approx", "chain6_longrange", ["model.dims=[400]"], None,
+                                  "at least 31840200 polymers exceed the cap 50000",
+                                  31840200, 50000),
+    "polymer_cap_in_the_enumeration": ("approx", "chain4_nn", [], 5,
+                                       "at least 6 polymers exceed the cap 5", 6, 5),
+    "expansion_dimension_cap": ("approx", "chain4_nn", ["expansion.q=200"], None,
+                                "truncated space dimension 1632240801 exceeds the cap 20000",
+                                201**4, 20000),
+    "oracle_dimension_cap": ("exact", "chain4_nn", ["oracle.dim_cap=10"], None,
+                             "truncated space dimension 256 exceeds the cap 10", 256, 10),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REFUSALS))
+def test_refusal_message_and_details(kind, monkeypatch, capsys):
+    command, name, settings, polymer_cap, message, required, allowed = _REFUSALS[kind]
+    if polymer_cap is not None:
+        monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", polymer_cap)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / f"{name}.json")
+    args = [arg for setting in settings for arg in ("--set", setting)]
+    assert run([command, config, *args]) == EXIT_RESOURCE
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "resource_cap",
+        "message": message,
+        "details": [f"required={required}", f"allowed={allowed}"],
+    }
+
+
 def test_exact_mutual_information(tmp_path):
     config = base_config()
     config["oracle"] = {"q": 1, "partitions": [[0, 1], [0]]}
@@ -1139,6 +1173,19 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["code"] == "numerical_failure"
+
+
+@pytest.mark.parametrize("command", ["approx", "kp"])
+def test_overflowing_weight_is_a_numerical_failure(command, capsys):
+    # at beta=50 and g=5, exp(log g) of a two-edge subset overflows
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    settings = ["model.beta=50", "model.coupling.g=5", "expansion.m=3", "expansion.q=2"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run([command, config, *(arg for s in settings for arg in ("--set", s))])
+    assert code == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "numerical_failure"
+    assert error["message"] == "the weight of polymer ((0, 1), (1, 2)) is not finite (nan)"
 
 
 def test_golden_report_chain4(tmp_path):

@@ -10,7 +10,7 @@ from bosepoly.lattice import (
     MAX_SITES,
     CouplingError,
     OnsiteParams,
-    SiteCapError,
+    ResourceCapError,
     build_couplings,
     build_lattice,
     distance_matrix,
@@ -26,7 +26,7 @@ def test_chain_of_four():
 
 def test_lattice_past_the_site_cap_is_refused():
     assert build_lattice([MAX_SITES]).n_sites == MAX_SITES
-    with pytest.raises(SiteCapError) as info:
+    with pytest.raises(ResourceCapError) as info:
         build_lattice([MAX_SITES // 2 + 1, 2])
     assert (info.value.required, info.value.allowed) == (MAX_SITES + 2, MAX_SITES)
 

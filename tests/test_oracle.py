@@ -8,12 +8,12 @@ from bosepoly.fock import onsite_energy, restricted_log_partition
 from bosepoly.lattice import (
     ModelInstance,
     OnsiteParams,
+    ResourceCapError,
     build_couplings,
     build_lattice,
     interaction_edges,
 )
 from bosepoly.oracle import (
-    DimensionCapError,
     MonomialOperator,
     annihilate,
     clustering_scan,
@@ -122,7 +122,7 @@ def test_thermalize_solves_largest_sector_first(monkeypatch):
 
 def test_dimension_cap():
     model = make_chain(4, g=0.1, beta=0.1)
-    with pytest.raises(DimensionCapError) as err:
+    with pytest.raises(ResourceCapError) as err:
         thermalize(model, q=9, dim_cap=100)
     assert err.value.required == 10**4
     assert err.value.allowed == 100

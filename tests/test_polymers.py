@@ -4,13 +4,8 @@ import tracemalloc
 import pytest
 
 import bosepoly.polymers
-from bosepoly.lattice import build_couplings, build_lattice, interaction_edges
-from bosepoly.polymers import (
-    Polymer,
-    PolymerCountError,
-    enumerate_polymers,
-    subset_components,
-)
+from bosepoly.lattice import ResourceCapError, build_couplings, build_lattice, interaction_edges
+from bosepoly.polymers import Polymer, enumerate_polymers, subset_components
 from ursell_reference import (
     Cluster,
     copy_incompatibility_graph,
@@ -212,7 +207,7 @@ def test_polymer_cap_counts_sizes_up_to_two_exactly(alphabet, monkeypatch):
     monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", count)
     assert len(enumerate_polymers(alphabet, 2)) == count
     monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", count - 1)
-    with pytest.raises(PolymerCountError) as info:
+    with pytest.raises(ResourceCapError) as info:
         enumerate_polymers(alphabet, 3)
     assert (info.value.required, info.value.allowed) == (count, count - 1)
 
@@ -221,7 +216,7 @@ def test_polymer_cap_stops_the_enumeration(monkeypatch):
     total = len(enumerate_polymers(K4, 4))
     small = len(enumerate_polymers(K4, 2))
     monkeypatch.setattr(bosepoly.polymers, "MAX_POLYMERS", small)
-    with pytest.raises(PolymerCountError) as info:
+    with pytest.raises(ResourceCapError) as info:
         enumerate_polymers(K4, 4)
     assert small < total
     assert (info.value.required, info.value.allowed) == (small + 1, small)
