@@ -27,15 +27,17 @@ the numerical linked-cluster sum over polymers S with |S| <= m of
 
     c_S = sum_{nonempty T subset of S} (-1)^(|S|-|T|) sum_{K in components(T)} L_K,
 
-whose z^k coefficient vanishes for k < |S| (only clusters whose polymers
-cover S survive the alternating sum).  The order-k contribution, the sum
-of [z^k] c_S over |S| <= k, is the sum over all clusters of total size k,
-so the decay of the series is visible directly.  This is the numerical
-linked-cluster expansion of Rigol, Bryant and Singh (PRL 97, 187202, 2006)
-run on the polymer gas; it needs no cluster enumeration and no Ursell
-functions.  The weight, Xi_K and c_S of a polymer all read one walk over
-its subsets from ``subset_components``; the weight's near-cancelling
-alternating sum runs in that subset order with compensated accumulation.
+and row k sums [z^k] c_S over |S| <= k: all clusters of total size k, so
+the decay of the series is visible directly.  K is a component of T
+exactly when T is K plus edges off the d_K alphabet edges at K's sites, so
+L_K enters only S = K + A for A a subset of those edges, with sign
+(-1)^|A|; over |A| <= k - |K| that sums to the multiplicity
+(-1)^(k-|K|) C(d_K - 1, k - |K|) of [z^k] L_K in row k (1 when d_K = 0).
+This is the numerical linked-cluster expansion of Rigol, Bryant and Singh
+(PRL 97, 187202, 2006) run on the polymer gas; it needs no cluster
+enumeration and no Ursell functions.  A polymer's weight and Xi_K read one
+walk over its subsets from ``subset_components``; the weight's
+near-cancelling alternating sum runs in that order, compensated.
 
 The Kotecky-Preiss diagnostic reports, per site x, the truncated sum
 
@@ -136,8 +138,7 @@ def _log_g(model: ModelInstance, edges: tuple, q: int) -> float:
 
 
 def _neumaier_sum(values) -> float:
-    total = 0.0
-    comp = 0.0
+    total = comp = 0.0
     for v in values:
         t = total + v
         if abs(total) >= abs(v):
@@ -152,10 +153,10 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     """The weight of every polymer of size <= m, keyed by its edge tuple in
     canonical order, and the order-k contributions of T_m for k = 1..m.
 
-    Each polymer S is solved once, and one walk over its edge subsets gives
-    w_S, then L_S, then the terms of c_S.  Every component of a proper
-    subset of S is an earlier polymer, so its log g, weight and series are
-    known; the last subset is S itself.  Refuses, from the thresholded
+    Each polymer K is solved once, and one walk over its edge subsets gives
+    w_K, then L_K, which enters each row k >= |K| once, times its
+    multiplicity; every component of a proper subset of K is an earlier
+    polymer, whose log g and weight are known.  Refuses, from the thresholded
     couplings and before the alphabet is built, an order or polymer count
     past the caps, and, before any solve, a polymer support whose truncated
     space (q+1)^|V| exceeds the default dimension cap.  A weight that is
@@ -164,11 +165,13 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     if cfg.m is None:
         raise ValueError("the expansion needs a truncation order m")
     m = cfg.m
-    check_polymer_caps((np.abs(model.couplings.entries) > cfg.polymer_threshold).sum(axis=1), m)
+    alphabet = np.abs(model.couplings.entries) > cfg.polymer_threshold
+    degree = alphabet.sum(axis=1)
+    check_polymer_caps(degree, m)
     polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)
     check_dim_cap(q, max((len(p.support) for p in polymers), default=0))
 
-    log_g, weights, series = {}, {}, {}
+    log_g, weights = {}, {}
     orders: list[list[float]] = [[] for _ in range(m + 1)]
     for polymer in polymers:
         s = polymer.edges
@@ -176,12 +179,8 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
         w_terms, xi_terms = [], [[] for _ in range(m + 1)]
         for size, ks in subset_components(s):
             w_terms.append((-1.0) ** size * np.exp(math.fsum(log_g[k] for k in ks)))
-            if size < len(s):  # S itself, the last subset, enters below
+            if size < len(s):  # K itself, the last subset, enters below
                 xi_terms[size].append(math.prod(weights[k] for k in ks))
-                sign = (-1.0) ** (len(s) - size)
-                for k in ks:
-                    for order in range(len(s), m + 1):
-                        orders[order].append(sign * series[k][order])
         weights[s] = float((-1.0) ** len(s) * _neumaier_sum(w_terms))
         if not math.isfinite(weights[s]):
             raise ArithmeticError(f"the weight of polymer {s} is not finite ({weights[s]})")
@@ -191,9 +190,10 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
         for k in range(1, m + 1):
             # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
             log[k] = xi[k] - math.fsum(j * log[j] * xi[k - j] for j in range(1, k)) / k
-        series[s] = log
-        for order in range(len(s), m + 1):
-            orders[order].append(log[order])
+        v = sorted(polymer.support)  # d_K: the degree sum counts edges inside V_K twice
+        d = int(degree[v].sum() - alphabet[np.ix_(v, v)].sum() // 2) - len(s)
+        for j, term in enumerate(log[len(s):]):
+            orders[len(s) + j].append(((-1) ** j * math.comb(d - 1, j) if d else 1) * term)
     return weights, [math.fsum(orders[k]) for k in range(1, m + 1)]
 
 
