@@ -127,16 +127,6 @@ class KPDiagnosticRow:
     certified: bool
 
 
-def _log_g(model: ModelInstance, edges: tuple, q: int) -> float:
-    """log g(K) on the component's own support: hopping trace minus free trace."""
-    region = tuple(sorted({s for e in edges for s in e}))
-    try:
-        return (restricted_log_partition(model, region, edges, q)
-                - onsite_log_trace(model, region, q, model.beta))
-    except ArithmeticError as exc:
-        raise EigensolverError(f"weight evaluation failed for polymer {edges}: {exc}") from exc
-
-
 def _neumaier_sum(values) -> float:
     total = comp = 0.0
     for v in values:
@@ -149,6 +139,16 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
+def _finite_fsum(terms, what: str) -> float:
+    try:
+        total = math.fsum(terms)
+    except (ValueError, OverflowError):  # +inf with -inf terms, or an overflowing sum
+        total = math.nan
+    if not math.isfinite(total):
+        raise ArithmeticError(f"{what} is not finite ({total})")
+    return total
+
+
 def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list[float]]:
     """The weight of every polymer of size <= m, keyed by its edge tuple in
     canonical order, and the order-k contributions of T_m for k = 1..m.
@@ -159,8 +159,8 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     polymer, whose log g and weight are known.  Refuses, from the thresholded
     couplings and before the alphabet is built, an order or polymer count
     past the caps, and, before any solve, a polymer support whose truncated
-    space (q+1)^|V| exceeds the default dimension cap.  A weight that is
-    not finite (an overflowing exp(log g)) raises ArithmeticError.
+    space (q+1)^|V| exceeds the default dimension cap.  A weight, log Xi
+    series or row that an overflow leaves not finite raises ArithmeticError.
     """
     if cfg.m is None:
         raise ValueError("the expansion needs a truncation order m")
@@ -174,27 +174,32 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     log_g, weights = {}, {}
     orders: list[list[float]] = [[] for _ in range(m + 1)]
     for polymer in polymers:
-        s = polymer.edges
-        log_g[s] = _log_g(model, s, q)
+        s, v = polymer.edges, sorted(polymer.support)
+        try:  # log g(K) on K's own support: hopping trace minus free trace
+            log_g[s] = (restricted_log_partition(model, v, s, q)
+                        - onsite_log_trace(model, v, q, model.beta))
+        except ArithmeticError as exc:
+            raise EigensolverError(f"weight evaluation failed for polymer {s}: {exc}") from exc
         w_terms, xi_terms = [], [[] for _ in range(m + 1)]
-        for size, ks in subset_components(s):
-            w_terms.append((-1.0) ** size * np.exp(math.fsum(log_g[k] for k in ks)))
-            if size < len(s):  # K itself, the last subset, enters below
-                xi_terms[size].append(math.prod(weights[k] for k in ks))
-        weights[s] = float((-1.0) ** len(s) * _neumaier_sum(w_terms))
-        if not math.isfinite(weights[s]):
-            raise ArithmeticError(f"the weight of polymer {s} is not finite ({weights[s]})")
+        with np.errstate(over="ignore", invalid="ignore"):  # the weight is checked below
+            for size, ks in subset_components(s):
+                w_terms.append((-1.0) ** size * np.exp(math.fsum(log_g[k] for k in ks)))
+                if size < len(s):  # K itself, the last subset, enters below
+                    xi_terms[size].append(math.prod(weights[k] for k in ks))
+            weight = (-1.0) ** len(s) * _neumaier_sum(w_terms)
+        weights[s] = _finite_fsum([weight], f"the weight of polymer {s}")
         xi_terms[len(s)].append(weights[s])
-        xi = [math.fsum(t) for t in xi_terms]
+        series = f"the log Xi series of polymer {s}"
+        xi = [_finite_fsum(t, series) for t in xi_terms]
         log = [0.0] * (m + 1)
         for k in range(1, m + 1):
             # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
-            log[k] = xi[k] - math.fsum(j * log[j] * xi[k - j] for j in range(1, k)) / k
-        v = sorted(polymer.support)  # d_K: the degree sum counts edges inside V_K twice
+            log[k] = xi[k] - _finite_fsum((j * log[j] * xi[k - j] for j in range(1, k)), series) / k
+        # d_K: the degree sum counts the alphabet edges inside V_K twice
         d = int(degree[v].sum() - alphabet[np.ix_(v, v)].sum() // 2) - len(s)
         for j, term in enumerate(log[len(s):]):
             orders[len(s) + j].append(((-1) ** j * math.comb(d - 1, j) if d else 1) * term)
-    return weights, [math.fsum(orders[k]) for k in range(1, m + 1)]
+    return weights, [_finite_fsum(orders[k], f"row {k} of T_m") for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)
@@ -219,18 +224,16 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
 
     Deterministic for a fixed config: every order is one correctly rounded
     sum, and each weight is a pure function of its polymer.  Row k reads
-    only series coefficients up to z^k of polymers of size <= k, so the
-    per_order rows of a run at m are the first m rows of any run at a
-    larger m.
+    only series coefficients up to z^k of polymers of size <= k, times
+    multiplicities that do not depend on m, so the per_order rows of a run
+    at m are the first m rows of any run at a larger m.
     """
     q = resolve_cutoff(model.n_sites, model.beta, cfg)
 
     weights, orders = _expand(model, cfg, q)
-    per_order = []
     t_m = 0.0
-    for order, contribution in enumerate(orders, start=1):
+    for contribution in orders:
         t_m += contribution
-        per_order.append(OrderContribution(order, contribution))
 
     log_z_w = onsite_log_trace(model, range(model.n_sites), q, model.beta)
     # one pass over the polymers; each site's KP terms keep the polymer order
@@ -256,7 +259,7 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
         f_beta=log_z_w + t_m,
         log_z_w=log_z_w,
         t_m=t_m,
-        per_order=tuple(per_order),
+        per_order=tuple(OrderContribution(k, c) for k, c in enumerate(orders, start=1)),
         kp_margin=tuple(kp_rows),
         kp_certified=certified,
         polymer_count=len(weights),

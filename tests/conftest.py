@@ -27,10 +27,10 @@ def make_explicit(n, matrix, beta, U=1.0, mu=0.0, periodic=False):
     return ModelInstance(lat, coup, onsite, beta)
 
 
-def weights_at(model, m, q):
+def weights_at(model, m, q, threshold=0.0):
     """The expansion pass's weight of every polymer of size <= m, keyed by
     edge tuple in canonical order."""
-    return _expand(model, ExpansionConfig(m=m, q=q), q)[0]
+    return _expand(model, ExpansionConfig(m=m, q=q, polymer_threshold=threshold), q)[0]
 
 
 def weight(polymer, model, q):

@@ -4,6 +4,7 @@ import math
 import pathlib
 import time
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -1177,15 +1178,31 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["approx", "kp"])
 def test_overflowing_weight_is_a_numerical_failure(command, capsys):
-    # at beta=50 and g=5, exp(log g) of a two-edge subset overflows
+    # at g=5 and m=3 every weight is finite, but the z^3 coefficient of the
+    # single edge's log(1 + w z) overflows from beta=25 on; at g=10 and m=1,
+    # exp(log g) of the edge itself overflows.  Neither warns on stderr.
     config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
-    settings = ["model.beta=50", "model.coupling.g=5", "expansion.m=3", "expansion.q=2"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run([command, config, *(arg for s in settings for arg in ("--set", s))])
-    assert code == 4
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["code"] == "numerical_failure"
-    assert error["message"] == "the weight of polymer ((0, 1), (1, 2)) is not finite (nan)"
+    series = "the log Xi series of polymer ((0, 1),) is not finite"
+    cases = [
+        (25, 5, 3, f"{series} (-inf)"),
+        (30, 5, 3, f"{series} (-inf)"),
+        (35, 5, 3, f"{series} (-inf)"),
+        (40, 5, 3, f"{series} (inf)"),
+        (50, 5, 3, f"{series} (inf)"),
+        (50, 10, 1, "the weight of polymer ((0, 1),) is not finite (nan)"),
+    ]
+    for beta, g, m, message in cases:
+        settings = [f"model.beta={beta}", f"model.coupling.g={g}", f"expansion.m={m}",
+                    "expansion.q=2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, config, *(arg for s in settings for arg in ("--set", s))])
+        assert code == 4, beta
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "numerical_failure"
+        assert error["message"] == message
 
 
 def test_golden_report_chain4(tmp_path):

@@ -16,7 +16,24 @@ from bosepoly.lattice import interaction_edges
 from bosepoly.polymers import Polymer, enumerate_polymers
 
 from conftest import make_chain, make_explicit, make_long_range_chain, weight, weights_at
+from expansion_reference import linked_cluster_rows
 from ursell_reference import cluster_per_order
+
+
+def make_square(dims, g, beta, U=1.0, mu=0.0):
+    """Open nearest-neighbour square lattice."""
+    from bosepoly.lattice import ModelInstance, OnsiteParams, build_couplings, build_lattice
+
+    lat = build_lattice(dims)
+    coup = build_couplings(lat, "finite_range", g=g, d_c=1)
+    return ModelInstance(lat, coup, OnsiteParams.uniform(lat.n_sites, U, mu), beta)
+
+
+# sites 0-1-2 form a path; the edge (3, 4) shares a site with no other edge
+ISOLATED_EDGE = np.zeros((5, 5))
+ISOLATED_EDGE[0, 1] = ISOLATED_EDGE[1, 0] = 0.3
+ISOLATED_EDGE[1, 2] = ISOLATED_EDGE[2, 1] = -0.2
+ISOLATED_EDGE[3, 4] = ISOLATED_EDGE[4, 3] = 0.25
 
 
 def test_onsite_log_partition_single_site():
@@ -265,22 +282,46 @@ def test_single_edge_rows_are_the_log1p_series_to_order_eleven():
 
 
 @pytest.mark.parametrize(
-    "model, q, m",
+    "model, q, m, threshold",
     [
-        (make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5), 3, 4),
-        (make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2), 2, 3),
-        (make_explicit(4, 0.2 * (np.ones((4, 4)) - np.eye(4)), beta=0.5, U=1.0, mu=0.3), 1, 5),
-        (make_chain(6, g=0.2, beta=0.5, U=1.1, mu=0.4, d_c=2), 1, 4),
+        (make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5), 3, 4, 0.0),
+        (make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2), 2, 3, 0.0),
+        (make_explicit(4, 0.2 * (np.ones((4, 4)) - np.eye(4)), beta=0.5, U=1.0, mu=0.3), 1, 5, 0.0),
+        (make_chain(6, g=0.2, beta=0.5, U=1.1, mu=0.4, d_c=2), 1, 4, 0.0),
+        # a polymer of three plaquette edges has the fourth inside its support
+        (make_square([2, 3], g=0.2, beta=0.4, U=1.0, mu=0.3), 1, 4, 0.0),
+        (make_explicit(5, ISOLATED_EDGE, beta=0.5, U=1.0, mu=0.2), 2, 4, 0.0),
+        # J = 0.3 / d^2 keeps d <= 3 above the threshold
+        (make_long_range_chain(6, g=0.3, alpha=2.0, beta=0.3, U=1.0, mu=0.2), 1, 3, 0.02),
     ],
-    ids=["chain4", "long-range-chain5", "complete-K4", "chain6-dc2"],
+    ids=["chain4", "long-range-chain5", "complete-K4", "chain6-dc2",
+         "square2x3", "isolated-edge", "long-range-chain6-threshold"],
 )
-def test_linked_cluster_rows_match_ursell_cluster_sum(model, q, m):
+def test_linked_cluster_rows_match_ursell_cluster_sum(model, q, m, threshold):
     # the Ursell-function cluster expansion, evaluated on the same weight
-    # table, is an independent route to every per-order row
-    expected = cluster_per_order(weights_at(model, m, q), m)
-    res = approximate_log_partition(model, ExpansionConfig(m=m, q=q))
-    for oc, want in zip(res.per_order, expected, strict=True):
-        assert abs(oc.contribution - want) <= 1e-12 * abs(want), (oc.order, oc.contribution, want)
+    # table, is an independent route to every per-order row; the c_S
+    # subset walk sums the same clusters term by term, so only the rounding
+    # of the multiplicity-weighted terms may differ from it
+    weights = weights_at(model, m, q, threshold)
+    res = approximate_log_partition(model, ExpansionConfig(m=m, q=q, polymer_threshold=threshold))
+    rows = [oc.contribution for oc in res.per_order]
+    for k, (row, want) in enumerate(zip(rows, cluster_per_order(weights, m), strict=True), 1):
+        assert abs(row - want) <= 1e-12 * abs(want), (k, row, want)
+    for k, (row, want) in enumerate(zip(rows, linked_cluster_rows(weights, m), strict=True), 1):
+        assert abs(row - want) <= 1e-15 * abs(want), (k, row, want)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2),
+     make_square([2, 3], g=0.2, beta=0.4, U=1.0, mu=0.3)],
+    ids=["long-range-chain5", "square2x3"],
+)
+def test_rows_at_m_are_the_first_rows_at_a_larger_m(model):
+    # compare serves every m of --m-list from the rows of one run at the largest
+    short = approximate_log_partition(model, ExpansionConfig(m=3, q=1)).per_order
+    long = approximate_log_partition(model, ExpansionConfig(m=5, q=1)).per_order
+    assert short == long[:3]
 
 
 def test_long_range_expansion_tracks_oracle():
@@ -329,6 +370,18 @@ def test_two_dimensional_lattice_pipeline():
     rep = approximate_log_partition(model, ExpansionConfig(m=3, q=q))
     assert abs(rep.f_beta - oracle) < 1e-7
     assert rep.kp_certified
+
+
+@pytest.mark.parametrize(
+    "terms, shown",
+    [([1.0, math.inf], "inf"), ([math.inf, -math.inf], "nan"), ([1e308, 1e308], "nan")],
+)
+def test_a_sum_that_overflows_is_a_numerical_failure_naming_it(terms, shown):
+    # fsum raises ValueError on +inf with -inf, and OverflowError when the
+    # finite terms overflow; both become the named ArithmeticError
+    with pytest.raises(ArithmeticError, match=rf"^row 2 of T_m is not finite \({shown}\)$"):
+        bosepoly.expansion._finite_fsum(terms, "row 2 of T_m")
+    assert bosepoly.expansion._finite_fsum([1e308, -1e308, 1.0], "row 2 of T_m") == 1.0
 
 
 def test_polymer_threshold_knob():
