@@ -28,11 +28,11 @@ the numerical linked-cluster sum over polymers S with |S| <= m of
     c_S = sum_{nonempty T subset of S} (-1)^(|S|-|T|) sum_{K in components(T)} L_K,
 
 and row k sums [z^k] c_S over |S| <= k: all clusters of total size k, so
-the decay of the series is visible directly.  K is a component of T
-exactly when T is K plus edges off the d_K alphabet edges at K's sites, so
-L_K enters only S = K + A for A a subset of those edges, with sign
-(-1)^|A|; over |A| <= k - |K| that sums to the multiplicity
-(-1)^(k-|K|) C(d_K - 1, k - |K|) of [z^k] L_K in row k (1 when d_K = 0).
+the decay of the series is visible directly.  Let N(K) be the d_K alphabet
+edges that share a site with K and are not in it.  K is a component of T
+exactly when T is K plus edges outside N(K), so L_K survives only in the
+S = K + A with A a subset of N(K), with sign (-1)^|A|; summed over |A| <=
+k - |K|, row k takes (-1)^(k-|K|) C(d_K - 1, k - |K|) [z^k] L_K (1 if d_K = 0).
 This is the numerical linked-cluster expansion of Rigol, Bryant and Singh
 (PRL 97, 187202, 2006) run on the polymer gas; it needs no cluster
 enumeration and no Ursell functions.  A polymer's weight and Xi_K read one
