@@ -22,7 +22,10 @@ connected edge set K then has the partition function
 
     Xi_K(z) = sum_{A subset of K} z^|A| prod_{gamma in components(A)} w_gamma,
 
-and L_K = log Xi_K is taken as a power series truncated at z^m.  T_m is
+and g(K) = Xi_K(1), the weight's alternating sum inverted over subsets
+(Kotecky and Preiss, CMP 103, 1986).  So w_K, the z^|K| coefficient of
+Xi_K, is expm1(log g(K)) less its z^1 .. z^(|K|-1) coefficients.
+L_K = log Xi_K is taken as a power series truncated at z^m.  T_m is
 the numerical linked-cluster sum over polymers S with |S| <= m of
 
     c_S = sum_{nonempty T subset of S} (-1)^(|S|-|T|) sum_{K in components(T)} L_K,
@@ -36,8 +39,7 @@ k - |K|, row k takes (-1)^(k-|K|) C(d_K - 1, k - |K|) [z^k] L_K (1 if d_K = 0).
 This is the numerical linked-cluster expansion of Rigol, Bryant and Singh
 (PRL 97, 187202, 2006) run on the polymer gas; it needs no cluster
 enumeration and no Ursell functions.  A polymer's weight and Xi_K read one
-walk over its subsets from ``subset_components``; the weight's
-near-cancelling alternating sum runs in that order, compensated.
+walk over its subsets from ``subset_components``, and one log g per polymer.
 
 The Kotecky-Preiss diagnostic reports, per site x, the truncated sum
 
@@ -52,6 +54,7 @@ the certificate holds, and is labeled conditional in every report.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,18 +130,6 @@ class KPDiagnosticRow:
     certified: bool
 
 
-def _neumaier_sum(values) -> float:
-    total = comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def _finite_fsum(terms, what: str) -> float:
     try:
         total = math.fsum(terms)
@@ -156,10 +147,11 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     Each polymer K is solved once, and one walk over its edge subsets gives
     w_K, then L_K, which enters each row k >= |K| once, times its
     multiplicity; every component of a proper subset of K is an earlier
-    polymer, whose log g and weight are known.  Refuses, from the thresholded
-    couplings and before the alphabet is built, an order or polymer count
-    past the caps, and, before any solve, a polymer support whose truncated
-    space (q+1)^|V| exceeds the default dimension cap.  A weight, log Xi
+    polymer, whose weight is known, and w_K is expm1(log g(K)) less the
+    products of those weights over the proper subsets.  Refuses, from the
+    thresholded couplings and before the alphabet is built, an order or
+    polymer count past the caps, and, before any solve, a polymer support
+    whose truncated space (q+1)^|V| exceeds the default dimension cap.  A weight, log Xi
     series or row that an overflow leaves not finite raises ArithmeticError.
     """
     if cfg.m is None:
@@ -171,23 +163,24 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)
     check_dim_cap(q, max((len(p.support) for p in polymers), default=0))
 
-    log_g, weights = {}, {}
+    weights = {}
     orders: list[list[float]] = [[] for _ in range(m + 1)]
     for polymer in polymers:
         s, v = polymer.edges, sorted(polymer.support)
         try:  # log g(K) on K's own support: hopping trace minus free trace
-            log_g[s] = (restricted_log_partition(model, v, s, q)
-                        - onsite_log_trace(model, v, q, model.beta))
+            log_g = (restricted_log_partition(model, v, s, q)
+                     - onsite_log_trace(model, v, q, model.beta))
         except ArithmeticError as exc:
             raise EigensolverError(f"weight evaluation failed for polymer {s}: {exc}") from exc
-        w_terms, xi_terms = [], [[] for _ in range(m + 1)]
-        with np.errstate(over="ignore", invalid="ignore"):  # the weight is checked below
-            for size, ks in subset_components(s):
-                w_terms.append((-1.0) ** size * np.exp(math.fsum(log_g[k] for k in ks)))
-                if size < len(s):  # K itself, the last subset, enters below
-                    xi_terms[size].append(math.prod(weights[k] for k in ks))
-            weight = (-1.0) ** len(s) * _neumaier_sum(w_terms)
-        weights[s] = _finite_fsum([weight], f"the weight of polymer {s}")
+        xi_terms = [[] for _ in range(m + 1)]
+        for size, ks in subset_components(s):
+            if size < len(s):  # K itself, the last subset, enters below
+                xi_terms[size].append(math.prod(weights[k] for k in ks))
+        # g(K) = Xi_K(1): w_K is what g(K) - 1 leaves after the proper subsets;
+        # map defers expm1, so an overflow there is caught by the sum
+        proper = (-t for terms in xi_terms[1:len(s)] for t in terms)
+        weights[s] = _finite_fsum(itertools.chain(map(math.expm1, [log_g]), proper),
+                                  f"the weight of polymer {s}")
         xi_terms[len(s)].append(weights[s])
         series = f"the log Xi series of polymer {s}"
         xi = [_finite_fsum(t, series) for t in xi_terms]
