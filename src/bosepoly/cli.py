@@ -85,6 +85,8 @@ def load_config(path: str, overrides=()) -> dict:
             config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
+    except OSError as exc:  # a directory, or a file we may not read
+        raise ConfigError([f"config file cannot be read: {path}: {exc.strerror}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config file is not valid JSON: {exc}"])
     if not isinstance(config, dict):

@@ -151,8 +151,9 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     products of those weights over the proper subsets.  Refuses, from the
     thresholded couplings and before the alphabet is built, an order or
     polymer count past the caps, and, before any solve, a polymer support
-    whose truncated space (q+1)^|V| exceeds the default dimension cap.  A weight, log Xi
-    series or row that an overflow leaves not finite raises ArithmeticError.
+    whose truncated space (q+1)^|V| exceeds the default dimension cap.  A
+    weight, log Xi series or row that an overflow leaves not finite raises
+    ArithmeticError.
     """
     if cfg.m is None:
         raise ValueError("the expansion needs a truncation order m")

@@ -473,6 +473,19 @@ def test_missing_beta_exit_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_config_path_that_cannot_be_read_exits_2(tmp_path, capsys):
+    assert run(["approx", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "config_error"
+    assert error["message"] == f"config file cannot be read: {tmp_path}: Is a directory"
+    assert captured.err == ""
+    missing = tmp_path / "absent.json"
+    assert run(["approx", str(missing)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        f"config file not found: {missing}")
+
+
 def test_exact_single_site(tmp_path):
     config = base_config()
     config["model"]["dims"] = [1]

@@ -208,17 +208,17 @@ def splits(polymer) -> bool:
     return False
 
 
-def square_2x3(g, beta):
-    lat = build_lattice([2, 3])
+def square(dims, g, beta):
+    lat = build_lattice(dims)
     coup = build_couplings(lat, "finite_range", g=g, d_c=1)
-    return ModelInstance(lat, coup, OnsiteParams.uniform(6, 1.0, 0.0), beta)
+    return ModelInstance(lat, coup, OnsiteParams.uniform(lat.n_sites, 1.0, 0.0), beta)
 
 
 @pytest.mark.parametrize(
     "model,q,m",
     [
         (disordered(make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5), seed=3), 2, 3),
-        (disordered(square_2x3(g=0.3, beta=0.5), seed=4), 2, 4),
+        (disordered(square([2, 3], g=0.3, beta=0.5), seed=4), 2, 4),
     ],
     ids=["long-range-chain4", "square-2x3"],
 )
@@ -301,6 +301,19 @@ def test_weights_up_to_size_three_match_a_50_digit_reference(model, q):
     mpmath = pytest.importorskip("mpmath")
     table = weights_at(model, 3, q)
     assert max(len(edges) for edges in table) == 3
+    assert_at_float64_floor(mpmath, model, table, q)
+
+
+def test_cycle_polymer_weights_match_a_50_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    model = disordered(square([2, 2], g=0.3, beta=0.5), seed=2)
+    table = weights_at(model, 4, 1)
+    plaquette = ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert len(table) == 13 and plaquette in table
+    assert_at_float64_floor(mpmath, model, table, 1)
+
+
+def assert_at_float64_floor(mpmath, model, table, q):
     eps = np.finfo(np.float64).eps
     with mpmath.workdps(50):
         for edges, w in table.items():
@@ -309,7 +322,10 @@ def test_weights_up_to_size_three_match_a_50_digit_reference(model, q):
             # the float64 floor: g(T) is a ratio of two traces over |V|
             # sites, each with about one rounding per site (the site-by-site
             # on-site sums, and eigenvalues backward stable to eps |H|), so
-            # |d log g(T)| <= 2 eps |V| to first order, and the alternating
-            # sum passes on sum_T g(T) |d log g(T)|
+            # |d log g(T)| <= 2 eps |V| to first order.  expm1(log g) less the
+            # products of smaller weights over the proper subsets equals the
+            # alternating sum of the g(T) in exact arithmetic, so to first
+            # order the log g errors pass through the same linear map, onto
+            # sum_T g(T) |d log g(T)|; the correctly rounded sums add less
             bound = 2 * eps * len(polymer.support) * float(g_total)
             assert abs(float(mpmath.mpf(w) - want)) <= bound, (edges, w, float(want))
