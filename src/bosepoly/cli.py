@@ -69,7 +69,9 @@ def _set_path(config: dict, dotted: str, raw: str) -> None:
     keys = dotted.split(".")
     target = config
     for key in keys[:-1]:
-        target = target.setdefault(key, {})
+        if target.get(key) is None:  # a null section reads as an empty one
+            target[key] = {}
+        target = target[key]
         if not isinstance(target, dict):
             raise ConfigError([f"--set path {dotted!r} crosses a non-object value"])
     try:

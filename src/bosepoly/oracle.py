@@ -377,7 +377,7 @@ def mutual_information(state: ThermalState, partition) -> float:
     a = tuple(sorted(a))
     b = tuple(sorted(b))
     n = state.model.n_sites
-    if set(a) & set(b) or set(a) | set(b) != set(range(n)) or not a or not b:
+    if sorted(a + b) != list(range(n)) or not a or not b:
         raise ValueError("partition must split the lattice into two nonempty parts")
 
     s_total = 0.0

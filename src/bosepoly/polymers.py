@@ -5,18 +5,23 @@ A polymer is a set of distinct interaction edges whose edge-overlap graph
 are compatible when their site supports are disjoint, and an edge set
 splits into site-connected components, each of them a polymer.
 
-Enumeration is exact-once and deterministic: connected subsets are grown
-from their minimal element with include/exclude branching, then emitted in
-canonical (size-then-lexicographic) order, at most ``MAX_POLYMERS`` of at
-most ``MAX_ORDER`` edges.  ``subset_components`` splits each edge subset of
-a polymer into components, which depend only on the polymer's line graph
-(which of its sorted edges share a site).  So the split runs once per line
-graph, on bitmasks over its edges, for every polymer of that shape.
+Enumeration is exact-once and deterministic.  Each polymer is a bitmask over
+the sorted alphabet, and its border is the OR of its edges' line-graph
+masks: every alphabet edge that shares a site with one of its edges.
+Polymers are grown one size at a time: every polymer of size s, with each
+border edge not already in it, gives a polymer of size s + 1, and a dict
+keyed by mask keeps each one once, however many growth paths reach it.
+They are emitted in canonical (size-then-lexicographic) order, at most
+``MAX_POLYMERS`` of at most ``MAX_ORDER`` edges.  ``subset_components``
+splits each edge subset of a polymer into components, which depend only on
+the polymer's line graph (which of its sorted edges share a site).  So the
+split runs once per line graph, on bitmasks over its edges, for every
+polymer of that shape.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -44,9 +49,15 @@ MAX_ORDER = 16
 
 
 def _line_graph(edges) -> tuple[int, ...]:
-    """Bit j of entry k is set when edges k != j share a site."""
-    return tuple(sum(1 << j for j, f in enumerate(edges) if j != k and (a in f or b in f))
-                 for k, (a, b) in enumerate(edges))
+    """Bit j of entry k is set when edges k != j share a site; entry k does
+    not keep its own bit k.  Built from each site's incidence mask, in
+    O(sum of site degrees), so one builder serves a whole alphabet and each
+    polymer."""
+    at = defaultdict(int)
+    for k, (a, b) in enumerate(edges):
+        at[a] |= 1 << k
+        at[b] |= 1 << k
+    return tuple((at[a] | at[b]) & ~(1 << k) for k, (a, b) in enumerate(edges))
 
 
 def _split(line_graph, mask: int) -> tuple[int, ...]:
@@ -118,38 +129,6 @@ class Polymer:
         return (len(self.edges), self.edges)
 
 
-def _connected_subsets(n: int, adjacency, max_size: int):
-    """All connected vertex subsets of a graph with at most max_size
-    vertices, each exactly once.
-
-    ``adjacency[v]`` is a set of neighbor indices; subsets are grown only
-    from their minimal element, with candidates processed in increasing
-    order so each subset has a unique include/exclude path.
-    """
-    results = []
-
-    def rec(included: tuple, frontier: frozenset, excluded: frozenset, root: int):
-        if len(results) > MAX_POLYMERS:
-            raise ResourceCapError("at least {} polymers exceed", len(results), MAX_POLYMERS)
-        if len(included) == max_size:
-            return
-        candidates = sorted(v for v in frontier if v > root and v not in excluded)
-        for pos, v in enumerate(candidates):
-            new_inc = included + (v,)
-            results.append(new_inc)
-            rec(
-                new_inc,
-                (frontier | adjacency[v]) - set(new_inc),
-                excluded | set(candidates[:pos]),
-                root,
-            )
-
-    for root in range(n):
-        results.append((root,))
-        rec((root,), frozenset(adjacency[root]), frozenset(), root)
-    return results
-
-
 def check_polymer_caps(degrees, max_size: int) -> None:
     """Refuse, from each site's edge count alone, an order above
     ``MAX_ORDER`` or an alphabet with more than ``MAX_POLYMERS`` polymers of
@@ -172,16 +151,29 @@ def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
     edges = sorted(set(tuple(sorted(e)) for e in edge_alphabet))
     if any(e[0] == e[1] for e in edges):
         raise ValueError("self-loop edges are not allowed")
+    check_polymer_caps(list(Counter(s for e in edges for s in e).values()), max_size)
 
-    incident = defaultdict(set)
-    for k, (a, b) in enumerate(edges):
-        incident[a].add(k)
-        incident[b].add(k)
-    check_polymer_caps([len(ks) for ks in incident.values()], max_size)
-
-    # line-graph adjacency: edges are adjacent when they share a site
-    adjacency = [(incident[a] | incident[b]) - {k} for k, (a, b) in enumerate(edges)]
-
-    subsets = _connected_subsets(len(edges), adjacency, max_size)
-    polymers = [Polymer(tuple(edges[k] for k in subset)) for subset in subsets]
+    line_graph = _line_graph(edges)
+    # the polymers of one size: mask over the alphabet -> (border, sorted edges)
+    layer = {1 << k: (line_graph[k], (e,)) for k, e in enumerate(edges)}
+    polymers = []
+    for size in range(1, max_size + 1):
+        polymers += [Polymer(members) for _border, members in layer.values()]
+        if size == max_size:
+            break
+        grown = {}
+        for mask, (border, members) in layer.items():
+            new = border & ~mask
+            while new:
+                bit = new & -new
+                new ^= bit
+                if mask | bit not in grown:
+                    # edge k goes after the polymer's edges below it
+                    k, at = bit.bit_length() - 1, (mask & (bit - 1)).bit_count()
+                    grown[mask | bit] = (border | line_graph[k],
+                                         members[:at] + (edges[k],) + members[at:])
+            if len(polymers) + len(grown) > MAX_POLYMERS:
+                raise ResourceCapError("at least {} polymers exceed", MAX_POLYMERS + 1,
+                                       MAX_POLYMERS)
+        layer = grown
     return sorted(polymers, key=lambda p: p.key)

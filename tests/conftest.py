@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads: beside another busy process on a
+# small machine, spare BLAS threads contend for the busy core and the
+# time-budgeted tests slow down.  A variable already set is kept.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from bosepoly.expansion import ExpansionConfig, _expand
 from bosepoly.lattice import ModelInstance, OnsiteParams, build_couplings, build_lattice

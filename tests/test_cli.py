@@ -1095,6 +1095,32 @@ def test_set_override(tmp_path):
     assert doc["result"]["m"] == 2
 
 
+@pytest.mark.parametrize("oracle, sets", [
+    (None, ["--set", "oracle.q=2"]),
+    ({"q": 3, "site": 1}, ["--set", "oracle=null", "--set", "oracle.q=2"]),
+])
+def test_set_path_into_a_null_section(oracle, sets, tmp_path, capsys):
+    # "oracle": null is an empty oracle section, so --set may fill it
+    config = base_config()
+    docs = []
+    for args in ([write_config(tmp_path, dict(config, oracle={"q": 2}), name="q2.json")],
+                 [write_config(tmp_path, dict(config, oracle=oracle)), *sets]):
+        assert run(["exact", *args]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("timing")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["result"]["q"] == 2
+
+
+def test_set_path_through_a_non_object_value_exits_2(tmp_path, capsys):
+    code = run(["exact", write_config(tmp_path, base_config()), "--set", "model.dims.x=1"])
+    assert code == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["error"]["details"] == [
+        "--set path 'model.dims.x' crosses a non-object value"
+    ]
+
+
 def test_error_object_is_machine_readable(tmp_path, capsys):
     config = base_config()
     del config["model"]["beta"]

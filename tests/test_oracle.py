@@ -302,6 +302,12 @@ def test_mutual_information_partition_validation(two_site_model):
         mutual_information(state, ([0], [0, 1]))
 
 
+def test_mutual_information_rejects_a_repeated_site():
+    state = thermalize(make_chain(4, g=0.3, beta=0.5), q=1)
+    with pytest.raises(ValueError, match="partition must split the lattice"):
+        mutual_information(state, ([0, 0, 1], [2, 3]))
+
+
 def test_mutual_information_against_dense_entropies():
     # independent path: entropies from the dense rho and explicit kron traces
     model = make_chain(3, g=0.4, beta=0.5, U=1.0, mu=0.1)

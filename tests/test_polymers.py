@@ -163,6 +163,18 @@ def test_emission_order_is_canonical_and_duplicate_free():
     assert len(keys) == len(set(keys))
 
 
+def test_dense_alphabet_matches_brute_force_in_canonical_order():
+    # the open 3x3 alpha=3 square couples all 36 site pairs, so most polymers
+    # are reached by many growth paths and must still come out once each
+    square = build_couplings(build_lattice([3, 3]), "long_range", g=0.1, alpha=3.0)
+    alphabet = interaction_edges(square, 0.0)
+    polymers = enumerate_polymers(alphabet, 4)
+    keys = [p.key for p in polymers]
+    assert len(alphabet) == 36 and len(polymers) == 20_028
+    assert {frozenset(p.edges) for p in polymers} == brute_polymers(alphabet, 4)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_components_split_an_edge_set_in_canonical_order():
     # the path 0-1-2-3-4-5, given out of order; (1, 2) bridges (0, 1) and (2, 3)
     polymer = Polymer(((4, 5), (0, 1), (2, 3), (1, 2), (3, 4)))
