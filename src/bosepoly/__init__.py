@@ -29,12 +29,13 @@ from .expansion import (  # noqa: F401
     approximate_log_partition,
 )
 from .oracle import (  # noqa: F401
+    Clustering,
+    Expectation,
+    Moments,
     MonomialOperator,
+    MutualInformation,
+    OccupationDistribution,
     ThermalState,
-    clustering_scan,
-    expectation,
-    moments,
-    mutual_information,
-    occupation_distribution,
+    thermal_states,
     thermalize,
 )

@@ -38,12 +38,12 @@ from .lattice import (
     interaction_edges,
 )
 from .oracle import (
+    Clustering,
     ClusteringScanRow,
-    _rescale_beta,
-    clustering_scan,
-    moments,
-    mutual_information,
-    occupation_distribution,
+    Moments,
+    MutualInformation,
+    OccupationDistribution,
+    thermal_states,
     thermalize,
 )
 
@@ -346,28 +346,25 @@ def cmd_approx(config: dict):
 
 def cmd_exact(config: dict):
     start = time.perf_counter()
+    n_sites = math.prod(_get(config, "model.dims"))
+    site, l_max = _get(config, "oracle.site"), _get(config, "oracle.l_max")
+    parts = [sorted(set(part)) for part in _get(config, "oracle.partitions") or []]
+    # every observable is built, and checked, before the model
+    moments = [Moments(site or 0, l_max)] if l_max is not None else []
+    occupation = [OccupationDistribution(site)] if site is not None else []
+    information = [MutualInformation((a, [i for i in range(n_sites) if i not in a])) for a in parts]
     (q,), dim_cap, model = _oracle_model(config)
-    state = thermalize(model, q, dim_cap=dim_cap)
+    state = thermalize(model, q, moments + occupation + information, dim_cap=dim_cap)
+    values = iter(state.values)
 
     result: dict = {"log_z": state.log_z, "q": q, "n_sites": model.n_sites}
-    site, l_max = _get(config, "oracle.site"), _get(config, "oracle.l_max")
-    if l_max is not None:
-        moment_site = _get(config, "oracle.site", 0)
-        result["moments"] = {"site": moment_site,
-                             "values": moments(state, moment_site, l_max)}
-    if site is not None:
-        result["occupation_distribution"] = {
-            "site": site,
-            "p": occupation_distribution(state, site),
-        }
-    partitions = _get(config, "oracle.partitions")
-    if partitions:
-        rows = []
-        for part in partitions:
-            a = sorted(set(part))
-            b = [i for i in range(model.n_sites) if i not in set(a)]
-            rows.append({"A": a, "mutual_information": mutual_information(state, (a, b))})
-        result["mutual_information"] = rows
+    if moments:
+        result["moments"] = {"site": site or 0, "values": next(values)}
+    if occupation:
+        result["occupation_distribution"] = {"site": site, "p": next(values)}
+    if parts:
+        result["mutual_information"] = [{"A": a, "mutual_information": next(values)}
+                                        for a in parts]
     return result, None, {"elapsed_seconds": time.perf_counter() - start}
 
 
@@ -415,11 +412,9 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
 
 def cmd_clustering(config: dict):
     start = time.perf_counter()
+    request = Clustering(_get(config, "oracle.family", "hopping"), _get(config, "oracle.anchor", 0))
     (q,), dim_cap, model = _oracle_model(config)
-    state = thermalize(model, q, dim_cap=dim_cap)
-    scan = clustering_scan(
-        state, _get(config, "oracle.family", "hopping"), _get(config, "oracle.anchor", 0)
-    )
+    (scan,) = thermalize(model, q, [request], dim_cap=dim_cap).values
     columns = [f.name for f in fields(ClusteringScanRow)]
     result = dict(asdict(scan), columns=columns)
     return result, (columns, result["rows"]), {"elapsed_seconds": time.perf_counter() - start}
@@ -427,19 +422,14 @@ def cmd_clustering(config: dict):
 
 def cmd_moments(config: dict):
     start = time.perf_counter()
-    (q,), dim_cap, model = _oracle_model(config)
     site = _get(config, "oracle.site", 0)
-    l_max = _get(config, "oracle.l_max", 2)
-
-    # W is rescaled only upward in beta; the betas below the first take a second solve
+    request = Moments(site, _get(config, "oracle.l_max", 2))
+    (q,), dim_cap, model = _oracle_model(config)
+    # one pass over the sectors serves every beta, in any order
     betas = [float(b) for b in _get(config, "oracle.beta_list", [model.beta])]
-    values, state = {}, None
-    for beta in sorted(set(betas), key=lambda b: (b < betas[0], b)):
-        if state is not None and beta < state.beta:
-            state = None
-        state = (thermalize(model, q, beta=beta, dim_cap=dim_cap) if state is None
-                 else _rescale_beta(state, beta))
-        values[beta] = moments(state, site, l_max)
+    unique = list(dict.fromkeys(betas))
+    states = thermal_states(model, q, unique, [request], dim_cap)
+    values = {beta: state.values[0] for beta, state in zip(unique, states)}
     rows = [{"beta": beta, "site": site, "l": l, "value": value}
             for beta in betas for l, value in enumerate(values[beta], start=1)]
     columns = ["beta", "site", "l", "value"]

@@ -1,14 +1,19 @@
 """Exact diagonalization of the truncated model: ground truth at small N.
 
-A ThermalState holds, per total-number sector, the eigenvalues and an
-amplitude factor W = V diag(sqrt(p)) (eigenvectors V, Boltzmann weights p),
-so that the sector's block of rho is W W^T.  Expectations route through the
-block structure: a monomial of ladder operators shifts the total number by
-(creations - annihilations), so number-non-conserving monomials vanish
-identically and conserving ones act inside each sector, as inner products
-of rows of W.  No block of rho is ever formed: the diagonal is the row
-norms of W, and each reduced block is a sum of X X^T with X a reshaped
-slice of W's rows (the subsystem total is itself conserved).
+``thermalize`` is one pass over the number sectors.  Each sector is solved
+with one ``eigh``; its eigenvectors V, column k scaled by sqrt(p_k) with
+p_k = exp(-beta lambda_k) / Z_N the Boltzmann weights within the sector,
+form an amplitude factor W whose W W^T is the sector's block of rho over
+Z_N / Z.  Every requested observable folds W into a small partial result,
+and W dies before the next solve; only the eigenvalues are kept.  At the
+end the partials are added in ascending N, weighted by Z_N / Z.
+
+A monomial of ladder operators shifts the total number by (creations -
+annihilations), so number-non-conserving monomials vanish identically and
+conserving ones act inside each sector, as inner products of rows of W.  No
+block of rho is ever formed: the diagonal is the row norms of W, and each
+reduced block is a sum of X X^T with X a reshaped slice of W's rows (the
+subsystem total is itself conserved).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .fock import DEFAULT_DIM_CAP, check_dim_cap
 from .fock import RegionHamiltonian, SectorBlock, logsumexp, occupation_codes, sector_blocks
-from .lattice import ModelInstance, distance_matrix, interaction_edges
+from .lattice import ModelInstance, ResourceCapError, distance_matrix, interaction_edges
 
 __all__ = [
     "MonomialOperator",
@@ -29,16 +34,21 @@ __all__ = [
     "number_op",
     "ThermalState",
     "thermalize",
-    "expectation",
+    "thermal_states",
+    "Expectation",
+    "OccupationDistribution",
+    "Moments",
+    "MutualInformation",
+    "Clustering",
     "ClusteringScanRow",
     "ClusteringScan",
-    "clustering_scan",
-    "moments",
-    "occupation_distribution",
-    "mutual_information",
 ]
 
 CORRELATION_NOISE_FLOOR = 1e-13
+
+# Above every moment order a run has asked for (4); bounds the report's
+# length.  At q >= 2 every order from 1024 on overflows a float anyway.
+MAX_MOMENT_ORDER = 4096
 
 
 @dataclass(frozen=True)
@@ -109,13 +119,11 @@ def _apply_monomial(block: SectorBlock, factors, q):
 
 @dataclass(frozen=True)
 class ThermalState:
-    """exp(-beta H) / Z for the full lattice, one factor per number sector.
+    """exp(-beta H) / Z for the full lattice: its spectrum, log Z, and the
+    value of each observable ``thermalize`` was given, in that order.
 
-    ``amplitudes[b]`` is the sector's eigenvector matrix with column k
-    scaled by sqrt(p_k), p_k = exp(-beta lambda_k) / Z, so the sector's rho
-    block is ``W @ W.T``; the eigenvectors themselves are not kept.
-    ``blocks``, ``eigenvalues`` and ``amplitudes`` are in ascending sector
-    total N, whatever order ``thermalize`` solved them in.
+    ``blocks`` and ``eigenvalues`` are in ascending sector total N, whatever
+    order the sectors were solved in.  No eigenvectors are kept.
     """
 
     model: ModelInstance
@@ -123,104 +131,214 @@ class ThermalState:
     beta: float
     blocks: tuple[SectorBlock, ...]
     eigenvalues: tuple[np.ndarray, ...]
-    amplitudes: tuple[np.ndarray, ...]
     log_z: float
+    values: tuple = ()
 
     def block_probabilities(self, block_index: int) -> np.ndarray:
         lam = self.eigenvalues[block_index]
         return np.exp(-self.beta * lam - self.log_z)
 
-    def diagonal_probabilities(self, block_index: int) -> np.ndarray:
-        """rho's diagonal in the occupation basis of one sector."""
-        W = self.amplitudes[block_index]
-        return np.einsum("sk,sk->s", W, W)
 
-
-def thermalize(model: ModelInstance, q: int, beta: float | None = None,
+def thermalize(model: ModelInstance, q: int, observables=(), beta: float | None = None,
                dim_cap: int = DEFAULT_DIM_CAP) -> ThermalState:
-    """Diagonalize every number sector of the truncated model.
+    """The thermal state at ``beta`` (default ``model.beta``), with the value
+    of each of ``observables``."""
+    return thermal_states(model, q, [model.beta if beta is None else beta], observables,
+                          dim_cap)[0]
+
+
+def thermal_states(model: ModelInstance, q: int, betas, observables=(),
+                   dim_cap: int = DEFAULT_DIM_CAP) -> list[ThermalState]:
+    """One thermal state per beta, from one pass over the number sectors.
+
+    An observable has ``check(model)``, run before any solve;
+    ``partial(block, W, diag)``, which sees one sector's amplitude factor and
+    its row norms and returns a tuple of arrays of fixed shapes; and
+    ``value(total, state)``, given those tuples summed array by array.
 
     Sectors are solved in descending dimension, ties in ascending N, so the
     peak memory is one solve's transient (the block, LAPACK's copy, its
     workspace and the output: about 5-6 n^2 doubles for n states) plus the
-    amplitude factors already solved, none of them smaller than that sector,
-    and the model's hop entries (a few arrays of the (q+1)^N space's size).
-    The results are stored, and log Z summed, in ascending N, so they do not
-    depend on the solve order.
+    model's hop entries (a few arrays of the (q+1)^N space's size).  Each
+    sector's eigenvectors serve every beta and die before the next solve.
+    log Z and the partials are summed in ascending N, so nothing depends on
+    the solve order, and each beta's state is bit for bit that of a run at
+    that beta alone.
     """
-    if beta is None:
-        beta = model.beta
     check_dim_cap(q, model.n_sites, dim_cap)
-
+    for obs in observables:
+        obs.check(model)
     H = RegionHamiltonian(model, range(model.n_sites), interaction_edges(model.couplings, 0.0), q)
-    blocks = H.blocks
-    eigenvalues = [None] * len(blocks)
-    amplitudes = [None] * len(blocks)
-    log_terms = [None] * len(blocks)
-    for b in sorted(range(len(blocks)), key=lambda b: (-blocks[b].dim, b)):
-        lam, vecs = np.linalg.eigh(H.block(b))
-        eigenvalues[b] = lam
-        amplitudes[b] = vecs
-        log_terms[b] = logsumexp(-beta * lam)
-    log_z = logsumexp(log_terms)
-    # in place, so no second dim x dim copy of any sector is held
-    for lam, W in zip(eigenvalues, amplitudes):
-        W *= np.exp(0.5 * (-beta * lam - log_z))
+    eigenvalues, solved = [None] * len(H.blocks), [None] * len(H.blocks)
+    for b in sorted(range(len(H.blocks)), key=lambda b: (-H.blocks[b].dim, b)):
+        eigenvalues[b], solved[b] = _solve_sector(H, b, betas, observables)
 
-    return _normalized(ThermalState(
-        model=model,
-        q=q,
-        beta=beta,
-        blocks=tuple(blocks),
-        eigenvalues=tuple(eigenvalues),
-        amplitudes=tuple(amplitudes),
-        log_z=log_z,
-    ))
+    states = []
+    for k, beta in enumerate(betas):
+        log_zn, parts = zip(*(per_beta[k] for per_beta in solved))
+        log_z = logsumexp(log_zn)
+        weights = [math.exp(t - log_z) for t in log_zn]
+        (trace,), *totals = (
+            [sum(w * x for w, x in zip(weights, arrays)) for arrays in zip(*column)]
+            for column in zip(*parts))
+        if not abs(trace - 1.0) <= 1e-10:  # NaN fails too
+            raise ArithmeticError(f"thermal state failed normalization: Tr rho = {trace}")
+        state = ThermalState(model, q, beta, tuple(H.blocks), tuple(eigenvalues), log_z)
+        states.append(replace(state, values=tuple(
+            obs.value(total, state) for obs, total in zip(observables, totals))))
+    return states
 
 
-def _rescale_beta(state: ThermalState, beta: float) -> ThermalState:
-    """The state at a higher beta from the same solves, W rescaled in place by
-    sqrt(p'/p) (``state`` is spent).  A fall could not restore underflowed W."""
-    if beta < state.beta:
-        raise ValueError(f"cannot rescale a thermal state down from beta {state.beta} to {beta}")
-    log_z = logsumexp([logsumexp(-beta * lam) for lam in state.eigenvalues])
-    for lam, W in zip(state.eigenvalues, state.amplitudes):
-        W *= np.exp(0.5 * (-(beta - state.beta) * lam - (log_z - state.log_z)))
-    return _normalized(replace(state, beta=beta, log_z=log_z))
+def _solve_sector(H: RegionHamiltonian, b: int, betas, observables) -> tuple:
+    """Sector b's eigenvalues and, per beta, (log Z_N, partials): Tr W W^T,
+    then each observable's partial.  The eigenvectors die with the call."""
+    lam, V = np.linalg.eigh(H.block(b))
+    out = []
+    for k, beta in enumerate(betas):
+        log_zn = logsumexp(-beta * lam)
+        # the last beta scales V in place, so one beta holds one n x n array;
+        # row by row, as a broadcast product takes a 64 KiB buffer as well
+        W = V if k == len(betas) - 1 else V.copy()
+        scale = np.exp(0.5 * (-beta * lam - log_zn))
+        for row in W:
+            row *= scale
+        diag = np.einsum("sk,sk->s", W, W)
+        parts = [obs.partial(H.blocks[b], W, diag) for obs in observables]
+        out.append((log_zn, [(diag.sum(),), *parts]))
+    return lam, out
 
 
-def _normalized(state: ThermalState) -> ThermalState:
-    """Tr rho = 1 on the row norms of every W; a non-finite trace fails too."""
-    trace = sum(state.diagonal_probabilities(b).sum() for b in range(len(state.blocks)))
-    if not abs(trace - 1.0) <= 1e-10:
-        raise ArithmeticError(f"thermal state failed normalization: Tr rho = {trace}")
-    return state
-
-
-def expectation(state: ThermalState, op: MonomialOperator) -> float:
-    """Tr(rho O) through the sector blocks.
-
-    Number-non-conserving monomials return exactly 0 without computation.
-    """
-    if op.support and max(op.support) >= state.model.n_sites:
-        raise ValueError("operator support outside the lattice")
-    if op.op_count == 0:
-        return 1.0
+def _sector_expectation(block: SectorBlock, W: np.ndarray, op: MonomialOperator) -> float:
+    """Tr(W W^T O) on one sector; a number-non-conserving O gives 0."""
     if op.number_shift != 0:
         return 0.0
+    rows, coef, moved = _apply_monomial(block, op.factors, block.q)
+    if not rows.size:
+        return 0.0
+    # number-conserving, so every surviving ket lands in this sector, and
+    # distinct kets land on distinct targets
+    targets = np.searchsorted(block.codes, occupation_codes(moved, block.q))
+    # rho[r, t] = <W[r], W[t]>, one per surviving ket r with O|r> = c|t>
+    return float(coef @ np.einsum("rk,rk->r", W[rows], W[targets]))
 
-    total = 0.0
-    for b, block in enumerate(state.blocks):
-        rows, coef, moved = _apply_monomial(block, op.factors, state.q)
-        if not rows.size:
-            continue
-        # number-conserving, so every surviving ket lands in this sector, and
-        # distinct kets land on distinct targets
-        targets = np.searchsorted(block.codes, occupation_codes(moved, state.q))
-        W = state.amplitudes[b]
-        # rho[r, t] = <W[r], W[t]>, one per surviving ket r with O|r> = c|t>
-        total += float(coef @ np.einsum("rk,rk->r", W[rows], W[targets]))
-    return total
+
+class Expectation:
+    """Tr(rho O) for a monomial O: exactly 0 if O does not conserve the
+    number, exactly 1 for the empty product."""
+
+    def __init__(self, op: MonomialOperator):
+        self.op = op
+
+    def check(self, model):
+        if self.op.support and max(self.op.support) >= model.n_sites:
+            raise ValueError("operator support outside the lattice")
+
+    def partial(self, block, W, diag):
+        return (np.array([_sector_expectation(block, W, self.op)]),)
+
+    def value(self, total, state) -> float:
+        return 1.0 if self.op.op_count == 0 else float(total[0][0])
+
+
+class OccupationDistribution:
+    """p_n = <n| Tr_rest rho |n> for n = 0..q at one site."""
+
+    def __init__(self, site: int):
+        self.site = site
+
+    def check(self, model):
+        model.lattice._check_site(self.site)
+
+    def partial(self, block, W, diag):
+        return (np.bincount(block.occupations[:, self.site], diag, block.q + 1),)
+
+    def value(self, total, state) -> list[float]:
+        p = total[0]
+        if not abs(p.sum() - 1.0) <= 1e-10:
+            raise ArithmeticError(f"occupation distribution sums to {p.sum()}")
+        return p.tolist()
+
+
+class Moments(OccupationDistribution):
+    """[Tr(n_site^l rho) for l = 1..l_max], as sum_n n^l p_n over the site's
+    occupation distribution.  An order above ``MAX_MOMENT_ORDER`` is refused
+    here, and a moment that overflows is a numerical failure."""
+
+    def __init__(self, site: int, l_max: int):
+        if l_max < 1:
+            raise ValueError("l_max must be >= 1")
+        if l_max > MAX_MOMENT_ORDER:
+            raise ResourceCapError("moment order {} exceeds", l_max, MAX_MOMENT_ORDER)
+        super().__init__(site)
+        self.l_max = l_max
+
+    def value(self, total, state) -> list[float]:
+        levels = np.arange(state.q + 1, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            out = [float(total[0] @ levels**l) for l in range(1, self.l_max + 1)]
+        for l, value in enumerate(out, start=1):
+            if not math.isfinite(value):
+                raise ArithmeticError(f"moment l={l} at site {self.site} is not finite ({value})")
+        return out
+
+
+def _entropy_from_probabilities(p: np.ndarray) -> float:
+    p = np.clip(p, 1e-300, None)
+    return float(-(p * np.log(p)).sum())
+
+
+class MutualInformation:
+    """I(A:B) = S(rho_A) + S(rho_B) - S(rho) for a bipartition (A, B).
+
+    Each side's reduced matrix, the trace over its complement, is block
+    diagonal in the side's own number: the full rho couples occupation pairs
+    only within one lattice sector, and the partial trace forces equal
+    complement occupations.  Within one lattice sector, the kets whose
+    subsystem total is n are every subsystem configuration of total n times
+    every complement configuration of the remaining total.  Ordered by
+    (subsystem code, complement code), the rows of W for those kets reshape
+    to X, one row per subsystem configuration, and the sector's partial for
+    that block is X X^T.
+    """
+
+    def __init__(self, partition):
+        self.subsystems = [tuple(sorted(side)) for side in partition]
+
+    def check(self, model):
+        a, b = self.subsystems
+        if sorted(a + b) != list(range(model.n_sites)) or not a or not b:
+            raise ValueError("partition must split the lattice into two nonempty parts")
+
+    def partial(self, block, W, diag):
+        q, occ = block.q, block.occupations
+        parts = []
+        for sub in self.subsystems:
+            rest = [i for i in range(len(block.region)) if i not in sub]
+            sub_blocks = sector_blocks(sub, q)
+            out = [np.zeros((blk.dim, blk.dim)) for blk in sub_blocks]
+            sub_totals = occ[:, sub].sum(axis=1)
+            order = np.lexsort((occupation_codes(occ[:, rest], q),
+                                occupation_codes(occ[:, sub], q), sub_totals))
+            starts = np.flatnonzero(np.diff(sub_totals[order])) + 1
+            for ks in np.split(order, starts):
+                n_sub = int(sub_totals[ks[0]])
+                X = W[ks].reshape(sub_blocks[n_sub].dim, -1)
+                out[n_sub] = X @ X.T
+            parts += out
+        return tuple(parts)
+
+    def reduced_blocks(self, total, state) -> list[dict]:
+        """rho_A and rho_B, each a dict {subsystem total: block}."""
+        parts = iter(total)
+        return [{blk.total: next(parts) for blk in sector_blocks(sub, state.q)}
+                for sub in self.subsystems]
+
+    def value(self, total, state) -> float:
+        s_total = sum(_entropy_from_probabilities(state.block_probabilities(b))
+                      for b in range(len(state.blocks)))
+        s_a, s_b = (sum(_entropy_from_probabilities(np.linalg.eigvalsh(mat))
+                        for mat in blocks.values()) for blocks in self.reduced_blocks(total, state))
+        return s_a + s_b - s_total
 
 
 @dataclass(frozen=True)
@@ -243,153 +361,63 @@ class ClusteringScan:
 
 
 def _phi_reference(n_x: int, n_y: int, beta: float) -> float:
-    return math.sqrt(math.factorial(n_x) * math.factorial(n_y)) * beta ** (
-        -(n_x + n_y) / 4.0
-    )
+    return math.sqrt(math.factorial(n_x) * math.factorial(n_y)) * beta ** (-(n_x + n_y) / 4.0)
 
 
-def clustering_scan(state: ThermalState, family: str, anchor: int) -> ClusteringScan:
-    """Correlation decay rows against distance from the anchor site.
+class Clustering:
+    """Correlation decay rows against distance from the anchor site, as a
+    ``ClusteringScan``.
 
     family "hopping": C(a_anchor^dag, a_j); family "density": C(n_anchor, n_j).
     The decay-reference column uses the clustering bound envelope with unit
     prefactor; the exponent is a least-squares fit of log|C| on log(1+d)
-    over rows above the noise floor (omitted when fewer than 3 qualify).
+    over rows above the noise floor, omitted when fewer than 3 qualify or
+    they all sit at one distance.
     """
-    model = state.model
-    if family == "hopping":
-        op_x, op_y = create(anchor), annihilate
-        n_x = n_y = 1
-    elif family == "density":
-        op_x, op_y = number_op(anchor), number_op
-        n_x = n_y = 2
-    else:
-        raise ValueError(f"unknown scan family {family!r}")
-    # the anchor's mean is the same for every row
-    mean_x = expectation(state, op_x)
 
-    alpha = model.couplings.alpha
-    phi = _phi_reference(n_x, n_y, state.beta)
-    dist = distance_matrix(model.lattice)
+    def __init__(self, family: str, anchor: int):
+        if family not in ("hopping", "density"):
+            raise ValueError(f"unknown scan family {family!r}")
+        self.family, self.anchor = family, anchor
 
-    rows = []
-    for j in range(model.n_sites):
-        if j == anchor:
-            continue
-        # C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)
-        value = expectation(state, op_x * op_y(j)) - mean_x * expectation(state, op_y(j))
-        d = int(dist[anchor, j])
-        if alpha is not None:
-            bound_ref = phi / (1.0 + d) ** alpha
-            ratio = abs(value) * (1.0 + d) ** alpha / phi
-        else:
-            bound_ref = None
-            ratio = None
-        rows.append(ClusteringScanRow(anchor, j, d, value, phi, bound_ref, ratio))
-    rows.sort(key=lambda r: (r.distance, r.site_b))
+    def check(self, model):
+        model.lattice._check_site(self.anchor)
 
-    usable = [r for r in rows if abs(r.value) > CORRELATION_NOISE_FLOOR]
-    exponent = None
-    if len(usable) >= 3:
-        x = np.log([1.0 + r.distance for r in usable])
-        y = np.log([abs(r.value) for r in usable])
-        exponent = float(np.polyfit(x, y, 1)[0])
-    return ClusteringScan(family, anchor, tuple(rows), exponent)
+    def partial(self, block, W, diag):
+        # O_X, then O_X O_Y(j) for every other site j, then O_Y(j)
+        op_x, op_y = ((create(self.anchor), annihilate) if self.family == "hopping"
+                      else (number_op(self.anchor), number_op))
+        others = [j for j in range(len(block.region)) if j != self.anchor]
+        ops = [op_x] + [op_x * op_y(j) for j in others] + [op_y(j) for j in others]
+        return (np.array([_sector_expectation(block, W, op) for op in ops]),)
 
+    def value(self, total, state) -> ClusteringScan:
+        model = state.model
+        others = [j for j in range(model.n_sites) if j != self.anchor]
+        m = len(others)
+        mean_x, joint, means_y = total[0][0], total[0][1:m + 1], total[0][m + 1:]
+        n_xy = 1 if self.family == "hopping" else 2
+        alpha = model.couplings.alpha
+        phi = _phi_reference(n_xy, n_xy, state.beta)
+        dist = distance_matrix(model.lattice)
 
-def moments(state: ThermalState, site: int, l_max: int) -> list[float]:
-    """[Tr(n_site^l rho) for l = 1..l_max], exact diagonal sums."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    state.model.lattice._check_site(site)
-    out = [0.0] * l_max
-    for b, block in enumerate(state.blocks):
-        diag = state.diagonal_probabilities(b)
-        occ = block.occupations[:, site].astype(np.float64)
-        for l in range(1, l_max + 1):
-            out[l - 1] += float((occ**l * diag).sum())
-    return out
+        rows = []
+        for j, xy, y in zip(others, joint, means_y):
+            # C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)
+            value = float(xy - mean_x * y)
+            d = int(dist[self.anchor, j])
+            bound_ref = ratio = None
+            if alpha is not None:
+                bound_ref = phi / (1.0 + d) ** alpha
+                ratio = abs(value) * (1.0 + d) ** alpha / phi
+            rows.append(ClusteringScanRow(self.anchor, j, d, value, phi, bound_ref, ratio))
+        rows.sort(key=lambda r: (r.distance, r.site_b))
 
-
-def occupation_distribution(state: ThermalState, site: int) -> list[float]:
-    """p_n = <n| Tr_rest rho |n> for n = 0..q."""
-    state.model.lattice._check_site(site)
-    p = np.zeros(state.q + 1)
-    for b, block in enumerate(state.blocks):
-        # unbuffered, in basis order: the same sums as a loop over kets
-        np.add.at(p, block.occupations[:, site], state.diagonal_probabilities(b))
-    total = p.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ArithmeticError(f"occupation distribution sums to {total}")
-    return [float(x) for x in p]
-
-
-def _entropy_from_probabilities(p: np.ndarray) -> float:
-    p = np.clip(p, 1e-300, None)
-    return float(-(p * np.log(p)).sum())
-
-
-def reduced_density_blocks(state: ThermalState, subsystems) -> list[dict]:
-    """Tr over each subsystem's complement, returned per subsystem-total sector.
-
-    The full rho couples occupation pairs only within one lattice sector,
-    and tracing out the complement forces equal subsystem totals, so the
-    reduced matrix is block diagonal in the subsystem number.  Within one
-    lattice sector, the kets whose subsystem total is n are every subsystem
-    configuration of total n times every complement configuration of the
-    remaining total.  Ordered by (subsystem code, complement code), the rows
-    of the amplitude factor W for those kets reshape to X, one row per
-    subsystem configuration, and the sector adds X X^T to the reduced block.
-    """
-    model = state.model
-    q = state.q
-    plans = []
-    for subsystem in subsystems:
-        sub = tuple(sorted(subsystem))
-        rest = tuple(i for i in range(model.n_sites) if i not in sub)
-        if not sub or not rest:
-            raise ValueError("subsystem must be a proper nonempty subset of the lattice")
-        plans.append((sub, rest, sector_blocks(sub, q)))
-    reduced = [{blk.total: np.zeros((blk.dim, blk.dim)) for blk in sub_blocks}
-               for _sub, _rest, sub_blocks in plans]
-
-    for b, block in enumerate(state.blocks):
-        W = state.amplitudes[b]
-        for (sub, rest, sub_blocks), out in zip(plans, reduced):
-            occ_sub = block.occupations[:, sub]
-            sub_totals = occ_sub.sum(axis=1)
-            order = np.lexsort((
-                occupation_codes(block.occupations[:, rest], q),
-                occupation_codes(occ_sub, q),
-                sub_totals,
-            ))
-            starts = np.flatnonzero(np.diff(sub_totals[order])) + 1
-            for ks in np.split(order, starts):
-                n_sub = int(sub_totals[ks[0]])
-                X = W[ks].reshape(sub_blocks[n_sub].dim, -1)
-                out[n_sub] += X @ X.T
-    return reduced
-
-
-def mutual_information(state: ThermalState, partition) -> float:
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho) for a bipartition A | B."""
-    a, b = partition
-    a = tuple(sorted(a))
-    b = tuple(sorted(b))
-    n = state.model.n_sites
-    if sorted(a + b) != list(range(n)) or not a or not b:
-        raise ValueError("partition must split the lattice into two nonempty parts")
-
-    s_total = 0.0
-    for bi in range(len(state.blocks)):
-        s_total += _entropy_from_probabilities(state.block_probabilities(bi))
-
-    def entropy(blocks: dict) -> float:
-        total = 0.0
-        for mat in blocks.values():
-            eigvals = np.linalg.eigvalsh(mat)
-            total += _entropy_from_probabilities(eigvals)
-        return total
-
-    rho_a, rho_b = reduced_density_blocks(state, (a, b))
-    return entropy(rho_a) + entropy(rho_b) - s_total
+        usable = [r for r in rows if abs(r.value) > CORRELATION_NOISE_FLOOR]
+        exponent = None
+        # a line through one distance is not determined
+        if len(usable) >= 3 and len({r.distance for r in usable}) >= 2:
+            x = np.log([1.0 + r.distance for r in usable])
+            y = np.log([abs(r.value) for r in usable])
+            exponent = float(np.polyfit(x, y, 1)[0])
+        return ClusteringScan(self.family, self.anchor, tuple(rows), exponent)

@@ -13,19 +13,25 @@ Two assemblies ``bosepoly.fock`` used before its cached full-space layout:
 The tests require ``fock.RegionHamiltonian`` to reproduce both bit for bit,
 and ``fock.restricted_log_partition`` to equal this module's.
 ``dense_thermal_matrix`` is the full product-basis rho, with no sector
-machinery, for tiny lattices.  ``reduced_density_blocks`` forms each
-sector's rho block from the thermal state's amplitude factor and traces it
-by grouping kets on their complement occupation; ``mutual_information`` is
-the two-pass form that does this once per side of the bipartition.  The
-oracle's partial traces must match them within 1e-14.  ``thermalize``
-solves the sectors in ascending N, the order the oracle's results are
-stored in; the oracle's own solve order must not change a bit.
+machinery, for tiny lattices.
+
+``thermalize`` is the oracle's thermal state as it was before the oracle
+folded its observables one sector at a time: it solves the sectors in
+ascending N and holds every sector's amplitude factor W = V diag(sqrt(p)),
+with p the Boltzmann weights over the whole lattice, so that the sector's
+block of rho is W W^T.  ``expectation``, ``moments`` and
+``occupation_distribution`` read that state as the oracle did.
+``reduced_density_blocks`` forms each sector's rho block and traces it by
+grouping kets on their complement occupation; ``mutual_information`` is the
+two-pass form that does this once per side of the bipartition.  The
+oracle's folded observables must match them within 1e-14.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +39,12 @@ from bosepoly.fock import (
     SectorBlock,
     _symmetric_eigenvalues,
     logsumexp,
+    occupation_codes,
     onsite_energy,
     sector_blocks,
 )
-from bosepoly.lattice import ResourceCapError, interaction_edges
-from bosepoly.oracle import ThermalState, _entropy_from_probabilities
+from bosepoly.lattice import ModelInstance, ResourceCapError, interaction_edges
+from bosepoly.oracle import _apply_monomial, _entropy_from_probabilities
 
 
 def occupation_vectors(n_sites: int, q: int, total: int):
@@ -216,8 +223,29 @@ def mutual_information(state, partition) -> float:
     return reduced_entropy(a) + reduced_entropy(b) - s_total
 
 
-def thermalize(model, q: int, beta: float) -> ThermalState:
-    """The oracle's thermal state with every sector solved in ascending N."""
+@dataclass(frozen=True)
+class HeldState:
+    """Every sector's eigenvalues and amplitude factor, in ascending N."""
+
+    model: ModelInstance
+    q: int
+    beta: float
+    blocks: tuple
+    eigenvalues: tuple
+    amplitudes: tuple
+    log_z: float
+
+    def block_probabilities(self, block_index: int) -> np.ndarray:
+        return np.exp(-self.beta * self.eigenvalues[block_index] - self.log_z)
+
+    def diagonal_probabilities(self, block_index: int) -> np.ndarray:
+        """rho's diagonal in the occupation basis of one sector."""
+        W = self.amplitudes[block_index]
+        return np.einsum("sk,sk->s", W, W)
+
+
+def thermalize(model, q: int, beta: float) -> HeldState:
+    """The thermal state with every sector solved in ascending N and held."""
     region = tuple(range(model.n_sites))
     edges = interaction_edges(model.couplings, 0.0)
     blocks = sector_blocks(region, q)
@@ -232,5 +260,43 @@ def thermalize(model, q: int, beta: float) -> ThermalState:
     log_z = logsumexp(log_terms)
     for lam, W in zip(eigenvalues, amplitudes):
         W *= np.exp(0.5 * (-beta * lam - log_z))
-    return ThermalState(model, q, beta, tuple(blocks), tuple(eigenvalues),
-                        tuple(amplitudes), log_z)
+    return HeldState(model, q, beta, tuple(blocks), tuple(eigenvalues), tuple(amplitudes), log_z)
+
+
+def expectation(state, op) -> float:
+    """Tr(rho O), one sector at a time, from the held amplitude factors."""
+    if op.op_count == 0:
+        return 1.0
+    if op.number_shift != 0:
+        return 0.0
+    total = 0.0
+    for block, W in zip(state.blocks, state.amplitudes):
+        rows, coef, moved = _apply_monomial(block, op.factors, state.q)
+        if rows.size:
+            targets = np.searchsorted(block.codes, occupation_codes(moved, state.q))
+            total += float(coef @ np.einsum("rk,rk->r", W[rows], W[targets]))
+    return total
+
+
+def connected(state, op_x, op_y) -> float:
+    """C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)."""
+    return expectation(state, op_x * op_y) - expectation(state, op_x) * expectation(state, op_y)
+
+
+def moments(state, site: int, l_max: int) -> list[float]:
+    """[Tr(n_site^l rho) for l = 1..l_max] as sums over the held diagonal."""
+    out = [0.0] * l_max
+    for b, block in enumerate(state.blocks):
+        diag = state.diagonal_probabilities(b)
+        occ = block.occupations[:, site].astype(np.float64)
+        for l in range(1, l_max + 1):
+            out[l - 1] += float((occ**l * diag).sum())
+    return out
+
+
+def occupation_distribution(state, site: int) -> list[float]:
+    """p_n at one site, summed ket by ket over the held diagonal."""
+    p = np.zeros(state.q + 1)
+    for b, block in enumerate(state.blocks):
+        np.add.at(p, block.occupations[:, site], state.diagonal_probabilities(b))
+    return [float(x) for x in p]

@@ -26,12 +26,10 @@ from bosepoly.expansion import ExpansionConfig, approximate_log_partition
 from bosepoly.fock import restricted_log_partition
 from bosepoly.lattice import interaction_edges
 from bosepoly.oracle import (
-    annihilate,
-    clustering_scan,
-    create,
-    moments,
-    mutual_information,
-    occupation_distribution,
+    Clustering,
+    Moments,
+    MutualInformation,
+    OccupationDistribution,
     thermalize,
 )
 from bosepoly.polymers import enumerate_polymers
@@ -308,8 +306,7 @@ def test_c06_polymer_cluster_counting():
 def test_c07_clustering_decay():
     start = time.perf_counter()
     model = make_long_range_chain(6, g=0.1, alpha=3.0, beta=0.1, U=1.0, mu=0.0)
-    state = thermalize(model, q=3)
-    scan = clustering_scan(state, "hopping", anchor=0)
+    (scan,) = thermalize(model, 3, [Clustering("hopping", anchor=0)]).values
     mags = [abs(r.value) for r in scan.rows]
     monotone = all(a >= b - 1e-13 for a, b in zip(mags, mags[1:]))
     exponent = scan.fitted_exponent
@@ -341,8 +338,8 @@ def test_c08_moment_scaling():
     for l in (2, 4):
         logs = []
         for beta in betas:
-            state = thermalize(onsite_model(beta), q=q)
-            got = moments(state, 0, l)[l - 1]
+            (values,) = thermalize(onsite_model(beta), q, [Moments(0, l)]).values
+            got = values[l - 1]
             # independent scalar Boltzmann oracle
             w = np.exp(-beta * 0.5 * ns * (ns - 1))
             scalar = float((ns**l * w).sum() / w.sum())
@@ -370,8 +367,8 @@ def test_c09_concentration():
     slopes = {}
     concave_ok = True
     for beta in (0.05, 0.2):
-        state = thermalize(onsite_model(beta), q=q)
-        p = np.array(occupation_distribution(state, 0))
+        (p,) = thermalize(onsite_model(beta), q, [OccupationDistribution(0)]).values
+        p = np.array(p)
         log_p = np.log(p)
         d1 = np.diff(log_p)
         d2 = np.diff(d1)
@@ -440,12 +437,11 @@ def test_c10_area_law():
     worst_cut = 0.0
     for beta in betas:
         model = make_long_range_chain(n, g=0.1, alpha=3.0, beta=beta, U=1.0, mu=0.0)
-        state = thermalize(model, q=q)
+        bipartitions = [(a, [i for i in range(n) if i not in a]) for a in partitions]
+        state = thermalize(model, q, [MutualInformation(ab) for ab in bipartitions])
         _, rho = dense_thermal_matrix(model, q)
         s_total = von_neumann_entropy(rho)
-        for a in partitions:
-            b = [i for i in range(n) if i not in a]
-            value = mutual_information(state, (a, b))
+        for (a, b), value in zip(bipartitions, state.values):
             rho_a, rho_b = prefix_marginals(rho, (q + 1) ** len(a))
             dense = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_total
             assert value == pytest.approx(dense, rel=0, abs=1e-12), f"I at {beta}, {a}"

@@ -12,6 +12,7 @@ import pytest
 
 import bosepoly.cli
 import bosepoly.expansion
+import bosepoly.fock
 import bosepoly.lattice
 import bosepoly.polymers
 from bosepoly.cli import (
@@ -23,7 +24,7 @@ from bosepoly.cli import (
     run,
     validate_config,
 )
-from bosepoly.oracle import moments, thermalize
+from bosepoly.oracle import MAX_MOMENT_ORDER, Moments, thermalize
 
 
 def base_config(**overrides):
@@ -678,6 +679,8 @@ _REFUSALS = {
                                 201**4, 20000),
     "oracle_dimension_cap": ("exact", "chain4_nn", ["oracle.dim_cap=10"], None,
                              "truncated space dimension 256 exceeds the cap 10", 256, 10),
+    "moment_order_cap": ("moments", "chain4_nn", ["oracle.l_max=5000"], None,
+                         "moment order 5000 exceeds the cap 4096", 5000, 4096),
 }
 
 
@@ -851,7 +854,8 @@ def test_moments_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
     config["oracle"] = {"q": 2, "site": 1, "l_max": 3, "beta_list": [0.1, 0.7, 0.4]}
     model = build_model(config)
     want = {
-        beta: moments(thermalize(model, 2, beta=beta), 1, 3) for beta in (0.1, 0.7, 0.4)
+        beta: thermalize(model, 2, [Moments(1, 3)], beta=beta).values[0]
+        for beta in (0.1, 0.7, 0.4)
     }
 
     solved = []
@@ -869,10 +873,11 @@ def test_moments_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
     assert [r["value"] for r in rows[:3]] == want[0.1]
 
 
-def test_moments_betas_below_the_first_are_solved_again(tmp_path, monkeypatch):
-    # a 3-site chain at q=3 whose spectrum spans about 50: at beta=100 the
-    # top of it underflows in W, so a lower beta cannot be reached from that
-    # state; the betas below the first take one more solve, at the smallest
+def test_moments_descending_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
+    # a 3-site chain at q=3 whose spectrum spans about 50: at beta=100 the top
+    # of each sector underflows, yet each sector's eigenvectors serve every
+    # beta, so the list takes one eigh per sector (10), not a second solve for
+    # the betas below the first, and every row is that of a one-beta run
     config = base_config()
     config["model"]["dims"] = [3]
     config["model"]["U"] = 6.0
@@ -880,7 +885,8 @@ def test_moments_betas_below_the_first_are_solved_again(tmp_path, monkeypatch):
     config["oracle"] = {"q": 3, "site": 1, "l_max": 3, "beta_list": [100.0, 1.0, 4.0]}
     model = build_model(config)
     want = {
-        beta: moments(thermalize(model, 3, beta=beta), 1, 3) for beta in (100.0, 1.0, 4.0)
+        beta: thermalize(model, 3, [Moments(1, 3)], beta=beta).values[0]
+        for beta in (100.0, 1.0, 4.0)
     }
 
     solved = []
@@ -888,14 +894,101 @@ def test_moments_betas_below_the_first_are_solved_again(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(len(m)) or eigh(m))
     code, text = run_to_file(tmp_path, "moments", config)
     assert code == EXIT_OK
-    assert len(solved) == 2 * (3 * 3 + 1)
+    assert len(solved) == 3 * 3 + 1
     rows = json.loads(text)["result"]["rows"]
     assert [(r["beta"], r["l"]) for r in rows] == [
         (beta, l) for beta in (100.0, 1.0, 4.0) for l in (1, 2, 3)
     ]
     for r in rows:
         assert abs(r["value"] - want[r["beta"]][r["l"] - 1]) <= 1e-14 * abs(r["value"])
-    assert [r["value"] for r in rows[:6]] == want[100.0] + want[1.0]
+
+
+def _disordered_square_config(dims):
+    rng = np.random.default_rng(4)
+    n = math.prod(dims)
+    config = base_config()
+    config["model"].update(dims=dims, beta=0.5, U=rng.uniform(0.8, 1.2, n).tolist(),
+                           mu=rng.uniform(0.0, 1.0, n).tolist(),
+                           coupling={"kind": "finite_range", "g": 0.2, "d_c": 1})
+    config["oracle"] = {"q": 2, "site": 0, "l_max": 4, "anchor": 0, "family": "density",
+                        "partitions": [list(range(n // 2))], "beta_list": [0.5, 0.3]}
+    return config
+
+
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments"])
+def test_every_oracle_command_solves_each_sector_once(command, tmp_path, monkeypatch):
+    # a disordered 2x3 square at q=2 has 13 sectors; moments runs two betas
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(len(m)) or eigh(m))
+    code, _text = run_to_file(tmp_path, command, _disordered_square_config([2, 3]))
+    assert code == EXIT_OK
+    assert len(solved) == 2 * 6 + 1
+    assert sum(solved) == 3**6
+
+
+def test_exact_holds_one_sector_of_eigenvectors_at_a_time(tmp_path):
+    # a disordered 2x4 square at q=2, whose largest sector has 1107 states:
+    # every observable exact reports is folded from one sector's eigenvectors
+    # at a time, so the traced peak stays under three such n x n arrays of
+    # doubles: 2.2 were measured, against 4.9 when every sector's were held
+    config = _disordered_square_config([2, 4])
+    largest = max(block.dim for block in bosepoly.fock.sector_blocks(range(8), 2))
+    tracemalloc.start()
+    try:
+        code, text = run_to_file(tmp_path, "exact", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert {"moments", "occupation_distribution", "mutual_information"} <= set(
+        json.loads(text)["result"])
+    assert peak < 3 * largest**2 * 8
+
+
+@pytest.mark.parametrize("command", ["exact", "moments"])
+@pytest.mark.parametrize("l_max", [MAX_MOMENT_ORDER + 1, 10**400])
+def test_moment_order_past_the_cap_is_refused_before_the_model_is_built(command, l_max,
+                                                                        monkeypatch, capsys):
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(bosepoly.cli, "build_model", no_model)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run([command, config, "--set", f"oracle.l_max={l_max}"]) == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "resource_cap"
+    assert error["details"][1] == f"allowed={MAX_MOMENT_ORDER}"
+
+
+@pytest.mark.parametrize("command", ["exact", "moments"])
+def test_overflowing_moment_is_a_numerical_failure(command, capsys):
+    # at q=2, 2^l overflows a float from l=1024 on
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, config, "--set", "oracle.q=2", "--set", "oracle.l_max=2000"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "numerical_failure"
+    assert error["message"] == "moment l=1024 at site 0 is not finite (inf)"
+
+
+def test_clustering_fits_no_exponent_through_one_distance(capsys):
+    # at beta=1e-6 only the three distance-1 rows of a 2x2x2 cube clear the
+    # noise floor: three points at one distance determine no slope
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    settings = ["model.dims=[2,2,2]", "model.beta=1e-6", "oracle.q=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["clustering", config, *(arg for s in settings for arg in ("--set", s))])
+    assert code == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    usable = [r for r in result["rows"] if abs(r["value"]) > 1e-13]
+    assert len(usable) == 3 and {r["distance"] for r in usable} == {1}
+    assert result["fitted_exponent"] is None
 
 
 def test_kp_zero_coupling(tmp_path):

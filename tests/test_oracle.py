@@ -14,28 +14,51 @@ from bosepoly.lattice import (
     interaction_edges,
 )
 from bosepoly.oracle import (
+    Clustering,
+    Expectation,
     MonomialOperator,
+    Moments,
+    MutualInformation,
+    OccupationDistribution,
     annihilate,
-    clustering_scan,
     create,
-    expectation,
-    moments,
-    mutual_information,
     number_op,
-    occupation_distribution,
-    reduced_density_blocks,
     thermalize,
 )
-from bosepoly.oracle import _normalized, _rescale_beta
 
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain
 from fock_reference import dense_thermal_matrix
 
 
-def connected(state, op_x, op_y):
+def observe(model, q, *observables, beta=None):
+    """The values of ``observables`` on one thermal state."""
+    return thermalize(model, q, observables, beta=beta).values
+
+
+def expectation(model, q, op, beta=None):
+    return observe(model, q, Expectation(op), beta=beta)[0]
+
+
+def connected(model, q, op_x, op_y, beta=None):
     """C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)."""
-    return expectation(state, op_x * op_y) - expectation(state, op_x) * expectation(state, op_y)
+    xy, x, y = observe(model, q, Expectation(op_x * op_y), Expectation(op_x), Expectation(op_y),
+                       beta=beta)
+    return xy - x * y
+
+
+def clustering_scan(model, q, family, anchor):
+    return observe(model, q, Clustering(family, anchor))[0]
+
+
+def mutual_information(model, q, partition):
+    return observe(model, q, MutualInformation(partition))[0]
+
+
+class ReducedBlocks(MutualInformation):
+    """Both sides' reduced blocks, in place of the mutual information."""
+
+    value = MutualInformation.reduced_blocks
 
 
 def scalar_gibbs(q, beta, U, mu):
@@ -102,8 +125,11 @@ def test_thermalize_equals_ascending_order_reference(model_index):
     assert [b.total for b in state.blocks] == [b.total for b in want.blocks]
     for got_lam, want_lam in zip(state.eigenvalues, want.eigenvalues, strict=True):
         assert np.array_equal(got_lam, want_lam)
-    for got_w, want_w in zip(state.amplitudes, want.amplitudes, strict=True):
-        assert np.array_equal(got_w, want_w)
+    # no eigenvectors are held; what they gave agrees with the held ones
+    got = observe(model, 2, Moments(1, 3), OccupationDistribution(4))
+    for values, want_values in zip(got, (fock_reference.moments(want, 1, 3),
+                                         fock_reference.occupation_distribution(want, 4))):
+        assert np.abs(np.subtract(values, want_values)).max() <= 1e-14 * max(values)
 
 
 def test_thermalize_solves_largest_sector_first(monkeypatch):
@@ -129,36 +155,33 @@ def test_dimension_cap():
 
 
 def test_expectation_identity_and_nonconserving(two_site_model):
-    state = thermalize(two_site_model, q=1)
-    assert expectation(state, MonomialOperator(())) == 1.0
-    assert expectation(state, annihilate(0)) == 0.0
-    assert expectation(state, create(1)) == 0.0
-    assert expectation(state, create(0) * create(1)) == 0.0
+    ops = (MonomialOperator(()), annihilate(0), create(1), create(0) * create(1))
+    assert observe(two_site_model, 1, *map(Expectation, ops)) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_expectation_number_at_infinite_temperature():
     for q in (1, 3):
         model = make_chain(2, g=0.2, beta=1.0, U=1.0, mu=0.0)
-        state = thermalize(model, q=q, beta=0.0)
-        assert expectation(state, number_op(0)) == pytest.approx(q / 2, rel=1e-12)
+        assert expectation(model, q, number_op(0), beta=0.0) == pytest.approx(q / 2, rel=1e-12)
 
 
-def test_expectation_out_of_range_support(two_site_model):
-    state = thermalize(two_site_model, q=1)
+def test_expectation_out_of_range_support(two_site_model, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
     with pytest.raises(ValueError):
-        expectation(state, number_op(5))
+        expectation(two_site_model, 1, number_op(5))
 
 
 def test_correlation_vanishes_for_product_state():
     model = make_explicit(3, np.zeros((3, 3)), beta=0.6, U=1.0, mu=0.2)
-    state = thermalize(model, q=2)
-    assert connected(state, number_op(0), number_op(2)) == pytest.approx(0.0, abs=1e-12)
-    assert connected(state, create(0), annihilate(1)) == pytest.approx(0.0, abs=1e-12)
+    assert connected(model, 2, number_op(0), number_op(2)) == pytest.approx(0.0, abs=1e-12)
+    assert connected(model, 2, create(0), annihilate(1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hopping_correlation_closed_form(two_site_model):
-    state = thermalize(two_site_model, q=1)
-    got = connected(state, create(0), annihilate(1))
+    got = connected(two_site_model, 1, create(0), annihilate(1))
     beta_j = 0.3
     assert got == pytest.approx(math.sinh(beta_j) / (2 + 2 * math.cosh(beta_j)), rel=1e-12)
 
@@ -176,8 +199,7 @@ def test_correlation_against_dense_brute_force():
             op[index[moved], k] = math.sqrt((occ[0] + 1) * occ[1])
     dense_value = float(np.trace(rho @ op))
 
-    state = thermalize(model, q)
-    assert expectation(state, create(0) * annihilate(1)) == pytest.approx(
+    assert expectation(model, q, create(0) * annihilate(1)) == pytest.approx(
         dense_value, rel=1e-12
     )
 
@@ -190,9 +212,7 @@ def test_block_routing_matches_dense_density_matrix(n_sites, q):
         for j in range(i + 1, n_sites):
             matrix[i, j] = matrix[j, i] = 0.25 * rng.normal()
     model = make_explicit(n_sites, matrix, beta=0.8, U=1.0, mu=0.15)
-    state = thermalize(model, q)
     basis, rho = dense_thermal_matrix(model, q)
-    index = {occ: k for k, occ in enumerate(basis)}
 
     monomials = [
         number_op(0),
@@ -200,47 +220,51 @@ def test_block_routing_matches_dense_density_matrix(n_sites, q):
         number_op(0) * number_op(n_sites - 1),
         create(0) * annihilate(0) * create(0) * annihilate(0),
     ]
-    for op in monomials:
-        dense_op = np.zeros_like(rho)
-        for k, occ in enumerate(basis):
-            coef = 1.0
-            target = list(occ)
-            dead = False
-            for site, kind in reversed(op.factors):
-                n = target[site]
-                if kind == "annihilate":
-                    if n == 0:
-                        dead = True
-                        break
-                    coef *= math.sqrt(n)
-                    target[site] = n - 1
-                else:
-                    if n + 1 > q:
-                        dead = True
-                        break
-                    coef *= math.sqrt(n + 1)
-                    target[site] = n + 1
-            if not dead:
-                dense_op[index[tuple(target)], k] = coef
-        want = float(np.trace(rho @ dense_op))
-        assert expectation(state, op) == pytest.approx(want, abs=1e-12)
+    got = observe(model, q, *map(Expectation, monomials))
+    for op, value in zip(monomials, got, strict=True):
+        assert value == pytest.approx(dense_expectation(basis, rho, op, q), abs=1e-12)
+
+
+def dense_expectation(basis, rho, op, q) -> float:
+    """Tr(rho O) with O built entry by entry on the product basis."""
+    index = {occ: k for k, occ in enumerate(basis)}
+    dense_op = np.zeros_like(rho)
+    for k, occ in enumerate(basis):
+        coef = 1.0
+        target = list(occ)
+        dead = False
+        for site, kind in reversed(op.factors):
+            n = target[site]
+            if kind == "annihilate":
+                if n == 0:
+                    dead = True
+                    break
+                coef *= math.sqrt(n)
+                target[site] = n - 1
+            else:
+                if n + 1 > q:
+                    dead = True
+                    break
+                coef *= math.sqrt(n + 1)
+                target[site] = n + 1
+        if not dead:
+            dense_op[index[tuple(target)], k] = coef
+    return float(np.trace(rho @ dense_op))
 
 
 def test_moments_product_state_matches_scalar_sums():
     model = make_explicit(2, np.zeros((2, 2)), beta=0.3, U=1.0, mu=0.2)
     q = 4
-    state = thermalize(model, q)
     p = scalar_gibbs(q, 0.3, 1.0, 0.2)
     ns = np.arange(q + 1)
-    got = moments(state, 0, 4)
+    (got,) = observe(model, q, Moments(0, 4))
     for l in range(1, 5):
         assert got[l - 1] == pytest.approx(float((ns**l * p).sum()), rel=1e-12)
 
 
 def test_moments_infinite_temperature_q1():
     model = make_chain(2, g=0.2, beta=1.0, U=1.0, mu=0.0)
-    state = thermalize(model, q=1, beta=0.0)
-    first, second = moments(state, 0, 2)
+    ((first, second),) = observe(model, 1, Moments(0, 2), beta=0.0)
     assert first == pytest.approx(0.5, rel=1e-12)
     assert second == pytest.approx(0.5, rel=1e-12)
 
@@ -248,8 +272,7 @@ def test_moments_infinite_temperature_q1():
 def test_occupation_distribution_product_state():
     model = make_explicit(2, np.zeros((2, 2)), beta=0.4, U=1.0, mu=0.3)
     q = 3
-    state = thermalize(model, q)
-    p = occupation_distribution(state, 1)
+    (p,) = observe(model, q, OccupationDistribution(1))
     expected = scalar_gibbs(q, 0.4, 1.0, 0.3)
     assert np.allclose(p, expected, atol=1e-12)
     assert sum(p) == pytest.approx(1.0, abs=1e-10)
@@ -257,8 +280,8 @@ def test_occupation_distribution_product_state():
 
 def test_occupation_distribution_uniform_at_beta_zero():
     model = make_chain(2, g=0.2, beta=1.0, U=1.0, mu=0.0)
-    state = thermalize(model, q=3, beta=0.0)
-    assert np.allclose(occupation_distribution(state, 0), [0.25] * 4, atol=1e-12)
+    (p,) = observe(model, 3, OccupationDistribution(0), beta=0.0)
+    assert np.allclose(p, [0.25] * 4, atol=1e-12)
 
 
 def test_occupation_boltzmann_ratio_squares_when_beta_doubles():
@@ -267,8 +290,8 @@ def test_occupation_boltzmann_ratio_squares_when_beta_doubles():
     p2 = scalar_gibbs(q, 0.6, 1.0, 0.0)
     model1 = make_explicit(1, [[0.0]], beta=0.3, U=1.0, mu=0.0)
     model2 = make_explicit(1, [[0.0]], beta=0.6, U=1.0, mu=0.0)
-    got1 = occupation_distribution(thermalize(model1, q), 0)
-    got2 = occupation_distribution(thermalize(model2, q), 0)
+    (got1,) = observe(model1, q, OccupationDistribution(0))
+    (got2,) = observe(model2, q, OccupationDistribution(0))
     for n in range(q + 1):
         assert got2[n] / got2[0] == pytest.approx((got1[n] / got1[0]) ** 2, rel=1e-9)
         assert got1[n] == pytest.approx(p1[n], rel=1e-12)
@@ -277,42 +300,37 @@ def test_occupation_boltzmann_ratio_squares_when_beta_doubles():
 
 def test_mutual_information_product_state_is_zero():
     model = make_explicit(4, np.zeros((4, 4)), beta=0.5, U=1.0, mu=0.2)
-    state = thermalize(model, q=2)
     for a in ([0], [0, 1], [0, 2]):
         b = [i for i in range(4) if i not in a]
-        assert abs(mutual_information(state, (a, b))) <= 1e-10
+        assert abs(mutual_information(model, 2, (a, b))) <= 1e-10
 
 
 def test_mutual_information_nonnegative_and_shrinks_with_beta():
     values = []
     for beta in (0.2, 0.1, 0.05):
         model = make_chain(4, g=0.5, beta=beta, U=1.0, mu=0.0)
-        state = thermalize(model, q=2)
-        value = mutual_information(state, ([0, 1], [2, 3]))
+        value = mutual_information(model, 2, ([0, 1], [2, 3]))
         assert value >= -1e-10
         values.append(value)
     assert values[0] > values[1] > values[2]
 
 
 def test_mutual_information_partition_validation(two_site_model):
-    state = thermalize(two_site_model, q=1)
     with pytest.raises(ValueError):
-        mutual_information(state, ([0, 1], []))
+        mutual_information(two_site_model, 1, ([0, 1], []))
     with pytest.raises(ValueError):
-        mutual_information(state, ([0], [0, 1]))
+        mutual_information(two_site_model, 1, ([0], [0, 1]))
 
 
 def test_mutual_information_rejects_a_repeated_site():
-    state = thermalize(make_chain(4, g=0.3, beta=0.5), q=1)
     with pytest.raises(ValueError, match="partition must split the lattice"):
-        mutual_information(state, ([0, 0, 1], [2, 3]))
+        mutual_information(make_chain(4, g=0.3, beta=0.5), 1, ([0, 0, 1], [2, 3]))
 
 
 def test_mutual_information_against_dense_entropies():
     # independent path: entropies from the dense rho and explicit kron traces
     model = make_chain(3, g=0.4, beta=0.5, U=1.0, mu=0.1)
     q = 1
-    state = thermalize(model, q)
     basis, rho = dense_thermal_matrix(model, q)
 
     def dense_reduced(keep):
@@ -336,7 +354,7 @@ def test_mutual_information_against_dense_entropies():
 
     a, b = [0], [1, 2]
     want = entropy(dense_reduced(a)) + entropy(dense_reduced(b)) - entropy(rho)
-    got = mutual_information(state, (a, b))
+    got = mutual_information(model, q, (a, b))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -347,73 +365,80 @@ def test_one_pass_mutual_information_equals_two_pass_reference():
     rng = np.random.default_rng(5)
     onsite = OnsiteParams(rng.uniform(0.8, 1.2, 6), rng.uniform(0.0, 1.0, 6))
     model = ModelInstance(model.lattice, model.couplings, onsite, model.beta)
-    state = thermalize(model, q=2)
+    held = fock_reference.thermalize(model, 2, model.beta)
     for a in ([0], [0, 1, 2], [1, 4], [0, 2, 5]):
         b = [i for i in range(6) if i not in a]
-        got = mutual_information(state, (a, b))
+        got, reduced = observe(model, 2, MutualInformation((a, b)), ReducedBlocks((a, b)))
         assert got > 0.0
-        assert abs(got - fock_reference.mutual_information(state, (a, b))) <= 1e-14
-        for side, blocks in zip((a, b), reduced_density_blocks(state, (a, b))):
-            want = fock_reference.reduced_density_blocks(state, side)
+        assert abs(got - fock_reference.mutual_information(held, (a, b))) <= 1e-14
+        for side, blocks in zip((a, b), reduced):
+            want = fock_reference.reduced_density_blocks(held, side)
             assert list(blocks) == list(want)
             for total, mat in blocks.items():
                 assert mat.shape == want[total].shape
                 assert np.abs(mat - want[total]).max() <= 1e-14
 
 
+class RhoBlocks:
+    """Records Z_N-normalized W W^T of every sector it is handed."""
+
+    def __init__(self):
+        self.blocks = {}
+
+    def check(self, model):
+        pass
+
+    def partial(self, block, W, diag):
+        self.blocks[block.total] = W @ W.T
+        return ()
+
+    def value(self, total, state):
+        return self.blocks
+
+
 def test_amplitude_factors_reproduce_dense_thermal_matrix():
-    # a disordered 2x3 square at q=2: each sector's W W^T is that sector's
-    # rows and columns of the dense product-basis rho
+    # a disordered 2x3 square at q=2: each sector's W W^T, times its weight
+    # Z_N / Z, is that sector's rows and columns of the dense product-basis rho
     lattice = build_lattice([2, 3])
     rng = np.random.default_rng(3)
     onsite = OnsiteParams(rng.uniform(0.8, 1.2, 6), rng.uniform(0.0, 1.0, 6))
     couplings = build_couplings(lattice, "finite_range", g=0.3, d_c=1)
     model = ModelInstance(lattice, couplings, onsite, 0.5)
-    state = thermalize(model, q=2)
+    state = thermalize(model, 2, [RhoBlocks()])
     _basis, rho = dense_thermal_matrix(model, q=2)
     covered = 0
-    for block, W in zip(state.blocks, state.amplitudes):
+    for b, block in enumerate(state.blocks):
+        weight = state.block_probabilities(b).sum()
         want = rho[np.ix_(block.codes, block.codes)]
-        assert np.abs(W @ W.T - want).max() <= 1e-14, f"sector {block.total}"
+        assert np.abs(weight * state.values[0][block.total] - want).max() <= 1e-14, block.total
         covered += block.dim
     assert covered == rho.shape[0]
 
 
-def test_rescale_beta_matches_a_fresh_thermal_state():
-    wide = make_chain(3, g=0.3, beta=1.0, U=6.0, mu=0.5)
-    for model, q, start, beta in ((_disordered_models()[1], 2, 0.3, 0.8), (wide, 3, 1.0, 100.0)):
-        state = _rescale_beta(thermalize(model, q, beta=start), beta)
-        want = thermalize(model, q, beta=beta)
-        assert state.beta == beta and state.log_z == want.log_z
-        for got_w, want_w in zip(state.amplitudes, want.amplitudes, strict=True):
-            assert np.abs(got_w - want_w).max() <= 1e-14
+def test_normalization_check_reads_the_amplitudes(monkeypatch):
+    # a NaN in one eigenvector reaches the trace through its row norms
+    eigh = np.linalg.eigh
 
+    def spoiled_eigh(matrix):
+        lam, vecs = eigh(matrix)
+        vecs[0, 0] = np.nan
+        return lam, vecs
 
-def test_rescale_beta_only_rises():
-    state = thermalize(_disordered_models()[1], 2, beta=0.8)
-    with pytest.raises(ValueError, match="cannot rescale"):
-        _rescale_beta(state, 0.3)
-
-
-def test_normalization_check_reads_the_amplitudes():
-    state = thermalize(_disordered_models()[1], 2, beta=0.8)
-    state.amplitudes[-1][0, 0] = np.nan
+    monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
     with pytest.raises(ArithmeticError, match="normalization"):
-        _normalized(state)
+        thermalize(_disordered_models()[1], 2, beta=0.8)
 
 
 def test_clustering_scan_zero_couplings_has_no_fit():
     model = make_explicit(4, np.zeros((4, 4)), beta=0.2, U=1.0, mu=0.0)
-    state = thermalize(model, q=1)
-    scan = clustering_scan(state, "hopping", anchor=0)
+    scan = clustering_scan(model, 1, "hopping", anchor=0)
     assert all(abs(r.value) <= 1e-13 for r in scan.rows)
     assert scan.fitted_exponent is None
 
 
 def test_clustering_scan_phi_reference():
     model = make_long_range_chain(3, g=0.1, alpha=2.0, beta=0.04, U=1.0, mu=0.0)
-    state = thermalize(model, q=1)
-    scan = clustering_scan(state, "hopping", anchor=0)
+    scan = clustering_scan(model, 1, "hopping", anchor=0)
     assert scan.rows[0].phi_ref == pytest.approx(0.04 ** (-0.5))
     for row in scan.rows:
         assert row.bound_ref == pytest.approx(row.phi_ref / (1 + row.distance) ** 2.0)
@@ -426,45 +451,88 @@ def test_clustering_scan_phi_reference():
 
 def test_clustering_scan_monotone_decay_small_chain():
     model = make_long_range_chain(6, g=0.1, alpha=3.0, beta=0.1, U=1.0, mu=0.0)
-    state = thermalize(model, q=1)
-    scan = clustering_scan(state, "hopping", anchor=0)
+    scan = clustering_scan(model, 1, "hopping", anchor=0)
     mags = [abs(r.value) for r in scan.rows]
     assert all(a >= b - 1e-13 for a, b in zip(mags, mags[1:]))
 
 
 def test_clustering_scan_density_family(two_site_model):
-    state = thermalize(two_site_model, q=1)
-    scan = clustering_scan(state, "density", anchor=0)
+    scan = clustering_scan(two_site_model, 1, "density", anchor=0)
     # N(n_i) = 2 on each side: Phi = sqrt(2! * 2!) * beta^(-1) = 2 at beta = 1
     assert scan.rows[0].phi_ref == pytest.approx(2.0)
     got = scan.rows[0].value
-    assert got == pytest.approx(connected(state, number_op(0), number_op(1)), rel=1e-12)
+    assert got == pytest.approx(connected(two_site_model, 1, number_op(0), number_op(1)),
+                                rel=1e-12)
 
     # the anchor's mean is computed once per scan; every row is still the
     # exact correlation value
     model = make_long_range_chain(5, g=0.3, alpha=3.0, beta=0.4, U=1.0, mu=0.3)
-    state = thermalize(model, q=2)
     for family, op_x, op_y in (("density", number_op, number_op),
                                ("hopping", create, annihilate)):
-        scan = clustering_scan(state, family, anchor=1)
+        scan = clustering_scan(model, 2, family, anchor=1)
         assert len(scan.rows) == 4
         for row in scan.rows:
-            assert row.value == connected(state, op_x(1), op_y(row.site_b))
+            assert row.value == connected(model, 2, op_x(1), op_y(row.site_b))
 
 
 def test_hopping_correlation_symmetric_for_real_couplings():
     model = make_long_range_chain(4, g=0.3, alpha=2.0, beta=0.4, U=1.0, mu=0.1)
-    state = thermalize(model, q=2)
     for i, j in ((0, 1), (0, 3), (1, 2)):
-        ab = connected(state, create(i), annihilate(j))
-        ba = connected(state, create(j), annihilate(i))
+        ab = connected(model, 2, create(i), annihilate(j))
+        ba = connected(model, 2, create(j), annihilate(i))
         assert ab == pytest.approx(ba, abs=1e-10)
 
 
 def test_hermitian_monomial_expectations_are_real_floats():
     model = make_chain(3, g=0.4, beta=0.5, U=1.0, mu=0.2)
-    state = thermalize(model, q=2)
     for op in (number_op(0), number_op(1) * number_op(2)):
-        value = expectation(state, op)
+        value = expectation(model, 2, op)
         assert isinstance(value, float)
         assert math.isfinite(value)
+
+
+def dense_reduced_entropy(rho, q, n_sites, keep) -> float:
+    """S of the product-basis rho traced over every site not in ``keep``."""
+    d = q + 1
+    rest = [i for i in range(n_sites) if i not in keep]
+    t = rho.reshape((d,) * 2 * n_sites)
+    t = t.transpose(keep + rest + [n_sites + i for i in keep] + [n_sites + i for i in rest])
+    t = t.reshape(d ** len(keep), d ** len(rest), d ** len(keep), d ** len(rest))
+    return fock_reference._entropy_from_probabilities(
+        np.linalg.eigvalsh(np.einsum("ijkj->ik", t)))
+
+
+@pytest.mark.parametrize("model_index", [0, 1])
+def test_folded_observables_match_the_held_state_and_dense_rho(model_index):
+    # every observable the oracle reports, folded one sector at a time, against
+    # the state that holds every sector's amplitude factor and against the
+    # dense product-basis rho
+    model, q, n = _disordered_models()[model_index], 2, 6
+    held = fock_reference.thermalize(model, q, model.beta)
+    basis, rho = dense_thermal_matrix(model, q)
+    occupations = np.array(basis, dtype=np.float64)
+    a, b = [0, 2, 3], [1, 4, 5]
+    moments, p, information, hopping, density = observe(
+        model, q, Moments(4, 4), OccupationDistribution(1), MutualInformation((a, b)),
+        Clustering("hopping", 2), Clustering("density", 2))
+
+    def agree(got, held_value, dense_value):
+        for want in (held_value, dense_value):
+            assert abs(got - want) <= 1e-14 * max(abs(got), 1.0), (got, want)
+
+    for l, value in enumerate(moments, start=1):
+        agree(value, fock_reference.moments(held, 4, 4)[l - 1],
+              float(occupations[:, 4] ** l @ np.diag(rho)))
+    for k, value in enumerate(p):
+        agree(value, fock_reference.occupation_distribution(held, 1)[k],
+              float(np.diag(rho)[occupations[:, 1] == k].sum()))
+    s_total = fock_reference._entropy_from_probabilities(np.linalg.eigvalsh(rho))
+    agree(information, fock_reference.mutual_information(held, (a, b)),
+          sum(dense_reduced_entropy(rho, q, n, side) for side in (a, b)) - s_total)
+    for scan, op_x, op_y in ((hopping, create, annihilate), (density, number_op, number_op)):
+        assert sorted(row.site_b for row in scan.rows) == [0, 1, 3, 4, 5]
+        for row in scan.rows:
+            x, y = op_x(2), op_y(row.site_b)
+            dense = (dense_expectation(basis, rho, x * y, q)
+                     - dense_expectation(basis, rho, x, q) * dense_expectation(basis, rho, y, q))
+            agree(row.value, fock_reference.connected(held, x, y), dense)
