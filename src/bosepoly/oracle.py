@@ -178,6 +178,7 @@ def thermal_states(model: ModelInstance, q: int, betas, observables=(),
         log_zn, parts = zip(*(per_beta[k] for per_beta in solved))
         log_z = logsumexp(log_zn)
         weights = [math.exp(t - log_z) for t in log_zn]
+        # per observable, its partials summed array by array, weighted by Z_N / Z
         (trace,), *totals = (
             [sum(w * x for w, x in zip(weights, arrays)) for arrays in zip(*column)]
             for column in zip(*parts))
