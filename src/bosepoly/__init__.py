@@ -30,9 +30,7 @@ from .expansion import (  # noqa: F401
 )
 from .oracle import (  # noqa: F401
     Clustering,
-    Expectation,
     Moments,
-    MonomialOperator,
     MutualInformation,
     OccupationDistribution,
     ThermalState,

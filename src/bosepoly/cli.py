@@ -346,14 +346,14 @@ def cmd_approx(config: dict):
 
 def cmd_exact(config: dict):
     start = time.perf_counter()
-    n_sites = math.prod(_get(config, "model.dims"))
     site, l_max = _get(config, "oracle.site"), _get(config, "oracle.l_max")
     parts = [sorted(set(part)) for part in _get(config, "oracle.partitions") or []]
-    # every observable is built, and checked, before the model
+    # observables are checked before the model; a complement waits for the cap
     moments = [Moments(site or 0, l_max)] if l_max is not None else []
     occupation = [OccupationDistribution(site)] if site is not None else []
-    information = [MutualInformation((a, [i for i in range(n_sites) if i not in a])) for a in parts]
     (q,), dim_cap, model = _oracle_model(config)
+    information = [MutualInformation((a, [i for i in range(model.n_sites) if i not in a]))
+                   for a in parts]
     state = thermalize(model, q, moments + occupation + information, dim_cap=dim_cap)
     values = iter(state.values)
 

@@ -21,13 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import ModelInstance, ResourceCapError
+from .lattice import ModelInstance, ResourceCapError, scientific
 
 __all__ = [
     "check_dim_cap",
     "EigensolverError",
     "SectorBlock",
     "onsite_energy",
+    "onsite_table",
     "occupation_codes",
     "sector_blocks",
     "RegionHamiltonian",
@@ -41,7 +42,15 @@ DEFAULT_DIM_CAP = 20000
 
 
 def check_dim_cap(q: int, width: int, cap: int = DEFAULT_DIM_CAP) -> None:
-    """Refuse a (q+1)^width truncated space above ``cap``, before it is built."""
+    """Refuse a (q+1)^width truncated space above ``cap``, before it is built.
+    The power is at least 2^low; past 2^65536 and the cap it is not formed."""
+    low = width * ((q + 1).bit_length() - 1)
+    if low > max(cap.bit_length(), 1 << 16):
+        from decimal import Decimal, localcontext  # here alone: its import costs 0.4 MiB
+        with localcontext() as ctx:
+            ctx.prec = width.bit_length() // 3 + 12  # every digit of the logarithm's integer part
+            shown = scientific(width * Decimal(q + 1).log10())
+        raise ResourceCapError("truncated space dimension {} exceeds", shown, cap)
     if (q + 1) ** width > cap:
         raise ResourceCapError("truncated space dimension {} exceeds", (q + 1) ** width, cap)
 
@@ -55,6 +64,16 @@ def onsite_energy(U: float, mu: float, n: int) -> float:
     if n < 0:
         raise ValueError("occupation must be nonnegative")
     return 0.5 * U * n * (n - 1) - mu * n
+
+
+def onsite_table(model: ModelInstance, site: int, q: int) -> np.ndarray:
+    """W(n) at ``site`` for n = 0..q; one that overflows is refused."""
+    U, mu = model.onsite.U[site], model.onsite.mu[site]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.array([onsite_energy(U, mu, n) for n in range(q + 1)])
+    if not np.isfinite(table).all():
+        raise ArithmeticError(f"on-site energy at site {site} is not finite")
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +173,12 @@ class RegionHamiltonian:
                 raise ValueError(f"edge ({i}, {j}) is not inside region {region}")
 
         occ, codes, rows, self._starts = _layout(len(region), q)
-        U = model.onsite.U
-        mu = model.onsite.mu
         self._diagonal = np.zeros(len(occ))
-        for k, site in enumerate(region):
-            table = np.array([onsite_energy(U[site], mu[site], n) for n in range(q + 1)])
-            self._diagonal += table[occ[:, k]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, site in enumerate(region):
+                self._diagonal += onsite_table(model, site, q)[occ[:, k]]
+        if not np.isfinite(self._diagonal).all():
+            raise ArithmeticError(f"on-site energy summed over sites {region} is not finite")
 
         # a_src^dag a_dst for both orientations of every edge, all in one
         # pass over the space; each (target, source) pair is one hop of one
@@ -175,8 +194,13 @@ class RegionHamiltonian:
         self._sources = states.astype(np.int32)
         self._targets = rows[codes[states] + (place[src] - place[dst])[h]]
         # -J sqrt((n_src + 1) n_dst), per orientation and occupation pair
-        table = -amp[:, None, None] * np.sqrt(np.outer(np.arange(q + 1) + 1, np.arange(q + 1)))
+        with np.errstate(over="ignore"):
+            table = -amp[:, None, None] * np.sqrt(np.outer(np.arange(q + 1) + 1, np.arange(q + 1)))
         self._values = table[h, occ[states, src[h]], occ[states, dst[h]]]
+        if not np.isfinite(self._values).all():
+            k = h[np.argmin(np.isfinite(self._values))]
+            edge = sorted((region[src[k]], region[dst[k]]))
+            raise ArithmeticError(f"hopping amplitude on edge {tuple(edge)} is not finite")
         self._bounds = np.searchsorted(states, self._starts)
 
     def block(self, b: int) -> np.ndarray:
@@ -191,12 +215,10 @@ class RegionHamiltonian:
     def log_trace_exp(self, b: int, beta: float) -> float:
         """log Tr exp(-beta H) over sector b, reduced via log-sum-exp.
 
-        A sector that no hop reaches skips the eigensolve; a non-finite
-        diagonal still goes to the eigensolver, which reports it.
+        A sector that no hop reaches skips the eigensolve.
         """
-        diag = self._diagonal[self._starts[b] : self._starts[b + 1]]
-        if self._bounds[b] == self._bounds[b + 1] and np.isfinite(diag).all():
-            eigvals = diag
+        if self._bounds[b] == self._bounds[b + 1]:
+            eigvals = self._diagonal[self._starts[b] : self._starts[b + 1]]
         else:
             eigvals = _symmetric_eigenvalues(self.block(b))
         return logsumexp(-beta * eigvals)
@@ -220,8 +242,7 @@ def onsite_log_trace(model: ModelInstance, sites, q: int, beta: float) -> float:
         raise ValueError("q must be nonnegative")
     total = 0.0
     for site in sites:
-        U, mu = model.onsite.U[site], model.onsite.mu[site]
-        total += logsumexp([-beta * onsite_energy(U, mu, n) for n in range(q + 1)])
+        total += logsumexp(-beta * onsite_table(model, site, q))
     return total
 
 

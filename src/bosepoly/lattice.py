@@ -40,19 +40,24 @@ class CouplingError(ValueError):
     """A coupling matrix violates its declared kind's invariant."""
 
 
+def scientific(log10) -> str:
+    """d.dddde+X for the number whose base-10 logarithm is ``log10``."""
+    return f"{10 ** (log10 % 1):.4f}e+{math.floor(log10)}"
+
+
 class ResourceCapError(RuntimeError):
     """A run needs ``required`` of a resource capped at ``allowed``.
 
     ``what`` names the need, with ``{}`` where ``required`` goes.  A count
-    past Python's int-to-str digit limit is shown as d.dddde+X.
+    past Python's int-to-str digit limit is shown as d.dddde+X; a count too
+    large to form is given as that string.
     """
 
-    def __init__(self, what: str, required: int, allowed: int):
+    def __init__(self, what: str, required: int | str, allowed: int):
         try:
             shown = str(required)
         except ValueError:
-            exponent = math.log10(required)
-            shown = f"{10 ** (exponent % 1):.4f}e+{math.floor(exponent)}"
+            shown = scientific(math.log10(required))
         super().__init__(f"{what.format(shown)} the cap {allowed}")
         self.required, self.allowed = required, allowed
         self.details = [f"required={shown}", f"allowed={allowed}"]

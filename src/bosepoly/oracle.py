@@ -8,12 +8,11 @@ Z_N / Z.  Every requested observable folds W into a small partial result,
 and W dies before the next solve; only the eigenvalues are kept.  At the
 end the partials are added in ascending N, weighted by Z_N / Z.
 
-A monomial of ladder operators shifts the total number by (creations -
-annihilations), so number-non-conserving monomials vanish identically and
-conserving ones act inside each sector, as inner products of rows of W.  No
-block of rho is ever formed: the diagonal is the row norms of W, and each
-reduced block is a sum of X X^T with X a reshaped slice of W's rows (the
-subsystem total is itself conserved).
+No block of rho is ever formed: the diagonal is the row norms of W, and
+each reduced block is a sum of X X^T with X a reshaped slice of W's rows
+(the subsystem total is itself conserved).  Number operators are diagonal,
+so density correlators are sums over the row norms; a hop a_x^dag a_j moves
+a ket to one ket of its sector, so hopping ones are inner products of rows.
 """
 
 from __future__ import annotations
@@ -23,19 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, check_dim_cap
+from .fock import DEFAULT_DIM_CAP, EigensolverError, _layout, _place_values, check_dim_cap
 from .fock import RegionHamiltonian, SectorBlock, logsumexp, occupation_codes, sector_blocks
 from .lattice import ModelInstance, ResourceCapError, distance_matrix, interaction_edges
 
 __all__ = [
-    "MonomialOperator",
-    "create",
-    "annihilate",
-    "number_op",
     "ThermalState",
     "thermalize",
     "thermal_states",
-    "Expectation",
     "OccupationDistribution",
     "Moments",
     "MutualInformation",
@@ -49,72 +43,6 @@ CORRELATION_NOISE_FLOOR = 1e-13
 # Above every moment order a run has asked for (4); bounds the report's
 # length.  At q >= 2 every order from 1024 on overflows a float anyway.
 MAX_MOMENT_ORDER = 4096
-
-
-@dataclass(frozen=True)
-class MonomialOperator:
-    """Ordered product of creation/annihilation factors.
-
-    ``factors`` is the operator product read left to right; application to
-    a ket starts from the rightmost factor.
-    """
-
-    factors: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        for site, kind in self.factors:
-            if kind not in ("create", "annihilate"):
-                raise ValueError(f"unknown factor kind {kind!r}")
-            if site < 0:
-                raise ValueError("factor site must be a valid index")
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(site for site, _k in self.factors)
-
-    @property
-    def op_count(self) -> int:
-        return len(self.factors)
-
-    @property
-    def number_shift(self) -> int:
-        return sum(1 if k == "create" else -1 for _s, k in self.factors)
-
-    def __mul__(self, other: "MonomialOperator") -> "MonomialOperator":
-        return MonomialOperator(self.factors + other.factors)
-
-
-def create(site: int) -> MonomialOperator:
-    return MonomialOperator(((site, "create"),))
-
-
-def annihilate(site: int) -> MonomialOperator:
-    return MonomialOperator(((site, "annihilate"),))
-
-
-def number_op(site: int) -> MonomialOperator:
-    return MonomialOperator(((site, "create"), (site, "annihilate")))
-
-
-def _apply_monomial(block: SectorBlock, factors, q):
-    """Apply the factor product to every ket of a sector: (rows, coefficients,
-    occupations') of the kets it does not annihilate (including pushes past
-    the per-site cutoff)."""
-    rows = np.arange(block.dim)
-    occ = block.occupations.copy()
-    coef = np.ones(block.dim)
-    for site, kind in reversed(factors):
-        n = occ[:, site]
-        keep = n >= 1 if kind == "annihilate" else n + 1 <= q
-        rows, occ, coef = rows[keep], occ[keep], coef[keep]
-        n = occ[:, site]
-        if kind == "annihilate":
-            coef *= np.sqrt(n)
-            occ[:, site] = n - 1
-        else:
-            coef *= np.sqrt(n + 1)
-            occ[:, site] = n + 1
-    return rows, coef, occ
 
 
 @dataclass(frozen=True)
@@ -194,7 +122,10 @@ def thermal_states(model: ModelInstance, q: int, betas, observables=(),
 def _solve_sector(H: RegionHamiltonian, b: int, betas, observables) -> tuple:
     """Sector b's eigenvalues and, per beta, (log Z_N, partials): Tr W W^T,
     then each observable's partial.  The eigenvectors die with the call."""
-    lam, V = np.linalg.eigh(H.block(b))
+    try:
+        lam, V = np.linalg.eigh(H.block(b))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolve failed on the N={b} sector") from exc
     out = []
     for k, beta in enumerate(betas):
         log_zn = logsumexp(-beta * lam)
@@ -208,38 +139,6 @@ def _solve_sector(H: RegionHamiltonian, b: int, betas, observables) -> tuple:
         parts = [obs.partial(H.blocks[b], W, diag) for obs in observables]
         out.append((log_zn, [(diag.sum(),), *parts]))
     return lam, out
-
-
-def _sector_expectation(block: SectorBlock, W: np.ndarray, op: MonomialOperator) -> float:
-    """Tr(W W^T O) on one sector; a number-non-conserving O gives 0."""
-    if op.number_shift != 0:
-        return 0.0
-    rows, coef, moved = _apply_monomial(block, op.factors, block.q)
-    if not rows.size:
-        return 0.0
-    # number-conserving, so every surviving ket lands in this sector, and
-    # distinct kets land on distinct targets
-    targets = np.searchsorted(block.codes, occupation_codes(moved, block.q))
-    # rho[r, t] = <W[r], W[t]>, one per surviving ket r with O|r> = c|t>
-    return float(coef @ np.einsum("rk,rk->r", W[rows], W[targets]))
-
-
-class Expectation:
-    """Tr(rho O) for a monomial O: exactly 0 if O does not conserve the
-    number, exactly 1 for the empty product."""
-
-    def __init__(self, op: MonomialOperator):
-        self.op = op
-
-    def check(self, model):
-        if self.op.support and max(self.op.support) >= model.n_sites:
-            raise ValueError("operator support outside the lattice")
-
-    def partial(self, block, W, diag):
-        return (np.array([_sector_expectation(block, W, self.op)]),)
-
-    def value(self, total, state) -> float:
-        return 1.0 if self.op.op_count == 0 else float(total[0][0])
 
 
 class OccupationDistribution:
@@ -371,7 +270,9 @@ class Clustering:
     ``ClusteringScan``.
 
     family "hopping": C(a_anchor^dag, a_j); family "density": C(n_anchor, n_j).
-    The decay-reference column uses the clustering bound envelope with unit
+    A sector's partial is [<O_x>, <O_x O_j>..., <O_j>...] over the other sites
+    j; a_x^dag and a_j alone change the number, so their means are 0.  The
+    decay-reference column uses the clustering bound envelope with unit
     prefactor; the exponent is a least-squares fit of log|C| on log(1+d)
     over rows above the noise floor, omitted when fewer than 3 qualify or
     they all sit at one distance.
@@ -386,12 +287,22 @@ class Clustering:
         model.lattice._check_site(self.anchor)
 
     def partial(self, block, W, diag):
-        # O_X, then O_X O_Y(j) for every other site j, then O_Y(j)
-        op_x, op_y = ((create(self.anchor), annihilate) if self.family == "hopping"
-                      else (number_op(self.anchor), number_op))
-        others = [j for j in range(len(block.region)) if j != self.anchor]
-        ops = [op_x] + [op_x * op_y(j) for j in others] + [op_y(j) for j in others]
-        return (np.array([_sector_expectation(block, W, op) for op in ops]),)
+        x, q, occ = self.anchor, block.q, block.occupations
+        others = [j for j in range(len(block.region)) if j != x]
+        if self.family == "density":
+            n = occ.astype(np.float64)
+            means = diag @ n
+            joint = (diag * n[:, x]) @ n[:, others]
+            return (np.concatenate(([means[x]], joint, means[others])),)
+        # a ket's hop target is the code moved by a fixed offset (see RegionHamiltonian)
+        place, rows = _place_values(len(block.region), q), _layout(len(block.region), q)[2]
+        joint = []
+        for j in others:
+            kets = np.flatnonzero((occ[:, j] >= 1) & (occ[:, x] < q))
+            targets = rows[block.codes[kets] + (place[x] - place[j])]
+            coef = np.sqrt(occ[kets, j]) * np.sqrt(occ[kets, x] + 1)
+            joint.append(coef @ np.einsum("rk,rk->r", W[kets], W[targets]))
+        return (np.array([0.0, *joint] + [0.0] * len(others)),)
 
     def value(self, total, state) -> ClusteringScan:
         model = state.model

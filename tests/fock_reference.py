@@ -19,8 +19,9 @@ machinery, for tiny lattices.
 folded its observables one sector at a time: it solves the sectors in
 ascending N and holds every sector's amplitude factor W = V diag(sqrt(p)),
 with p the Boltzmann weights over the whole lattice, so that the sector's
-block of rho is W W^T.  ``expectation``, ``moments`` and
-``occupation_distribution`` read that state as the oracle did.
+block of rho is W W^T.  ``moments`` and ``occupation_distribution`` read
+that state as the oracle did; ``connected`` reads the two clustering
+correlators off each sector's block of rho by occupation tuples.
 ``reduced_density_blocks`` forms each sector's rho block and traces it by
 grouping kets on their complement occupation; ``mutual_information`` is the
 two-pass form that does this once per side of the bipartition.  The
@@ -39,12 +40,11 @@ from bosepoly.fock import (
     SectorBlock,
     _symmetric_eigenvalues,
     logsumexp,
-    occupation_codes,
     onsite_energy,
     sector_blocks,
 )
 from bosepoly.lattice import ModelInstance, ResourceCapError, interaction_edges
-from bosepoly.oracle import _apply_monomial, _entropy_from_probabilities
+from bosepoly.oracle import _entropy_from_probabilities
 
 
 def occupation_vectors(n_sites: int, q: int, total: int):
@@ -263,24 +263,26 @@ def thermalize(model, q: int, beta: float) -> HeldState:
     return HeldState(model, q, beta, tuple(blocks), tuple(eigenvalues), tuple(amplitudes), log_z)
 
 
-def expectation(state, op) -> float:
-    """Tr(rho O), one sector at a time, from the held amplitude factors."""
-    if op.op_count == 0:
-        return 1.0
-    if op.number_shift != 0:
-        return 0.0
-    total = 0.0
+def connected(state, family: str, x: int, j: int) -> float:
+    """C(a_x^dag, a_j) or C(n_x, n_j), ket by ket over each held sector's
+    block of rho, with each hop's target found by its occupation tuple.
+    a_x^dag and a_j alone change the number, so their means are 0."""
+    xy = mean_x = mean_j = 0.0
     for block, W in zip(state.blocks, state.amplitudes):
-        rows, coef, moved = _apply_monomial(block, op.factors, state.q)
-        if rows.size:
-            targets = np.searchsorted(block.codes, occupation_codes(moved, state.q))
-            total += float(coef @ np.einsum("rk,rk->r", W[rows], W[targets]))
-    return total
-
-
-def connected(state, op_x, op_y) -> float:
-    """C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)."""
-    return expectation(state, op_x * op_y) - expectation(state, op_x) * expectation(state, op_y)
+        rho = W @ W.T
+        kets = [tuple(occ) for occ in block.occupations.tolist()]
+        index = {occ: k for k, occ in enumerate(kets)}
+        for k, occ in enumerate(kets):
+            if family == "density":
+                xy += occ[x] * occ[j] * rho[k, k]
+                mean_x += occ[x] * rho[k, k]
+                mean_j += occ[j] * rho[k, k]
+            elif occ[j] >= 1 and occ[x] < state.q:
+                moved = list(occ)
+                moved[j] -= 1
+                moved[x] += 1
+                xy += math.sqrt((occ[x] + 1) * occ[j]) * rho[k, index[tuple(moved)]]
+    return xy - mean_x * mean_j
 
 
 def moments(state, site: int, l_max: int) -> list[float]:

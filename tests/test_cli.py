@@ -17,6 +17,7 @@ import bosepoly.lattice
 import bosepoly.polymers
 from bosepoly.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
     build_model,
@@ -980,6 +981,60 @@ def test_overflowing_moment_is_a_numerical_failure(command, capsys):
     error = json.loads(captured.out)["error"]
     assert error["code"] == "numerical_failure"
     assert error["message"] == "moment l=1024 at site 0 is not finite (inf)"
+
+
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments", "approx", "compare"])
+def test_overflowing_hamiltonian_entry_is_a_numerical_failure(command, capsys):
+    # refused before any solve, naming the site or edge, and with no warning
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    cases = [
+        (["model.coupling.g=1e308"], "hopping amplitude on edge"),
+        (["model.U=1e308"], "on-site energy at site 0 is not finite"),
+        (["model.mu=1e308"], "on-site energy at site 0 is not finite"),
+        (["model.U=1e308", "oracle.q=2", "expansion.q=2"], "on-site energy summed over sites"),
+    ]
+    for settings, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, config, *(arg for s in settings for arg in ("--set", s))])
+        assert code == EXIT_NUMERICAL, settings
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "numerical_failure"
+        assert message in error["message"]
+
+
+def test_oracle_cap_on_a_huge_lattice_allocates_nothing():
+    # at 10**400 sites, 4**N is never formed and no N-sized list is built:
+    # each oracle command exits 3 under a 1 GiB address-space limit
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    root = pathlib.Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    config = str(root / "configs" / "chain4_nn.json")
+    for command in ("exact", "clustering", "moments", "compare"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosepoly.cli", command, config,
+             "--set", f"model.dims=[{10**400}]"],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == EXIT_RESOURCE, (command, proc.stdout, proc.stderr)
+        assert time.perf_counter() - start < 10, command
+        assert proc.stderr == ""
+        required = json.loads(proc.stdout)["error"]["details"][0]
+        # log10(4**(10**400)) = 10**400 log10(4), a 400-digit exponent
+        assert required.startswith("required=6.5551e+602059991327962390427477789448")
+        assert len(required) == len("required=6.5551e+") + 400
 
 
 def test_clustering_fits_no_exponent_through_one_distance(capsys):

@@ -1,19 +1,28 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from bosepoly.fock import (
-    EigensolverError,
     RegionHamiltonian,
     _layout,
+    check_dim_cap,
     occupation_codes,
     onsite_energy,
+    onsite_log_trace,
     restricted_log_partition,
     sector_blocks,
 )
-from bosepoly.lattice import ModelInstance, OnsiteParams, interaction_edges
+from bosepoly.lattice import (
+    ModelInstance,
+    OnsiteParams,
+    ResourceCapError,
+    interaction_edges,
+    scientific,
+)
 
 import fock_reference
 from conftest import make_chain, make_explicit, make_long_range_chain, weights_at
@@ -265,11 +274,36 @@ def test_diagonal_blocks_skip_the_eigensolve(monkeypatch):
         fock_reference.restricted_log_partition(model, region, [], q), rel=1e-15
     )
 
-    # a non-finite diagonal is not taken for a diagonal block: at q=3,
-    # U n(n-1)/2 overflows for U = 1e308
-    huge = make_chain(2, g=0.3, beta=1.0, U=1e308)
-    with np.errstate(over="ignore"), pytest.raises(EigensolverError):
-        restricted_log_partition(huge, [0, 1], [], 3)
+
+
+def test_an_overflowing_entry_is_refused_without_a_warning():
+    # at q=3, U n(n-1)/2 overflows at every site for U = 1e308; at q=2 each
+    # site's W(2) = U is finite but two of them overflow; at g = 1e308,
+    # -J sqrt((n_src + 1) n_dst) overflows for n_src = n_dst = 1
+    huge_u = make_chain(2, g=0.3, beta=1.0, U=1e308)
+    cases = [
+        (huge_u, [], 3, "on-site energy at site 0 is not finite"),
+        (huge_u, [], 2, "on-site energy summed over sites (0, 1) is not finite"),
+        (make_chain(3, g=1e308, beta=1.0), [(1, 2)], 2,
+         "hopping amplitude on edge (1, 2) is not finite"),
+    ]
+    for model, edges, q, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=re.escape(message)):
+                RegionHamiltonian(model, range(model.n_sites), edges, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="on-site energy at site 1 is not finite"):
+            onsite_log_trace(huge_u, [1, 0], 3, 1.0)
+
+
+def test_dimension_cap_past_2_to_the_65536_is_shown_from_the_logarithm():
+    # the unformed power's d.dddde+X is the one the formed power would show
+    for q, width in ((1, 65537), (2, 50000), (3, 40000)):
+        with pytest.raises(ResourceCapError) as err:
+            check_dim_cap(q, width)
+        assert err.value.details[0] == f"required={scientific(math.log10((q + 1) ** width))}"
 
 
 def test_restricted_log_partition_single_site():

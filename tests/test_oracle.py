@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bosepoly.fock import onsite_energy, restricted_log_partition
+from bosepoly.fock import EigensolverError, onsite_energy, restricted_log_partition
 from bosepoly.lattice import (
     ModelInstance,
     OnsiteParams,
@@ -15,14 +15,9 @@ from bosepoly.lattice import (
 )
 from bosepoly.oracle import (
     Clustering,
-    Expectation,
-    MonomialOperator,
     Moments,
     MutualInformation,
     OccupationDistribution,
-    annihilate,
-    create,
-    number_op,
     thermalize,
 )
 
@@ -36,15 +31,9 @@ def observe(model, q, *observables, beta=None):
     return thermalize(model, q, observables, beta=beta).values
 
 
-def expectation(model, q, op, beta=None):
-    return observe(model, q, Expectation(op), beta=beta)[0]
-
-
-def connected(model, q, op_x, op_y, beta=None):
-    """C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)."""
-    xy, x, y = observe(model, q, Expectation(op_x * op_y), Expectation(op_x), Expectation(op_y),
-                       beta=beta)
-    return xy - x * y
+def correlations(model, q, family, anchor):
+    """The scan's row values keyed by the other site."""
+    return {r.site_b: r.value for r in clustering_scan(model, q, family, anchor).rows}
 
 
 def clustering_scan(model, q, family, anchor):
@@ -53,6 +42,52 @@ def clustering_scan(model, q, family, anchor):
 
 def mutual_information(model, q, partition):
     return observe(model, q, MutualInformation(partition))[0]
+
+
+class Terms(Clustering):
+    """The scan's summed terms [<O_x>, <O_x O_j>..., <O_j>...], in place of
+    its rows."""
+
+    def value(self, total, state):
+        return total[0]
+
+
+def dense_correlation(basis, rho, q, family, x, j) -> float:
+    """C(a_x^dag, a_j) or C(n_x, n_j) against the product-basis rho, with
+    each operator built entry by entry.  a_x^dag and a_j alone change the
+    number, so their means vanish and the hopping value is Tr(rho a_x^dag a_j);
+    the density value is Tr(rho (n_x - <n_x>)(n_j - <n_j>)), whose terms do
+    not cancel, so its own roundoff stays well below 1e-15."""
+    index = {occ: k for k, occ in enumerate(basis)}
+
+    def trace(op):
+        return float(np.einsum("ij,ji->", rho, op))
+
+    if family == "density":
+        n = np.array(basis, dtype=np.float64)
+        mean_x, mean_j = (trace(np.diag(n[:, k])) for k in (x, j))
+        return trace(np.diag((n[:, x] - mean_x) * (n[:, j] - mean_j)))
+    hop = np.zeros_like(rho)
+    for k, occ in enumerate(basis):
+        if occ[j] >= 1 and occ[x] < q:
+            moved = list(occ)
+            moved[j] -= 1
+            moved[x] += 1
+            hop[index[tuple(moved)], k] = math.sqrt((occ[x] + 1) * occ[j])
+    return trace(hop)
+
+
+def assert_rows_match_dense(model, q):
+    """Every row of every anchor's scan, both families, against the dense rho:
+    within 1e-14 relative or 1e-15 absolute."""
+    basis, rho = dense_thermal_matrix(model, q)
+    requests = [Clustering(family, x) for family in ("hopping", "density")
+                for x in range(model.n_sites)]
+    for request, scan in zip(requests, observe(model, q, *requests), strict=True):
+        assert len(scan.rows) == model.n_sites - 1
+        for row in scan.rows:
+            want = dense_correlation(basis, rho, q, request.family, request.anchor, row.site_b)
+            assert abs(row.value - want) <= max(1e-14 * abs(want), 1e-15), (row, want)
 
 
 class ReducedBlocks(MutualInformation):
@@ -154,34 +189,25 @@ def test_dimension_cap():
     assert err.value.allowed == 100
 
 
-def test_expectation_identity_and_nonconserving(two_site_model):
-    ops = (MonomialOperator(()), annihilate(0), create(1), create(0) * create(1))
-    assert observe(two_site_model, 1, *map(Expectation, ops)) == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_expectation_number_at_infinite_temperature():
-    for q in (1, 3):
-        model = make_chain(2, g=0.2, beta=1.0, U=1.0, mu=0.0)
-        assert expectation(model, q, number_op(0), beta=0.0) == pytest.approx(q / 2, rel=1e-12)
-
-
-def test_expectation_out_of_range_support(two_site_model, monkeypatch):
+def test_clustering_anchor_outside_the_lattice_is_refused_before_any_solve(two_site_model,
+                                                                          monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("an eigensolve ran")
 
     monkeypatch.setattr(np.linalg, "eigh", no_solve)
     with pytest.raises(ValueError):
-        expectation(two_site_model, 1, number_op(5))
+        clustering_scan(two_site_model, 1, "hopping", anchor=5)
 
 
 def test_correlation_vanishes_for_product_state():
     model = make_explicit(3, np.zeros((3, 3)), beta=0.6, U=1.0, mu=0.2)
-    assert connected(model, 2, number_op(0), number_op(2)) == pytest.approx(0.0, abs=1e-12)
-    assert connected(model, 2, create(0), annihilate(1)) == pytest.approx(0.0, abs=1e-12)
+    for family in ("density", "hopping"):
+        for value in correlations(model, 2, family, 0).values():
+            assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hopping_correlation_closed_form(two_site_model):
-    got = connected(two_site_model, 1, create(0), annihilate(1))
+    got = correlations(two_site_model, 1, "hopping", 0)[1]
     beta_j = 0.3
     assert got == pytest.approx(math.sinh(beta_j) / (2 + 2 * math.cosh(beta_j)), rel=1e-12)
 
@@ -199,57 +225,24 @@ def test_correlation_against_dense_brute_force():
             op[index[moved], k] = math.sqrt((occ[0] + 1) * occ[1])
     dense_value = float(np.trace(rho @ op))
 
-    assert expectation(model, q, create(0) * annihilate(1)) == pytest.approx(
-        dense_value, rel=1e-12
-    )
+    assert correlations(model, q, "hopping", 0)[1] == pytest.approx(dense_value, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_sites,q", [(2, 2), (3, 1), (3, 2)])
 def test_block_routing_matches_dense_density_matrix(n_sites, q):
+    # all-to-all random couplings: every hop a_x^dag a_j lands inside its sector
     rng = np.random.default_rng(11)
     matrix = np.zeros((n_sites, n_sites))
     for i in range(n_sites):
         for j in range(i + 1, n_sites):
             matrix[i, j] = matrix[j, i] = 0.25 * rng.normal()
-    model = make_explicit(n_sites, matrix, beta=0.8, U=1.0, mu=0.15)
-    basis, rho = dense_thermal_matrix(model, q)
-
-    monomials = [
-        number_op(0),
-        create(0) * annihilate(n_sites - 1),
-        number_op(0) * number_op(n_sites - 1),
-        create(0) * annihilate(0) * create(0) * annihilate(0),
-    ]
-    got = observe(model, q, *map(Expectation, monomials))
-    for op, value in zip(monomials, got, strict=True):
-        assert value == pytest.approx(dense_expectation(basis, rho, op, q), abs=1e-12)
+    assert_rows_match_dense(make_explicit(n_sites, matrix, beta=0.8, U=1.0, mu=0.15), q)
 
 
-def dense_expectation(basis, rho, op, q) -> float:
-    """Tr(rho O) with O built entry by entry on the product basis."""
-    index = {occ: k for k, occ in enumerate(basis)}
-    dense_op = np.zeros_like(rho)
-    for k, occ in enumerate(basis):
-        coef = 1.0
-        target = list(occ)
-        dead = False
-        for site, kind in reversed(op.factors):
-            n = target[site]
-            if kind == "annihilate":
-                if n == 0:
-                    dead = True
-                    break
-                coef *= math.sqrt(n)
-                target[site] = n - 1
-            else:
-                if n + 1 > q:
-                    dead = True
-                    break
-                coef *= math.sqrt(n + 1)
-                target[site] = n + 1
-        if not dead:
-            dense_op[index[tuple(target)], k] = coef
-    return float(np.trace(rho @ dense_op))
+@pytest.mark.parametrize("model_index", [0, 1])
+def test_clustering_rows_match_dense_thermal_matrix(model_index):
+    # a disordered 2x3 square and a disordered alpha=3 long-range chain, q=2
+    assert_rows_match_dense(_disordered_models()[model_index], 2)
 
 
 def test_moments_product_state_matches_scalar_sums():
@@ -429,6 +422,15 @@ def test_normalization_check_reads_the_amplitudes(monkeypatch):
         thermalize(_disordered_models()[1], 2, beta=0.8)
 
 
+def test_failed_eigensolve_is_an_eigensolver_error(monkeypatch):
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigensolverError, match="eigensolve failed on the N=6 sector"):
+        thermalize(_disordered_models()[0], 2)
+
+
 def test_clustering_scan_zero_couplings_has_no_fit():
     model = make_explicit(4, np.zeros((4, 4)), beta=0.2, U=1.0, mu=0.0)
     scan = clustering_scan(model, 1, "hopping", anchor=0)
@@ -460,35 +462,30 @@ def test_clustering_scan_density_family(two_site_model):
     scan = clustering_scan(two_site_model, 1, "density", anchor=0)
     # N(n_i) = 2 on each side: Phi = sqrt(2! * 2!) * beta^(-1) = 2 at beta = 1
     assert scan.rows[0].phi_ref == pytest.approx(2.0)
-    got = scan.rows[0].value
-    assert got == pytest.approx(connected(two_site_model, 1, number_op(0), number_op(1)),
-                                rel=1e-12)
+    # <n_0 n_1> = 1/Z from |11> alone and <n_i> = 1/2, with Z = 2 + 2 cosh(beta J)
+    assert scan.rows[0].value == pytest.approx(-math.tanh(0.3 / 2) ** 2 / 4, rel=1e-12)
 
-    # the anchor's mean is computed once per scan; every row is still the
-    # exact correlation value
+    # the anchor's mean is summed once per scan; every row is still exactly
+    # <O_x O_j> - <O_x> <O_j> of the scan's own terms
     model = make_long_range_chain(5, g=0.3, alpha=3.0, beta=0.4, U=1.0, mu=0.3)
-    for family, op_x, op_y in (("density", number_op, number_op),
-                               ("hopping", create, annihilate)):
-        scan = clustering_scan(model, 2, family, anchor=1)
+    for family in ("density", "hopping"):
+        scan, terms = observe(model, 2, Clustering(family, 1), Terms(family, 1))
+        others = [0, 2, 3, 4]
+        joint = dict(zip(others, terms[1:5]))
+        mean = dict(zip(others, terms[5:]))
         assert len(scan.rows) == 4
         for row in scan.rows:
-            assert row.value == connected(model, 2, op_x(1), op_y(row.site_b))
+            assert row.value == float(joint[row.site_b] - terms[0] * mean[row.site_b])
+        if family == "hopping":  # a_x^dag and a_j change the number
+            assert terms[0] == 0.0 and not any(mean.values())
 
 
 def test_hopping_correlation_symmetric_for_real_couplings():
     model = make_long_range_chain(4, g=0.3, alpha=2.0, beta=0.4, U=1.0, mu=0.1)
     for i, j in ((0, 1), (0, 3), (1, 2)):
-        ab = connected(model, 2, create(i), annihilate(j))
-        ba = connected(model, 2, create(j), annihilate(i))
+        ab = correlations(model, 2, "hopping", i)[j]
+        ba = correlations(model, 2, "hopping", j)[i]
         assert ab == pytest.approx(ba, abs=1e-10)
-
-
-def test_hermitian_monomial_expectations_are_real_floats():
-    model = make_chain(3, g=0.4, beta=0.5, U=1.0, mu=0.2)
-    for op in (number_op(0), number_op(1) * number_op(2)):
-        value = expectation(model, 2, op)
-        assert isinstance(value, float)
-        assert math.isfinite(value)
 
 
 def dense_reduced_entropy(rho, q, n_sites, keep) -> float:
@@ -529,10 +526,8 @@ def test_folded_observables_match_the_held_state_and_dense_rho(model_index):
     s_total = fock_reference._entropy_from_probabilities(np.linalg.eigvalsh(rho))
     agree(information, fock_reference.mutual_information(held, (a, b)),
           sum(dense_reduced_entropy(rho, q, n, side) for side in (a, b)) - s_total)
-    for scan, op_x, op_y in ((hopping, create, annihilate), (density, number_op, number_op)):
+    for scan in (hopping, density):
         assert sorted(row.site_b for row in scan.rows) == [0, 1, 3, 4, 5]
         for row in scan.rows:
-            x, y = op_x(2), op_y(row.site_b)
-            dense = (dense_expectation(basis, rho, x * y, q)
-                     - dense_expectation(basis, rho, x, q) * dense_expectation(basis, rho, y, q))
-            agree(row.value, fock_reference.connected(held, x, y), dense)
+            agree(row.value, fock_reference.connected(held, scan.family, 2, row.site_b),
+                  dense_correlation(basis, rho, q, scan.family, 2, row.site_b))
