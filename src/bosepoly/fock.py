@@ -7,11 +7,11 @@ splits into sectors of fixed total occupation; each trace is computed
 block by block with a symmetric eigendecomposition and accumulated with
 log-sum-exp in canonical sector order.
 
-The layout of that space is cached per (|L|, q).  A region's Hamiltonian is
-one pass over it: every state's diagonal, and every hop of every active
-edge, whose target's code is the source's plus a fixed offset, so no search
-is needed.  Dense blocks are filled one sector at a time, so the peak memory
-is one sector's block; a sector no hop reaches is traced from its diagonal.
+The layout of that space is cached per (|L|, q).  ``hop_entries`` is the
+one place the hop rule lives: it reads every a_a^dag a_b move off the layout
+for the region Hamiltonian and for the oracle's hopping correlators.  Dense
+blocks are filled one sector at a time, so the peak memory is one sector's
+block; a sector no hop reaches is traced from its diagonal.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "onsite_table",
     "occupation_codes",
     "sector_blocks",
+    "hop_entries",
     "RegionHamiltonian",
     "restricted_log_partition",
     "logsumexp",
@@ -147,16 +148,29 @@ def sector_blocks(region, q: int) -> list[SectorBlock]:
     ]
 
 
+def hop_entries(occupations: np.ndarray, codes: np.ndarray, q: int, pairs) -> tuple:
+    """Every move of a_a^dag a_b, per column pair (a, b) of ``pairs``, out of
+    layout rows ``occupations`` with their ``codes``: (sources, pair, targets,
+    factors), the row it leaves, its index in ``pairs``, its row in its sector
+    and sqrt((n_a+1) n_b), ordered by source, then pair.  A ket with n_b = 0
+    or n_a = q has none (the cutoff's projection).  A move shifts the code by
+    (q+1)^(last-a) - (q+1)^(last-b), so the layout gives its row unsearched."""
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    sources, pair = np.nonzero((occupations >= 1)[:, b] & (occupations < q)[:, a])
+    place, rows = _place_values(occupations.shape[1], q), _layout(occupations.shape[1], q)[2]
+    targets = rows[codes[sources] + (place[a] - place[b])[pair]]
+    factors = np.sqrt((occupations[sources, a[pair]] + 1) * occupations[sources, b[pair]])
+    return sources, pair, targets, factors
+
+
 class RegionHamiltonian:
     """H on a region's truncated space, with hopping only on ``active_edges``,
     held as entries over the full space and filled one sector at a time.
 
     Diagonal: sum of on-site energies, added site by site in region order.
-    Off-diagonal: -J_ij sqrt((n_i+1) n_j) for each active edge, with
-    amplitudes leaving the per-site cutoff set to zero; a hop from dst to
-    src moves a state's code by (q+1)^(last-src) - (q+1)^(last-dst), and the
-    layout gives the target's row.  Only edges inside ``region`` are
-    allowed.  ``blocks`` are the sectors in ascending N.
+    Off-diagonal: -J_ij times the factor of each move ``hop_entries`` (the
+    one owner of the hop rule) finds along an active edge, either way; edges
+    must lie inside ``region``.  ``blocks`` are the sectors in ascending N.
     """
 
     def __init__(self, model: ModelInstance, region, active_edges, q: int):
@@ -172,7 +186,7 @@ class RegionHamiltonian:
             if i not in pos or j not in pos:
                 raise ValueError(f"edge ({i}, {j}) is not inside region {region}")
 
-        occ, codes, rows, self._starts = _layout(len(region), q)
+        occ, codes, _, self._starts = _layout(len(region), q)
         self._diagonal = np.zeros(len(occ))
         with np.errstate(over="ignore", invalid="ignore"):
             for k, site in enumerate(region):
@@ -180,26 +194,17 @@ class RegionHamiltonian:
         if not np.isfinite(self._diagonal).all():
             raise ArithmeticError(f"on-site energy summed over sites {region} is not finite")
 
-        # a_src^dag a_dst for both orientations of every edge, all in one
-        # pass over the space; each (target, source) pair is one hop of one
-        # orientation, so every off-diagonal entry is written exactly once
-        hops = [(pos[i], pos[j], J) for (i, j) in active_edges
+        # both orientations of every edge: each off-diagonal entry is one hop,
+        # and the sources ascend, so each sector's hops are contiguous
+        hops = [((pos[i], pos[j]), J) for (i, j) in active_edges
                 if (J := model.coupling(i, j)) != 0.0]
-        hops += [(b, a, J) for (a, b, J) in hops]
-        src, dst, amp = np.array(hops, dtype=np.float64).reshape(-1, 3).T
-        src, dst = src.astype(np.int64), dst.astype(np.int64)
-        # row-major, so the sources ascend and each sector's hops are contiguous
-        states, h = np.nonzero((occ >= 1)[:, dst] & (occ < q)[:, src])
-        place = _place_values(len(region), q)
+        hops += [((b, a), J) for ((a, b), J) in hops]
+        states, h, self._targets, factors = hop_entries(occ, codes, q, [p for p, _ in hops])
         self._sources = states.astype(np.int32)
-        self._targets = rows[codes[states] + (place[src] - place[dst])[h]]
-        # -J sqrt((n_src + 1) n_dst), per orientation and occupation pair
         with np.errstate(over="ignore"):
-            table = -amp[:, None, None] * np.sqrt(np.outer(np.arange(q + 1) + 1, np.arange(q + 1)))
-        self._values = table[h, occ[states, src[h]], occ[states, dst[h]]]
+            self._values = -np.array([J for _, J in hops])[h] * factors
         if not np.isfinite(self._values).all():
-            k = h[np.argmin(np.isfinite(self._values))]
-            edge = sorted((region[src[k]], region[dst[k]]))
+            edge = sorted(region[k] for k in hops[h[np.argmin(np.isfinite(self._values))]][0])
             raise ArithmeticError(f"hopping amplitude on edge {tuple(edge)} is not finite")
         self._bounds = np.searchsorted(states, self._starts)
 
@@ -213,10 +218,8 @@ class RegionHamiltonian:
         return H
 
     def log_trace_exp(self, b: int, beta: float) -> float:
-        """log Tr exp(-beta H) over sector b, reduced via log-sum-exp.
-
-        A sector that no hop reaches skips the eigensolve.
-        """
+        """log Tr exp(-beta H) over sector b, reduced via log-sum-exp; a
+        sector that no hop reaches skips the eigensolve."""
         if self._bounds[b] == self._bounds[b + 1]:
             eigvals = self._diagonal[self._starts[b] : self._starts[b + 1]]
         else:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, EigensolverError, _layout, _place_values, check_dim_cap
-from .fock import RegionHamiltonian, SectorBlock, logsumexp, occupation_codes, sector_blocks
+from .fock import DEFAULT_DIM_CAP, EigensolverError, RegionHamiltonian, SectorBlock, check_dim_cap
+from .fock import hop_entries, logsumexp, occupation_codes, sector_blocks
 from .lattice import ModelInstance, ResourceCapError, distance_matrix, interaction_edges
 
 __all__ = [
@@ -294,14 +294,9 @@ class Clustering:
             means = diag @ n
             joint = (diag * n[:, x]) @ n[:, others]
             return (np.concatenate(([means[x]], joint, means[others])),)
-        # a ket's hop target is the code moved by a fixed offset (see RegionHamiltonian)
-        place, rows = _place_values(len(block.region), q), _layout(len(block.region), q)[2]
-        joint = []
-        for j in others:
-            kets = np.flatnonzero((occ[:, j] >= 1) & (occ[:, x] < q))
-            targets = rows[block.codes[kets] + (place[x] - place[j])]
-            coef = np.sqrt(occ[kets, j]) * np.sqrt(occ[kets, x] + 1)
-            joint.append(coef @ np.einsum("rk,rk->r", W[kets], W[targets]))
+        hops = (hop_entries(occ, block.codes, q, [(x, j)]) for j in others)
+        joint = [factors @ np.einsum("rk,rk->r", W[kets], W[targets])
+                 for kets, _, targets, factors in hops]
         return (np.array([0.0, *joint] + [0.0] * len(others)),)
 
     def value(self, total, state) -> ClusteringScan:
