@@ -32,6 +32,7 @@ __all__ = [
     "occupation_codes",
     "sector_blocks",
     "hop_entries",
+    "boltzmann_exponents",
     "RegionHamiltonian",
     "restricted_log_partition",
     "logsumexp",
@@ -163,6 +164,15 @@ def hop_entries(occupations: np.ndarray, codes: np.ndarray, q: int, pairs) -> tu
     return sources, pair, targets, factors
 
 
+def boltzmann_exponents(beta: float, energies, where: str) -> np.ndarray:
+    """-beta E for ``energies``; one that overflows is refused, naming ``where``."""
+    with np.errstate(over="ignore"):
+        exponents = -beta * np.asarray(energies)
+    if not np.isfinite(exponents).all():
+        raise ArithmeticError(f"beta * E {where} is not finite")
+    return exponents
+
+
 class RegionHamiltonian:
     """H on a region's truncated space, with hopping only on ``active_edges``,
     held as entries over the full space and filled one sector at a time.
@@ -224,7 +234,7 @@ class RegionHamiltonian:
             eigvals = self._diagonal[self._starts[b] : self._starts[b + 1]]
         else:
             eigvals = _symmetric_eigenvalues(self.block(b))
-        return logsumexp(-beta * eigvals)
+        return logsumexp(boltzmann_exponents(beta, eigvals, f"in the N={b} sector"))
 
 
 def logsumexp(values) -> float:
@@ -245,7 +255,8 @@ def onsite_log_trace(model: ModelInstance, sites, q: int, beta: float) -> float:
         raise ValueError("q must be nonnegative")
     total = 0.0
     for site in sites:
-        total += logsumexp(-beta * onsite_table(model, site, q))
+        total += logsumexp(boltzmann_exponents(beta, onsite_table(model, site, q),
+                                               f"at site {site}"))
     return total
 
 

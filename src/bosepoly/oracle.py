@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import DEFAULT_DIM_CAP, EigensolverError, RegionHamiltonian, SectorBlock, check_dim_cap
-from .fock import hop_entries, logsumexp, occupation_codes, sector_blocks
+from .fock import boltzmann_exponents, hop_entries, logsumexp, occupation_codes, sector_blocks
 from .lattice import ModelInstance, ResourceCapError, distance_matrix, interaction_edges
 
 __all__ = [
@@ -128,11 +128,12 @@ def _solve_sector(H: RegionHamiltonian, b: int, betas, observables) -> tuple:
         raise EigensolverError(f"eigensolve failed on the N={b} sector") from exc
     out = []
     for k, beta in enumerate(betas):
-        log_zn = logsumexp(-beta * lam)
+        exponents = boltzmann_exponents(beta, lam, f"in the N={b} sector")
+        log_zn = logsumexp(exponents)
         # the last beta scales V in place, so one beta holds one n x n array;
         # row by row, as W *= scale adds a 64 KiB buffer: 15% of a 2x3 model's peak
         W = V if k == len(betas) - 1 else V.copy()
-        scale = np.exp(0.5 * (-beta * lam - log_zn))
+        scale = np.exp(0.5 * (exponents - log_zn))
         for row in W:
             row *= scale
         diag = np.einsum("sk,sk->s", W, W)

@@ -1005,6 +1005,29 @@ def test_overflowing_hamiltonian_entry_is_a_numerical_failure(command, capsys):
         assert message in error["message"]
 
 
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments", "approx", "compare"])
+def test_overflowing_beta_times_energy_is_a_numerical_failure(command, capsys):
+    # every entry of H is finite at U=1e307, but beta * E overflows in the
+    # N=2 sector of the first polymer and in the oracle's N=6 sector, the
+    # largest, solved first; with no polymer, approx refuses the free trace
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    sector = 2 if command in ("approx", "compare") else 6
+    cases = [([], f"beta * E in the N={sector} sector is not finite")]
+    if command == "approx":
+        cases.append((["expansion.polymer_threshold=1"], "beta * E at site 0 is not finite"))
+    for settings, message in cases:
+        settings = ["model.U=1e307", "model.beta=100", *settings]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, config, *(arg for s in settings for arg in ("--set", s))])
+        assert code == EXIT_NUMERICAL, settings
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "numerical_failure"
+        assert error["message"].endswith(message)
+
+
 def test_oracle_cap_on_a_huge_lattice_allocates_nothing():
     # at 10**400 sites, 4**N is never formed and no N-sized list is built:
     # each oracle command exits 3 under a 1 GiB address-space limit

@@ -10,6 +10,7 @@ from bosepoly.fock import (
     RegionHamiltonian,
     _layout,
     check_dim_cap,
+    hop_entries,
     occupation_codes,
     onsite_energy,
     onsite_log_trace,
@@ -158,6 +159,41 @@ def test_region_blocks_equal_per_sector_reference(case, q):
     assert got == fock_reference.restricted_log_partition(model, region, edges, q)
 
 
+def _reference_hops(rows, pairs, q):
+    """(source, pair index, target, factor) of every a_a^dag a_b move out of
+    the occupation tuples ``rows``, moved one boson at a time."""
+    out = []
+    for source in rows:
+        for k, (a, b) in enumerate(pairs):
+            if source[b] >= 1 and source[a] < q:
+                target = list(source)
+                target[a] += 1
+                target[b] -= 1
+                out.append((source, k, tuple(target), math.sqrt((source[a] + 1) * source[b])))
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_hop_entries_match_occupation_tuple_reference(width, q):
+    pairs = list(itertools.permutations(range(width), 2))
+    sectors = sector_blocks(range(width), q)
+    full = _layout(width, q)
+    for occupations, codes in [full[:2]] + [(s.occupations, s.codes) for s in sectors]:
+        rows = [tuple(r) for r in occupations.tolist()]
+        sources, pair, targets, factors = hop_entries(occupations, codes, q, pairs)
+        assert list(zip(sources, pair)) == sorted(zip(sources, pair))
+        got = [(rows[s], k, tuple(sectors[sum(rows[s])].occupations[t].tolist()), f)
+               for s, k, t, f in zip(sources.tolist(), pair.tolist(), targets.tolist(),
+                                     factors.tolist())]
+        assert sorted(got) == sorted(_reference_hops(rows, pairs, q))
+        for source, k, target, factor in got:
+            a, b = pairs[k]
+            assert source[b] >= 1 and source[a] < q and target[a] <= q
+            assert factor == math.sqrt((source[a] + 1) * source[b])
+    assert [len(x) for x in hop_entries(full[0], full[1], q, [])] == [0, 0, 0, 0]
+
+
 def test_layout_is_built_once_per_size_and_cutoff():
     # the approx-chain-deep shape: a disordered 7-site chain, m=5, q=3, whose
     # polymers have supports of 2 to 6 sites
@@ -296,6 +332,22 @@ def test_an_overflowing_entry_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match="on-site energy at site 1 is not finite"):
             onsite_log_trace(huge_u, [1, 0], 3, 1.0)
+
+
+def test_an_overflowing_beta_times_energy_is_refused_without_a_warning():
+    # at U=1e307 and q=2 every entry is finite, but beta=100 takes W(2) = U
+    # past the float range: in the hopping N=2 sector, in the hop-free N=4
+    # sector (traced from its diagonal), and in each site's free trace
+    model = make_chain(2, g=0.3, beta=100.0, U=1e307)
+    H = RegionHamiltonian(model, range(2), [(0, 1)], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (2, 4):
+            with pytest.raises(ArithmeticError, match=f"beta \\* E in the N={b} sector"):
+                H.log_trace_exp(b, 100.0)
+        with pytest.raises(ArithmeticError, match=r"beta \* E at site 1 is not finite"):
+            onsite_log_trace(model, [1, 0], 2, 100.0)
+    assert math.isfinite(H.log_trace_exp(2, 1.0))
 
 
 def test_dimension_cap_past_2_to_the_65536_is_shown_from_the_logarithm():
