@@ -3,11 +3,10 @@ for boson-number-truncated Bose-Hubbard lattice models."""
 
 __version__ = "0.1.0"
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 from .lattice import (  # noqa: F401
     CouplingError,
-    CouplingMatrix,
     Lattice,
     ModelInstance,
     OnsiteParams,

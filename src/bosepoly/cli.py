@@ -182,8 +182,15 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
         d_c = _get(config, "model.coupling.d_c")
         if not _is_int(d_c) or d_c < 1:
             problems.append("model.coupling.d_c must be an integer >= 1")
-    elif kind == "explicit" and not isinstance(_get(config, "model.coupling.matrix"), list):
+    matrix = _get(config, "model.coupling.matrix")
+    if kind == "explicit" and not isinstance(matrix, list):
         problems.append("model.coupling.matrix is required for explicit kind")
+    # numpy would read true as 1.0 and "0.1" as 0.1; shape and finiteness
+    # are build_couplings' to check
+    for i, row in enumerate(matrix if isinstance(matrix, list) else []):
+        for j, entry in enumerate(row if isinstance(row, list) else []):
+            if not _is_number(entry):
+                problems.append(f"model.coupling.matrix[{i}][{j}] must be a number, got {entry!r}")
 
     for name, bad in (("U", lambda x: x <= 0), ("mu", None)):
         value = _get(config, f"model.{name}")

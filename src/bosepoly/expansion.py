@@ -158,7 +158,7 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     if cfg.m is None:
         raise ValueError("the expansion needs a truncation order m")
     m = cfg.m
-    alphabet = np.abs(model.couplings.entries) > cfg.polymer_threshold
+    alphabet = np.abs(model.couplings) > cfg.polymer_threshold
     degree = alphabet.sum(axis=1)
     check_polymer_caps(degree, m)
     polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)

@@ -16,6 +16,7 @@ block; a sector no hop reaches is traced from its diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -165,12 +166,15 @@ def hop_entries(occupations: np.ndarray, codes: np.ndarray, q: int, pairs) -> tu
 
 
 def boltzmann_exponents(beta: float, energies, where: str) -> np.ndarray:
-    """-beta E for ``energies``; one that overflows is refused, naming ``where``."""
-    with np.errstate(over="ignore"):
-        exponents = -beta * np.asarray(energies)
-    if not np.isfinite(exponents).all():
+    """-beta E for ``energies``; one that overflows is refused, naming ``where``.
+
+    The product is formed only once beta * max|E|, a Python float that
+    overflows to inf without a warning, is finite; so is then every entry.
+    """
+    energies = np.asarray(energies)
+    if not math.isfinite(float(beta) * float(np.abs(energies).max())):
         raise ArithmeticError(f"beta * E {where} is not finite")
-    return exponents
+    return -beta * energies
 
 
 class RegionHamiltonian:

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "Lattice",
-    "CouplingMatrix",
     "OnsiteParams",
     "ModelInstance",
     "CouplingError",
@@ -116,21 +115,6 @@ def distance_matrix(lattice: Lattice) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CouplingMatrix:
-    """Symmetric hopping amplitudes J_ij with zero diagonal."""
-
-    entries: np.ndarray
-    kind: str
-    g: float | None = None
-    alpha: float | None = None
-    d_c: int | None = None
-
-    @property
-    def n_sites(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class OnsiteParams:
     """Per-site on-site repulsion U_i > 0 and chemical potential mu_i."""
 
@@ -181,8 +165,10 @@ def build_couplings(
     alpha: float | None = None,
     d_c: int | None = None,
     matrix=None,
-) -> CouplingMatrix:
-    """Generate or validate a coupling matrix of the given kind.
+) -> np.ndarray:
+    """Generate or validate a coupling matrix of the given kind: the
+    symmetric hopping amplitudes J_ij with zero diagonal, as a read-only
+    float64 N x N array.
 
     Without ``matrix``, the decaying kinds generate the saturating envelope
     (long_range: J = g/(1+d)**alpha; finite_range: J = g for d <= d_c).
@@ -200,16 +186,14 @@ def build_couplings(
             )
         envelope = g / (1.0 + dist) ** alpha
         np.fill_diagonal(envelope, 0.0)
-        params = {"g": float(g), "alpha": float(alpha)}
     elif kind == "finite_range":
         if d_c is None or int(d_c) < 1:
             raise CouplingError("finite_range requires integer cutoff d_c >= 1")
         envelope = np.where((dist > 0) & (dist <= int(d_c)), float(g), 0.0)
-        params = {"g": float(g), "d_c": int(d_c)}
     elif kind == "explicit":
         if matrix is None:
             raise CouplingError("explicit kind requires a matrix")
-        envelope, params = None, {}
+        envelope = None
     else:
         raise CouplingError(f"unknown coupling kind {kind!r}")
 
@@ -227,10 +211,10 @@ def build_couplings(
                 )
     entries = np.array(entries, dtype=np.float64)
     entries.setflags(write=False)
-    return CouplingMatrix(entries, kind, **params)
+    return entries
 
 
-def interaction_edges(couplings: CouplingMatrix, threshold: float = 0.0) -> tuple:
+def interaction_edges(couplings: np.ndarray, threshold: float = 0.0) -> tuple:
     """All unordered site pairs with |J_ij| strictly above ``threshold``.
 
     This pair set is the alphabet the polymer enumeration draws from.  The
@@ -240,22 +224,25 @@ def interaction_edges(couplings: CouplingMatrix, threshold: float = 0.0) -> tupl
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    rows, cols = np.nonzero(np.triu(np.abs(couplings.entries) > threshold, 1))
+    rows, cols = np.nonzero(np.triu(np.abs(couplings) > threshold, 1))
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A concrete problem: lattice + couplings + on-site terms + beta."""
+    """A concrete problem: lattice + couplings + on-site terms + beta.
+
+    ``couplings`` is the N x N array J that ``build_couplings`` returns.
+    """
 
     lattice: Lattice
-    couplings: CouplingMatrix
+    couplings: np.ndarray
     onsite: OnsiteParams
     beta: float
 
     def __post_init__(self):
         n = self.lattice.n_sites
-        if self.couplings.n_sites != n:
+        if self.couplings.shape != (n, n):
             raise ValueError("coupling matrix size does not match lattice")
         if self.onsite.U.shape[0] != n:
             raise ValueError("on-site parameter arrays do not match lattice size")
@@ -267,4 +254,4 @@ class ModelInstance:
         return self.lattice.n_sites
 
     def coupling(self, i: int, j: int) -> float:
-        return float(self.couplings.entries[i, j])
+        return float(self.couplings[i, j])

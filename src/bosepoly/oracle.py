@@ -249,9 +249,6 @@ class ClusteringScanRow:
     site_b: int
     distance: int
     value: float
-    phi_ref: float
-    bound_ref: float | None
-    ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -260,10 +257,7 @@ class ClusteringScan:
     anchor: int
     rows: tuple[ClusteringScanRow, ...]
     fitted_exponent: float | None
-
-
-def _phi_reference(n_x: int, n_y: int, beta: float) -> float:
-    return math.sqrt(math.factorial(n_x) * math.factorial(n_y)) * beta ** (-(n_x + n_y) / 4.0)
+    fitted_exponent_stderr: float | None
 
 
 class Clustering:
@@ -273,10 +267,10 @@ class Clustering:
     family "hopping": C(a_anchor^dag, a_j); family "density": C(n_anchor, n_j).
     A sector's partial is [<O_x>, <O_x O_j>..., <O_j>...] over the other sites
     j; a_x^dag and a_j alone change the number, so their means are 0.  The
-    decay-reference column uses the clustering bound envelope with unit
-    prefactor; the exponent is a least-squares fit of log|C| on log(1+d)
-    over rows above the noise floor, omitted when fewer than 3 qualify or
-    they all sit at one distance.
+    exponent is a least-squares fit of log|C| on log(1+d) over rows above
+    the noise floor, with the slope's ordinary least-squares standard error
+    sqrt(sum r^2 / (n - 2) / sum (x - mean x)^2); both are omitted when
+    fewer than 3 rows qualify or they all sit at one distance.
     """
 
     def __init__(self, family: str, anchor: int):
@@ -305,28 +299,24 @@ class Clustering:
         others = [j for j in range(model.n_sites) if j != self.anchor]
         m = len(others)
         mean_x, joint, means_y = total[0][0], total[0][1:m + 1], total[0][m + 1:]
-        n_xy = 1 if self.family == "hopping" else 2
-        alpha = model.couplings.alpha
-        phi = _phi_reference(n_xy, n_xy, state.beta)
         dist = distance_matrix(model.lattice)
 
         rows = []
         for j, xy, y in zip(others, joint, means_y):
             # C(O_X, O_Y) = Tr(rho O_X O_Y) - Tr(rho O_X) Tr(rho O_Y)
-            value = float(xy - mean_x * y)
             d = int(dist[self.anchor, j])
-            bound_ref = ratio = None
-            if alpha is not None:
-                bound_ref = phi / (1.0 + d) ** alpha
-                ratio = abs(value) * (1.0 + d) ** alpha / phi
-            rows.append(ClusteringScanRow(self.anchor, j, d, value, phi, bound_ref, ratio))
+            rows.append(ClusteringScanRow(self.anchor, j, d, float(xy - mean_x * y)))
         rows.sort(key=lambda r: (r.distance, r.site_b))
 
         usable = [r for r in rows if abs(r.value) > CORRELATION_NOISE_FLOOR]
-        exponent = None
+        exponent = stderr = None
         # a line through one distance is not determined
         if len(usable) >= 3 and len({r.distance for r in usable}) >= 2:
             x = np.log([1.0 + r.distance for r in usable])
             y = np.log([abs(r.value) for r in usable])
-            exponent = float(np.polyfit(x, y, 1)[0])
-        return ClusteringScan(self.family, self.anchor, tuple(rows), exponent)
+            slope, intercept = np.polyfit(x, y, 1)
+            residuals = y - (slope * x + intercept)
+            exponent = float(slope)
+            stderr = math.sqrt(float(residuals @ residuals) / (len(x) - 2)
+                               / float(((x - x.mean()) ** 2).sum()))
+        return ClusteringScan(self.family, self.anchor, tuple(rows), exponent, stderr)

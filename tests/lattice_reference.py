@@ -69,10 +69,10 @@ def bfs_distance_matrix(lattice) -> np.ndarray:
 
 
 def loop_interaction_edges(couplings, threshold: float = 0.0) -> tuple:
-    n = couplings.n_sites
+    n = couplings.shape[0]
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(couplings.entries[i, j]) > threshold:
+            if abs(couplings[i, j]) > threshold:
                 edges.append((i, j))
     return tuple(edges)

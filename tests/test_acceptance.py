@@ -415,7 +415,7 @@ def boundary_hamiltonian(couplings, n, q, a_sites):
             ops = [np.eye(q + 1)] * n
             ops[i], ops[j] = lower.T, lower
             hop = functools.reduce(np.kron, ops)
-            h -= couplings.entries[i, j] * (hop + hop.T)
+            h -= couplings[i, j] * (hop + hop.T)
     return h
 
 
@@ -447,7 +447,7 @@ def test_c10_area_law():
             assert value == pytest.approx(dense, rel=0, abs=1e-12), f"I at {beta}, {a}"
             h_cut = boundary_hamiltonian(model.couplings, n, q, a)
             sharp = beta * float(np.sum(h_cut * (np.kron(rho_a, rho_b) - rho)))
-            j_cut = sum(abs(float(model.couplings.entries[i, j])) for i in a for j in b)
+            j_cut = sum(abs(float(model.couplings[i, j])) for i in a for j in b)
             cut = 2 * beta * 2 * q * j_cut
             nonneg = nonneg and value >= -1e-10
             under_sharp = under_sharp and value <= sharp

@@ -213,6 +213,11 @@ _MESSAGE_CASES = [
     ("approx", {"model.coupling.d_c": 0}, ["model.coupling.d_c must be an integer >= 1"]),
     ("approx", {"model.coupling": {"kind": "explicit"}},
      ["model.coupling.matrix is required for explicit kind"]),
+    ("approx", {"model.coupling": {"kind": "explicit",
+                                   "matrix": [[0, True, 0, 0], ["0.1", 0, None, 0], [0] * 4]}},
+     ["model.coupling.matrix[0][1] must be a number, got True",
+      "model.coupling.matrix[1][0] must be a number, got '0.1'",
+      "model.coupling.matrix[1][2] must be a number, got None"]),
     ("approx", {"model.U": _DELETE}, ["model.U is required"]),
     ("approx", {"model.mu": [0.0, 0.1]}, ["model.mu list must have length N = 4"]),
     ("approx", {"model.U": [1, 1, 1, 0], "model.mu": [0, 0, 0, "x"]},
@@ -452,7 +457,7 @@ def test_approx_zero_coupling(tmp_path):
     code, text = run_to_file(tmp_path, "approx", config)
     assert code == EXIT_OK
     doc = json.loads(text)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["result"]["t_m"] == 0.0
     assert doc["result"]["f_beta"] == doc["result"]["log_z_w"]
 
@@ -1113,7 +1118,7 @@ def test_csv_output_round_trips(tmp_path):
     code, text = run_to_file(tmp_path, "kp", config)
     assert code == EXIT_OK
     lines = text.strip().splitlines()
-    assert lines[0] == "# bosepoly-schema: 2"
+    assert lines[0] == "# bosepoly-schema: 3"
     header = lines[1].split(",")
     assert header == ["site", "lhs", "rhs", "certified"]
     for line in lines[2:]:
@@ -1128,8 +1133,8 @@ def test_csv_output_round_trips(tmp_path):
 _TABLE_SHAPES = {
     "compare": ({"rows", "columns"},
                 ["m", "q", "f_beta", "oracle_log_z_q", "abs_error", "m_error_bound"]),
-    "clustering": ({"family", "anchor", "fitted_exponent", "rows", "columns"},
-                   ["site_a", "site_b", "distance", "value", "phi_ref", "bound_ref", "ratio"]),
+    "clustering": ({"family", "anchor", "fitted_exponent", "fitted_exponent_stderr", "rows",
+                    "columns"}, ["site_a", "site_b", "distance", "value"]),
     "moments": ({"rows", "columns", "q"}, ["beta", "site", "l", "value"]),
     "kp": ({"rows", "columns", "m", "q", "certified", "note"},
            ["site", "lhs", "rhs", "certified"]),
@@ -1150,7 +1155,7 @@ def test_tabular_output_shape(command, tmp_path):
     config["output"]["format"] = "csv"
     code, text = run_to_file(tmp_path, command, config)
     assert code == EXIT_OK
-    assert text.splitlines()[:2] == ["# bosepoly-schema: 2", ",".join(columns)]
+    assert text.splitlines()[:2] == ["# bosepoly-schema: 3", ",".join(columns)]
 
 
 def test_single_site_clustering_csv_is_header_only(tmp_path):
@@ -1159,7 +1164,7 @@ def test_single_site_clustering_csv_is_header_only(tmp_path):
     config["output"]["format"] = "csv"
     code, text = run_to_file(tmp_path, "clustering", config)
     assert code == EXIT_OK
-    assert text == "# bosepoly-schema: 2\nsite_a,site_b,distance,value,phi_ref,bound_ref,ratio\n"
+    assert text == "# bosepoly-schema: 3\nsite_a,site_b,distance,value\n"
 
 
 def test_exact_and_approx_result_keys(tmp_path):
@@ -1223,6 +1228,24 @@ def test_coupling_matrix_integer_past_the_float_range_is_a_config_error(tmp_path
     assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["details"] == ["coupling matrix entries must be finite"]
+
+
+@pytest.mark.parametrize("kind", [{"kind": "explicit"}, _LONG_RANGE])
+@pytest.mark.parametrize("entry", [True, "0.1"])
+def test_coupling_matrix_entry_that_is_not_a_number_is_a_config_error(
+        entry, kind, tmp_path, monkeypatch, capsys):
+    # numpy would read true as J = 1.0 and "0.1" as J = 0.1
+    def no_model(*args, **kwargs):
+        raise AssertionError("the coupling matrix was built")
+
+    monkeypatch.setattr(bosepoly.cli, "build_couplings", no_model)
+    matrix = np.zeros((4, 4)).tolist()
+    matrix[0][1] = matrix[1][0] = entry
+    config = _edit(base_config(), {"model.coupling": dict(kind, matrix=matrix)})
+    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == [f"model.coupling.matrix[{i}][{j}] must be a number, got {entry!r}"
+                                for i, j in ((0, 1), (1, 0))]
 
 
 def test_csv_rejected_for_approx(tmp_path, monkeypatch, capsys):
@@ -1315,7 +1338,7 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "0.1.0" in out and "schema 2" in out
+    assert "0.1.0" in out and "schema 3" in out
 
 
 def test_determinism_byte_identical_excluding_timing(tmp_path):

@@ -435,20 +435,19 @@ def test_clustering_scan_zero_couplings_has_no_fit():
     model = make_explicit(4, np.zeros((4, 4)), beta=0.2, U=1.0, mu=0.0)
     scan = clustering_scan(model, 1, "hopping", anchor=0)
     assert all(abs(r.value) <= 1e-13 for r in scan.rows)
-    assert scan.fitted_exponent is None
+    assert scan.fitted_exponent is None and scan.fitted_exponent_stderr is None
 
 
-def test_clustering_scan_phi_reference():
-    model = make_long_range_chain(3, g=0.1, alpha=2.0, beta=0.04, U=1.0, mu=0.0)
-    scan = clustering_scan(model, 1, "hopping", anchor=0)
-    assert scan.rows[0].phi_ref == pytest.approx(0.04 ** (-0.5))
-    for row in scan.rows:
-        assert row.bound_ref == pytest.approx(row.phi_ref / (1 + row.distance) ** 2.0)
-        assert row.ratio == pytest.approx(
-            abs(row.value) * (1 + row.distance) ** 2.0 / row.phi_ref
-        )
-    # rows are sorted by distance
-    assert [r.distance for r in scan.rows] == sorted(r.distance for r in scan.rows)
+@pytest.mark.parametrize("family", ["hopping", "density"])
+def test_fitted_exponent_stderr_is_the_least_squares_slope_error(family):
+    model = make_long_range_chain(6, g=0.1, alpha=3.0, beta=0.3, U=1.0, mu=0.2)
+    scan = clustering_scan(model, 2, family, anchor=0)
+    assert len(scan.rows) >= 4
+    x = np.log([1.0 + r.distance for r in scan.rows])
+    y = np.log([abs(r.value) for r in scan.rows])
+    want = math.sqrt(np.polyfit(x, y, 1, cov=True)[1][0, 0])
+    assert scan.fitted_exponent == float(np.polyfit(x, y, 1)[0])
+    assert scan.fitted_exponent_stderr == pytest.approx(want, rel=1e-10)
 
 
 def test_clustering_scan_monotone_decay_small_chain():
@@ -460,8 +459,6 @@ def test_clustering_scan_monotone_decay_small_chain():
 
 def test_clustering_scan_density_family(two_site_model):
     scan = clustering_scan(two_site_model, 1, "density", anchor=0)
-    # N(n_i) = 2 on each side: Phi = sqrt(2! * 2!) * beta^(-1) = 2 at beta = 1
-    assert scan.rows[0].phi_ref == pytest.approx(2.0)
     # <n_0 n_1> = 1/Z from |11> alone and <n_i> = 1/2, with Z = 2 + 2 cosh(beta J)
     assert scan.rows[0].value == pytest.approx(-math.tanh(0.3 / 2) ** 2 / 4, rel=1e-12)
 
@@ -528,6 +525,8 @@ def test_folded_observables_match_the_held_state_and_dense_rho(model_index):
           sum(dense_reduced_entropy(rho, q, n, side) for side in (a, b)) - s_total)
     for scan in (hopping, density):
         assert sorted(row.site_b for row in scan.rows) == [0, 1, 3, 4, 5]
+        # rows are sorted by distance
+        assert [r.distance for r in scan.rows] == sorted(r.distance for r in scan.rows)
         for row in scan.rows:
             agree(row.value, fock_reference.connected(held, scan.family, 2, row.site_b),
                   dense_correlation(basis, rho, q, scan.family, 2, row.site_b))

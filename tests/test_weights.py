@@ -236,7 +236,7 @@ def test_weight_independent_of_table_context():
     tables = [weights_at(model, m, q), weights_at(model, m + 1, q)]
     for p in enumerate_polymers(interaction_edges(model.couplings, 0.0), m):
         # the same polymer in a model that keeps only its own couplings
-        kept = np.zeros_like(model.couplings.entries)
+        kept = np.zeros_like(model.couplings)
         for i, j in p.edges:
             kept[i, j] = kept[j, i] = model.coupling(i, j)
         coup = build_couplings(model.lattice, "explicit", matrix=kept)
