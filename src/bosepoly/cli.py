@@ -210,16 +210,12 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     m = _get(config, "expansion.m")
     if m is not None and (not _is_int(m) or m < 1):
         problems.append("expansion.m must be an integer >= 1")
-    q_policy = _get(config, "expansion.q_policy")
-    if q_policy not in (None, "explicit", "auto"):
-        problems.append("expansion.q_policy must be explicit or auto")
     q = _get(config, "expansion.q")
-    if q_policy in (None, "explicit") and q is not None and (not _is_int(q) or q < 1):
-        problems.append("expansion.q must be an integer >= 1")
-    for name in ("theta", "q_prefactor"):
-        value = _get(config, f"expansion.{name}")
-        if value is not None:
-            _number(value, f"expansion.{name}", problems, lambda x: not x > 0, "must be positive")
+    if q is not None and q != "auto" and (not _is_int(q) or q < 1):
+        problems.append('expansion.q must be an integer >= 1 or "auto"')
+    # the one legacy cutoff key whose loss would change q; the others are ignored
+    if _get(config, "expansion.q_policy") == "auto":
+        problems.append('expansion.q_policy is no longer read: set expansion.q = "auto"')
     threshold = _get(config, "expansion.polymer_threshold")
     if threshold is not None:
         _number(threshold, "expansion.polymer_threshold", problems,
@@ -279,14 +275,12 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     if path is not None and not isinstance(path, str):
         problems.append("output.path must be a string")
 
-    resolvable = q_policy == "auto" or q is not None
     if command in _NEEDS_EXPANSION:
-        if m is None:
-            problems.append("expansion.m is required for this command")
-        if not resolvable:
-            problems.append("expansion.q is required unless expansion.q_policy is auto")
-    if command in _NEEDS_ORACLE_Q and ints["q"] is None and not resolvable:
-        problems.append("oracle.q is required unless the expansion section resolves a cutoff")
+        for name, value in (("m", m), ("q", q)):
+            if value is None:
+                problems.append(f"expansion.{name} is required for this command")
+    if command in _NEEDS_ORACLE_Q and ints["q"] is None and q is None:
+        problems.append("oracle.q is required unless expansion.q is set")
 
     return problems
 
@@ -315,26 +309,27 @@ def build_model(config: dict) -> ModelInstance:
 
 
 def build_expansion_config(config: dict) -> ExpansionConfig:
-    """The expansion section's knobs; an absent one keeps ExpansionConfig's
-    default.  Unknown keys (a legacy ``workers``) are ignored."""
-    knobs = {f.name: _get(config, f"expansion.{f.name}") for f in fields(ExpansionConfig)}
-    return ExpansionConfig(**{name: v for name, v in knobs.items() if v is not None})
+    """The expansion section's ``m``, ``q`` and ``polymer_threshold``.  Other
+    keys are ignored: the legacy ``workers``, ``theta``, ``q_prefactor`` and
+    ``q_policy`` = "explicit" among them."""
+    return ExpansionConfig(_get(config, "expansion.m"), _get(config, "expansion.q"),
+                           _get(config, "expansion.polymer_threshold", 0.0))
 
 
-def _cutoff(config: dict, cfg: ExpansionConfig) -> int:
+def _cutoff(config: dict) -> int:
     n_sites = math.prod(_get(config, "model.dims"))
-    return resolve_cutoff(n_sites, float(_get(config, "model.beta")), cfg)
+    return resolve_cutoff(n_sites, float(_get(config, "model.beta")), _get(config, "expansion.q"))
 
 
 def _oracle_model(config: dict, qs=None):
     """The cutoffs, dimension cap and model of an oracle run.
 
-    ``qs`` defaults to ``[oracle.q]``, or else the expansion's cutoff.  Each
+    ``qs`` defaults to ``[oracle.q]``, or else ``expansion.q`` resolved.  Each
     ``(q+1)^N`` is checked against ``oracle.dim_cap`` from the config alone,
     so that a refused run never builds the model's N x N arrays.
     """
     n_sites = math.prod(_get(config, "model.dims"))
-    qs = qs or [_get(config, "oracle.q") or _cutoff(config, build_expansion_config(config))]
+    qs = qs or [_get(config, "oracle.q") or _cutoff(config)]
     dim_cap = _get(config, "oracle.dim_cap", DEFAULT_DIM_CAP)
     for q in qs:
         check_dim_cap(q, n_sites, dim_cap)
@@ -381,7 +376,7 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
     m_list = m_list or [base.m]
     if min(m_list) < 1:
         raise ValueError("truncation order m must be >= 1")
-    q_list, _, model = _oracle_model(config, q_list or [_cutoff(config, base)])
+    q_list, _, model = _oracle_model(config, q_list or [_cutoff(config)])
 
     # the oracle keeps every coupling, so abs_error includes what the
     # polymer threshold drops

@@ -73,47 +73,41 @@ __all__ = [
 ]
 
 KP_RHS = 0.5  # delta_1 of a single-site probe polymer, k = 2
+# q = "auto" sets q = max(1, ceil(AUTO_Q_FACTOR * log(N) / sqrt(beta))); the
+# factor stands in for a nonconstructive constant, and is the former default
+# q_prefactor * (theta + 1) = 2 * 2, a product that is exact in floating point
+AUTO_Q_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
 class ExpansionConfig:
     """Knobs of the truncated expansion.
 
-    ``q_policy`` is either "explicit" (use ``q``) or "auto", which sets
-    q = max(1, ceil(q_prefactor * (theta + 1) * log(N) / sqrt(beta))).
-    The prefactor stands in for a nonconstructive constant and defaults
-    to 2.0.  ``polymer_threshold`` drops couplings with |J| <= threshold
-    from the polymer alphabet.  ``m`` may be left out by a config that
-    only resolves the cutoff.
+    ``m`` is the truncation order.  ``q`` is the boson cutoff, an integer
+    >= 1, or "auto", which sets q = max(1, ceil(AUTO_Q_FACTOR * log(N) /
+    sqrt(beta))).  ``polymer_threshold`` drops couplings with |J| <=
+    threshold from the polymer alphabet.
     """
 
-    m: int | None = None
-    q: int | None = None
-    q_policy: str = "explicit"
-    theta: float = 1.0
-    q_prefactor: float = 2.0
+    m: int
+    q: int | str
     polymer_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.m is not None and self.m < 1:
+        if self.m < 1:
             raise ValueError("truncation order m must be >= 1")
-        if self.q_policy not in ("explicit", "auto"):
-            raise ValueError(f"unknown q_policy {self.q_policy!r}")
-        if self.q_policy == "explicit":
-            if self.q is None or self.q < 1:
-                raise ValueError("explicit q_policy requires q >= 1")
-        elif not (0 < self.theta < math.inf and 0 < self.q_prefactor < math.inf):
-            raise ValueError("auto q_policy requires finite theta > 0 and q_prefactor > 0")
+        if not (self.q == "auto" or isinstance(self.q, int) and self.q >= 1):
+            raise ValueError(f'q must be an integer >= 1 or "auto", got {self.q!r}')
         if not self.polymer_threshold >= 0:
             raise ValueError("polymer_threshold must be nonnegative")
 
 
-def resolve_cutoff(n_sites: int, beta: float, cfg: ExpansionConfig) -> int:
-    """The boson cutoff q; it depends on the model only through N and beta."""
-    if cfg.q_policy == "explicit":
-        return int(cfg.q)
-    raw = cfg.q_prefactor * (cfg.theta + 1.0) * math.log(max(n_sites, 2)) / math.sqrt(beta)
-    return max(1, math.ceil(raw))
+def resolve_cutoff(n_sites: int, beta: float, q: int | str) -> int:
+    """The boson cutoff for ``q``; "auto" depends on the model only through
+    N and beta."""
+    if q != "auto":
+        return int(q)
+    return max(1, math.ceil(AUTO_Q_FACTOR * math.log(max(n_sites, 2)) / math.sqrt(beta)))
 
 
 @dataclass(frozen=True)
@@ -155,8 +149,6 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     weight, log Xi series or row that an overflow leaves not finite raises
     ArithmeticError.
     """
-    if cfg.m is None:
-        raise ValueError("the expansion needs a truncation order m")
     m = cfg.m
     alphabet = np.abs(model.couplings) > cfg.polymer_threshold
     degree = alphabet.sum(axis=1)
@@ -222,7 +214,7 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     multiplicities that do not depend on m, so the per_order rows of a run
     at m are the first m rows of any run at a larger m.
     """
-    q = resolve_cutoff(model.n_sites, model.beta, cfg)
+    q = resolve_cutoff(model.n_sites, model.beta, cfg.q)
 
     weights, orders = _expand(model, cfg, q)
     t_m = 0.0

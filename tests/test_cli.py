@@ -105,12 +105,12 @@ def test_validation_alpha_dimension():
 def test_validation_checks_periodic_cutoff_knobs_and_oracle_bounds(tmp_path, capsys):
     config = base_config()
     config["model"]["periodic"] = "false"
-    config["expansion"] = {"m": 4, "q_policy": "auto", "theta": "x", "q_prefactor": True}
+    config["expansion"] = {"m": 4, "q": "x", "q_policy": "auto"}
     config["oracle"] = {"q": 0, "dim_cap": -1}
     want = [
         "model.periodic must be true or false",
-        "expansion.theta must be a number, got 'x'",
-        "expansion.q_prefactor must be a number, got True",
+        'expansion.q must be an integer >= 1 or "auto"',
+        'expansion.q_policy is no longer read: set expansion.q = "auto"',
         "oracle.q must be >= 1",
         "oracle.dim_cap must be >= 1",
     ]
@@ -121,12 +121,11 @@ def test_validation_checks_periodic_cutoff_knobs_and_oracle_bounds(tmp_path, cap
         assert error["code"] == "config_error"
         assert error["details"] == want
 
-    config = base_config()
-    config["expansion"].update(theta=0, q_prefactor=-1.5)
-    assert validate_config(config, "approx") == [
-        "expansion.theta must be positive",
-        "expansion.q_prefactor must be positive",
-    ]
+    for q in (0, True, 2.0, "Auto"):
+        config = base_config()
+        config["expansion"]["q"] = q
+        want = ['expansion.q must be an integer >= 1 or "auto"']
+        assert validate_config(config, "approx") == want
 
 
 def _per_site_config(U, mu):
@@ -227,13 +226,15 @@ _MESSAGE_CASES = [
     ("approx", {"expansion": 5}, [
         "expansion section must be an object",
         "expansion.m is required for this command",
-        "expansion.q is required unless expansion.q_policy is auto",
+        "expansion.q is required for this command",
     ]),
     ("approx", {"expansion.m": 0}, ["expansion.m must be an integer >= 1"]),
-    ("approx", {"expansion.q_policy": "x"}, ["expansion.q_policy must be explicit or auto"]),
-    ("approx", {"expansion.q": 0}, ["expansion.q must be an integer >= 1"]),
-    ("approx", {"expansion.theta": "x", "expansion.q_prefactor": 0},
-     ["expansion.theta must be a number, got 'x'", "expansion.q_prefactor must be positive"]),
+    # legacy cutoff keys are ignored, except a q_policy of auto
+    ("approx", {"expansion.q_policy": "x"}, []),
+    ("approx", {"expansion.q_policy": "auto"},
+     ['expansion.q_policy is no longer read: set expansion.q = "auto"']),
+    ("approx", {"expansion.q": 0}, ['expansion.q must be an integer >= 1 or "auto"']),
+    ("approx", {"expansion.theta": "x", "expansion.q_prefactor": 0}, []),
     ("approx", {"expansion.polymer_threshold": "x"},
      ["expansion.polymer_threshold must be a number, got 'x'"]),
     ("approx", {"expansion.polymer_threshold": -1},
@@ -265,10 +266,9 @@ _MESSAGE_CASES = [
     ("approx", {"output.format": "csv"},
      ["output.format=csv is only supported for ['clustering', 'compare', 'kp', 'moments']"]),
     ("approx", {"expansion.m": _DELETE}, ["expansion.m is required for this command"]),
-    ("approx", {"expansion.q": _DELETE},
-     ["expansion.q is required unless expansion.q_policy is auto"]),
+    ("approx", {"expansion.q": _DELETE}, ["expansion.q is required for this command"]),
     ("exact", {"oracle.q": _DELETE, "expansion.q": _DELETE},
-     ["oracle.q is required unless the expansion section resolves a cutoff"]),
+     ["oracle.q is required unless expansion.q is set"]),
 ]
 
 
@@ -290,8 +290,7 @@ _EVERY_PROBLEM = {
         "model": {"periodic": "no", "dims": [2, 2], "beta": -1,
                   "coupling": {"kind": "long_range", "g": 0, "alpha": 2},
                   "U": [1, 0, 1], "mu": "x"},
-        "expansion": {"m": 0, "q_policy": "auto", "theta": "x", "q_prefactor": 0,
-                      "polymer_threshold": -1},
+        "expansion": {"m": 0, "q": "x", "q_policy": "auto", "polymer_threshold": -1},
         "oracle": {"q": 0, "dim_cap": "x", "l_max": True, "site": 4, "anchor": 1.5,
                    "family": "x", "partitions": [[0, 5], [0, 1, 2, 3]], "beta_list": []},
         "output": {"format": "csv"},
@@ -304,8 +303,8 @@ _EVERY_PROBLEM = {
         "model.U[1] must be strictly positive",
         "model.mu must be a number or per-site list",
         "expansion.m must be an integer >= 1",
-        "expansion.theta must be a number, got 'x'",
-        "expansion.q_prefactor must be positive",
+        'expansion.q must be an integer >= 1 or "auto"',
+        'expansion.q_policy is no longer read: set expansion.q = "auto"',
         "expansion.polymer_threshold must be nonnegative",
         "oracle.dim_cap must be an integer",
         "oracle.l_max must be an integer",
@@ -340,11 +339,11 @@ _EVERY_PROBLEM = {
         "oracle.partitions entry [1, 1] repeats sites",
         "oracle.partitions entries must be nonempty site lists",
         "output.format must be json or csv",
-        "oracle.q is required unless the expansion section resolves a cutoff",
+        "oracle.q is required unless expansion.q is set",
     ]),
     "explicit": ("moments", {
         "model": {"dims": [], "coupling": {"kind": "explicit"}, "U": 0},
-        "expansion": {"q_policy": "x", "q": 0, "theta": 0, "polymer_threshold": "x"},
+        "expansion": {"q_policy": "auto", "q": 0, "theta": 0, "polymer_threshold": "x"},
         "oracle": {"l_max": 0, "partitions": 5, "beta_list": [0.1, True]},
         "output": 5,
     }, [
@@ -353,8 +352,8 @@ _EVERY_PROBLEM = {
         "model.coupling.matrix is required for explicit kind",
         "model.U must be strictly positive",
         "model.mu is required",
-        "expansion.q_policy must be explicit or auto",
-        "expansion.theta must be positive",
+        'expansion.q must be an integer >= 1 or "auto"',
+        'expansion.q_policy is no longer read: set expansion.q = "auto"',
         "expansion.polymer_threshold must be a number, got 'x'",
         "oracle.l_max must be >= 1",
         "oracle.partitions must be a list of site lists",
@@ -370,11 +369,12 @@ def test_validation_message_order_across_keys(kind):
     assert validate_config(config, command) == want
 
 
-# every key a config can carry, on a config that sets all of them
+# every key a config can carry, on a config that sets all of them; q_policy,
+# theta and q_prefactor are legacy keys that harness configs still carry
 _FULL = _edit(base_config(), {
     "model.coupling": {"kind": "long_range", "g": 0.1, "alpha": 3.0, "d_c": 1,
                        "matrix": [[0.0] * 4 for _ in range(4)]},
-    "expansion": {"m": 2, "q": 2, "q_policy": "explicit", "theta": 1.0,
+    "expansion": {"m": 2, "q": "auto", "q_policy": "explicit", "theta": 1.0,
                   "q_prefactor": 2.0, "polymer_threshold": 0.0},
     "oracle": {"q": 2, "dim_cap": 20000, "l_max": 2, "site": 1, "anchor": 0,
                "family": "density", "partitions": [[0, 1]], "beta_list": [0.1]},
@@ -562,7 +562,7 @@ def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, ca
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    auto = {"m": 4, "q_policy": "auto"}
+    auto = {"m": 4, "q": "auto"}
     cases = [
         # auto q on a 6-site chain at beta=0.1 resolves q=23, and m=4 reaches
         # 5-site supports with 24^5 states, past the default cap of 20000
@@ -1195,8 +1195,6 @@ _NUMERIC_KEYS = [
     ("approx", "model.mu", "model.mu"),
     ("approx", "model.U=[1,1,1,{}]", "model.U[3]"),
     ("approx", "model.mu=[0,0,0,{}]", "model.mu[3]"),
-    ("approx", "expansion.theta", "expansion.theta"),
-    ("approx", "expansion.q_prefactor", "expansion.q_prefactor"),
     ("approx", "expansion.polymer_threshold", "expansion.polymer_threshold"),
     ("moments", "oracle.beta_list=[{}]", "oracle.beta_list"),
     ("moments", "oracle.beta_list=[0.1,{}]", "oracle.beta_list"),
@@ -1209,8 +1207,7 @@ _NUMERIC_KEYS = [
 @pytest.mark.parametrize("command,setting,name", _NUMERIC_KEYS,
                          ids=[case[1] for case in _NUMERIC_KEYS])
 def test_non_finite_number_is_a_config_error(command, setting, name, value, tmp_path, capsys):
-    config = _edit(base_config(), {"model.coupling": _LONG_RANGE,
-                                   "expansion.q_policy": "auto", "expansion.q": _DELETE})
+    config = _edit(base_config(), {"model.coupling": _LONG_RANGE, "expansion.q": "auto"})
     override = setting.format(value) if "=" in setting else f"{setting}={value}"
     code = run([command, write_config(tmp_path, config), "--set", override])
     out, err = capsys.readouterr()
@@ -1384,7 +1381,8 @@ def test_approx_output_independent_of_blas_threads(tmp_path):
 def test_legacy_workers_key_is_ignored(tmp_path, monkeypatch):
     # configs written for the removed thread pool still carry
     # expansion.workers; it is ignored like any unknown key, and so is the
-    # old BOSEPOLY_WORKERS variable
+    # old BOSEPOLY_WORKERS variable.  So are the removed cutoff keys of a
+    # benchmark-harness config: q_policy = "explicit", theta and q_prefactor
     def report(expansion):
         config = base_config(expansion=expansion)
         assert validate_config(config, "approx") == []
@@ -1398,6 +1396,8 @@ def test_legacy_workers_key_is_ignored(tmp_path, monkeypatch):
     legacy = report({"m": 4, "q": 3, "workers": 4})
     monkeypatch.delenv("BOSEPOLY_WORKERS")
     assert legacy == report({"m": 4, "q": 3})
+    harness = {"m": 4, "q": 3, "q_policy": "explicit", "workers": 1}
+    assert report(dict(harness, theta=0.5, q_prefactor=3.0)) == legacy
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -1461,10 +1461,23 @@ def test_golden_report_chain4(tmp_path):
     assert {"per_order", "kp_margin"} <= set(fresh["result"])
 
 
-def test_q_policy_auto_through_cli(tmp_path):
+def test_q_policy_auto_through_cli(tmp_path, capsys):
     config = base_config()
-    config["expansion"] = {"m": 2, "q_policy": "auto", "theta": 1.0, "q_prefactor": 2.0}
+    config["expansion"] = {"m": 2, "q": "auto"}
     code, text = run_to_file(tmp_path, "approx", config)
     assert code == EXIT_OK
     doc = json.loads(text)
     assert doc["result"]["q"] == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
+
+    # an oracle run with no oracle.q resolves expansion.q, and needs no m
+    config = _edit(base_config(), {"model.beta": 25.0, "expansion": {"q": "auto"},
+                                   "oracle": None})
+    code, text = run_to_file(tmp_path, "exact", config)
+    assert code == EXIT_OK
+    assert json.loads(text)["result"]["q"] == 2
+
+    # the legacy spelling would otherwise lose the auto cutoff without a word
+    config["expansion"] = {"m": 2, "q": 3, "q_policy": "auto"}
+    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["details"] == ['expansion.q_policy is no longer read: set expansion.q = "auto"']

@@ -241,28 +241,33 @@ def test_kp_flags_failure():
 
 
 def test_q_policy_auto():
-    model = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5)
-    cfg = ExpansionConfig(m=2, q_policy="auto", theta=1.0, q_prefactor=2.0)
-    q = resolve_cutoff(model.n_sites, model.beta, cfg)
-    assert q == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
-    assert resolve_cutoff(model.n_sites, model.beta, ExpansionConfig(m=2, q=7)) == 7
+    # "auto" resolves exactly as the former default q_prefactor * (theta + 1)
+    # = 2.0 * 2.0 did; one site reads as two
+    for n_sites, beta in [(1, 0.1), (2, 0.1), (4, 0.1), (7, 0.5), (8, 2.0), (36, 25.0),
+                          (4096, 1e-3), (5, 1e6)]:
+        old = max(1, math.ceil(2.0 * 2.0 * math.log(max(n_sites, 2)) / math.sqrt(beta)))
+        assert resolve_cutoff(n_sites, beta, "auto") == old
+    assert resolve_cutoff(1, 0.1, "auto") == resolve_cutoff(2, 0.1, "auto") == 9
+    assert resolve_cutoff(5, 1e6, "auto") == 1
+    assert resolve_cutoff(4, 0.1, 7) == 7
+    model = make_chain(4, g=0.1, beta=25.0, U=1.0, mu=0.5)
+    assert approximate_log_partition(model, ExpansionConfig(m=2, q="auto")).q == 2
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ExpansionConfig(m=0, q=1)
-    with pytest.raises(ValueError):
-        ExpansionConfig(m=2, q=None, q_policy="explicit")
-    with pytest.raises(ValueError):
-        ExpansionConfig(m=2, q=1, q_policy="bogus")
+    for q in (None, 0, "bogus", "Auto", 2.0):
+        with pytest.raises(ValueError, match="q must be"):
+            ExpansionConfig(m=2, q=q)
 
 
 @pytest.mark.parametrize("knobs", [
     {"polymer_threshold": math.nan},
-    {"q_policy": "auto", "theta": math.nan},
-    {"q_policy": "auto", "theta": math.inf},
-    {"q_policy": "auto", "q_prefactor": math.nan},
-    {"q_policy": "auto", "q_prefactor": math.inf},
+    {"q": math.nan},
+    {"q": math.inf},
+    {"q": -math.inf},
+    {"polymer_threshold": -math.inf},
 ])
 def test_config_refuses_non_finite_knobs(knobs):
     with pytest.raises(ValueError):
@@ -400,7 +405,7 @@ def test_polymer_threshold_knob():
 
 
 def test_config_without_m_only_resolves_the_cutoff():
-    cfg = ExpansionConfig(q_policy="auto")
-    assert resolve_cutoff(4, 0.1, cfg) == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
-    with pytest.raises(ValueError, match="truncation order m"):
-        approximate_log_partition(make_chain(2, g=0.1, beta=0.1), cfg)
+    # a cutoff resolves from q alone; an expansion config needs its m
+    assert resolve_cutoff(4, 0.1, "auto") == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
+    with pytest.raises(TypeError):
+        ExpansionConfig(q="auto")
