@@ -337,17 +337,15 @@ def _oracle_model(config: dict, qs=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (result_dict, csv_rows_or_None, timing_dict)
+# subcommands: each returns its result dict; run times the call and renders
+# the report, a tabular result as CSV from its own columns and rows
 
 
 def cmd_approx(config: dict):
-    start = time.perf_counter()
-    report = approximate_log_partition(build_model(config), build_expansion_config(config))
-    return asdict(report), None, {"elapsed_seconds": time.perf_counter() - start}
+    return asdict(approximate_log_partition(build_model(config), build_expansion_config(config)))
 
 
 def cmd_exact(config: dict):
-    start = time.perf_counter()
     site, l_max = _get(config, "oracle.site"), _get(config, "oracle.l_max")
     parts = [sorted(set(part)) for part in _get(config, "oracle.partitions") or []]
     # observables are checked before the model; a complement waits for the cap
@@ -367,11 +365,10 @@ def cmd_exact(config: dict):
     if parts:
         result["mutual_information"] = [{"A": a, "mutual_information": next(values)}
                                         for a in parts]
-    return result, None, {"elapsed_seconds": time.perf_counter() - start}
+    return result
 
 
 def cmd_compare(config: dict, m_list=None, q_list=None):
-    start = time.perf_counter()
     base = build_expansion_config(config)
     m_list = m_list or [base.m]
     if min(m_list) < 1:
@@ -405,25 +402,17 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
                 }
             )
     columns = ["m", "q", "f_beta", "oracle_log_z_q", "abs_error", "m_error_bound"]
-    return (
-        {"rows": rows, "columns": columns},
-        (columns, rows),
-        {"elapsed_seconds": time.perf_counter() - start},
-    )
+    return {"rows": rows, "columns": columns}
 
 
 def cmd_clustering(config: dict):
-    start = time.perf_counter()
     request = Clustering(_get(config, "oracle.family", "hopping"), _get(config, "oracle.anchor", 0))
     (q,), dim_cap, model = _oracle_model(config)
     (scan,) = thermalize(model, q, [request], dim_cap=dim_cap).values
-    columns = [f.name for f in fields(ClusteringScanRow)]
-    result = dict(asdict(scan), columns=columns)
-    return result, (columns, result["rows"]), {"elapsed_seconds": time.perf_counter() - start}
+    return dict(asdict(scan), columns=[f.name for f in fields(ClusteringScanRow)])
 
 
 def cmd_moments(config: dict):
-    start = time.perf_counter()
     site = _get(config, "oracle.site", 0)
     request = Moments(site, _get(config, "oracle.l_max", 2))
     (q,), dim_cap, model = _oracle_model(config)
@@ -434,25 +423,19 @@ def cmd_moments(config: dict):
     values = {beta: state.values[0] for beta, state in zip(unique, states)}
     rows = [{"beta": beta, "site": site, "l": l, "value": value}
             for beta in betas for l, value in enumerate(values[beta], start=1)]
-    columns = ["beta", "site", "l", "value"]
-    return ({"rows": rows, "columns": columns, "q": q}, (columns, rows),
-            {"elapsed_seconds": time.perf_counter() - start})
+    return {"rows": rows, "columns": ["beta", "site", "l", "value"], "q": q}
 
 
 def cmd_kp(config: dict):
-    start = time.perf_counter()
-    report = approximate_log_partition(build_model(config), build_expansion_config(config))
-    rows = [asdict(r) for r in report.kp_margin]
-    columns = [f.name for f in fields(KPDiagnosticRow)]
-    result = {
-        "rows": rows,
-        "columns": columns,
-        "m": report.m,
-        "q": report.q,
-        "certified": report.kp_certified,
+    report = cmd_approx(config)
+    return {
+        "rows": report["kp_margin"],
+        "columns": [f.name for f in fields(KPDiagnosticRow)],
+        "m": report["m"],
+        "q": report["q"],
+        "certified": report["kp_certified"],
         "note": "lhs is a size-truncated lower bound; it can refute convergence, not certify it",
     }
-    return result, (columns, rows), {"elapsed_seconds": time.perf_counter() - start}
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +526,12 @@ def run(argv=None) -> int:
         # compare's --m-list and --q-list reach it as its m_list and q_list
         grids = {key: [int(x) for x in value.split(",") if x]
                  for key, value in vars(args).items() if key.endswith("_list")}
-        result, rows, timing = COMMANDS[args.command][1](config, **grids)
+        start = time.perf_counter()
+        result = COMMANDS[args.command][1](config, **grids)
+        timing = {"elapsed_seconds": time.perf_counter() - start}
 
         if _get(config, "output.format") == "csv":
-            text = render_csv(*rows)
+            text = render_csv(result["columns"], result["rows"])
         else:
             text = render_json(args.command, result, timing)
         _emit(text, _get(config, "output.path"))

@@ -94,12 +94,13 @@ class ExpansionConfig:
     polymer_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("truncation order m must be >= 1")
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+            raise ValueError(f"truncation order m must be an integer >= 1, got {self.m!r}")
         if not (self.q == "auto" or isinstance(self.q, int) and self.q >= 1):
             raise ValueError(f'q must be an integer >= 1 or "auto", got {self.q!r}')
-        if not self.polymer_threshold >= 0:
-            raise ValueError("polymer_threshold must be nonnegative")
+        if not 0 <= self.polymer_threshold < math.inf:
+            raise ValueError(f"polymer_threshold must be finite and nonnegative, "
+                             f"got {self.polymer_threshold!r}")
 
 
 def resolve_cutoff(n_sites: int, beta: float, q: int | str) -> int:

@@ -61,6 +61,11 @@ def run_to_file(tmp_path, command, config, extra_args=()):
     return code, text
 
 
+def assert_elapsed_seconds(doc):
+    elapsed = doc["timing"]["elapsed_seconds"]
+    assert isinstance(elapsed, float) and math.isfinite(elapsed) and elapsed >= 0
+
+
 # --- validation ---------------------------------------------------------------
 
 
@@ -470,7 +475,7 @@ def test_approx_report_structure(tmp_path):
     assert {"f_beta", "log_z_w", "t_m", "per_order", "kp_margin"} <= set(result)
     assert len(result["per_order"]) == 4
     assert len(result["kp_margin"]) == 4
-    assert "timing" in doc and "elapsed_seconds" in doc["timing"]
+    assert_elapsed_seconds(doc)
 
 
 def test_missing_beta_exit_code(tmp_path):
@@ -1147,7 +1152,9 @@ def test_tabular_output_shape(command, tmp_path):
     config = base_config()
     code, text = run_to_file(tmp_path, command, config)
     assert code == EXIT_OK
-    result = json.loads(text)["result"]
+    doc = json.loads(text)
+    assert_elapsed_seconds(doc)
+    result = doc["result"]
     assert set(result) == keys
     assert result["columns"] == columns
     assert result["rows"] and all(set(row) == set(columns) for row in result["rows"])
@@ -1155,7 +1162,12 @@ def test_tabular_output_shape(command, tmp_path):
     config["output"]["format"] = "csv"
     code, text = run_to_file(tmp_path, command, config)
     assert code == EXIT_OK
-    assert text.splitlines()[:2] == ["# bosepoly-schema: 3", ",".join(columns)]
+    lines = text.splitlines()
+    assert lines[:2] == ["# bosepoly-schema: 3", ",".join(columns)]
+    # the CSV is the JSON result's own rows: floats by repr, bools lower case
+    cell = {bool: lambda v: "true" if v else "false", float: repr, int: str}
+    assert lines[2:] == [",".join(cell[type(row[c])](row[c]) for c in columns)
+                         for row in result["rows"]]
 
 
 def test_single_site_clustering_csv_is_header_only(tmp_path):
@@ -1172,7 +1184,9 @@ def test_exact_and_approx_result_keys(tmp_path):
     config["oracle"]["partitions"] = [[0, 1]]
     code, text = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_OK
-    assert set(json.loads(text)["result"]) == {
+    doc = json.loads(text)
+    assert_elapsed_seconds(doc)
+    assert set(doc["result"]) == {
         "log_z", "q", "n_sites", "moments", "occupation_distribution", "mutual_information",
     }
     code, text = run_to_file(tmp_path, "approx", config)

@@ -268,10 +268,18 @@ def test_config_validation():
     {"q": math.inf},
     {"q": -math.inf},
     {"polymer_threshold": -math.inf},
+    {"polymer_threshold": math.inf},
 ])
 def test_config_refuses_non_finite_knobs(knobs):
     with pytest.raises(ValueError):
         ExpansionConfig(**dict({"m": 2, "q": 2}, **knobs))
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, math.nan, math.inf, True])
+def test_config_refuses_an_order_that_is_not_an_integer(m):
+    # a float order would otherwise fail as a TypeError deep inside the expansion
+    with pytest.raises(ValueError, match="truncation order m must be an integer"):
+        ExpansionConfig(m=m, q=2)
 
 
 def test_single_edge_rows_are_the_log1p_series_to_order_eleven():
