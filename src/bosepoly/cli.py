@@ -134,8 +134,6 @@ def _section(config, name, problems):
         problems.append(f"{name} section must be an object")
 
 
-_NEEDS_EXPANSION = {"approx", "compare", "kp"}
-_NEEDS_ORACLE_Q = {"exact", "clustering", "moments"}
 _TABULAR = {"compare", "clustering", "moments", "kp"}
 
 
@@ -213,9 +211,11 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     q = _get(config, "expansion.q")
     if q is not None and q != "auto" and (not _is_int(q) or q < 1):
         problems.append('expansion.q must be an integer >= 1 or "auto"')
-    # the one legacy cutoff key whose loss would change q; the others are ignored
+    # legacy cutoff keys that would change q; others, and an equal oracle.q, are ignored
     if _get(config, "expansion.q_policy") == "auto":
         problems.append('expansion.q_policy is no longer read: set expansion.q = "auto"')
+    if _get(config, "oracle.q") not in (None, q):
+        problems.append("oracle.q is no longer read: set expansion.q")
     threshold = _get(config, "expansion.polymer_threshold")
     if threshold is not None:
         _number(threshold, "expansion.polymer_threshold", problems,
@@ -223,11 +223,11 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
 
     _section(config, "oracle", problems)
     ints = {name: _get(config, f"oracle.{name}")
-            for name in ("q", "dim_cap", "l_max", "site", "anchor")}
+            for name in ("dim_cap", "l_max", "site", "anchor")}
     for name, value in ints.items():
         if value is not None and not _is_int(value):
             problems.append(f"oracle.{name} must be an integer")
-    for name in ("q", "dim_cap", "l_max"):
+    for name in ("dim_cap", "l_max"):
         if _is_int(ints[name]) and ints[name] < 1:
             problems.append(f"oracle.{name} must be >= 1")
     if _get(config, "oracle.family") not in (None, "hopping", "density"):
@@ -275,12 +275,10 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     if path is not None and not isinstance(path, str):
         problems.append("output.path must be a string")
 
-    if command in _NEEDS_EXPANSION:
-        for name, value in (("m", m), ("q", q)):
-            if value is None:
-                problems.append(f"expansion.{name} is required for this command")
-    if command in _NEEDS_ORACLE_Q and ints["q"] is None and q is None:
-        problems.append("oracle.q is required unless expansion.q is set")
+    if command in ("approx", "compare", "kp") and m is None:
+        problems.append("expansion.m is required for this command")
+    if command is not None and q is None:
+        problems.append("expansion.q is required for this command")
 
     return problems
 
@@ -316,20 +314,14 @@ def build_expansion_config(config: dict) -> ExpansionConfig:
                            _get(config, "expansion.polymer_threshold", 0.0))
 
 
-def _cutoff(config: dict) -> int:
-    n_sites = math.prod(_get(config, "model.dims"))
-    return resolve_cutoff(n_sites, float(_get(config, "model.beta")), _get(config, "expansion.q"))
-
-
 def _oracle_model(config: dict, qs=None):
-    """The cutoffs, dimension cap and model of an oracle run.
-
-    ``qs`` defaults to ``[oracle.q]``, or else ``expansion.q`` resolved.  Each
-    ``(q+1)^N`` is checked against ``oracle.dim_cap`` from the config alone,
-    so that a refused run never builds the model's N x N arrays.
-    """
+    """The cutoffs (``qs``, by default ``[expansion.q]`` resolved), dimension
+    cap and model of an oracle run.  Each ``(q+1)^N`` is checked against
+    ``oracle.dim_cap`` from the config alone, so that a refused run never
+    builds the model's N x N arrays."""
     n_sites = math.prod(_get(config, "model.dims"))
-    qs = qs or [_get(config, "oracle.q") or _cutoff(config)]
+    qs = qs or [resolve_cutoff(n_sites, float(_get(config, "model.beta")),
+                               _get(config, "expansion.q"))]
     dim_cap = _get(config, "oracle.dim_cap", DEFAULT_DIM_CAP)
     for q in qs:
         check_dim_cap(q, n_sites, dim_cap)
@@ -373,7 +365,7 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
     m_list = m_list or [base.m]
     if min(m_list) < 1:
         raise ValueError("truncation order m must be >= 1")
-    q_list, _, model = _oracle_model(config, q_list or [_cutoff(config)])
+    q_list, _, model = _oracle_model(config, q_list)
 
     # the oracle keeps every coupling, so abs_error includes what the
     # polymer threshold drops
@@ -524,7 +516,7 @@ def run(argv=None) -> int:
             raise ConfigError(problems)
 
         # compare's --m-list and --q-list reach it as its m_list and q_list
-        grids = {key: [int(x) for x in value.split(",") if x]
+        grids = {key: _grid(f"--{key.replace('_', '-')}", value)
                  for key, value in vars(args).items() if key.endswith("_list")}
         start = time.perf_counter()
         result = COMMANDS[args.command][1](config, **grids)
@@ -549,6 +541,13 @@ def run(argv=None) -> int:
     except ArithmeticError as exc:
         _emit_error("numerical_failure", str(exc), [str(exc)])
         return EXIT_NUMERICAL
+
+
+def _grid(flag: str, value: str) -> list[int]:
+    try:
+        return [int(x) for x in value.split(",") if x]
+    except ValueError:
+        raise ConfigError([f"{flag} must be comma-separated integers, got {value!r}"]) from None
 
 
 def _emit_error(code: str, message: str, details) -> None:

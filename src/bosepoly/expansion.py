@@ -94,11 +94,11 @@ class ExpansionConfig:
     polymer_threshold: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError(f"truncation order m must be an integer >= 1, got {self.m!r}")
-        if not (self.q == "auto" or isinstance(self.q, int) and self.q >= 1):
+        if not (self.q == "auto" or type(self.q) is int and self.q >= 1):
             raise ValueError(f'q must be an integer >= 1 or "auto", got {self.q!r}')
-        if not 0 <= self.polymer_threshold < math.inf:
+        if isinstance(self.polymer_threshold, bool) or not 0 <= self.polymer_threshold < math.inf:
             raise ValueError(f"polymer_threshold must be finite and nonnegative, "
                              f"got {self.polymer_threshold!r}")
 

@@ -264,14 +264,17 @@ def onsite_log_trace(model: ModelInstance, sites, q: int, beta: float) -> float:
     return total
 
 
-def _symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+def _symmetric_eigenvalues(matrix: np.ndarray, where: str = "", vectors: bool = False):
+    """``eigvalsh`` of ``matrix``, or ``eigh`` with ``vectors``, looked up at call time; a
+    failure or a non-finite eigenvalue is an EigensolverError naming ``where``."""
+    where = where or f"a {matrix.shape} block"
     try:
-        eigvals = np.linalg.eigvalsh(matrix)
+        solved = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(matrix)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolve failed on a {matrix.shape} block") from exc
-    if not np.all(np.isfinite(eigvals)):
-        raise EigensolverError("eigensolver returned non-finite eigenvalues")
-    return eigvals
+        raise EigensolverError(f"eigensolve failed on {where}") from exc
+    if not np.all(np.isfinite(solved[0] if vectors else solved)):
+        raise EigensolverError(f"eigensolver returned non-finite eigenvalues on {where}")
+    return solved
 
 
 def restricted_log_partition(

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, EigensolverError, RegionHamiltonian, SectorBlock, check_dim_cap
-from .fock import boltzmann_exponents, hop_entries, logsumexp, occupation_codes, sector_blocks
+from .fock import DEFAULT_DIM_CAP, RegionHamiltonian, SectorBlock, _symmetric_eigenvalues, logsumexp
+from .fock import boltzmann_exponents, check_dim_cap, hop_entries, occupation_codes, sector_blocks
 from .lattice import ModelInstance, ResourceCapError, distance_matrix, interaction_edges
 
 __all__ = [
@@ -122,10 +122,7 @@ def thermal_states(model: ModelInstance, q: int, betas, observables=(),
 def _solve_sector(H: RegionHamiltonian, b: int, betas, observables) -> tuple:
     """Sector b's eigenvalues and, per beta, (log Z_N, partials): Tr W W^T,
     then each observable's partial.  The eigenvectors die with the call."""
-    try:
-        lam, V = np.linalg.eigh(H.block(b))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolve failed on the N={b} sector") from exc
+    lam, V = _symmetric_eigenvalues(H.block(b), f"the N={b} sector", vectors=True)
     out = []
     for k, beta in enumerate(betas):
         exponents = boltzmann_exponents(beta, lam, f"in the N={b} sector")

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pathlib
+import re
 import time
 import tracemalloc
 import warnings
@@ -39,7 +40,7 @@ def base_config(**overrides):
             "beta": 0.1,
         },
         "expansion": {"m": 4, "q": 3},
-        "oracle": {"q": 3, "l_max": 2, "site": 0},
+        "oracle": {"l_max": 2, "site": 0},
         "output": {"format": "json"},
     }
     config.update(overrides)
@@ -116,7 +117,7 @@ def test_validation_checks_periodic_cutoff_knobs_and_oracle_bounds(tmp_path, cap
         "model.periodic must be true or false",
         'expansion.q must be an integer >= 1 or "auto"',
         'expansion.q_policy is no longer read: set expansion.q = "auto"',
-        "oracle.q must be >= 1",
+        _ORACLE_Q_MESSAGE,
         "oracle.dim_cap must be >= 1",
     ]
     for command in ("approx", "exact"):
@@ -185,6 +186,7 @@ def _edit(config, changes):
 
 _LONG_RANGE = {"kind": "long_range", "g": 0.1, "alpha": 3.0}
 _KIND_MESSAGE = "model.coupling.kind must be one of long_range, finite_range, explicit"
+_ORACLE_Q_MESSAGE = "oracle.q is no longer read: set expansion.q"
 
 # one case per validate_config message, on base_config(): (command, changes, list)
 _MESSAGE_CASES = [
@@ -247,7 +249,7 @@ _MESSAGE_CASES = [
     ("exact", {"oracle": 5}, ["oracle section must be an object"]),
     ("exact",
      {"oracle.q": "x", "oracle.dim_cap": 0, "oracle.l_max": True, "oracle.anchor": 1.5}, [
-         "oracle.q must be an integer",
+         _ORACLE_Q_MESSAGE,
          "oracle.l_max must be an integer",
          "oracle.anchor must be an integer",
          "oracle.dim_cap must be >= 1",
@@ -273,7 +275,11 @@ _MESSAGE_CASES = [
     ("approx", {"expansion.m": _DELETE}, ["expansion.m is required for this command"]),
     ("approx", {"expansion.q": _DELETE}, ["expansion.q is required for this command"]),
     ("exact", {"oracle.q": _DELETE, "expansion.q": _DELETE},
-     ["oracle.q is required unless expansion.q is set"]),
+     ["expansion.q is required for this command"]),
+    # a legacy oracle.q is ignored only if it equals expansion.q as written
+    ("compare", {"oracle.q": 3}, []),
+    ("compare", {"oracle.q": 2}, [_ORACLE_Q_MESSAGE]),
+    ("exact", {"expansion.q": "auto", "oracle.q": 2}, [_ORACLE_Q_MESSAGE]),
 ]
 
 
@@ -310,11 +316,11 @@ _EVERY_PROBLEM = {
         "expansion.m must be an integer >= 1",
         'expansion.q must be an integer >= 1 or "auto"',
         'expansion.q_policy is no longer read: set expansion.q = "auto"',
+        _ORACLE_Q_MESSAGE,
         "expansion.polymer_threshold must be nonnegative",
         "oracle.dim_cap must be an integer",
         "oracle.l_max must be an integer",
         "oracle.anchor must be an integer",
-        "oracle.q must be >= 1",
         "oracle.family must be hopping or density",
         "oracle.site must be a site index in [0, 4)",
         "oracle.partitions entry [0, 5] has invalid sites",
@@ -344,7 +350,7 @@ _EVERY_PROBLEM = {
         "oracle.partitions entry [1, 1] repeats sites",
         "oracle.partitions entries must be nonempty site lists",
         "output.format must be json or csv",
-        "oracle.q is required unless expansion.q is set",
+        "expansion.q is required for this command",
     ]),
     "explicit": ("moments", {
         "model": {"dims": [], "coupling": {"kind": "explicit"}, "U": 0},
@@ -375,11 +381,11 @@ def test_validation_message_order_across_keys(kind):
 
 
 # every key a config can carry, on a config that sets all of them; q_policy,
-# theta and q_prefactor are legacy keys that harness configs still carry
+# theta, q_prefactor and oracle.q are legacy keys that harness configs still carry
 _FULL = _edit(base_config(), {
     "model.coupling": {"kind": "long_range", "g": 0.1, "alpha": 3.0, "d_c": 1,
                        "matrix": [[0.0] * 4 for _ in range(4)]},
-    "expansion": {"m": 2, "q": "auto", "q_policy": "explicit", "theta": 1.0,
+    "expansion": {"m": 2, "q": 2, "q_policy": "explicit", "theta": 1.0,
                   "q_prefactor": 2.0, "polymer_threshold": 0.0},
     "oracle": {"q": 2, "dim_cap": 20000, "l_max": 2, "site": 1, "anchor": 0,
                "family": "density", "partitions": [[0, 1]], "beta_list": [0.1]},
@@ -502,7 +508,7 @@ def test_exact_single_site(tmp_path):
     config = base_config()
     config["model"]["dims"] = [1]
     config["model"]["coupling"] = {"kind": "explicit", "matrix": [[0.0]]}
-    config["oracle"] = {"q": 2, "site": 0, "l_max": 2}
+    config["expansion"]["q"] = 2
     code, text = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_OK
     result = json.loads(text)["result"]
@@ -518,7 +524,8 @@ def test_exact_two_site_closed_form(tmp_path):
     config["model"]["mu"] = 0.0
     config["model"]["beta"] = 1.0
     config["model"]["coupling"] = {"kind": "finite_range", "g": 0.3, "d_c": 1}
-    config["oracle"] = {"q": 1}
+    config["expansion"]["q"] = 1
+    config["oracle"] = {}
     code, text = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_OK
     result = json.loads(text)["result"]
@@ -527,7 +534,8 @@ def test_exact_two_site_closed_form(tmp_path):
 
 def test_exact_dimension_cap_exit_code(tmp_path):
     config = base_config()
-    config["oracle"] = {"q": 9, "dim_cap": 100}
+    config["expansion"]["q"] = 9
+    config["oracle"] = {"dim_cap": 100}
     code, _ = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_RESOURCE
 
@@ -581,7 +589,7 @@ def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, ca
         config = base_config()
         config["model"]["dims"] = dims
         config["expansion"] = expansion
-        config["oracle"] = {"q": 7, "dim_cap": 40000}
+        config["oracle"] = {"dim_cap": 40000}
         assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "resource_cap"
@@ -712,7 +720,8 @@ def test_refusal_message_and_details(kind, monkeypatch, capsys):
 
 def test_exact_mutual_information(tmp_path):
     config = base_config()
-    config["oracle"] = {"q": 1, "partitions": [[0, 1], [0]]}
+    config["expansion"]["q"] = 1
+    config["oracle"] = {"partitions": [[0, 1], [0]]}
     code, text = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_OK
     rows = json.loads(text)["result"]["mutual_information"]
@@ -806,7 +815,8 @@ def test_clustering_zero_coupling_all_zero(tmp_path):
         "kind": "explicit",
         "matrix": [[0.0] * 4 for _ in range(4)],
     }
-    config["oracle"] = {"q": 1, "anchor": 0, "family": "hopping"}
+    config["expansion"]["q"] = 1
+    config["oracle"] = {"anchor": 0, "family": "hopping"}
     code, text = run_to_file(tmp_path, "clustering", config)
     assert code == EXIT_OK
     result = json.loads(text)["result"]
@@ -819,7 +829,8 @@ def test_moments_two_betas_give_rows_for_slope(tmp_path):
     config["model"]["dims"] = [1]
     config["model"]["mu"] = 0.0
     config["model"]["coupling"] = {"kind": "explicit", "matrix": [[0.0]]}
-    config["oracle"] = {"q": 10, "site": 0, "l_max": 4, "beta_list": [0.05, 0.1]}
+    config["expansion"]["q"] = 10
+    config["oracle"] = {"site": 0, "l_max": 4, "beta_list": [0.05, 0.1]}
     code, text = run_to_file(tmp_path, "moments", config)
     assert code == EXIT_OK
     rows = json.loads(text)["result"]["rows"]
@@ -836,9 +847,10 @@ def test_moments_holds_one_thermal_state_at_a_time(tmp_path):
     config["model"]["U"] = [0.9, 1.1, 1.0, 1.2, 0.8, 1.05]
     config["model"]["mu"] = [0.2, 0.7, 0.4, 0.1, 0.9, 0.5]
     config["model"]["beta"] = 0.5
+    config["expansion"]["q"] = 2
 
     def run_betas(beta_list):
-        config["oracle"] = {"q": 2, "site": 0, "l_max": 2, "beta_list": beta_list}
+        config["oracle"] = {"site": 0, "l_max": 2, "beta_list": beta_list}
         tracemalloc.start()
         try:
             code, text = run_to_file(tmp_path, "moments", config)
@@ -863,7 +875,8 @@ def test_moments_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
     config["model"]["coupling"] = {"kind": "finite_range", "g": 0.3, "d_c": 1}
     config["model"]["U"] = [0.9, 1.1, 1.0, 1.2, 0.8, 1.05]
     config["model"]["mu"] = [0.2, 0.7, 0.4, 0.1, 0.9, 0.5]
-    config["oracle"] = {"q": 2, "site": 1, "l_max": 3, "beta_list": [0.1, 0.7, 0.4]}
+    config["expansion"]["q"] = 2
+    config["oracle"] = {"site": 1, "l_max": 3, "beta_list": [0.1, 0.7, 0.4]}
     model = build_model(config)
     want = {
         beta: thermalize(model, 2, [Moments(1, 3)], beta=beta).values[0]
@@ -894,7 +907,7 @@ def test_moments_descending_beta_list_solves_each_sector_once(tmp_path, monkeypa
     config["model"]["dims"] = [3]
     config["model"]["U"] = 6.0
     config["model"]["coupling"] = {"kind": "finite_range", "g": 0.3, "d_c": 1}
-    config["oracle"] = {"q": 3, "site": 1, "l_max": 3, "beta_list": [100.0, 1.0, 4.0]}
+    config["oracle"] = {"site": 1, "l_max": 3, "beta_list": [100.0, 1.0, 4.0]}
     model = build_model(config)
     want = {
         beta: thermalize(model, 3, [Moments(1, 3)], beta=beta).values[0]
@@ -921,7 +934,8 @@ def _disordered_square_config(dims):
     config["model"].update(dims=dims, beta=0.5, U=rng.uniform(0.8, 1.2, n).tolist(),
                            mu=rng.uniform(0.0, 1.0, n).tolist(),
                            coupling={"kind": "finite_range", "g": 0.2, "d_c": 1})
-    config["oracle"] = {"q": 2, "site": 0, "l_max": 4, "anchor": 0, "family": "density",
+    config["expansion"]["q"] = 2
+    config["oracle"] = {"site": 0, "l_max": 4, "anchor": 0, "family": "density",
                         "partitions": [list(range(n // 2))], "beta_list": [0.5, 0.3]}
     return config
 
@@ -984,7 +998,7 @@ def test_overflowing_moment_is_a_numerical_failure(command, capsys):
     config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run([command, config, "--set", "oracle.q=2", "--set", "oracle.l_max=2000"])
+        code = run([command, config, "--set", "expansion.q=2", "--set", "oracle.l_max=2000"])
     assert code == 4
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -1001,7 +1015,7 @@ def test_overflowing_hamiltonian_entry_is_a_numerical_failure(command, capsys):
         (["model.coupling.g=1e308"], "hopping amplitude on edge"),
         (["model.U=1e308"], "on-site energy at site 0 is not finite"),
         (["model.mu=1e308"], "on-site energy at site 0 is not finite"),
-        (["model.U=1e308", "oracle.q=2", "expansion.q=2"], "on-site energy summed over sites"),
+        (["model.U=1e308", "expansion.q=2"], "on-site energy summed over sites"),
     ]
     for settings, message in cases:
         with warnings.catch_warnings():
@@ -1074,7 +1088,7 @@ def test_clustering_fits_no_exponent_through_one_distance(capsys):
     # at beta=1e-6 only the three distance-1 rows of a 2x2x2 cube clear the
     # noise floor: three points at one distance determine no slope
     config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
-    settings = ["model.dims=[2,2,2]", "model.beta=1e-6", "oracle.q=1"]
+    settings = ["model.dims=[2,2,2]", "model.beta=1e-6", "expansion.q=1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["clustering", config, *(arg for s in settings for arg in ("--set", s))])
@@ -1307,21 +1321,22 @@ def test_set_override(tmp_path):
 
 
 @pytest.mark.parametrize("oracle, sets", [
-    (None, ["--set", "oracle.q=2"]),
-    ({"q": 3, "site": 1}, ["--set", "oracle=null", "--set", "oracle.q=2"]),
+    (None, ["--set", "oracle.site=2"]),
+    ({"site": 1, "l_max": 3}, ["--set", "oracle=null", "--set", "oracle.site=2"]),
 ])
 def test_set_path_into_a_null_section(oracle, sets, tmp_path, capsys):
     # "oracle": null is an empty oracle section, so --set may fill it
     config = base_config()
     docs = []
-    for args in ([write_config(tmp_path, dict(config, oracle={"q": 2}), name="q2.json")],
+    for args in ([write_config(tmp_path, dict(config, oracle={"site": 2}), name="site2.json")],
                  [write_config(tmp_path, dict(config, oracle=oracle)), *sets]):
         assert run(["exact", *args]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         doc.pop("timing")
         docs.append(doc)
     assert docs[0] == docs[1]
-    assert docs[0]["result"]["q"] == 2
+    assert docs[0]["result"]["occupation_distribution"]["site"] == 2
+    assert "moments" not in docs[0]["result"]
 
 
 def test_set_path_through_a_non_object_value_exits_2(tmp_path, capsys):
@@ -1483,7 +1498,7 @@ def test_q_policy_auto_through_cli(tmp_path, capsys):
     doc = json.loads(text)
     assert doc["result"]["q"] == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
 
-    # an oracle run with no oracle.q resolves expansion.q, and needs no m
+    # an oracle run resolves expansion.q, and needs no m
     config = _edit(base_config(), {"model.beta": 25.0, "expansion": {"q": "auto"},
                                    "oracle": None})
     code, text = run_to_file(tmp_path, "exact", config)
@@ -1495,3 +1510,63 @@ def test_q_policy_auto_through_cli(tmp_path, capsys):
     assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["details"] == ['expansion.q_policy is no longer read: set expansion.q = "auto"']
+
+
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments"])
+def test_legacy_oracle_q_runs_as_if_absent_only_when_equal(command, monkeypatch, capsys):
+    # expansion.q is every command's cutoff; an oracle.q equal to it as
+    # written (3 in chain4_nn) changes no byte outside timing
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+
+    def stdout(*settings):
+        code = run([command, config, *(arg for s in settings for arg in ("--set", s))])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, re.sub(r'"elapsed_seconds": [^\n]*', "", captured.out)
+
+    plain = stdout()
+    assert plain[0] == EXIT_OK
+    assert stdout("oracle.q=3") == plain
+
+    # any other oracle.q, or one with no expansion.q, is refused before the model
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(bosepoly.cli, "build_model", no_model)
+    for settings, details in (
+        (["oracle.q=2"], [_ORACLE_Q_MESSAGE]),
+        (["expansion.q=null", "oracle.q=3"],
+         [_ORACLE_Q_MESSAGE, "expansion.q is required for this command"]),
+    ):
+        code, out = stdout(*settings)
+        assert code == EXIT_CONFIG, settings
+        assert json.loads(out)["error"]["details"] == details
+
+
+@pytest.mark.parametrize("flag,value", [("--m-list", "1,x"), ("--q-list", "2,2.5")])
+def test_compare_grid_that_is_not_integers_names_the_flag(flag, value, capsys):
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run(["compare", config, flag, value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    message = f"{flag} must be comma-separated integers, got {value!r}"
+    assert json.loads(captured.out)["error"] == {
+        "code": "config_error", "message": message, "details": [message]}
+
+
+def test_non_finite_oracle_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
+    # a NaN eigenvalue is refused at the solve that returned it, naming the
+    # sector, rather than later as an overflow of beta * E
+    eigh = np.linalg.eigh
+
+    def spoiled_eigh(matrix):
+        lam, vecs = eigh(matrix)
+        lam[-1] = np.nan
+        return lam, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run(["exact", config]) == EXIT_NUMERICAL
+    message = "eigensolver returned non-finite eigenvalues on the N=6 sector"
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "numerical_failure", "message": message, "details": [message]}

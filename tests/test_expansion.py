@@ -257,7 +257,7 @@ def test_q_policy_auto():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExpansionConfig(m=0, q=1)
-    for q in (None, 0, "bogus", "Auto", 2.0):
+    for q in (None, 0, "bogus", "Auto", 2.0, True):
         with pytest.raises(ValueError, match="q must be"):
             ExpansionConfig(m=2, q=q)
 
@@ -269,6 +269,7 @@ def test_config_validation():
     {"q": -math.inf},
     {"polymer_threshold": -math.inf},
     {"polymer_threshold": math.inf},
+    {"polymer_threshold": True},
 ])
 def test_config_refuses_non_finite_knobs(knobs):
     with pytest.raises(ValueError):

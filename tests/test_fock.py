@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from bosepoly.fock import (
+    EigensolverError,
     RegionHamiltonian,
     _layout,
+    _symmetric_eigenvalues,
     check_dim_cap,
     hop_entries,
     occupation_codes,
@@ -438,3 +440,9 @@ def test_block_assembly_matches_dense(n_sites, q):
         sel = [index[occ] for occ in map(tuple, block.occupations.tolist())]
         rebuilt[np.ix_(sel, sel)] = H.block(b)
     assert np.array_equal(rebuilt, dense)  # hopping never leaves a sector
+
+
+def test_non_finite_eigenvalue_names_the_block(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: np.full(len(matrix), np.nan))
+    with pytest.raises(EigensolverError, match=r"non-finite eigenvalues on a \(3, 3\) block"):
+        _symmetric_eigenvalues(np.eye(3))

@@ -431,6 +431,19 @@ def test_failed_eigensolve_is_an_eigensolver_error(monkeypatch):
         thermalize(_disordered_models()[0], 2)
 
 
+def test_non_finite_eigenvalue_is_an_eigensolver_error(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def spoiled_eigh(matrix):
+        lam, vecs = eigh(matrix)
+        lam[0] = np.nan
+        return lam, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
+    with pytest.raises(EigensolverError, match="non-finite eigenvalues on the N=6 sector"):
+        thermalize(_disordered_models()[0], 2)
+
+
 def test_clustering_scan_zero_couplings_has_no_fit():
     model = make_explicit(4, np.zeros((4, 4)), beta=0.2, U=1.0, mu=0.0)
     scan = clustering_scan(model, 1, "hopping", anchor=0)
