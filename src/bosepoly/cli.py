@@ -211,25 +211,25 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
     q = _get(config, "expansion.q")
     if q is not None and q != "auto" and (not _is_int(q) or q < 1):
         problems.append('expansion.q must be an integer >= 1 or "auto"')
-    # legacy cutoff keys that would change q; others, and an equal oracle.q, are ignored
+    # legacy keys that would change q or the cap; equal ones, and all others, are ignored
     if _get(config, "expansion.q_policy") == "auto":
         problems.append('expansion.q_policy is no longer read: set expansion.q = "auto"')
     if _get(config, "oracle.q") not in (None, q):
         problems.append("oracle.q is no longer read: set expansion.q")
+    if _get(config, "oracle.dim_cap") not in (None, DEFAULT_DIM_CAP):
+        problems.append(f"oracle.dim_cap is no longer read: the cap is {DEFAULT_DIM_CAP}")
     threshold = _get(config, "expansion.polymer_threshold")
     if threshold is not None:
         _number(threshold, "expansion.polymer_threshold", problems,
                 lambda t: t < 0, "must be nonnegative")
 
     _section(config, "oracle", problems)
-    ints = {name: _get(config, f"oracle.{name}")
-            for name in ("dim_cap", "l_max", "site", "anchor")}
+    ints = {name: _get(config, f"oracle.{name}") for name in ("l_max", "site", "anchor")}
     for name, value in ints.items():
         if value is not None and not _is_int(value):
             problems.append(f"oracle.{name} must be an integer")
-    for name in ("dim_cap", "l_max"):
-        if _is_int(ints[name]) and ints[name] < 1:
-            problems.append(f"oracle.{name} must be >= 1")
+    if _is_int(ints["l_max"]) and ints["l_max"] < 1:
+        problems.append("oracle.l_max must be >= 1")
     if _get(config, "oracle.family") not in (None, "hopping", "density"):
         problems.append("oracle.family must be hopping or density")
     for name in ("site", "anchor"):
@@ -315,17 +315,15 @@ def build_expansion_config(config: dict) -> ExpansionConfig:
 
 
 def _oracle_model(config: dict, qs=None):
-    """The cutoffs (``qs``, by default ``[expansion.q]`` resolved), dimension
-    cap and model of an oracle run.  Each ``(q+1)^N`` is checked against
-    ``oracle.dim_cap`` from the config alone, so that a refused run never
-    builds the model's N x N arrays."""
+    """The cutoffs (``qs``, by default ``[expansion.q]`` resolved) and model of an
+    oracle run.  Each ``(q+1)^N`` is checked against the cap from the config alone,
+    so that a refused run never builds the model's N x N arrays."""
     n_sites = math.prod(_get(config, "model.dims"))
     qs = qs or [resolve_cutoff(n_sites, float(_get(config, "model.beta")),
                                _get(config, "expansion.q"))]
-    dim_cap = _get(config, "oracle.dim_cap", DEFAULT_DIM_CAP)
     for q in qs:
-        check_dim_cap(q, n_sites, dim_cap)
-    return qs, dim_cap, build_model(config)
+        check_dim_cap(q, n_sites)
+    return qs, build_model(config)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +341,10 @@ def cmd_exact(config: dict):
     # observables are checked before the model; a complement waits for the cap
     moments = [Moments(site or 0, l_max)] if l_max is not None else []
     occupation = [OccupationDistribution(site)] if site is not None else []
-    (q,), dim_cap, model = _oracle_model(config)
+    (q,), model = _oracle_model(config)
     information = [MutualInformation((a, [i for i in range(model.n_sites) if i not in a]))
                    for a in parts]
-    state = thermalize(model, q, moments + occupation + information, dim_cap=dim_cap)
+    state = thermalize(model, q, moments + occupation + information)
     values = iter(state.values)
 
     result: dict = {"log_z": state.log_z, "q": q, "n_sites": model.n_sites}
@@ -363,9 +361,7 @@ def cmd_exact(config: dict):
 def cmd_compare(config: dict, m_list=None, q_list=None):
     base = build_expansion_config(config)
     m_list = m_list or [base.m]
-    if min(m_list) < 1:
-        raise ValueError("truncation order m must be >= 1")
-    q_list, _, model = _oracle_model(config, q_list)
+    q_list, model = _oracle_model(config, q_list)
 
     # the oracle keeps every coupling, so abs_error includes what the
     # polymer threshold drops
@@ -374,7 +370,6 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
     rows = []
     for q in q_list:
         cfg = ExpansionConfig(m=max(m_list), q=q, polymer_threshold=base.polymer_threshold)
-        # the expansion checks its own dimension cap before any solve
         report = approximate_log_partition(model, cfg)
         oracle_log_z = restricted_log_partition(model, region, edges, q)
         for m in m_list:
@@ -399,19 +394,19 @@ def cmd_compare(config: dict, m_list=None, q_list=None):
 
 def cmd_clustering(config: dict):
     request = Clustering(_get(config, "oracle.family", "hopping"), _get(config, "oracle.anchor", 0))
-    (q,), dim_cap, model = _oracle_model(config)
-    (scan,) = thermalize(model, q, [request], dim_cap=dim_cap).values
+    (q,), model = _oracle_model(config)
+    (scan,) = thermalize(model, q, [request]).values
     return dict(asdict(scan), columns=[f.name for f in fields(ClusteringScanRow)])
 
 
 def cmd_moments(config: dict):
     site = _get(config, "oracle.site", 0)
     request = Moments(site, _get(config, "oracle.l_max", 2))
-    (q,), dim_cap, model = _oracle_model(config)
+    (q,), model = _oracle_model(config)
     # one pass over the sectors serves every beta, in any order
     betas = [float(b) for b in _get(config, "oracle.beta_list", [model.beta])]
     unique = list(dict.fromkeys(betas))
-    states = thermal_states(model, q, unique, [request], dim_cap)
+    states = thermal_states(model, q, unique, [request])
     values = {beta: state.values[0] for beta, state in zip(unique, states)}
     rows = [{"beta": beta, "site": site, "l": l, "value": value}
             for beta in betas for l, value in enumerate(values[beta], start=1)]
@@ -545,9 +540,12 @@ def run(argv=None) -> int:
 
 def _grid(flag: str, value: str) -> list[int]:
     try:
-        return [int(x) for x in value.split(",") if x]
+        grid = [int(x) for x in value.split(",") if x]
     except ValueError:
         raise ConfigError([f"{flag} must be comma-separated integers, got {value!r}"]) from None
+    if min(grid, default=1) < 1:
+        raise ConfigError([f"{flag} entries must be >= 1, got {value!r}"])
+    return grid
 
 
 def _emit_error(code: str, message: str, details) -> None:

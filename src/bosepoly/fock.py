@@ -44,9 +44,10 @@ __all__ = [
 DEFAULT_DIM_CAP = 20000
 
 
-def check_dim_cap(q: int, width: int, cap: int = DEFAULT_DIM_CAP) -> None:
-    """Refuse a (q+1)^width truncated space above ``cap``, before it is built.
-    The power is at least 2^low; past 2^65536 and the cap it is not formed."""
+def check_dim_cap(q: int, width: int) -> None:
+    """Refuse a (q+1)^width space above ``DEFAULT_DIM_CAP``, read at call time, before it
+    is built.  The power is at least 2^low; past 2^65536 and the cap it is not formed."""
+    cap = DEFAULT_DIM_CAP
     low = width * ((q + 1).bit_length() - 1)
     if low > max(cap.bit_length(), 1 << 16):
         from decimal import Decimal, localcontext  # here alone: its import costs 0.4 MiB

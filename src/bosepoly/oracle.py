@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, RegionHamiltonian, SectorBlock, _symmetric_eigenvalues, logsumexp
+from .fock import RegionHamiltonian, SectorBlock, _symmetric_eigenvalues, logsumexp
 from .fock import boltzmann_exponents, check_dim_cap, hop_entries, occupation_codes, sector_blocks
 from .lattice import ModelInstance, ResourceCapError, distance_matrix, interaction_edges
 
@@ -67,16 +67,14 @@ class ThermalState:
         return np.exp(-self.beta * lam - self.log_z)
 
 
-def thermalize(model: ModelInstance, q: int, observables=(), beta: float | None = None,
-               dim_cap: int = DEFAULT_DIM_CAP) -> ThermalState:
+def thermalize(model: ModelInstance, q: int, observables=(),
+               beta: float | None = None) -> ThermalState:
     """The thermal state at ``beta`` (default ``model.beta``), with the value
     of each of ``observables``."""
-    return thermal_states(model, q, [model.beta if beta is None else beta], observables,
-                          dim_cap)[0]
+    return thermal_states(model, q, [model.beta if beta is None else beta], observables)[0]
 
 
-def thermal_states(model: ModelInstance, q: int, betas, observables=(),
-                   dim_cap: int = DEFAULT_DIM_CAP) -> list[ThermalState]:
+def thermal_states(model: ModelInstance, q: int, betas, observables=()) -> list[ThermalState]:
     """One thermal state per beta, from one pass over the number sectors.
 
     An observable has ``check(model)``, run before any solve;
@@ -94,7 +92,7 @@ def thermal_states(model: ModelInstance, q: int, betas, observables=(),
     the solve order, and each beta's state is bit for bit that of a run at
     that beta alone.
     """
-    check_dim_cap(q, model.n_sites, dim_cap)
+    check_dim_cap(q, model.n_sites)
     for obs in observables:
         obs.check(model)
     H = RegionHamiltonian(model, range(model.n_sites), interaction_edges(model.couplings, 0.0), q)
@@ -218,11 +216,13 @@ class MutualInformation:
             sub_totals = occ[:, sub].sum(axis=1)
             order = np.lexsort((occupation_codes(occ[:, rest], q),
                                 occupation_codes(occ[:, sub], q), sub_totals))
-            starts = np.flatnonzero(np.diff(sub_totals[order])) + 1
-            for ks in np.split(order, starts):
-                n_sub = int(sub_totals[ks[0]])
-                X = W[ks].reshape(sub_blocks[n_sub].dim, -1)
+            totals = sub_totals[order]
+            starts = np.flatnonzero(np.diff(totals)) + 1
+            # one copy of W's rows per side, each group's X a view of it
+            for n_sub, X in zip(totals[np.r_[0, starts]].tolist(), np.split(W[order], starts)):
+                X = X.reshape(sub_blocks[n_sub].dim, -1)
                 out[n_sub] = X @ X.T
+            del X  # the last view holds the copy; free it before the other side's
             parts += out
         return tuple(parts)
 
@@ -235,8 +235,9 @@ class MutualInformation:
     def value(self, total, state) -> float:
         s_total = sum(_entropy_from_probabilities(state.block_probabilities(b))
                       for b in range(len(state.blocks)))
-        s_a, s_b = (sum(_entropy_from_probabilities(np.linalg.eigvalsh(mat))
-                        for mat in blocks.values()) for blocks in self.reduced_blocks(total, state))
+        s_a, s_b = (sum(_entropy_from_probabilities(_symmetric_eigenvalues(
+            mat, f"the N={n} reduced block of sites {list(sub)}")) for n, mat in blocks.items())
+            for sub, blocks in zip(self.subsystems, self.reduced_blocks(total, state)))
         return s_a + s_b - s_total
 
 

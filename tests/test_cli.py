@@ -118,7 +118,7 @@ def test_validation_checks_periodic_cutoff_knobs_and_oracle_bounds(tmp_path, cap
         'expansion.q must be an integer >= 1 or "auto"',
         'expansion.q_policy is no longer read: set expansion.q = "auto"',
         _ORACLE_Q_MESSAGE,
-        "oracle.dim_cap must be >= 1",
+        _DIM_CAP_MESSAGE,
     ]
     for command in ("approx", "exact"):
         assert validate_config(config, command) == want
@@ -187,6 +187,7 @@ def _edit(config, changes):
 _LONG_RANGE = {"kind": "long_range", "g": 0.1, "alpha": 3.0}
 _KIND_MESSAGE = "model.coupling.kind must be one of long_range, finite_range, explicit"
 _ORACLE_Q_MESSAGE = "oracle.q is no longer read: set expansion.q"
+_DIM_CAP_MESSAGE = "oracle.dim_cap is no longer read: the cap is 20000"
 
 # one case per validate_config message, on base_config(): (command, changes, list)
 _MESSAGE_CASES = [
@@ -250,9 +251,9 @@ _MESSAGE_CASES = [
     ("exact",
      {"oracle.q": "x", "oracle.dim_cap": 0, "oracle.l_max": True, "oracle.anchor": 1.5}, [
          _ORACLE_Q_MESSAGE,
+         _DIM_CAP_MESSAGE,
          "oracle.l_max must be an integer",
          "oracle.anchor must be an integer",
-         "oracle.dim_cap must be >= 1",
      ]),
     ("clustering", {"oracle.family": "x"}, ["oracle.family must be hopping or density"]),
     ("exact", {"oracle.site": 4, "oracle.anchor": -1}, [
@@ -317,8 +318,8 @@ _EVERY_PROBLEM = {
         'expansion.q must be an integer >= 1 or "auto"',
         'expansion.q_policy is no longer read: set expansion.q = "auto"',
         _ORACLE_Q_MESSAGE,
+        _DIM_CAP_MESSAGE,
         "expansion.polymer_threshold must be nonnegative",
-        "oracle.dim_cap must be an integer",
         "oracle.l_max must be an integer",
         "oracle.anchor must be an integer",
         "oracle.family must be hopping or density",
@@ -344,7 +345,7 @@ _EVERY_PROBLEM = {
         "model.mu list must have length N = 3",
         "model.mu[1] must be a number, got True",
         "expansion section must be an object",
-        "oracle.dim_cap must be >= 1",
+        _DIM_CAP_MESSAGE,
         "oracle.site must be a site index in [0, 3)",
         "oracle.anchor must be a site index in [0, 3)",
         "oracle.partitions entry [1, 1] repeats sites",
@@ -381,7 +382,8 @@ def test_validation_message_order_across_keys(kind):
 
 
 # every key a config can carry, on a config that sets all of them; q_policy,
-# theta, q_prefactor and oracle.q are legacy keys that harness configs still carry
+# theta, q_prefactor and oracle.q are legacy keys that harness configs still
+# carry, and oracle.dim_cap one that older configs may
 _FULL = _edit(base_config(), {
     "model.coupling": {"kind": "long_range", "g": 0.1, "alpha": 3.0, "d_c": 1,
                        "matrix": [[0.0] * 4 for _ in range(4)]},
@@ -533,25 +535,30 @@ def test_exact_two_site_closed_form(tmp_path):
 
 
 def test_exact_dimension_cap_exit_code(tmp_path):
+    # 10^5 states, past the cap of 20000
     config = base_config()
+    config["model"]["dims"] = [5]
     config["expansion"]["q"] = 9
-    config["oracle"] = {"dim_cap": 100}
     code, _ = run_to_file(tmp_path, "exact", config)
     assert code == EXIT_RESOURCE
 
 
+# every oracle command refuses alike, the 5 sites at q=7 (8^5 = 32768 states) too
 @pytest.mark.parametrize("command", ["exact", "clustering", "moments", "compare"])
-def test_oracle_cap_refuses_before_the_model_is_built(command, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("n_sites,q", [(3000, 3), (5, 7)])
+def test_oracle_cap_refuses_before_the_model_is_built(command, n_sites, q, tmp_path,
+                                                      monkeypatch, capsys):
     def no_model(*args, **kwargs):
         raise AssertionError("the coupling matrix was built")
 
     monkeypatch.setattr(bosepoly.lattice, "build_couplings", no_model)
     monkeypatch.setattr(bosepoly.cli, "build_couplings", no_model)
     config = base_config()
-    config["model"]["dims"] = [3000]
+    config["model"]["dims"] = [n_sites]
+    config["expansion"]["q"] = q
     assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["details"] == [f"required={4**3000}", "allowed=20000"]
+    assert error["details"] == [f"required={(q + 1)**n_sites}", "allowed=20000"]
 
 
 def test_oracle_cap_past_the_int_to_str_digit_limit(capsys):
@@ -581,15 +588,14 @@ def test_approx_dimension_cap_refuses_before_any_solve(tmp_path, monkeypatch, ca
         # 5-site supports with 24^5 states, past the default cap of 20000
         ("approx", [6], auto, 24**5),
         ("kp", [6], auto, 24**5),
-        # the 5-site lattice fits the oracle cap below, but one polymer
-        # support (the whole lattice) at q=7 does not fit the expansion's
+        # the 5-site lattice at q=7 fits neither the oracle nor the expansion,
+        # which share one cap
         ("compare", [5], {"m": 4, "q": 7}, 8**5),
     ]
     for command, dims, expansion, required in cases:
         config = base_config()
         config["model"]["dims"] = dims
         config["expansion"] = expansion
-        config["oracle"] = {"dim_cap": 40000}
         assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "resource_cap"
@@ -696,8 +702,9 @@ _REFUSALS = {
     "expansion_dimension_cap": ("approx", "chain4_nn", ["expansion.q=200"], None,
                                 "truncated space dimension 1632240801 exceeds the cap 20000",
                                 201**4, 20000),
-    "oracle_dimension_cap": ("exact", "chain4_nn", ["oracle.dim_cap=10"], None,
-                             "truncated space dimension 256 exceeds the cap 10", 256, 10),
+    "oracle_dimension_cap": ("exact", "chain4_nn", ["model.dims=[5]", "expansion.q=9"], None,
+                             "truncated space dimension 100000 exceeds the cap 20000",
+                             10**5, 20000),
     "moment_order_cap": ("moments", "chain4_nn", ["oracle.l_max=5000"], None,
                          "moment order 5000 exceeds the cap 4096", 5000, 4096),
 }
@@ -959,8 +966,8 @@ def test_exact_holds_one_sector_of_eigenvectors_at_a_time(partition, tmp_path):
     # at a time, so the traced peak stays under three such n x n arrays of
     # doubles: 2.1 were measured, against 4.9 when every sector's were held.
     # Cut into one site and seven, a sector reaches at most three of the
-    # seven sites' 15 reduced blocks and keeps only those: 2.4, against 9.2
-    # when every sector kept all 15
+    # seven sites' 15 reduced blocks and keeps only those: 2.7 with one
+    # reordered copy of W per side, against 9.2 when every sector kept all 15
     config = _disordered_square_config([2, 4])
     config["oracle"]["partitions"] = [partition]
     largest = max(block.dim for block in bosepoly.fock.sector_blocks(range(8), 2))
@@ -1543,6 +1550,51 @@ def test_legacy_oracle_q_runs_as_if_absent_only_when_equal(command, monkeypatch,
         assert json.loads(out)["error"]["details"] == details
 
 
+def _no_model(*args, **kwargs):
+    raise AssertionError("the model was built")
+
+
+@pytest.mark.parametrize("command", sorted(bosepoly.cli.COMMANDS))
+@pytest.mark.parametrize("value", ["10", "40000", '"x"', "true"])
+def test_legacy_dim_cap_other_than_the_cap_is_refused_before_the_model(command, value,
+                                                                       monkeypatch, capsys):
+    monkeypatch.setattr(bosepoly.cli, "build_model", _no_model)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run([command, config, "--set", f"oracle.dim_cap={value}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"]["details"] == [_DIM_CAP_MESSAGE]
+
+
+@pytest.mark.parametrize("command", sorted(bosepoly.cli.COMMANDS))
+def test_legacy_dim_cap_equal_to_the_cap_changes_no_byte(command, capsys):
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+
+    def stdout(*args):
+        code = run([command, config, *args])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, re.sub(r'"elapsed_seconds": [^\n]*', "", captured.out)
+
+    plain = stdout()
+    assert plain[0] == EXIT_OK
+    assert stdout("--set", "oracle.dim_cap=20000") == plain
+
+
+@pytest.mark.parametrize("flag,value", [("--m-list", "0"), ("--m-list", "2,-1"),
+                                        ("--q-list", "0"), ("--q-list", "3,-1")])
+def test_compare_grid_entry_below_one_is_refused_before_the_model(flag, value, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setattr(bosepoly.cli, "build_model", _no_model)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run(["compare", config, f"{flag}={value}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    message = f"{flag} entries must be >= 1, got {value!r}"
+    assert json.loads(captured.out)["error"] == {
+        "code": "config_error", "message": message, "details": [message]}
+
+
 @pytest.mark.parametrize("flag,value", [("--m-list", "1,x"), ("--q-list", "2,2.5")])
 def test_compare_grid_that_is_not_integers_names_the_flag(flag, value, capsys):
     config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
@@ -1552,6 +1604,28 @@ def test_compare_grid_that_is_not_integers_names_the_flag(flag, value, capsys):
     message = f"{flag} must be comma-separated integers, got {value!r}"
     assert json.loads(captured.out)["error"] == {
         "code": "config_error", "message": message, "details": [message]}
+
+
+def test_non_finite_reduced_block_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
+    # the mutual information's reduced blocks (at most 16 states in chain4_nn)
+    # pass the sectors' non-finite check: a NaN is refused naming the block,
+    # not written into the report
+    eigvalsh = np.linalg.eigvalsh
+
+    def spoiled_eigvalsh(matrix):
+        lam = eigvalsh(matrix)
+        if len(lam) <= 16:
+            lam[-1] = np.nan
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spoiled_eigvalsh)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run(["exact", config]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    message = "eigensolver returned non-finite eigenvalues on the N=0 reduced block of sites [0, 1]"
+    assert json.loads(captured.out)["error"] == {
+        "code": "numerical_failure", "message": message, "details": [message]}
 
 
 def test_non_finite_oracle_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):

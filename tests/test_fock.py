@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bosepoly.fock
 from bosepoly.fock import (
     EigensolverError,
     RegionHamiltonian,
@@ -358,6 +359,14 @@ def test_dimension_cap_past_2_to_the_65536_is_shown_from_the_logarithm():
         with pytest.raises(ResourceCapError) as err:
             check_dim_cap(q, width)
         assert err.value.details[0] == f"required={scientific(math.log10((q + 1) ** width))}"
+
+
+def test_dimension_cap_is_read_at_call_time(monkeypatch):
+    check_dim_cap(9, 4)  # 10^4 states fit the cap of 20000
+    monkeypatch.setattr(bosepoly.fock, "DEFAULT_DIM_CAP", 100)
+    with pytest.raises(ResourceCapError) as err:
+        check_dim_cap(9, 4)
+    assert err.value.details == ["required=10000", "allowed=100"]
 
 
 def test_restricted_log_partition_single_site():

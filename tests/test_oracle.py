@@ -182,11 +182,11 @@ def test_thermalize_solves_largest_sector_first(monkeypatch):
 
 
 def test_dimension_cap():
-    model = make_chain(4, g=0.1, beta=0.1)
+    model = make_chain(5, g=0.1, beta=0.1)
     with pytest.raises(ResourceCapError) as err:
-        thermalize(model, q=9, dim_cap=100)
-    assert err.value.required == 10**4
-    assert err.value.allowed == 100
+        thermalize(model, q=9)
+    assert err.value.required == 10**5
+    assert err.value.allowed == 20000
 
 
 def test_clustering_anchor_outside_the_lattice_is_refused_before_any_solve(two_site_model,
