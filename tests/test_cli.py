@@ -543,11 +543,8 @@ def test_exact_dimension_cap_exit_code(tmp_path):
     assert code == EXIT_RESOURCE
 
 
-# every oracle command refuses alike, the 5 sites at q=7 (8^5 = 32768 states) too
-@pytest.mark.parametrize("command", ["exact", "clustering", "moments", "compare"])
-@pytest.mark.parametrize("n_sites,q", [(3000, 3), (5, 7)])
-def test_oracle_cap_refuses_before_the_model_is_built(command, n_sites, q, tmp_path,
-                                                      monkeypatch, capsys):
+def _assert_oracle_cap_refuses_before_the_model(command, n_sites, q, tmp_path,
+                                                monkeypatch, capsys):
     def no_model(*args, **kwargs):
         raise AssertionError("the coupling matrix was built")
 
@@ -559,6 +556,18 @@ def test_oracle_cap_refuses_before_the_model_is_built(command, n_sites, q, tmp_p
     assert run([command, write_config(tmp_path, config)]) == EXIT_RESOURCE
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["details"] == [f"required={(q + 1)**n_sites}", "allowed=20000"]
+
+
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments", "compare"])
+def test_oracle_cap_refuses_before_the_model_is_built(command, tmp_path, monkeypatch, capsys):
+    _assert_oracle_cap_refuses_before_the_model(command, 3000, 3, tmp_path, monkeypatch, capsys)
+
+
+# every oracle command refuses the 5 sites at q=7 (8^5 = 32768 states) alike
+@pytest.mark.parametrize("command", ["exact", "clustering", "moments", "compare"])
+def test_oracle_cap_refuses_five_sites_at_q7_before_the_model_is_built(command, tmp_path,
+                                                                        monkeypatch, capsys):
+    _assert_oracle_cap_refuses_before_the_model(command, 5, 7, tmp_path, monkeypatch, capsys)
 
 
 def test_oracle_cap_past_the_int_to_str_digit_limit(capsys):
