@@ -118,168 +118,162 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value, name, problems, bad=None, requirement=None):
-    """Report a value that is not a finite number (bools are not), or one
-    that ``bad`` flags as failing ``requirement``."""
+def _number(name, value, bound, facts):
+    """A finite number (bools are not) within ``bound``, a (requirement, bad) pair."""
     if not _is_number(value):
-        problems.append(f"{name} must be a number, got {value!r}")
+        yield f"{name} must be a number, got {value!r}"
     elif not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past a float
-        problems.append(f"{name} must be finite, got {value!r}")
-    elif bad is not None and bad(float(value)):
-        problems.append(f"{name} {requirement}")
+        yield f"{name} must be finite, got {value!r}"
+    elif bound is not None and bound[1](float(value), facts):
+        yield f"{name} {bound[0].format(**facts)}"
 
 
-def _section(config, name, problems):
-    if not isinstance(_get(config, name, {}), dict):
-        problems.append(f"{name} section must be an object")
+def _per_site(name, value, bound, facts):
+    if isinstance(value, list):
+        if facts["n_sites"] not in (None, len(value)):
+            yield f"{name} list must have length N = {facts['n_sites']}"
+        for k, entry in enumerate(value):
+            yield from _number(f"{name}[{k}]", entry, bound, facts)
+    elif _is_number(value):
+        yield from _number(name, value, bound, facts)
+    else:
+        yield f"{name} must be a number or per-site list"
 
 
-_TABULAR = {"compare", "clustering", "moments", "kp"}
+def _matrix(name, value, bound, facts):
+    # numpy would read true as 1.0 and "0.1" as 0.1; shape and finiteness
+    # are build_couplings' to check
+    for i, row in enumerate(value if isinstance(value, list) else []):
+        for j, entry in enumerate(row if isinstance(row, list) else []):
+            if not _is_number(entry):
+                yield f"{name}[{i}][{j}] must be a number, got {entry!r}"
+
+
+def _site_lists(name, value, bound, facts):
+    if not isinstance(value, list):
+        yield f"{name} must be a list of site lists"
+        return
+    n = facts["n_sites"]
+    for part in value:
+        if not isinstance(part, list) or not part:
+            yield f"{name} entries must be nonempty site lists"
+        elif n is not None and any(not _is_int(s) or not 0 <= s < n for s in part):
+            yield f"{name} entry {part} has invalid sites"
+        elif n is not None and len(set(part)) == n:
+            yield f"{name} entry {part} covers the whole lattice (complement is empty)"
+        elif n is not None and len(set(part)) != len(part):
+            yield f"{name} entry {part} repeats sites"
+
+
+def _betas(name, value, bound, facts):
+    if not isinstance(value, list) or not value or any(not _is_number(b) or b <= 0 for b in value):
+        yield f"{name} must be a nonempty list of positive numbers"
+        return
+    for k, b in enumerate(value):
+        yield from _number(f"{name}[{k}]", b, None, facts)
+
+
+_TABULAR = ("clustering", "compare", "kp", "moments")
+_POSITIVE = ("must be positive", lambda x, f: x <= 0)
+_REQUIRED = ("{} is required", lambda v, f: v is None)
+_SECTION = ("{} section must be an object", lambda v, f: v is not None and not isinstance(v, dict))
+_INTEGER = ("{} must be an integer", lambda v, f: v is not None and not _is_int(v))
+_SITE = ("{} must be a site index in [0, {n_sites})",
+         lambda v, f: isinstance(v, int) and f["n_sites"] and not 0 <= v < f["n_sites"])
+
+# Every known key, in the order validate_config reports its problems, as
+# (dotted path, check, bound, *coupling kinds).  A check is a kind above,
+# which yields the problems of a value that is set, or a message, formatted
+# with the path and the facts, reported when ``bound(value, facts)`` flags the
+# value, set or None.  A key with coupling kinds is read only under them, and
+# absent it reads as 0, which its check refuses.  Legacy keys, which harness
+# and older configs still carry, are ignored unless that would change the run.
+_KEYS = (
+    ("model", "missing or invalid section: {}", lambda v, f: not isinstance(v, dict)),
+    ("model.periodic", "{} must be true or false",
+     lambda v, f: v is not None and not isinstance(v, bool)),
+    ("model.dims", "{} must be a nonempty list of integers >= 1", lambda v, f: not f["n_sites"]),
+    ("model.beta", *_REQUIRED),
+    ("model.beta", _number, _POSITIVE),
+    ("model.coupling", "{} must be an object with a kind", lambda v, f: not isinstance(v, dict)),
+    ("model.coupling.kind", "{} must be one of long_range, finite_range, explicit",
+     lambda v, f: v not in ("long_range", "finite_range", "explicit")),
+    ("model.coupling.g", _number, _POSITIVE, "long_range", "finite_range"),
+    ("model.coupling.alpha", _number, ("must exceed the dimension D = {n_dims}",
+                                       lambda a, f: 0 < f["n_dims"] and a <= f["n_dims"]),
+     "long_range"),
+    ("model.coupling.d_c", "{} must be an integer >= 1", lambda v, f: not _is_int(v) or v < 1,
+     "finite_range"),
+    ("model.coupling.matrix", "{} is required for explicit kind",
+     lambda v, f: not isinstance(v, list), "explicit"),
+    ("model.coupling.matrix", _matrix, None),
+    ("model.U", *_REQUIRED),
+    ("model.U", _per_site, ("must be strictly positive", lambda x, f: x <= 0)),
+    ("model.mu", *_REQUIRED),
+    ("model.mu", _per_site, None),
+    ("expansion", *_SECTION),
+    ("expansion.m", "{} must be an integer >= 1",
+     lambda v, f: v is not None and (not _is_int(v) or v < 1)),
+    ("expansion.q", '{} must be an integer >= 1 or "auto"',
+     lambda v, f: v not in (None, "auto") and (not _is_int(v) or v < 1)),
+    ("expansion.q_policy", '{} is no longer read: set expansion.q = "auto"',
+     lambda v, f: v == "auto"),
+    ("oracle.q", "{} is no longer read: set expansion.q", lambda v, f: v not in (None, f["q"])),
+    ("oracle.dim_cap", "{} is no longer read: the cap is " + str(DEFAULT_DIM_CAP),
+     lambda v, f: v not in (None, DEFAULT_DIM_CAP)),
+    ("expansion.workers", None, None), ("expansion.theta", None, None),
+    ("expansion.q_prefactor", None, None),
+    ("expansion.polymer_threshold", _number, ("must be nonnegative", lambda t, f: t < 0)),
+    ("oracle", *_SECTION),
+    ("oracle.l_max", *_INTEGER),
+    ("oracle.site", *_INTEGER),
+    ("oracle.anchor", *_INTEGER),
+    ("oracle.l_max", "{} must be >= 1", lambda v, f: _is_int(v) and v < 1),
+    ("oracle.family", "{} must be hopping or density",
+     lambda v, f: v not in (None, "hopping", "density")),
+    ("oracle.site", *_SITE),
+    ("oracle.anchor", *_SITE),
+    ("oracle.partitions", _site_lists, None),
+    ("oracle.beta_list", _betas, None),
+    ("output", *_SECTION),
+    ("output.format", "{} must be json or csv", lambda v, f: v not in (None, "json", "csv")),
+    ("output.format", "{}=csv is only supported for " + str(list(_TABULAR)),
+     lambda v, f: v == "csv" and f["command"] not in (None, *_TABULAR)),
+    ("output.path", "{} must be a string", lambda v, f: v is not None and not isinstance(v, str)),
+    ("expansion.m", "{} is required for this command",
+     lambda v, f: v is None and f["command"] in ("approx", "compare", "kp")),
+    ("expansion.q", "{} is required for this command",
+     lambda v, f: v is None and f["command"] is not None),
+)
 
 
 def validate_config(config: dict, command: str | None = None) -> list[str]:
-    """Collect every validation problem (never stops at the first)."""
-    problems: list[str] = []
-
-    if not isinstance(_get(config, "model"), dict):
-        problems.append("missing or invalid section: model")
-
-    periodic = _get(config, "model.periodic")
-    if periodic is not None and not isinstance(periodic, bool):
-        problems.append("model.periodic must be true or false")
+    """Collect every validation problem (never stops at the first): each key
+    the table does not know, naming the nearest known key of its section,
+    then each known key's problems in table order."""
+    problems = []
+    for section in dict.fromkeys(row[0].rpartition(".")[0] for row in _KEYS):
+        known = [row[0] for row in _KEYS if row[0].rpartition(".")[0] == section]
+        node = _get(config, section) if section else config
+        for name, value in node.items() if isinstance(node, dict) else ():
+            path = f"{section}.{name}" if section else name
+            if path not in known and value is not None:
+                import difflib  # here alone: a valid config never loads it
+                (near,) = difflib.get_close_matches(path, known, n=1, cutoff=0.0)
+                problems.append(f"{path} is not a known key; the nearest is {near}")
 
     dims = _get(config, "model.dims")
-    n_sites = None
-    if not isinstance(dims, list) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
-        problems.append("model.dims must be a nonempty list of integers >= 1")
-    else:
-        n_sites = math.prod(dims)
-
-    beta = _get(config, "model.beta")
-    if beta is None:
-        problems.append("model.beta is required")
-    else:
-        _number(beta, "model.beta", problems, lambda b: not b > 0, "must be positive")
-
-    if not isinstance(_get(config, "model.coupling"), dict):
-        problems.append("model.coupling must be an object with a kind")
-    kind = _get(config, "model.coupling.kind")
-    if kind not in ("long_range", "finite_range", "explicit"):
-        problems.append(
-            "model.coupling.kind must be one of long_range, finite_range, explicit"
-        )
-    # an absent g or alpha reads as 0, which the bounds refuse
-    if kind in ("long_range", "finite_range"):
-        g = _get(config, "model.coupling.g", 0.0)
-        _number(g, "model.coupling.g", problems, lambda g: g <= 0, "must be positive")
-    if kind == "long_range":
-        n_dims = len(dims) if isinstance(dims, list) else 0
-        _number(_get(config, "model.coupling.alpha", 0.0), "model.coupling.alpha", problems,
-                lambda a: 0 < n_dims and a <= n_dims, f"must exceed the dimension D = {n_dims}")
-    elif kind == "finite_range":
-        d_c = _get(config, "model.coupling.d_c")
-        if not _is_int(d_c) or d_c < 1:
-            problems.append("model.coupling.d_c must be an integer >= 1")
-    matrix = _get(config, "model.coupling.matrix")
-    if kind == "explicit" and not isinstance(matrix, list):
-        problems.append("model.coupling.matrix is required for explicit kind")
-    # numpy would read true as 1.0 and "0.1" as 0.1; shape and finiteness
-    # are build_couplings' to check
-    for i, row in enumerate(matrix if isinstance(matrix, list) else []):
-        for j, entry in enumerate(row if isinstance(row, list) else []):
-            if not _is_number(entry):
-                problems.append(f"model.coupling.matrix[{i}][{j}] must be a number, got {entry!r}")
-
-    for name, bad in (("U", lambda x: x <= 0), ("mu", None)):
-        value = _get(config, f"model.{name}")
-        if value is None:
-            problems.append(f"model.{name} is required")
-        elif isinstance(value, list):
-            if n_sites is not None and len(value) != n_sites:
-                problems.append(f"model.{name} list must have length N = {n_sites}")
-            for k, entry in enumerate(value):
-                _number(entry, f"model.{name}[{k}]", problems, bad, "must be strictly positive")
-        elif not _is_number(value):
-            problems.append(f"model.{name} must be a number or per-site list")
-        else:
-            _number(value, f"model.{name}", problems, bad, "must be strictly positive")
-
-    _section(config, "expansion", problems)
-    m = _get(config, "expansion.m")
-    if m is not None and (not _is_int(m) or m < 1):
-        problems.append("expansion.m must be an integer >= 1")
-    q = _get(config, "expansion.q")
-    if q is not None and q != "auto" and (not _is_int(q) or q < 1):
-        problems.append('expansion.q must be an integer >= 1 or "auto"')
-    # legacy keys that would change q or the cap; equal ones, and all others, are ignored
-    if _get(config, "expansion.q_policy") == "auto":
-        problems.append('expansion.q_policy is no longer read: set expansion.q = "auto"')
-    if _get(config, "oracle.q") not in (None, q):
-        problems.append("oracle.q is no longer read: set expansion.q")
-    if _get(config, "oracle.dim_cap") not in (None, DEFAULT_DIM_CAP):
-        problems.append(f"oracle.dim_cap is no longer read: the cap is {DEFAULT_DIM_CAP}")
-    threshold = _get(config, "expansion.polymer_threshold")
-    if threshold is not None:
-        _number(threshold, "expansion.polymer_threshold", problems,
-                lambda t: t < 0, "must be nonnegative")
-
-    _section(config, "oracle", problems)
-    ints = {name: _get(config, f"oracle.{name}") for name in ("l_max", "site", "anchor")}
-    for name, value in ints.items():
-        if value is not None and not _is_int(value):
-            problems.append(f"oracle.{name} must be an integer")
-    if _is_int(ints["l_max"]) and ints["l_max"] < 1:
-        problems.append("oracle.l_max must be >= 1")
-    if _get(config, "oracle.family") not in (None, "hopping", "density"):
-        problems.append("oracle.family must be hopping or density")
-    for name in ("site", "anchor"):
-        value = ints[name]
-        if isinstance(value, int) and n_sites is not None and not 0 <= value < n_sites:
-            problems.append(f"oracle.{name} must be a site index in [0, {n_sites})")
-    partitions = _get(config, "oracle.partitions")
-    if partitions is not None:
-        if not isinstance(partitions, list):
-            problems.append("oracle.partitions must be a list of site lists")
-        else:
-            for part in partitions:
-                if not isinstance(part, list) or not part:
-                    problems.append("oracle.partitions entries must be nonempty site lists")
-                    continue
-                if n_sites is not None:
-                    if any(not _is_int(s) or not 0 <= s < n_sites for s in part):
-                        problems.append(f"oracle.partitions entry {part} has invalid sites")
-                    elif len(set(part)) == n_sites:
-                        problems.append(
-                            f"oracle.partitions entry {part} covers the whole lattice "
-                            "(complement is empty)"
-                        )
-                    elif len(set(part)) != len(part):
-                        problems.append(f"oracle.partitions entry {part} repeats sites")
-    beta_list = _get(config, "oracle.beta_list")
-    if beta_list is not None:
-        if not isinstance(beta_list, list) or not beta_list or any(
-            not _is_number(b) or b <= 0 for b in beta_list
-        ):
-            problems.append("oracle.beta_list must be a nonempty list of positive numbers")
-        else:
-            for k, b in enumerate(beta_list):
-                _number(b, f"oracle.beta_list[{k}]", problems)
-
-    _section(config, "output", problems)
-    fmt = _get(config, "output.format")
-    if fmt not in (None, "json", "csv"):
-        problems.append("output.format must be json or csv")
-    elif fmt == "csv" and command is not None and command not in _TABULAR:
-        problems.append(f"output.format=csv is only supported for {sorted(_TABULAR)}")
-    path = _get(config, "output.path")
-    if path is not None and not isinstance(path, str):
-        problems.append("output.path must be a string")
-
-    if command in ("approx", "compare", "kp") and m is None:
-        problems.append("expansion.m is required for this command")
-    if command is not None and q is None:
-        problems.append("expansion.q is required for this command")
-
+    valid = isinstance(dims, list) and dims and all(_is_int(d) and d >= 1 for d in dims)
+    facts = {"command": command, "n_sites": math.prod(dims) if valid else None,
+             "n_dims": len(dims) if isinstance(dims, list) else 0, "q": _get(config, "expansion.q")}
+    for path, check, bound, *kinds in _KEYS:
+        if kinds and _get(config, "model.coupling.kind") not in kinds:
+            continue
+        value = _get(config, path, 0 if kinds else None)
+        if isinstance(check, str) and bound(value, facts):
+            problems.append(check.format(path, **facts))
+        elif callable(check) and value is not None:
+            problems += check(path, value, bound, facts)
     return problems
 
 
@@ -307,9 +301,7 @@ def build_model(config: dict) -> ModelInstance:
 
 
 def build_expansion_config(config: dict) -> ExpansionConfig:
-    """The expansion section's ``m``, ``q`` and ``polymer_threshold``.  Other
-    keys are ignored: the legacy ``workers``, ``theta``, ``q_prefactor`` and
-    ``q_policy`` = "explicit" among them."""
+    """The expansion section's ``m``, ``q`` and ``polymer_threshold``."""
     return ExpansionConfig(_get(config, "expansion.m"), _get(config, "expansion.q"),
                            _get(config, "expansion.polymer_threshold", 0.0))
 

@@ -60,8 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import EigensolverError, check_dim_cap, onsite_log_trace, restricted_log_partition
-from .lattice import ModelInstance, interaction_edges
+from .fock import (EigensolverError, check_dim_cap, onsite_log_trace, restricted_log_partition,
+                   sector_blocks)
+from .lattice import ModelInstance, ResourceCapError, interaction_edges
 from .polymers import check_polymer_caps, enumerate_polymers, subset_components
 
 __all__ = [
@@ -77,6 +78,11 @@ KP_RHS = 0.5  # delta_1 of a single-site probe polymer, k = 2
 # factor stands in for a nonconstructive constant, and is the former default
 # q_prefactor * (theta + 1) = 2 * 2, a product that is exact in floating point
 AUTO_Q_FACTOR = 4.0
+# Caps on the edge subsets the expansion walks, sum_p 2^|p|, and on its
+# eigensolve cost, sum_p sum_sectors dim^3: above every run so far (the 6x6
+# square at m=6, q=1: 1.46e6 and 2.1e9), below hours of solves.
+MAX_SUBSETS = 10_000_000
+MAX_SOLVE_COST = 10**11
 
 
 @dataclass(frozen=True)
@@ -146,16 +152,25 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     products of those weights over the proper subsets.  Refuses, from the
     thresholded couplings and before the alphabet is built, an order or
     polymer count past the caps, and, before any solve, a polymer support
-    whose truncated space (q+1)^|V| exceeds the default dimension cap.  A
-    weight, log Xi series or row that an overflow leaves not finite raises
-    ArithmeticError.
+    whose truncated space (q+1)^|V| exceeds the default dimension cap, or
+    work past MAX_SUBSETS or MAX_SOLVE_COST.  A weight, log Xi series or row
+    that an overflow leaves not finite raises ArithmeticError.
     """
     m = cfg.m
     alphabet = np.abs(model.couplings) > cfg.polymer_threshold
     degree = alphabet.sum(axis=1)
     check_polymer_caps(degree, m)
     polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)
-    check_dim_cap(q, max((len(p.support) for p in polymers), default=0))
+    widths = {len(p.support) for p in polymers}
+    check_dim_cap(q, max(widths, default=0))
+    cubes = {w: sum(b.dim**3 for b in sector_blocks(range(w), q)) for w in widths}
+    work = (sum(1 << p.size for p in polymers), sum(cubes[len(p.support)] for p in polymers))
+    for what, count, cap in zip(("{} edge subsets exceed", "an eigensolve cost of {} exceeds"),
+                                work, (MAX_SUBSETS, MAX_SOLVE_COST)):
+        if count > cap:
+            error = ResourceCapError(what, count, cap)
+            error.details += [f"subsets={work[0]}", f"solve_cost={work[1]}"]
+            raise error
 
     weights = {}
     orders: list[list[float]] = [[] for _ in range(m + 1)]

@@ -1653,3 +1653,106 @@ def test_non_finite_oracle_eigenvalue_is_a_numerical_failure(monkeypatch, capsys
     message = "eigensolver returned non-finite eigenvalues on the N=6 sector"
     assert json.loads(capsys.readouterr().out)["error"] == {
         "code": "numerical_failure", "message": message, "details": [message]}
+
+
+# --- unknown keys ----------------------------------------------------------------
+
+_CHAIN4 = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+
+# one misspelt key per section: (command, --set values, the key, its nearest known key)
+_MISSPELT = [
+    ("exact", ["oracel={}"], "oracel", "oracle"),
+    ("approx", ["model.bta=0.1"], "model.bta", "model.beta"),
+    ("approx", ["model.coupling.d_C=1"], "model.coupling.d_C", "model.coupling.d_c"),
+    ("approx", ["expansion.polymer_treshold=0.5"], "expansion.polymer_treshold",
+     "expansion.polymer_threshold"),
+    ("exact", ["oracle=null", "oracle.partitons=[[0,1]]"], "oracle.partitons",
+     "oracle.partitions"),
+    ("clustering", ["output.fromat=csv"], "output.fromat", "output.format"),
+]
+
+
+@pytest.mark.parametrize("command,settings,key,nearest", _MISSPELT,
+                         ids=[case[2] for case in _MISSPELT])
+def test_misspelt_key_is_refused_naming_its_nearest_known_key(command, settings, key, nearest,
+                                                              monkeypatch, capsys):
+    # each ran the model the key was meant to change, without a word
+    monkeypatch.setattr(bosepoly.cli, "build_model", _no_model)
+    assert run([command, _CHAIN4, *(arg for s in settings for arg in ("--set", s))]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "config_error"
+    assert error["details"] == [f"{key} is not a known key; the nearest is {nearest}"]
+
+
+def test_unknown_keys_come_first_and_null_reads_as_absent():
+    config = _edit(base_config(), {"model.beta": _DELETE, "model.bta": 0.1, "extra": [1],
+                                   "expansion.polymer_treshold": None})
+    assert validate_config(config, "approx") == [
+        "extra is not a known key; the nearest is expansion",
+        "model.bta is not a known key; the nearest is model.beta",
+        "model.beta is required",
+    ]
+
+
+def test_harness_shaped_config_validates():
+    # the shape the benchmark harness writes: q_policy "explicit", workers 1,
+    # and an oracle.q equal to expansion.q
+    config = _edit(base_config(), {
+        "model.U": [1.0, 1.1, 0.9, 1.0], "model.mu": [0.1, 0.2, 0.3, 0.4],
+        "expansion": {"m": 4, "q": 2, "q_policy": "explicit", "workers": 1},
+        "oracle": {"site": 0, "l_max": 4, "anchor": 0, "family": "hopping", "q": 2,
+                   "partitions": [[0, 1]]},
+    })
+    for command in bosepoly.cli.COMMANDS:
+        assert validate_config(config, command) == []
+
+
+def test_only_an_unknown_key_loads_difflib(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pathlib.Path(__file__).parent.parent / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    script = ("import sys\nfrom bosepoly.cli import run\n"
+              "print(run(sys.argv[1:]), 'difflib' in sys.modules, file=sys.stderr)")
+
+    def loaded(*settings):
+        argv = [sys.executable, "-c", script, "approx", _CHAIN4,
+                "--set", f"output.path={tmp_path / 'out.json'}", *settings]
+        return subprocess.run(argv, env=env, capture_output=True, text=True).stderr.split()
+
+    assert loaded() == ["0", "False"]
+    assert loaded("--set", "expansion.polymer_treshold=0.5") == ["2", "True"]
+
+
+# --- the expansion's work cap --------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims,m,q,budget,message,details", [
+    # 4,961 polymers, each support within the dimension cap, whose
+    # eigensolves would take hours
+    ("[4,4]", 6, 3, 1.0, "an eigensolve cost of 134079514211456 exceeds the cap 100000000000",
+     ["required=134079514211456", "allowed=100000000000", "subsets=249392",
+      "solve_cost=134079514211456"]),
+    # the count waits for the enumeration of 48,144 polymers
+    ("[3,5]", 9, 1, 10.0, "17774004 edge subsets exceed the cap 10000000",
+     ["required=17774004", "allowed=10000000", "subsets=17774004", "solve_cost=893078806766"]),
+], ids=["4x4-q3-m6", "3x5-q1-m9"])
+def test_approx_work_cap_refuses_before_any_solve(dims, m, q, budget, message, details,
+                                                  monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a polymer was solved")
+
+    monkeypatch.setattr(bosepoly.expansion, "restricted_log_partition", no_solve)
+    start = time.perf_counter()
+    code = run(["approx", _CHAIN4, "--set", f"model.dims={dims}", "--set", f"expansion.m={m}",
+                "--set", f"expansion.q={q}"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"code": "resource_cap", "message": message, "details": details}
+    assert elapsed < budget, elapsed

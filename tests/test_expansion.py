@@ -418,3 +418,28 @@ def test_config_without_m_only_resolves_the_cutoff():
     assert resolve_cutoff(4, 0.1, "auto") == math.ceil(2.0 * 2.0 * math.log(4) / math.sqrt(0.1))
     with pytest.raises(TypeError):
         ExpansionConfig(q="auto")
+
+
+def test_work_caps_count_subsets_and_sector_cubes_exactly(monkeypatch):
+    # chain4_nn's polymers, with both counts brute forced: each cap refuses a
+    # count above it, and lets one equal to it run
+    import itertools
+    from collections import Counter
+
+    from bosepoly.lattice import ResourceCapError
+
+    model, cfg = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5), ExpansionConfig(m=4, q=3)
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), cfg.m)
+    subsets, cost = sum(2**p.size for p in polymers), 0
+    for p in polymers:
+        states = itertools.product(range(cfg.q + 1), repeat=len(p.support))
+        cost += sum(dim**3 for dim in Counter(map(sum, states)).values())
+    for name, count in (("MAX_SUBSETS", subsets), ("MAX_SOLVE_COST", cost)):
+        monkeypatch.setattr(bosepoly.expansion, name, count)
+        approximate_log_partition(model, cfg)
+        monkeypatch.setattr(bosepoly.expansion, name, count - 1)
+        with pytest.raises(ResourceCapError) as refused:
+            approximate_log_partition(model, cfg)
+        assert (refused.value.required, refused.value.allowed) == (count, count - 1)
+        assert refused.value.details[2:] == [f"subsets={subsets}", f"solve_cost={cost}"]
+        monkeypatch.undo()
