@@ -21,7 +21,7 @@ from .fock import (  # noqa: F401
     restricted_log_partition,
     sector_blocks,
 )
-from .polymers import Polymer, enumerate_polymers  # noqa: F401
+from .polymers import enumerate_polymers  # noqa: F401
 from .expansion import (  # noqa: F401
     ExpansionConfig,
     ExpansionReport,

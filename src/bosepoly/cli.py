@@ -217,7 +217,7 @@ _KEYS = (
     ("expansion.q", '{} must be an integer >= 1 or "auto"',
      lambda v, f: v not in (None, "auto") and (not _is_int(v) or v < 1)),
     ("expansion.q_policy", '{} is no longer read: set expansion.q = "auto"',
-     lambda v, f: v == "auto"),
+     lambda v, f: v not in (None, "explicit")),
     ("oracle.q", "{} is no longer read: set expansion.q", lambda v, f: v not in (None, f["q"])),
     ("oracle.dim_cap", "{} is no longer read: the cap is " + str(DEFAULT_DIM_CAP),
      lambda v, f: v not in (None, DEFAULT_DIM_CAP)),

@@ -161,10 +161,11 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     degree = alphabet.sum(axis=1)
     check_polymer_caps(degree, m)
     polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)
-    widths = {len(p.support) for p in polymers}
+    supports = [sorted({site for e in s for site in e}) for s in polymers]
+    widths = set(map(len, supports))
     check_dim_cap(q, max(widths, default=0))
     cubes = {w: sum(b.dim**3 for b in sector_blocks(range(w), q)) for w in widths}
-    work = (sum(1 << p.size for p in polymers), sum(cubes[len(p.support)] for p in polymers))
+    work = (sum(1 << len(s) for s in polymers), sum(cubes[len(v)] for v in supports))
     for what, count, cap in zip(("{} edge subsets exceed", "an eigensolve cost of {} exceeds"),
                                 work, (MAX_SUBSETS, MAX_SOLVE_COST)):
         if count > cap:
@@ -174,8 +175,7 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
 
     weights = {}
     orders: list[list[float]] = [[] for _ in range(m + 1)]
-    for polymer in polymers:
-        s, v = polymer.edges, sorted(polymer.support)
+    for s, v in zip(polymers, supports):
         try:  # log g(K) on K's own support: hopping trace minus free trace
             log_g = (restricted_log_partition(model, v, s, q)
                      - onsite_log_trace(model, v, q, model.beta))

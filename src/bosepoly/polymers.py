@@ -1,28 +1,29 @@
-"""Polymers: connected sets of interaction edges.
+"""The polymers of the expansion: connected sets of interaction edges.
 
 A polymer is a set of distinct interaction edges whose edge-overlap graph
-(edges as vertices, adjacency = shared site) is connected.  Two polymers
-are compatible when their site supports are disjoint, and an edge set
-splits into site-connected components, each of them a polymer.
+(edges as vertices, adjacency = shared site) is connected, held as the
+tuple of its sorted edges, each a sorted site pair.  Two polymers are
+compatible when their site supports are disjoint, and an edge set splits
+into site-connected components, each of them a polymer.
 
 Enumeration is exact-once and deterministic.  Each polymer is a bitmask over
 the sorted alphabet, and its border is the OR of its edges' line-graph
-masks: every alphabet edge that shares a site with one of its edges.
-Polymers are grown one size at a time: every polymer of size s, with each
+masks: every alphabet edge that shares a site with one of its edges.  The
+walk grows them one size at a time: every polymer of size s, with each
 border edge not already in it, gives a polymer of size s + 1, and a dict
 keyed by mask keeps each one once, however many growth paths reach it.
-They are emitted in canonical (size-then-lexicographic) order, at most
-``MAX_POLYMERS`` of at most ``MAX_ORDER`` edges.  ``subset_components``
-splits each edge subset of a polymer into components, which depend only on
-the polymer's line graph (which of its sorted edges share a site).  So the
-split runs once per line graph, on bitmasks over its edges, for every
-polymer of that shape.
+Each edge tuple is built sorted, distinct and connected, so nothing
+re-checks it.  They come out in canonical (size, then lexicographic) order,
+at most ``MAX_POLYMERS`` of at most ``MAX_ORDER`` edges.
+``subset_components`` splits each edge subset of a polymer into components,
+which depend only on the polymer's line graph (which of its sorted edges
+share a site).  So the split runs once per line graph, on bitmasks over its
+edges, for every polymer of that shape.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -33,7 +34,6 @@ from .lattice import ResourceCapError
 __all__ = [
     "MAX_ORDER",
     "MAX_POLYMERS",
-    "Polymer",
     "check_polymer_caps",
     "enumerate_polymers",
     "subset_components",
@@ -94,39 +94,11 @@ def _decomposition(line_graph: tuple[int, ...]) -> tuple:
 def subset_components(edges):
     """``(size, components)`` of every subset of a polymer's sorted edges, by
     ascending size and each size in ``combinations`` order.  Components are
-    sorted edge tuples, in ``Polymer.key`` order (size, then lowest edge)."""
+    sorted edge tuples, in canonical order (size, then lowest edge)."""
     parts, subsets = _decomposition(_line_graph(edges))
     named = [tuple(edges[j] for j in part) for part in parts]
     for size, ids in subsets:
         yield size, tuple([named[i] for i in ids])
-
-
-@dataclass(frozen=True)
-class Polymer:
-    """A connected set of interaction edges."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        if len(set(edges)) != len(edges):
-            raise ValueError("polymer edges must be distinct")
-        if len(_split(_line_graph(edges), (1 << len(edges)) - 1)) != 1:
-            raise ValueError(f"edge set {edges} is not connected")
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(s for e in self.edges for s in e)
-
-    @property
-    def key(self):
-        """Canonical sort key: size first, then the sorted edge tuple."""
-        return (len(self.edges), self.edges)
 
 
 def check_polymer_caps(degrees, max_size: int) -> None:
@@ -146,8 +118,9 @@ def check_polymer_caps(degrees, max_size: int) -> None:
         raise ResourceCapError("at least {} polymers exceed", count, MAX_POLYMERS)
 
 
-def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
-    """All connected edge-sets of size <= max_size, in canonical order."""
+def enumerate_polymers(edge_alphabet, max_size: int) -> list[tuple[tuple[int, int], ...]]:
+    """All connected edge sets of size <= max_size, each as its sorted edge
+    tuple, in canonical order: by size, then lexicographically."""
     edges = sorted(set(tuple(sorted(e)) for e in edge_alphabet))
     if any(e[0] == e[1] for e in edges):
         raise ValueError("self-loop edges are not allowed")
@@ -158,7 +131,7 @@ def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
     layer = {1 << k: (line_graph[k], (e,)) for k, e in enumerate(edges)}
     polymers = []
     for size in range(1, max_size + 1):
-        polymers += [Polymer(members) for _border, members in layer.values()]
+        polymers += sorted(members for _border, members in layer.values())
         if size == max_size:
             break
         grown = {}
@@ -176,4 +149,4 @@ def enumerate_polymers(edge_alphabet, max_size: int) -> list[Polymer]:
                 raise ResourceCapError("at least {} polymers exceed", MAX_POLYMERS + 1,
                                        MAX_POLYMERS)
         layer = grown
-    return sorted(polymers, key=lambda p: p.key)
+    return polymers

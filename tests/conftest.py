@@ -42,7 +42,13 @@ def weights_at(model, m, q, threshold=0.0):
 
 
 def weight(polymer, model, q):
-    return weights_at(model, polymer.size, q)[polymer.edges]
+    """The weight of one polymer, given as its sorted edge tuple."""
+    return weights_at(model, len(polymer), q)[polymer]
+
+
+def support(polymer):
+    """The sites of a polymer's edges."""
+    return frozenset(s for e in polymer for s in e)
 
 
 @pytest.fixture

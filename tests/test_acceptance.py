@@ -40,7 +40,7 @@ from bosepoly.oracle import (
 )
 from bosepoly.polymers import enumerate_polymers, subset_components
 
-from conftest import make_chain, make_explicit, make_long_range_chain, weights_at
+from conftest import make_chain, make_explicit, make_long_range_chain, support, weights_at
 from fock_reference import dense_thermal_matrix
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -60,10 +60,10 @@ def admissible_product_sum(polymers, weights):
     total = 0.0
     for r in range(len(polymers) + 1):
         for combo in itertools.combinations(polymers, r):
-            if all(a.support.isdisjoint(b.support) for a, b in itertools.combinations(combo, 2)):
+            if all(support(a).isdisjoint(support(b)) for a, b in itertools.combinations(combo, 2)):
                 term = 1.0
                 for p in combo:
-                    term *= weights[p.edges]
+                    term *= weights[p]
                 total += term
     return total
 
@@ -300,7 +300,7 @@ def test_c06_polymer_cluster_counting():
             if not alphabet:
                 continue
             alphabets += 1
-            got = {frozenset(p.edges) for p in enumerate_polymers(alphabet, len(alphabet))}
+            got = {frozenset(p) for p in enumerate_polymers(alphabet, len(alphabet))}
             assert got == _brute_connected_edge_sets(alphabet, len(alphabet))
     elapsed = time.perf_counter() - start
     report(6, True, f"{alphabets} alphabets from 3 universes, polymers of every size", elapsed, 10.0)

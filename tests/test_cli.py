@@ -237,9 +237,12 @@ _MESSAGE_CASES = [
         "expansion.q is required for this command",
     ]),
     ("approx", {"expansion.m": 0}, ["expansion.m must be an integer >= 1"]),
-    # legacy cutoff keys are ignored, except a q_policy of auto
-    ("approx", {"expansion.q_policy": "x"}, []),
+    # legacy cutoff keys are ignored, except a q_policy other than explicit
+    ("approx", {"expansion.q_policy": "x"},
+     ['expansion.q_policy is no longer read: set expansion.q = "auto"']),
     ("approx", {"expansion.q_policy": "auto"},
+     ['expansion.q_policy is no longer read: set expansion.q = "auto"']),
+    ("approx", {"expansion.q_policy": "Auto"},
      ['expansion.q_policy is no longer read: set expansion.q = "auto"']),
     ("approx", {"expansion.q": 0}, ['expansion.q must be an integer >= 1 or "auto"']),
     ("approx", {"expansion.theta": "x", "expansion.q_prefactor": 0}, []),

@@ -13,9 +13,10 @@ from bosepoly.expansion import (
 )
 from bosepoly.fock import onsite_energy, onsite_log_trace, restricted_log_partition
 from bosepoly.lattice import interaction_edges
-from bosepoly.polymers import Polymer, enumerate_polymers
+from bosepoly.polymers import enumerate_polymers
 
-from conftest import make_chain, make_explicit, make_long_range_chain, weight, weights_at
+from conftest import (make_chain, make_explicit, make_long_range_chain, support, weight,
+                      weights_at)
 from expansion_reference import linked_cluster_rows
 from ursell_reference import cluster_per_order
 
@@ -70,7 +71,7 @@ def test_m1_is_sum_of_single_edge_weights():
     q = 2
     res = approximate_log_partition(model, ExpansionConfig(m=1, q=q))
     expected = sum(
-        weight(Polymer((e,)), model, q)
+        weight((e,), model, q)
         for e in interaction_edges(model.couplings, 0.0)
     )
     assert res.t_m == pytest.approx(expected, rel=1e-12)
@@ -97,13 +98,13 @@ def test_order_two_mixed_term_is_minus_product():
     q = 1
     w = {}
     for e in ((0, 1), (1, 2)):
-        w[e] = weight(Polymer((e,)), model, q)
+        w[e] = weight((e,), model, q)
     cfg = ExpansionConfig(m=2, q=q, polymer_threshold=0.0)
     res = approximate_log_partition(model, cfg)
     order2 = dict((oc.order, oc.contribution) for oc in res.per_order)[2]
     wa, wb = w[(0, 1)], w[(1, 2)]
     # exclude the two-edge polymer's own singleton cluster from the brute sum
-    big = weight(Polymer(((0, 1), (1, 2))), model, q)
+    big = weight(((0, 1), (1, 2)), model, q)
     assert order2 - big == pytest.approx(-(wa**2 + wb**2) / 2 - wa * wb, rel=1e-10)
 
 
@@ -146,13 +147,12 @@ def test_report_invariants():
 
 def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
     # once per line graph (which sorted edges share a site), for all the
-    # polymers of that shape; each Polymer splits its whole edge set once
-    # to check that it is connected
+    # polymers of that shape
     model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
     shapes = {
-        tuple(frozenset(j for j, f in enumerate(p.edges) if j != k and set(e) & set(f))
-              for k, e in enumerate(p.edges))
+        tuple(frozenset(j for j, f in enumerate(p) if j != k and set(e) & set(f))
+              for k, e in enumerate(p))
         for p in polymers
     }
     calls = []
@@ -165,7 +165,7 @@ def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
     bosepoly.polymers._decomposition.cache_clear()
     monkeypatch.setattr(bosepoly.polymers, "_split", counting)
     approximate_log_partition(model, ExpansionConfig(m=3, q=2))
-    assert len(calls) == len(polymers) + sum(2 ** len(shape) for shape in shapes)
+    assert len(calls) == sum(2 ** len(shape) for shape in shapes)
     assert len(shapes) < len(polymers) // 4
 
 
@@ -189,24 +189,9 @@ def test_approx_solves_each_polymer_once_and_walks_its_subsets_once(monkeypatch)
     monkeypatch.setattr(bosepoly.expansion, "subset_components", counting_walk)
     monkeypatch.setattr(bosepoly.expansion, "restricted_log_partition", counting_solve)
     report = approximate_log_partition(model, ExpansionConfig(m=4, q=2))
-    polymers = [p.edges for p in enumerate_polymers(interaction_edges(model.couplings, 0.0), 4)]
+    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 4)
     assert walked == solved == polymers
     assert report.polymer_count == len(polymers)
-
-
-def test_approx_builds_one_polymer_per_enumerated_polymer(monkeypatch):
-    model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
-    count = len(enumerate_polymers(interaction_edges(model.couplings, 0.0), 3))
-    built = []
-    post_init = Polymer.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Polymer, "__post_init__", counting)
-    approximate_log_partition(model, ExpansionConfig(m=3, q=2))
-    assert len(built) == count
 
 
 def test_determinism_across_runs():
@@ -287,7 +272,7 @@ def test_single_edge_rows_are_the_log1p_series_to_order_eleven():
     # one edge at m = 11: the order-11 cluster has eleven copies of one
     # polymer, and row k must be the z^k coefficient of log(1 + w z)
     model = make_chain(2, g=0.3, beta=0.5, U=1.0, mu=0.0)
-    w = weight(Polymer(((0, 1),)), model, 1)
+    w = weight(((0, 1),), model, 1)
     res = approximate_log_partition(model, ExpansionConfig(m=11, q=1))
     assert [oc.order for oc in res.per_order] == list(range(1, 12))
     for oc in res.per_order:
@@ -362,7 +347,7 @@ def test_weights_share_lattice_symmetry():
     model = make_chain(4, g=0.4, beta=0.3, U=1.0, mu=0.1, periodic=True)
     res = approximate_log_partition(model, ExpansionConfig(m=1, q=2))
     values = {
-        e: weight(Polymer((e,)), model, 2)
+        e: weight((e,), model, 2)
         for e in interaction_edges(model.couplings, 0.0)
     }
     vals = list(values.values())
@@ -430,9 +415,9 @@ def test_work_caps_count_subsets_and_sector_cubes_exactly(monkeypatch):
 
     model, cfg = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5), ExpansionConfig(m=4, q=3)
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), cfg.m)
-    subsets, cost = sum(2**p.size for p in polymers), 0
+    subsets, cost = sum(2 ** len(p) for p in polymers), 0
     for p in polymers:
-        states = itertools.product(range(cfg.q + 1), repeat=len(p.support))
+        states = itertools.product(range(cfg.q + 1), repeat=len(support(p)))
         cost += sum(dim**3 for dim in Counter(map(sum, states)).values())
     for name, count in (("MAX_SUBSETS", subsets), ("MAX_SOLVE_COST", cost)):
         monkeypatch.setattr(bosepoly.expansion, name, count)

@@ -5,9 +5,10 @@ import pytest
 
 import bosepoly.polymers
 from bosepoly.lattice import ResourceCapError, build_couplings, build_lattice, interaction_edges
-from bosepoly.polymers import Polymer, enumerate_polymers, subset_components
+from bosepoly.polymers import enumerate_polymers, subset_components
 from ursell_reference import (
     Cluster,
+    Polymer,
     copy_incompatibility_graph,
     enumerate_clusters,
     incompatible,
@@ -121,7 +122,7 @@ def test_incompatibility():
 
 def test_enumerate_chain3():
     polymers = enumerate_polymers(CHAIN3, 2)
-    assert [p.edges for p in polymers] == [
+    assert polymers == [
         ((0, 1),),
         ((1, 2),),
         ((0, 1), (1, 2)),
@@ -136,7 +137,7 @@ def test_enumerate_triangle_size2():
 def test_enumerate_size1_is_one_per_edge():
     for alphabet in (CHAIN3, TRIANGLE, K4):
         polymers = enumerate_polymers(alphabet, 1)
-        assert {p.edges[0] for p in polymers} == set(alphabet)
+        assert {p[0] for p in polymers} == set(alphabet)
 
 
 @pytest.mark.parametrize(
@@ -152,13 +153,13 @@ def test_enumerate_size1_is_one_per_edge():
 )
 @pytest.mark.parametrize("max_size", [1, 2, 3, 6])
 def test_enumeration_matches_brute_force(alphabet, max_size):
-    got = {frozenset(p.edges) for p in enumerate_polymers(alphabet, max_size)}
+    got = {frozenset(p) for p in enumerate_polymers(alphabet, max_size)}
     assert got == brute_polymers(alphabet, max_size)
 
 
 def test_emission_order_is_canonical_and_duplicate_free():
     polymers = enumerate_polymers(K4, 4)
-    keys = [p.key for p in polymers]
+    keys = [(len(p), p) for p in polymers]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
@@ -169,17 +170,35 @@ def test_dense_alphabet_matches_brute_force_in_canonical_order():
     square = build_couplings(build_lattice([3, 3]), "long_range", g=0.1, alpha=3.0)
     alphabet = interaction_edges(square, 0.0)
     polymers = enumerate_polymers(alphabet, 4)
-    keys = [p.key for p in polymers]
+    keys = [(len(p), p) for p in polymers]
     assert len(alphabet) == 36 and len(polymers) == 20_028
-    assert {frozenset(p.edges) for p in polymers} == brute_polymers(alphabet, 4)
+    assert {frozenset(p) for p in polymers} == brute_polymers(alphabet, 4)
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def test_enumeration_returns_sorted_edge_tuples_within_a_memory_bound():
+    # the returned tuples and one size's dict of masks at a time (5.3 MiB
+    # measured); no per-polymer object beside each tuple
+    square = build_couplings(build_lattice([6, 6]), "finite_range", g=0.1, d_c=1)
+    alphabet = interaction_edges(square, 0.0)
+    tracemalloc.start()
+    try:
+        polymers = enumerate_polymers(alphabet, 6)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(polymers) == 27_241
+    assert all(type(p) is tuple and list(p) == sorted(set(p))
+               and all(type(e) is tuple and len(e) == 2 and e[0] < e[1] for e in p)
+               for p in polymers)
+    assert peak < 10 * 2**20
+
+
 def test_components_split_an_edge_set_in_canonical_order():
-    # the path 0-1-2-3-4-5, given out of order; (1, 2) bridges (0, 1) and (2, 3)
-    polymer = Polymer(((4, 5), (0, 1), (2, 3), (1, 2), (3, 4)))
+    # the path 0-1-2-3-4-5; (1, 2) bridges (0, 1) and (2, 3)
+    polymer = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
     split = {tuple(sorted(sum(parts, ()))): parts
-             for _size, parts in subset_components(polymer.edges)}
+             for _size, parts in subset_components(polymer)}
     assert split[()] == ()
     assert split[((0, 1), (1, 2), (2, 3), (4, 5))] == (((4, 5),), ((0, 1), (1, 2), (2, 3)))
     assert split[((0, 1), (2, 3), (4, 5))] == (((0, 1),), ((2, 3),), ((4, 5),))
@@ -190,10 +209,10 @@ def test_subsets_decompose_every_edge_subset_in_size_then_combinations_order():
         for polymer in enumerate_polymers(alphabet, max_size):
             expected = [
                 (size, brute_components(subset))
-                for size in range(polymer.size + 1)
-                for subset in itertools.combinations(polymer.edges, size)
+                for size in range(len(polymer) + 1)
+                for subset in itertools.combinations(polymer, size)
             ]
-            assert list(subset_components(polymer.edges)) == expected, polymer.edges
+            assert list(subset_components(polymer)) == expected, polymer
 
 
 def test_walking_every_subset_retains_little_memory():
@@ -203,12 +222,12 @@ def test_walking_every_subset_retains_little_memory():
     tracemalloc.start()
     try:
         for polymer in polymers:
-            for _subset in subset_components(polymer.edges):
+            for _subset in subset_components(polymer):
                 pass
         retained, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(2**p.size for p in polymers) == 44_336
+    assert sum(2 ** len(p) for p in polymers) == 44_336
     assert retained < 2 * 2**20
 
 
@@ -238,7 +257,7 @@ def test_polymer_cap_stops_the_enumeration(monkeypatch):
 
 
 def test_clusters_chain3_m2():
-    polymers = enumerate_polymers(CHAIN3, 1)
+    polymers = [Polymer(p) for p in enumerate_polymers(CHAIN3, 1)]
     clusters = enumerate_clusters(polymers, 2)
     a = Polymer(((0, 1),))
     b = Polymer(((1, 2),))
@@ -268,13 +287,13 @@ def test_single_polymer_any_multiplicity_is_a_cluster():
 @pytest.mark.parametrize("alphabet", [CHAIN3, TRIANGLE, ((0, 1), (2, 3))])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_cluster_enumeration_matches_brute_force(alphabet, m):
-    polymers = enumerate_polymers(alphabet, m)
+    polymers = [Polymer(p) for p in enumerate_polymers(alphabet, m)]
     got = {tuple((p.key, mult) for p, mult in c.members) for c in enumerate_clusters(polymers, m)}
     assert got == brute_clusters(polymers, m)
 
 
 def test_cluster_emission_canonical():
-    polymers = enumerate_polymers(TRIANGLE, 2)
+    polymers = [Polymer(p) for p in enumerate_polymers(TRIANGLE, 2)]
     clusters = enumerate_clusters(polymers, 4)
     keys = [c.key for c in clusters]
     assert keys == sorted(keys)
@@ -319,9 +338,9 @@ def test_enumeration_matches_brute_force_random_alphabets():
         pairs = [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
         alphabet = tuple(sorted(rng.sample(pairs, k=min(6, rng.randint(2, len(pairs))))))
         m = rng.randint(1, 4)
-        got = {frozenset(p.edges) for p in enumerate_polymers(alphabet, m)}
+        got = {frozenset(p) for p in enumerate_polymers(alphabet, m)}
         assert got == brute_polymers(alphabet, m), (alphabet, m)
-        polymers = enumerate_polymers(alphabet, m)
+        polymers = [Polymer(p) for p in enumerate_polymers(alphabet, m)]
         got_clusters = {
             tuple((p.key, mult) for p, mult in c.members)
             for c in enumerate_clusters(polymers, m)

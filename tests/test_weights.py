@@ -12,17 +12,19 @@ from bosepoly.lattice import (
     build_lattice,
     interaction_edges,
 )
-from bosepoly.polymers import Polymer, enumerate_polymers
+from bosepoly.polymers import enumerate_polymers
 
-from conftest import make_chain, make_explicit, make_long_range_chain, weight, weights_at
+from conftest import (make_chain, make_explicit, make_long_range_chain, support, weight,
+                      weights_at)
+from ursell_reference import Polymer
 
 
-SINGLE_EDGE = Polymer(((0, 1),))
+SINGLE_EDGE = ((0, 1),)
 
 
 def g_ratio(model, polymer, edge_subset, q):
     """Reference g(T): the truncated-trace ratio on the polymer's full support."""
-    region = sorted(polymer.support)
+    region = sorted(support(polymer))
     return math.exp(
         restricted_log_partition(model, region, edge_subset, q)
         - restricted_log_partition(model, region, (), q)
@@ -71,13 +73,13 @@ def test_weight_beta_override():
 def test_weight_smallness_trend_in_beta():
     # |w| shrinks monotonically with beta on the acceptance-scale models and
     # sits under the (c sqrt(beta))^{|gamma|} envelope for a modest c
-    two_edge = Polymer(((0, 1), (1, 2)))
+    two_edge = ((0, 1), (1, 2))
     for poly, n_sites in ((SINGLE_EDGE, 2), (two_edge, 3)):
         values = []
         for beta in (0.05, 0.1, 0.2):
             model = make_chain(n_sites, g=1.0, beta=beta, U=1.0, mu=0.0)
             values.append(abs(weight(poly, model, 5)))
-            assert values[-1] <= (2.0 * math.sqrt(beta)) ** poly.size
+            assert values[-1] <= (2.0 * math.sqrt(beta)) ** len(poly)
         assert values[0] < values[1] < values[2]
 
 
@@ -87,7 +89,7 @@ def admissible_sets(polymers):
     for r in range(len(polymers) + 1):
         for combo in itertools.combinations(polymers, r):
             if all(
-                a.support.isdisjoint(b.support)
+                support(a).isdisjoint(support(b))
                 for a, b in itertools.combinations(combo, 2)
             ):
                 out.append(combo)
@@ -114,7 +116,7 @@ def test_telescoping_identity(model_fn, q):
     for combo in admissible_sets(polymers):
         term = 1.0
         for p in combo:
-            term *= weights[p.edges]
+            term *= weights[p]
         total += term
 
     region = range(model.n_sites)
@@ -129,8 +131,8 @@ def test_compatibility_factorization():
     # support-disjoint polymers: the joint ratio factorizes
     model = make_chain(4, g=0.4, beta=0.3, U=1.0, mu=0.1)
     q = 2
-    left = Polymer(((0, 1),))
-    right = Polymer(((2, 3),))
+    left = ((0, 1),)
+    right = ((2, 3),)
 
     log_joint = restricted_log_partition(model, [0, 1, 2, 3], [(0, 1), (2, 3)], q)
     log_free = restricted_log_partition(model, [0, 1, 2, 3], (), q)
@@ -144,12 +146,12 @@ def test_compatibility_factorization():
 def test_weight_table_contract(two_site_model):
     # {edge tuple: float}, in canonical polymer order
     table = weights_at(two_site_model, 1, 1)
-    assert list(table) == [SINGLE_EDGE.edges]
-    assert type(table[SINGLE_EDGE.edges]) is float
+    assert list(table) == [SINGLE_EDGE]
+    assert type(table[SINGLE_EDGE]) is float
 
     model = make_long_range_chain(4, g=0.4, alpha=3.0, beta=0.5)
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
-    assert list(weights_at(model, 3, 2)) == [p.edges for p in polymers]
+    assert list(weights_at(model, 3, 2)) == polymers
 
 
 def test_trace_region_choice_cancels():
@@ -157,7 +159,7 @@ def test_trace_region_choice_cancels():
     # the smaller region touched by T: spectator sites cancel in the ratio
     model = make_chain(3, g=0.4, beta=0.3, U=1.0, mu=0.2)
     q = 2
-    poly = Polymer(((0, 1), (1, 2)))
+    poly = ((0, 1), (1, 2))
     for subset, touched in [
         ((), ()),
         (((0, 1),), (0, 1)),
@@ -180,14 +182,14 @@ def test_trace_region_choice_cancels():
 
 def brute_force_weight(model, polymer, q):
     """Reference: all 2^|gamma| subset traces, each on the full support."""
-    region = sorted(polymer.support)
+    region = sorted(support(polymer))
     log_z_free = restricted_log_partition(model, region, (), q)
     terms = [
         (-1.0) ** size * math.exp(restricted_log_partition(model, region, subset, q) - log_z_free)
-        for size in range(polymer.size + 1)
-        for subset in itertools.combinations(polymer.edges, size)
+        for size in range(len(polymer) + 1)
+        for subset in itertools.combinations(polymer, size)
     ]
-    return (-1.0) ** polymer.size * math.fsum(terms)
+    return (-1.0) ** len(polymer) * math.fsum(terms)
 
 
 def disordered(model, seed):
@@ -199,8 +201,8 @@ def disordered(model, seed):
 
 def splits(polymer) -> bool:
     """True when some edge subset of the polymer has several site components."""
-    for size in range(2, polymer.size + 1):
-        for subset in itertools.combinations(polymer.edges, size):
+    for size in range(2, len(polymer) + 1):
+        for subset in itertools.combinations(polymer, size):
             try:
                 Polymer(subset)
             except ValueError:
@@ -227,7 +229,7 @@ def test_weight_table_matches_brute_force_reference(model, q, m):
     assert sum(splits(p) for p in polymers) >= 3
     table = weights_at(model, m, q)
     for p in polymers:
-        assert abs(table[p.edges] - brute_force_weight(model, p, q)) <= 1e-13, p.edges
+        assert abs(table[p] - brute_force_weight(model, p, q)) <= 1e-13, p
 
 
 def test_weight_independent_of_table_context():
@@ -237,11 +239,11 @@ def test_weight_independent_of_table_context():
     for p in enumerate_polymers(interaction_edges(model.couplings, 0.0), m):
         # the same polymer in a model that keeps only its own couplings
         kept = np.zeros_like(model.couplings)
-        for i, j in p.edges:
+        for i, j in p:
             kept[i, j] = kept[j, i] = model.coupling(i, j)
         coup = build_couplings(model.lattice, "explicit", matrix=kept)
         alone = ModelInstance(model.lattice, coup, model.onsite, model.beta)
-        assert all(t[p.edges] == weight(p, alone, q) for t in tables), p.edges
+        assert all(t[p] == weight(p, alone, q) for t in tables), p
 
 
 def test_one_eigensolve_per_sector_block_of_each_polymer(monkeypatch):
@@ -258,7 +260,7 @@ def test_one_eigensolve_per_sector_block_of_each_polymer(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     weights_at(model, 5, q)
     bound = sum(
-        sum(b.dim > 1 for b in sector_blocks(sorted(p.support), q)) for p in polymers
+        sum(b.dim > 1 for b in sector_blocks(sorted(support(p)), q)) for p in polymers
     )
     assert 0 < len(calls) <= bound
 
@@ -270,7 +272,7 @@ def mp_weight(mpmath, model, polymer, q):
     """(w_gamma, sum_T g(T)) with every g(T) a ratio of traces on the
     polymer's whole support, each trace from ``mpmath.eigsy`` on the same
     float64 sector blocks: no factorization into components."""
-    region = sorted(polymer.support)
+    region = sorted(support(polymer))
     beta = mpmath.mpf(model.beta)
 
     def trace(edges):
@@ -283,9 +285,9 @@ def mp_weight(mpmath, model, polymer, q):
 
     free = trace(())
     ratios = [((-1) ** size, trace(subset) / free)
-              for size in range(polymer.size + 1)
-              for subset in itertools.combinations(polymer.edges, size)]
-    return (-1) ** polymer.size * mpmath.fsum(s * g for s, g in ratios), mpmath.fsum(
+              for size in range(len(polymer) + 1)
+              for subset in itertools.combinations(polymer, size)]
+    return (-1) ** len(polymer) * mpmath.fsum(s * g for s, g in ratios), mpmath.fsum(
         g for _, g in ratios)
 
 
@@ -317,8 +319,7 @@ def assert_at_float64_floor(mpmath, model, table, q):
     eps = np.finfo(np.float64).eps
     with mpmath.workdps(50):
         for edges, w in table.items():
-            polymer = Polymer(edges)
-            want, g_total = mp_weight(mpmath, model, polymer, q)
+            want, g_total = mp_weight(mpmath, model, edges, q)
             # the float64 floor: g(T) is a ratio of two traces over |V|
             # sites, each with about one rounding per site (the site-by-site
             # on-site sums, and eigenvalues backward stable to eps |H|), so
@@ -327,5 +328,5 @@ def assert_at_float64_floor(mpmath, model, table, q):
             # alternating sum of the g(T) in exact arithmetic, so to first
             # order the log g errors pass through the same linear map, onto
             # sum_T g(T) |d log g(T)|; the correctly rounded sums add less
-            bound = 2 * eps * len(polymer.support) * float(g_total)
+            bound = 2 * eps * len(support(edges)) * float(g_total)
             assert abs(float(mpmath.mpf(w) - want)) <= bound, (edges, w, float(want))

@@ -1,9 +1,11 @@
 """Test oracle: T_m per order as the Ursell-function cluster expansion.
 
 This is the route ``approx`` took before the linked-cluster sum, kept here
-only as an independent reference for it.  A cluster is a multiset of
-polymers whose incompatibility graph (supports overlap; every polymer
-clashes with itself) is connected, and its order-k term is
+only as an independent reference for it.  Its polymers are ``Polymer``
+objects, which sort and re-check their edges; the package holds a polymer
+as its sorted edge tuple.  A cluster is a multiset of polymers whose
+incompatibility graph (supports overlap; every polymer clashes with itself)
+is connected, and its order-k term is
 
     phi(copy incompatibility graph) * prod_gamma w_gamma^mult / mult!,
 
@@ -27,7 +29,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from bosepoly.polymers import Polymer
+from bosepoly.polymers import _line_graph, _split
 
 logger = logging.getLogger(__name__)
 
@@ -215,6 +217,34 @@ def _overlap_connected(site_sets) -> bool:
             pending.remove(sites)
             reached |= sites
     return not pending
+
+
+@dataclass(frozen=True)
+class Polymer:
+    """A connected set of interaction edges."""
+
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        if len(set(edges)) != len(edges):
+            raise ValueError("polymer edges must be distinct")
+        if len(_split(_line_graph(edges), (1 << len(edges)) - 1)) != 1:
+            raise ValueError(f"edge set {edges} is not connected")
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def size(self) -> int:
+        return len(self.edges)
+
+    @property
+    def support(self) -> frozenset:
+        return frozenset(s for e in self.edges for s in e)
+
+    @property
+    def key(self):
+        """Canonical sort key: size first, then the sorted edge tuple."""
+        return (len(self.edges), self.edges)
 
 
 def incompatible(a: Polymer, b: Polymer) -> bool:
