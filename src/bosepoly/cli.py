@@ -29,7 +29,6 @@ from .expansion import (
 )
 from .fock import DEFAULT_DIM_CAP, check_dim_cap, restricted_log_partition
 from .lattice import (
-    CouplingError,
     ModelInstance,
     OnsiteParams,
     ResourceCapError,
@@ -279,18 +278,13 @@ def validate_config(config: dict, command: str | None = None) -> list[str]:
 
 def build_model(config: dict) -> ModelInstance:
     lattice = build_lattice(_get(config, "model.dims"), _get(config, "model.periodic", False))
-    matrix = _get(config, "model.coupling.matrix")
-    try:
-        matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
-    except OverflowError:
-        raise CouplingError("coupling matrix entries must be finite") from None
     couplings = build_couplings(
         lattice,
         _get(config, "model.coupling.kind"),
         g=_get(config, "model.coupling.g"),
         alpha=_get(config, "model.coupling.alpha"),
         d_c=_get(config, "model.coupling.d_c"),
-        matrix=matrix,
+        matrix=_get(config, "model.coupling.matrix"),
     )
     n = lattice.n_sites
     U, mu = _get(config, "model.U"), _get(config, "model.mu")

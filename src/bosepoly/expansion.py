@@ -24,7 +24,16 @@ connected edge set K then has the partition function
 
 and g(K) = Xi_K(1), the weight's alternating sum inverted over subsets
 (Kotecky and Preiss, CMP 103, 1986).  So w_K, the z^|K| coefficient of
-Xi_K, is expm1(log g(K)) less its z^1 .. z^(|K|-1) coefficients.
+Xi_K, is expm1(log g(K)) less its z^1 .. z^(|K|-1) coefficients.  Those
+need no walk over subsets: for k < |K|, each size-k subset of K lies in
+K - e for exactly |K| - k of K's edges e, so
+
+    [z^k] Xi_K = sum_{e in K} [z^k] Xi_{K-e} / (|K| - k),
+
+and Xi_{K-e} is the product of the Xi_C of the components C of K - e,
+each an earlier polymer; [z^1] Xi_K is the sum of K's edge weights.  A
+polymer of s > 2 edges takes s splits and O(s^3) coefficient products.
+
 L_K = log Xi_K is taken as a power series truncated at z^m.  T_m is
 the numerical linked-cluster sum over polymers S with |S| <= m of
 
@@ -38,8 +47,7 @@ S = K + A with A a subset of N(K), with sign (-1)^|A|; summed over |A| <=
 k - |K|, row k takes (-1)^(k-|K|) C(d_K - 1, k - |K|) [z^k] L_K (1 if d_K = 0).
 This is the numerical linked-cluster expansion of Rigol, Bryant and Singh
 (PRL 97, 187202, 2006) run on the polymer gas; it needs no cluster
-enumeration and no Ursell functions.  A polymer's weight and Xi_K read one
-walk over its subsets from ``subset_components``, and one log g per polymer.
+enumeration and no Ursell functions, and one log g per polymer.
 
 The Kotecky-Preiss diagnostic reports, per site x, the truncated sum
 
@@ -63,7 +71,7 @@ import numpy as np
 from .fock import (EigensolverError, check_dim_cap, onsite_log_trace, restricted_log_partition,
                    sector_blocks)
 from .lattice import ModelInstance, ResourceCapError, interaction_edges
-from .polymers import check_polymer_caps, enumerate_polymers, subset_components
+from .polymers import _line_graph, _split, check_polymer_caps, enumerate_polymers
 
 __all__ = [
     "ExpansionConfig",
@@ -78,10 +86,8 @@ KP_RHS = 0.5  # delta_1 of a single-site probe polymer, k = 2
 # factor stands in for a nonconstructive constant, and is the former default
 # q_prefactor * (theta + 1) = 2 * 2, a product that is exact in floating point
 AUTO_Q_FACTOR = 4.0
-# Caps on the edge subsets the expansion walks, sum_p 2^|p|, and on its
-# eigensolve cost, sum_p sum_sectors dim^3: above every run so far (the 6x6
-# square at m=6, q=1: 1.46e6 and 2.1e9), below hours of solves.
-MAX_SUBSETS = 10_000_000
+# Cap on the expansion's eigensolve cost, sum_p sum_sectors dim^3: above
+# every run so far (the 6x6 square at m=6, q=1: 2.1e9), below hours of solves.
 MAX_SOLVE_COST = 10**11
 
 
@@ -141,20 +147,29 @@ def _finite_fsum(terms, what: str) -> float:
     return total
 
 
+def _times(a, b, what: str) -> list[float]:
+    """The coefficients of the product of two polynomials."""
+    terms = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            terms[i + j].append(x * y)
+    return [_finite_fsum(t, what) for t in terms]
+
+
 def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list[float]]:
     """The weight of every polymer of size <= m, keyed by its edge tuple in
     canonical order, and the order-k contributions of T_m for k = 1..m.
 
-    Each polymer K is solved once, and one walk over its edge subsets gives
-    w_K, then L_K, which enters each row k >= |K| once, times its
-    multiplicity; every component of a proper subset of K is an earlier
-    polymer, whose weight is known, and w_K is expm1(log g(K)) less the
-    products of those weights over the proper subsets.  Refuses, from the
-    thresholded couplings and before the alphabet is built, an order or
-    polymer count past the caps, and, before any solve, a polymer support
-    whose truncated space (q+1)^|V| exceeds the default dimension cap, or
-    work past MAX_SUBSETS or MAX_SOLVE_COST.  A weight, log Xi series or row
-    that an overflow leaves not finite raises ArithmeticError.
+    Each polymer K is solved once.  Its Xi_K coefficients below z^|K| come
+    from its edge weights and its |K| one-edge deletions, whose components
+    are earlier polymers with their Xi kept, and w_K is expm1(log g(K))
+    less them; L_K then enters each row k >= |K| once, times its
+    multiplicity.  Refuses, from the thresholded couplings and before the
+    alphabet is built, an order or polymer count past the caps, and,
+    before any solve, a polymer support whose truncated space (q+1)^|V|
+    exceeds the default dimension cap, or an eigensolve cost past
+    MAX_SOLVE_COST.  A weight, log Xi series or row that an overflow leaves
+    not finite raises ArithmeticError.
     """
     m = cfg.m
     alphabet = np.abs(model.couplings) > cfg.polymer_threshold
@@ -165,15 +180,11 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     widths = set(map(len, supports))
     check_dim_cap(q, max(widths, default=0))
     cubes = {w: sum(b.dim**3 for b in sector_blocks(range(w), q)) for w in widths}
-    work = (sum(1 << len(s) for s in polymers), sum(cubes[len(v)] for v in supports))
-    for what, count, cap in zip(("{} edge subsets exceed", "an eigensolve cost of {} exceeds"),
-                                work, (MAX_SUBSETS, MAX_SOLVE_COST)):
-        if count > cap:
-            error = ResourceCapError(what, count, cap)
-            error.details += [f"subsets={work[0]}", f"solve_cost={work[1]}"]
-            raise error
+    cost = sum(cubes[len(v)] for v in supports)
+    if cost > MAX_SOLVE_COST:
+        raise ResourceCapError("an eigensolve cost of {} exceeds", cost, MAX_SOLVE_COST)
 
-    weights = {}
+    xis = {}  # polymer -> its Xi coefficients z^0 .. z^|K|, the last w_K
     orders: list[list[float]] = [[] for _ in range(m + 1)]
     for s, v in zip(polymers, supports):
         try:  # log g(K) on K's own support: hopping trace minus free trace
@@ -181,27 +192,38 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
                      - onsite_log_trace(model, v, q, model.beta))
         except ArithmeticError as exc:
             raise EigensolverError(f"weight evaluation failed for polymer {s}: {exc}") from exc
-        xi_terms = [[] for _ in range(m + 1)]
-        for size, ks in subset_components(s):
-            if size < len(s):  # K itself, the last subset, enters below
-                xi_terms[size].append(math.prod(weights[k] for k in ks))
-        # g(K) = Xi_K(1): w_K is what g(K) - 1 leaves after the proper subsets;
-        # map defers expm1, so an overflow there is caught by the sum
-        proper = (-t for terms in xi_terms[1:len(s)] for t in terms)
-        weights[s] = _finite_fsum(itertools.chain(map(math.expm1, [log_g]), proper),
-                                  f"the weight of polymer {s}")
-        xi_terms[len(s)].append(weights[s])
+        n, what = len(s), f"the weight of polymer {s}"
+        # [z^1] Xi_K sums K's edge weights, each exact, where the deletions'
+        # sums would round them; the deletions give [z^k] for 1 < k < |K|
+        ones = [xis[(e,)][1] for e in s] if n > 1 else []
+        line_graph = _line_graph(s) if n > 2 else ()
+        deletions = [[] for _ in range(n)]
+        for j in range(len(line_graph)):
+            # Xi of K - e_j, the product over its components
+            product, *others = [xis[tuple(e for i, e in enumerate(s) if part >> i & 1)]
+                                for part in _split(line_graph, ((1 << n) - 1) & ~(1 << j))]
+            for other in others:
+                product = _times(product, other, what)
+            for k in range(2, n):
+                deletions[k].append(product[k])
+        lower = [_finite_fsum(ones, what)] if ones else []
+        lower += [_finite_fsum(deletions[k], what) / (n - k) for k in range(2, n)]
+        # g(K) = Xi_K(1): w_K is what g(K) - 1 leaves after the lower
+        # coefficients; map defers expm1, so an overflow there is caught by the sum
+        terms = itertools.chain(map(math.expm1, [log_g]), (-c for c in ones + lower[1:]))
+        xis[s] = [1.0, *lower, _finite_fsum(terms, what)]
+        xi = xis[s] + [0.0] * (m - n)
         series = f"the log Xi series of polymer {s}"
-        xi = [_finite_fsum(t, series) for t in xi_terms]
         log = [0.0] * (m + 1)
         for k in range(1, m + 1):
             # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
             log[k] = xi[k] - _finite_fsum((j * log[j] * xi[k - j] for j in range(1, k)), series) / k
         # d_K: the degree sum counts the alphabet edges inside V_K twice
-        d = int(degree[v].sum() - alphabet[np.ix_(v, v)].sum() // 2) - len(s)
-        for j, term in enumerate(log[len(s):]):
-            orders[len(s) + j].append(((-1) ** j * math.comb(d - 1, j) if d else 1) * term)
-    return weights, [_finite_fsum(orders[k], f"row {k} of T_m") for k in range(1, m + 1)]
+        d = int(degree[v].sum() - alphabet[np.ix_(v, v)].sum() // 2) - n
+        for j, term in enumerate(log[n:]):
+            orders[n + j].append(((-1) ** j * math.comb(d - 1, j) if d else 1) * term)
+    rows = [_finite_fsum(orders[k], f"row {k} of T_m") for k in range(1, m + 1)]
+    return {s: xi[-1] for s, xi in xis.items()}, rows
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,10 @@ class OnsiteParams:
 
 
 def _validate_square(matrix: np.ndarray, n: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.float64)
+    try:
+        m = np.asarray(matrix, dtype=np.float64)
+    except OverflowError:  # an integer entry past the float64 range
+        raise CouplingError("coupling matrix entries must be finite") from None
     if np.iscomplexobj(matrix):
         raise CouplingError("complex couplings are not supported")
     if m.shape != (n, n):

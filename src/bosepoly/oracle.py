@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -233,11 +235,13 @@ class MutualInformation:
                 for sub in self.subsystems]
 
     def value(self, total, state) -> float:
-        s_total = sum(_entropy_from_probabilities(state.block_probabilities(b))
-                      for b in range(len(state.blocks)))
-        s_a, s_b = (sum(_entropy_from_probabilities(_symmetric_eigenvalues(
-            mat, f"the N={n} reduced block of sites {list(sub)}")) for n, mat in blocks.items())
-            for sub, blocks in zip(self.subsystems, self.reduced_blocks(total, state)))
+        # added left to right: builtin sum() of floats is compensated from
+        # Python 3.12 on, so its last bits would depend on the version
+        s_total = reduce(add, (_entropy_from_probabilities(state.block_probabilities(b))
+                               for b in range(len(state.blocks))), 0.0)
+        s_a, s_b = (reduce(add, (_entropy_from_probabilities(_symmetric_eigenvalues(
+            mat, f"the N={n} reduced block of sites {list(sub)}")) for n, mat in blocks.items()),
+            0.0) for sub, blocks in zip(self.subsystems, self.reduced_blocks(total, state)))
         return s_a + s_b - s_total
 
 

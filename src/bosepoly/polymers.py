@@ -15,17 +15,14 @@ keyed by mask keeps each one once, however many growth paths reach it.
 Each edge tuple is built sorted, distinct and connected, so nothing
 re-checks it.  They come out in canonical (size, then lexicographic) order,
 at most ``MAX_POLYMERS`` of at most ``MAX_ORDER`` edges.
-``subset_components`` splits each edge subset of a polymer into components,
-which depend only on the polymer's line graph (which of its sorted edges
-share a site).  So the split runs once per line graph, on bitmasks over its
-edges, for every polymer of that shape.
+``_split`` finds the components of an edge subset of one polymer, as
+bitmasks over its sorted edges, from the polymer's own ``_line_graph``
+(which of those edges share a site).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -36,15 +33,15 @@ __all__ = [
     "MAX_POLYMERS",
     "check_polymer_caps",
     "enumerate_polymers",
-    "subset_components",
 ]
 
 # Above every count reached so far: 2,193 polymers on a 6x6 square at m=4
 # and 31,480 on a 16-site all-pairs chain at m=3.
 MAX_POLYMERS = 50_000
 
-# Above every truncation order run so far (11).  A polymer of 16 edges has
-# 65,536 edge subsets, and the expansion's log series is quadratic in m.
+# Above every truncation order run so far (11).  The expansion builds a
+# polymer of s edges from its s one-edge deletions, in O(s^3) coefficient
+# products, and its log series is quadratic in m.
 MAX_ORDER = 16
 
 
@@ -75,30 +72,6 @@ def _split(line_graph, mask: int) -> tuple[int, ...]:
         parts.append(part)
         mask &= ~part
     return tuple(sorted(parts, key=int.bit_count))
-
-
-@lru_cache(maxsize=None)
-def _decomposition(line_graph: tuple[int, ...]) -> tuple:
-    """``(parts, subsets)`` of every polymer with this line graph: each
-    distinct component once, as its edge positions, and ``(size, part
-    indices)`` of every edge subset.  Held for the life of the process, one
-    entry per distinct line graph."""
-    n, index, subsets = len(line_graph), {}, []
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            parts = _split(line_graph, sum(1 << j for j in subset))
-            subsets.append((size, tuple(index.setdefault(part, len(index)) for part in parts)))
-    return tuple(tuple(j for j in range(n) if part >> j & 1) for part in index), tuple(subsets)
-
-
-def subset_components(edges):
-    """``(size, components)`` of every subset of a polymer's sorted edges, by
-    ascending size and each size in ``combinations`` order.  Components are
-    sorted edge tuples, in canonical order (size, then lowest edge)."""
-    parts, subsets = _decomposition(_line_graph(edges))
-    named = [tuple(edges[j] for j in part) for part in parts]
-    for size, ids in subsets:
-        yield size, tuple([named[i] for i in ids])
 
 
 def check_polymer_caps(degrees, max_size: int) -> None:

@@ -10,9 +10,8 @@ enters row k >= |S| as its z^k coefficient, one ``+-[z^k] L_K`` term per
 component of every edge subset, and row k is the ``math.fsum`` of those
 terms.  Each L_K = log Xi_K is kept for every polymer until the end.
 The split of a subset into components is done here by a plain search over
-shared sites, independent of ``polymers.subset_components``; components
-are ordered by size, then lowest edge, as the package orders them, so the
-products of weights in Xi_K round the same way.
+shared sites, independent of ``polymers._split``; components are ordered
+by size, then lowest edge, as the package orders them.
 """
 
 from __future__ import annotations

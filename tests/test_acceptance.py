@@ -38,9 +38,10 @@ from bosepoly.oracle import (
     OccupationDistribution,
     thermalize,
 )
-from bosepoly.polymers import enumerate_polymers, subset_components
+from bosepoly.polymers import enumerate_polymers
 
 from conftest import make_chain, make_explicit, make_long_range_chain, support, weights_at
+from expansion_reference import components
 from fock_reference import dense_thermal_matrix
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -536,8 +537,9 @@ def full_order_log_z(model, q):
     weights, _rows = _expand(model, ExpansionConfig(m=len(edges), q=q), q)
     terms = [onsite_log_trace(model, range(model.n_sites), q, model.beta)]
     for polymer in weights:
-        g = 1.0 + math.fsum(math.prod(weights[k] for k in parts)
-                            for size, parts in subset_components(polymer) if size)
+        g = 1.0 + math.fsum(math.prod(weights[k] for k in components(subset))
+                            for size in range(1, len(polymer) + 1)
+                            for subset in itertools.combinations(polymer, size))
         sites = {s for e in polymer for s in e}
         d = sum(1 for e in edges if e not in polymer and sites.intersection(e))
         j = len(edges) - len(polymer)

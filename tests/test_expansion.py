@@ -1,11 +1,12 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import bosepoly.expansion
-import bosepoly.polymers
 from bosepoly.expansion import (
     ExpansionConfig,
     approximate_log_partition,
@@ -17,7 +18,7 @@ from bosepoly.polymers import enumerate_polymers
 
 from conftest import (make_chain, make_explicit, make_long_range_chain, support, weight,
                       weights_at)
-from expansion_reference import linked_cluster_rows
+from expansion_reference import components, linked_cluster_rows
 from ursell_reference import cluster_per_order
 
 
@@ -145,53 +146,100 @@ def test_report_invariants():
     assert report.m_error_bound == pytest.approx(3 * math.exp(-3))
 
 
-def test_each_polymer_decomposes_its_edge_subsets_once(monkeypatch):
-    # once per line graph (which sorted edges share a site), for all the
-    # polymers of that shape
+def test_each_polymer_splits_its_one_edge_deletions_once(monkeypatch):
+    # a polymer of three or more edges builds its Xi from its |p| one-edge
+    # deletions, each split into components once; a smaller one needs only
+    # its edge weights
     model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
-    shapes = {
-        tuple(frozenset(j for j, f in enumerate(p) if j != k and set(e) & set(f))
-              for k, e in enumerate(p))
-        for p in polymers
-    }
     calls = []
-    split = bosepoly.polymers._split
+    split = bosepoly.expansion._split
 
     def counting(line_graph, mask):
-        calls.append(mask)
+        calls.append((line_graph, mask))
         return split(line_graph, mask)
 
-    bosepoly.polymers._decomposition.cache_clear()
-    monkeypatch.setattr(bosepoly.polymers, "_split", counting)
+    monkeypatch.setattr(bosepoly.expansion, "_split", counting)
     approximate_log_partition(model, ExpansionConfig(m=3, q=2))
-    assert len(calls) == sum(2 ** len(shape) for shape in shapes)
-    assert len(shapes) < len(polymers) // 4
+    assert len(calls) == sum(len(p) for p in polymers if len(p) > 2)
+    assert all(mask.bit_count() == len(line_graph) - 1 for line_graph, mask in calls)
 
 
-def test_approx_solves_each_polymer_once_and_walks_its_subsets_once(monkeypatch):
+def test_approx_solves_each_polymer_once(monkeypatch):
     # the weight, the log series and the linked-cluster term of a polymer
-    # all come from one walk; its proper subsets' components are earlier
+    # all come from one solve; its deletions' components are earlier
     # polymers, already solved
     model = make_long_range_chain(5, g=0.3, alpha=2.5, beta=0.3, U=1.0, mu=0.2)
-    walked, solved = [], []
-    walk = bosepoly.expansion.subset_components
+    solved = []
     solve = bosepoly.expansion.restricted_log_partition
-
-    def counting_walk(edges):
-        walked.append(edges)
-        return walk(edges)
 
     def counting_solve(model, region, edges, q):
         solved.append(edges)
         return solve(model, region, edges, q)
 
-    monkeypatch.setattr(bosepoly.expansion, "subset_components", counting_walk)
     monkeypatch.setattr(bosepoly.expansion, "restricted_log_partition", counting_solve)
     report = approximate_log_partition(model, ExpansionConfig(m=4, q=2))
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 4)
-    assert walked == solved == polymers
+    assert solved == polymers
     assert report.polymer_count == len(polymers)
+
+
+def disordered_chain(n, beta, seed):
+    """An open chain with random couplings to the nearest and next-nearest
+    site, and random on-site terms."""
+    from bosepoly.lattice import ModelInstance, OnsiteParams, build_couplings, build_lattice
+
+    rng = np.random.default_rng(seed)
+    matrix = np.diag(rng.uniform(-0.4, 0.4, n - 1), 1) + np.diag(rng.uniform(-0.2, 0.2, n - 2), 2)
+    lat = build_lattice([n])
+    couplings = build_couplings(lat, "explicit", matrix=matrix + matrix.T)
+    onsite = OnsiteParams(rng.uniform(0.8, 1.2, n), rng.uniform(-0.3, 1.0, n))
+    return ModelInstance(lat, couplings, onsite, beta)
+
+
+@pytest.mark.parametrize("case", ["all-pairs K4", "all-pairs K5", "open 2x3 square",
+                                  "disordered chain"])
+def test_deletion_weights_match_the_subset_walk(case):
+    # w_K = expm1(log g(K)) - sum over the proper nonempty subsets A of K of
+    # the product of the weights of A's components, from the same log g(K).
+    # The two differ by the rounding of the deletion identity's products and
+    # sums; the edge weights enter both sums exactly, so the difference stays
+    # far below an ulp of the largest term.
+    model, m, q = {
+        "all-pairs K4": (make_long_range_chain(4, g=0.3, alpha=2.0, beta=0.7), 6, 2),
+        "all-pairs K5": (make_long_range_chain(5, g=0.2, alpha=3.0, beta=0.5), 6, 2),
+        "open 2x3 square": (make_square([2, 3], g=0.3, beta=0.5, mu=0.5), 7, 2),
+        "disordered chain": (disordered_chain(6, beta=0.8, seed=3), 6, 2),
+    }[case]
+    weights = weights_at(model, m, q)
+    worst = 0.0
+    for polymer, w in weights.items():
+        v = sorted(support(polymer))
+        log_g = (restricted_log_partition(model, v, polymer, q)
+                 - onsite_log_trace(model, v, q, model.beta))
+        terms = [math.expm1(log_g)] + [
+            -math.prod(weights[k] for k in components(subset))
+            for size in range(1, len(polymer))
+            for subset in itertools.combinations(polymer, size)]
+        walked = math.fsum(terms)
+        worst = max(worst, abs(w - walked) / max(map(abs, terms)))
+    assert worst <= 2.0**-55, worst  # measured below 0.05 ulp on each case
+
+
+def test_approx_retains_and_peaks_little_memory():
+    # 968 polymers of the all-pairs 5-site chain: once the fock layouts of
+    # every support width are built (by the m=4 run), a run holds only its
+    # own polymers' series, and frees them when it returns
+    model = make_long_range_chain(5, g=0.2, alpha=3.0, beta=0.5)
+    approximate_log_partition(model, ExpansionConfig(m=4, q=2))
+    tracemalloc.start()
+    try:
+        report = approximate_log_partition(model, ExpansionConfig(m=10, q=2))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.polymer_count == 968
+    assert retained < 2**20 and peak < 3 * 2**20, (retained, peak)
 
 
 def test_determinism_across_runs():
@@ -405,26 +453,23 @@ def test_config_without_m_only_resolves_the_cutoff():
         ExpansionConfig(q="auto")
 
 
-def test_work_caps_count_subsets_and_sector_cubes_exactly(monkeypatch):
-    # chain4_nn's polymers, with both counts brute forced: each cap refuses a
-    # count above it, and lets one equal to it run
-    import itertools
+def test_work_cap_counts_sector_cubes_exactly(monkeypatch):
+    # chain4_nn's polymers, with the eigensolve cost brute forced: the cap
+    # refuses a cost above it, and lets one equal to it run
     from collections import Counter
 
     from bosepoly.lattice import ResourceCapError
 
     model, cfg = make_chain(4, g=0.1, beta=0.1, U=1.0, mu=0.5), ExpansionConfig(m=4, q=3)
     polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), cfg.m)
-    subsets, cost = sum(2 ** len(p) for p in polymers), 0
+    cost = 0
     for p in polymers:
         states = itertools.product(range(cfg.q + 1), repeat=len(support(p)))
         cost += sum(dim**3 for dim in Counter(map(sum, states)).values())
-    for name, count in (("MAX_SUBSETS", subsets), ("MAX_SOLVE_COST", cost)):
-        monkeypatch.setattr(bosepoly.expansion, name, count)
+    monkeypatch.setattr(bosepoly.expansion, "MAX_SOLVE_COST", cost)
+    approximate_log_partition(model, cfg)
+    monkeypatch.setattr(bosepoly.expansion, "MAX_SOLVE_COST", cost - 1)
+    with pytest.raises(ResourceCapError) as refused:
         approximate_log_partition(model, cfg)
-        monkeypatch.setattr(bosepoly.expansion, name, count - 1)
-        with pytest.raises(ResourceCapError) as refused:
-            approximate_log_partition(model, cfg)
-        assert (refused.value.required, refused.value.allowed) == (count, count - 1)
-        assert refused.value.details[2:] == [f"subsets={subsets}", f"solve_cost={cost}"]
-        monkeypatch.undo()
+    assert (refused.value.required, refused.value.allowed) == (cost, cost - 1)
+    assert refused.value.details == [f"required={cost}", f"allowed={cost - 1}"]

@@ -203,6 +203,13 @@ def test_non_finite_matrix_entry_is_refused(value):
         build_couplings(build_lattice([2]), "explicit", matrix=matrix)
 
 
+def test_matrix_integer_past_the_float_range_is_refused():
+    # float(10**400) raises OverflowError, an ArithmeticError; as a bad
+    # input it is a CouplingError
+    with pytest.raises(CouplingError, match="^coupling matrix entries must be finite$"):
+        build_couplings(build_lattice([2]), "explicit", matrix=[[0, 10**400], [10**400, 0]])
+
+
 def test_nan_threshold_is_refused():
     coup = build_couplings(build_lattice([3]), "long_range", g=1.0, alpha=2.0)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -90,6 +90,22 @@ def assert_rows_match_dense(model, q):
             assert abs(row.value - want) <= max(1e-14 * abs(want), 1e-15), (row, want)
 
 
+def test_mutual_information_adds_its_entropies_left_to_right(monkeypatch):
+    # the sum is the same on every Python: builtin sum() compensates from 3.12
+    # on and would give 2.0 here; left to right, 1.0 is lost against 1e16
+    import types
+
+    import bosepoly.oracle
+
+    entropies = [0.1] * 10 + [1e16, 1.0, -1e16]
+    monkeypatch.setattr(bosepoly.oracle, "_entropy_from_probabilities", lambda p: p)
+    monkeypatch.setattr(bosepoly.oracle, "_symmetric_eigenvalues", lambda mat, where: mat)
+    state = types.SimpleNamespace(blocks=entropies, block_probabilities=entropies.__getitem__,
+                                  q=1)
+    # two one-site sides, each with two number blocks of entropy 0
+    assert MutualInformation(((0,), (1,))).value([0.0] * 4, state) == 0.0
+
+
 class ReducedBlocks(MutualInformation):
     """Both sides' reduced blocks, in place of the mutual information."""
 

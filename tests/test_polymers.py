@@ -5,7 +5,7 @@ import pytest
 
 import bosepoly.polymers
 from bosepoly.lattice import ResourceCapError, build_couplings, build_lattice, interaction_edges
-from bosepoly.polymers import enumerate_polymers, subset_components
+from bosepoly.polymers import _line_graph, _split, enumerate_polymers
 from ursell_reference import (
     Cluster,
     Polymer,
@@ -194,41 +194,28 @@ def test_enumeration_returns_sorted_edge_tuples_within_a_memory_bound():
     assert peak < 10 * 2**20
 
 
+def split(polymer, subset):
+    """``_split`` of an edge subset of a polymer, as sorted edge tuples."""
+    mask = sum(1 << polymer.index(e) for e in subset)
+    return tuple(tuple(e for j, e in enumerate(polymer) if part >> j & 1)
+                 for part in _split(_line_graph(polymer), mask))
+
+
 def test_components_split_an_edge_set_in_canonical_order():
     # the path 0-1-2-3-4-5; (1, 2) bridges (0, 1) and (2, 3)
     polymer = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
-    split = {tuple(sorted(sum(parts, ()))): parts
-             for _size, parts in subset_components(polymer)}
-    assert split[()] == ()
-    assert split[((0, 1), (1, 2), (2, 3), (4, 5))] == (((4, 5),), ((0, 1), (1, 2), (2, 3)))
-    assert split[((0, 1), (2, 3), (4, 5))] == (((0, 1),), ((2, 3),), ((4, 5),))
+    assert split(polymer, ()) == ()
+    assert split(polymer, ((0, 1), (1, 2), (2, 3), (4, 5))) == (((4, 5),),
+                                                                ((0, 1), (1, 2), (2, 3)))
+    assert split(polymer, ((0, 1), (2, 3), (4, 5))) == (((0, 1),), ((2, 3),), ((4, 5),))
 
 
-def test_subsets_decompose_every_edge_subset_in_size_then_combinations_order():
+def test_split_finds_the_components_of_every_one_edge_deletion():
     for alphabet, max_size in ((K4, len(K4)), (MIXED, len(MIXED)), (ALL_PAIRS6, 4)):
         for polymer in enumerate_polymers(alphabet, max_size):
-            expected = [
-                (size, brute_components(subset))
-                for size in range(len(polymer) + 1)
-                for subset in itertools.combinations(polymer, size)
-            ]
-            assert list(subset_components(polymer)) == expected, polymer
-
-
-def test_walking_every_subset_retains_little_memory():
-    square = build_couplings(build_lattice([4, 4]), "finite_range", g=0.1, d_c=1)
-    polymers = enumerate_polymers(interaction_edges(square, 0.0), 5)
-    bosepoly.polymers._decomposition.cache_clear()
-    tracemalloc.start()
-    try:
-        for polymer in polymers:
-            for _subset in subset_components(polymer):
-                pass
-        retained, _peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(2 ** len(p) for p in polymers) == 44_336
-    assert retained < 2 * 2**20
+            for e in polymer:
+                rest = tuple(f for f in polymer if f != e)
+                assert split(polymer, rest) == brute_components(rest), (polymer, e)
 
 
 @pytest.mark.parametrize("alphabet", [K4, tuple(itertools.combinations(range(8), 2)), MIXED])
