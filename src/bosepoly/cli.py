@@ -27,7 +27,7 @@ from .expansion import (
     approximate_log_partition,
     resolve_cutoff,
 )
-from .fock import DEFAULT_DIM_CAP, check_dim_cap, restricted_log_partition
+from .fock import check_dim_cap, restricted_log_partition
 from .lattice import (
     ModelInstance,
     OnsiteParams,
@@ -185,8 +185,10 @@ _SITE = ("{} must be a site index in [0, {n_sites})",
 # which yields the problems of a value that is set, or a message, formatted
 # with the path and the facts, reported when ``bound(value, facts)`` flags the
 # value, set or None.  A key with coupling kinds is read only under them, and
-# absent it reads as 0, which its check refuses.  Legacy keys, which harness
-# and older configs still carry, are ignored unless that would change the run.
+# absent it reads as 0, which its check refuses.  The three legacy keys that
+# the benchmark harness still writes (expansion.workers, expansion.q_policy =
+# "explicit", an oracle.q equal to expansion.q) are ignored; any other value
+# of q_policy or oracle.q would change the run, and is refused.
 _KEYS = (
     ("model", "missing or invalid section: {}", lambda v, f: not isinstance(v, dict)),
     ("model.periodic", "{} must be true or false",
@@ -218,10 +220,7 @@ _KEYS = (
     ("expansion.q_policy", '{} is no longer read: set expansion.q = "auto"',
      lambda v, f: v not in (None, "explicit")),
     ("oracle.q", "{} is no longer read: set expansion.q", lambda v, f: v not in (None, f["q"])),
-    ("oracle.dim_cap", "{} is no longer read: the cap is " + str(DEFAULT_DIM_CAP),
-     lambda v, f: v not in (None, DEFAULT_DIM_CAP)),
-    ("expansion.workers", None, None), ("expansion.theta", None, None),
-    ("expansion.q_prefactor", None, None),
+    ("expansion.workers", None, None),
     ("expansion.polymer_threshold", _number, ("must be nonnegative", lambda t, f: t < 0)),
     ("oracle", *_SECTION),
     ("oracle.l_max", *_INTEGER),

@@ -137,28 +137,30 @@ class KPDiagnosticRow:
     certified: bool
 
 
-def _finite_fsum(terms, what: str) -> float:
+def _finite_fsum(terms, what: str, *args) -> float:
+    """The sum; if it is not finite, an ArithmeticError names what.format(*args)."""
     try:
         total = math.fsum(terms)
     except (ValueError, OverflowError):  # +inf with -inf terms, or an overflowing sum
         total = math.nan
     if not math.isfinite(total):
-        raise ArithmeticError(f"{what} is not finite ({total})")
+        raise ArithmeticError(f"{what.format(*args)} is not finite ({total})")
     return total
 
 
-def _times(a, b, what: str) -> list[float]:
+def _times(a, b, *what) -> list[float]:
     """The coefficients of the product of two polynomials."""
     terms = [[] for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             terms[i + j].append(x * y)
-    return [_finite_fsum(t, what) for t in terms]
+    return [_finite_fsum(t, *what) for t in terms]
 
 
-def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list[float]]:
+def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list, list]:
     """The weight of every polymer of size <= m, keyed by its edge tuple in
-    canonical order, and the order-k contributions of T_m for k = 1..m.
+    canonical order, the order-k contributions of T_m for k = 1..m, and
+    each site's Kotecky-Preiss lhs.
 
     Each polymer K is solved once.  Its Xi_K coefficients below z^|K| come
     from its edge weights and its |K| one-edge deletions, whose components
@@ -186,13 +188,14 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
 
     xis = {}  # polymer -> its Xi coefficients z^0 .. z^|K|, the last w_K
     orders: list[list[float]] = [[] for _ in range(m + 1)]
+    kp_terms = [[] for _ in range(model.n_sites)]  # each site's, in polymer order
     for s, v in zip(polymers, supports):
         try:  # log g(K) on K's own support: hopping trace minus free trace
             log_g = (restricted_log_partition(model, v, s, q)
                      - onsite_log_trace(model, v, q, model.beta))
         except ArithmeticError as exc:
             raise EigensolverError(f"weight evaluation failed for polymer {s}: {exc}") from exc
-        n, what = len(s), f"the weight of polymer {s}"
+        n, what = len(s), ("the weight of polymer {}", s)
         # [z^1] Xi_K sums K's edge weights, each exact, where the deletions'
         # sums would round them; the deletions give [z^k] for 1 < k < |K|
         ones = [xis[(e,)][1] for e in s] if n > 1 else []
@@ -203,27 +206,30 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
             product, *others = [xis[tuple(e for i, e in enumerate(s) if part >> i & 1)]
                                 for part in _split(line_graph, ((1 << n) - 1) & ~(1 << j))]
             for other in others:
-                product = _times(product, other, what)
+                product = _times(product, other, *what)
             for k in range(2, n):
                 deletions[k].append(product[k])
-        lower = [_finite_fsum(ones, what)] if ones else []
-        lower += [_finite_fsum(deletions[k], what) / (n - k) for k in range(2, n)]
+        lower = [_finite_fsum(ones, *what)] if ones else []
+        lower += [_finite_fsum(deletions[k], *what) / (n - k) for k in range(2, n)]
         # g(K) = Xi_K(1): w_K is what g(K) - 1 leaves after the lower
         # coefficients; map defers expm1, so an overflow there is caught by the sum
         terms = itertools.chain(map(math.expm1, [log_g]), (-c for c in ones + lower[1:]))
-        xis[s] = [1.0, *lower, _finite_fsum(terms, what)]
+        xis[s] = [1.0, *lower, _finite_fsum(terms, *what)]
+        kp = abs(xis[s][-1]) * math.exp(len(v) / 2.0 + n)
+        for site in v:
+            kp_terms[site].append(kp)
         xi = xis[s] + [0.0] * (m - n)
-        series = f"the log Xi series of polymer {s}"
         log = [0.0] * (m + 1)
         for k in range(1, m + 1):
             # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
-            log[k] = xi[k] - _finite_fsum((j * log[j] * xi[k - j] for j in range(1, k)), series) / k
+            log[k] = xi[k] - _finite_fsum((j * log[j] * xi[k - j] for j in range(1, k)),
+                                          "the log Xi series of polymer {}", s) / k
         # d_K: the degree sum counts the alphabet edges inside V_K twice
         d = int(degree[v].sum() - alphabet[np.ix_(v, v)].sum() // 2) - n
         for j, term in enumerate(log[n:]):
             orders[n + j].append(((-1) ** j * math.comb(d - 1, j) if d else 1) * term)
-    rows = [_finite_fsum(orders[k], f"row {k} of T_m") for k in range(1, m + 1)]
-    return {s: xi[-1] for s, xi in xis.items()}, rows
+    rows = [_finite_fsum(orders[k], "row {} of T_m", k) for k in range(1, m + 1)]
+    return {s: xi[-1] for s, xi in xis.items()}, rows, list(map(math.fsum, kp_terms))
 
 
 @dataclass(frozen=True)
@@ -254,21 +260,13 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     """
     q = resolve_cutoff(model.n_sites, model.beta, cfg.q)
 
-    weights, orders = _expand(model, cfg, q)
+    weights, orders, kp_lhs = _expand(model, cfg, q)
     t_m = 0.0
     for contribution in orders:
         t_m += contribution
 
     log_z_w = onsite_log_trace(model, range(model.n_sites), q, model.beta)
-    # one pass over the polymers; each site's KP terms keep the polymer order
-    kp_terms = [[] for _ in range(model.n_sites)]
-    for edges, weight in weights.items():
-        support = {s for e in edges for s in e}
-        term = abs(weight) * math.exp(len(support) / 2.0 + len(edges))
-        for site in support:
-            kp_terms[site].append(term)
-    kp_rows = [KPDiagnosticRow(site, lhs, KP_RHS, lhs < KP_RHS)
-               for site, lhs in enumerate(map(math.fsum, kp_terms))]
+    kp_rows = [KPDiagnosticRow(site, lhs, KP_RHS, lhs < KP_RHS) for site, lhs in enumerate(kp_lhs)]
     certified = all(r.certified for r in kp_rows)
 
     notes = [

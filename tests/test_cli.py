@@ -114,11 +114,11 @@ def test_validation_checks_periodic_cutoff_knobs_and_oracle_bounds(tmp_path, cap
     config["expansion"] = {"m": 4, "q": "x", "q_policy": "auto"}
     config["oracle"] = {"q": 0, "dim_cap": -1}
     want = [
+        _DIM_CAP_MESSAGE,
         "model.periodic must be true or false",
         'expansion.q must be an integer >= 1 or "auto"',
         'expansion.q_policy is no longer read: set expansion.q = "auto"',
         _ORACLE_Q_MESSAGE,
-        _DIM_CAP_MESSAGE,
     ]
     for command in ("approx", "exact"):
         assert validate_config(config, command) == want
@@ -187,7 +187,10 @@ def _edit(config, changes):
 _LONG_RANGE = {"kind": "long_range", "g": 0.1, "alpha": 3.0}
 _KIND_MESSAGE = "model.coupling.kind must be one of long_range, finite_range, explicit"
 _ORACLE_Q_MESSAGE = "oracle.q is no longer read: set expansion.q"
-_DIM_CAP_MESSAGE = "oracle.dim_cap is no longer read: the cap is 20000"
+# the retired cutoff and cap keys are unknown keys, refused at any value
+_THETA_MESSAGE = "expansion.theta is not a known key; the nearest is expansion.q"
+_Q_PREFACTOR_MESSAGE = "expansion.q_prefactor is not a known key; the nearest is expansion.q_policy"
+_DIM_CAP_MESSAGE = "oracle.dim_cap is not a known key; the nearest is oracle.l_max"
 
 # one case per validate_config message, on base_config(): (command, changes, list)
 _MESSAGE_CASES = [
@@ -237,7 +240,7 @@ _MESSAGE_CASES = [
         "expansion.q is required for this command",
     ]),
     ("approx", {"expansion.m": 0}, ["expansion.m must be an integer >= 1"]),
-    # legacy cutoff keys are ignored, except a q_policy other than explicit
+    # a legacy q_policy is ignored only if it is "explicit"
     ("approx", {"expansion.q_policy": "x"},
      ['expansion.q_policy is no longer read: set expansion.q = "auto"']),
     ("approx", {"expansion.q_policy": "auto"},
@@ -245,7 +248,8 @@ _MESSAGE_CASES = [
     ("approx", {"expansion.q_policy": "Auto"},
      ['expansion.q_policy is no longer read: set expansion.q = "auto"']),
     ("approx", {"expansion.q": 0}, ['expansion.q must be an integer >= 1 or "auto"']),
-    ("approx", {"expansion.theta": "x", "expansion.q_prefactor": 0}, []),
+    ("approx", {"expansion.theta": "x", "expansion.q_prefactor": 0},
+     [_THETA_MESSAGE, _Q_PREFACTOR_MESSAGE]),
     ("approx", {"expansion.polymer_threshold": "x"},
      ["expansion.polymer_threshold must be a number, got 'x'"]),
     ("approx", {"expansion.polymer_threshold": -1},
@@ -253,8 +257,8 @@ _MESSAGE_CASES = [
     ("exact", {"oracle": 5}, ["oracle section must be an object"]),
     ("exact",
      {"oracle.q": "x", "oracle.dim_cap": 0, "oracle.l_max": True, "oracle.anchor": 1.5}, [
-         _ORACLE_Q_MESSAGE,
          _DIM_CAP_MESSAGE,
+         _ORACLE_Q_MESSAGE,
          "oracle.l_max must be an integer",
          "oracle.anchor must be an integer",
      ]),
@@ -310,6 +314,7 @@ _EVERY_PROBLEM = {
                    "family": "x", "partitions": [[0, 5], [0, 1, 2, 3]], "beta_list": []},
         "output": {"format": "csv"},
     }, [
+        _DIM_CAP_MESSAGE,
         "model.periodic must be true or false",
         "model.beta must be positive",
         "model.coupling.g must be positive",
@@ -321,7 +326,6 @@ _EVERY_PROBLEM = {
         'expansion.q must be an integer >= 1 or "auto"',
         'expansion.q_policy is no longer read: set expansion.q = "auto"',
         _ORACLE_Q_MESSAGE,
-        _DIM_CAP_MESSAGE,
         "expansion.polymer_threshold must be nonnegative",
         "oracle.l_max must be an integer",
         "oracle.anchor must be an integer",
@@ -340,6 +344,7 @@ _EVERY_PROBLEM = {
         "oracle": {"dim_cap": 0, "site": -1, "anchor": 3, "partitions": [[1, 1], []]},
         "output": {"format": "xml"},
     }, [
+        _DIM_CAP_MESSAGE,
         "model.periodic must be true or false",
         "model.beta must be a number, got 'x'",
         "model.coupling.g must be a number, got 'x'",
@@ -348,7 +353,6 @@ _EVERY_PROBLEM = {
         "model.mu list must have length N = 3",
         "model.mu[1] must be a number, got True",
         "expansion section must be an object",
-        _DIM_CAP_MESSAGE,
         "oracle.site must be a site index in [0, 3)",
         "oracle.anchor must be a site index in [0, 3)",
         "oracle.partitions entry [1, 1] repeats sites",
@@ -362,6 +366,7 @@ _EVERY_PROBLEM = {
         "oracle": {"l_max": 0, "partitions": 5, "beta_list": [0.1, True]},
         "output": 5,
     }, [
+        _THETA_MESSAGE,
         "model.dims must be a nonempty list of integers >= 1",
         "model.beta is required",
         "model.coupling.matrix is required for explicit kind",
@@ -384,15 +389,16 @@ def test_validation_message_order_across_keys(kind):
     assert validate_config(config, command) == want
 
 
-# every key a config can carry, on a config that sets all of them; q_policy,
-# theta, q_prefactor and oracle.q are legacy keys that harness configs still
-# carry, and oracle.dim_cap one that older configs may
+# every key a config can carry, on a config that sets all of them; workers,
+# q_policy and oracle.q are legacy keys that harness configs still carry.
+# _PATHS adds the retired theta, q_prefactor and dim_cap, whose null must
+# still read as absent
 _FULL = _edit(base_config(), {
     "model.coupling": {"kind": "long_range", "g": 0.1, "alpha": 3.0, "d_c": 1,
                        "matrix": [[0.0] * 4 for _ in range(4)]},
-    "expansion": {"m": 2, "q": 2, "q_policy": "explicit", "theta": 1.0,
-                  "q_prefactor": 2.0, "polymer_threshold": 0.0},
-    "oracle": {"q": 2, "dim_cap": 20000, "l_max": 2, "site": 1, "anchor": 0,
+    "expansion": {"m": 2, "q": 2, "q_policy": "explicit", "workers": 1,
+                  "polymer_threshold": 0.0},
+    "oracle": {"q": 2, "l_max": 2, "site": 1, "anchor": 0,
                "family": "density", "partitions": [[0, 1]], "beta_list": [0.1]},
     "output": {"format": "json", "path": "out.json"},
 })
@@ -401,7 +407,7 @@ _PATHS = [
     for section, keys in [
         ("model", ["", "periodic", "dims", "beta", "coupling", "U", "mu"]),
         ("model.coupling", ["kind", "g", "alpha", "d_c", "matrix"]),
-        ("expansion", ["", "m", "q", "q_policy", "theta", "q_prefactor",
+        ("expansion", ["", "m", "q", "q_policy", "workers", "theta", "q_prefactor",
                        "polymer_threshold"]),
         ("oracle", ["", "q", "dim_cap", "l_max", "site", "anchor", "family",
                     "partitions", "beta_list"]),
@@ -1428,9 +1434,8 @@ def test_approx_output_independent_of_blas_threads(tmp_path):
 
 def test_legacy_workers_key_is_ignored(tmp_path, monkeypatch):
     # configs written for the removed thread pool still carry
-    # expansion.workers; it is ignored like any unknown key, and so is the
-    # old BOSEPOLY_WORKERS variable.  So are the removed cutoff keys of a
-    # benchmark-harness config: q_policy = "explicit", theta and q_prefactor
+    # expansion.workers; it is ignored, and so is the old BOSEPOLY_WORKERS
+    # variable.  So is the benchmark harness's q_policy = "explicit"
     def report(expansion):
         config = base_config(expansion=expansion)
         assert validate_config(config, "approx") == []
@@ -1445,7 +1450,7 @@ def test_legacy_workers_key_is_ignored(tmp_path, monkeypatch):
     monkeypatch.delenv("BOSEPOLY_WORKERS")
     assert legacy == report({"m": 4, "q": 3})
     harness = {"m": 4, "q": 3, "q_policy": "explicit", "workers": 1}
-    assert report(dict(harness, theta=0.5, q_prefactor=3.0)) == legacy
+    assert report(harness) == legacy
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -1567,9 +1572,10 @@ def _no_model(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", sorted(bosepoly.cli.COMMANDS))
-@pytest.mark.parametrize("value", ["10", "40000", '"x"', "true"])
+@pytest.mark.parametrize("value", ["10", "20000", "40000", '"x"', "true"])
 def test_legacy_dim_cap_other_than_the_cap_is_refused_before_the_model(command, value,
                                                                        monkeypatch, capsys):
+    # the one cap, 20000, included: the key is unknown, whatever its value
     monkeypatch.setattr(bosepoly.cli, "build_model", _no_model)
     config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
     assert run([command, config, "--set", f"oracle.dim_cap={value}"]) == EXIT_CONFIG
@@ -1579,18 +1585,20 @@ def test_legacy_dim_cap_other_than_the_cap_is_refused_before_the_model(command, 
 
 
 @pytest.mark.parametrize("command", sorted(bosepoly.cli.COMMANDS))
-def test_legacy_dim_cap_equal_to_the_cap_changes_no_byte(command, capsys):
-    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
-
-    def stdout(*args):
-        code = run([command, config, *args])
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        return code, re.sub(r'"elapsed_seconds": [^\n]*', "", captured.out)
-
-    plain = stdout()
-    assert plain[0] == EXIT_OK
-    assert stdout("--set", "oracle.dim_cap=20000") == plain
+@pytest.mark.parametrize("setting,message", [
+    # the old defaults first: q = "auto" once read them as q_prefactor * (theta + 1)
+    ("expansion.theta=1.0", _THETA_MESSAGE),
+    ("expansion.theta=3", _THETA_MESSAGE),
+    ("expansion.q_prefactor=2.0", _Q_PREFACTOR_MESSAGE),
+    ('expansion.q_prefactor="x"', _Q_PREFACTOR_MESSAGE),
+])
+def test_retired_cutoff_key_is_refused_before_the_model(command, setting, message,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(bosepoly.cli, "build_model", _no_model)
+    assert run([command, _CHAIN4, "--set", "expansion.q=auto", "--set", setting]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"]["details"] == [message]
 
 
 @pytest.mark.parametrize("flag,value", [("--m-list", "0"), ("--m-list", "2,-1"),
@@ -1699,17 +1707,25 @@ def test_unknown_keys_come_first_and_null_reads_as_absent():
     ]
 
 
-def test_harness_shaped_config_validates():
-    # the shape the benchmark harness writes: q_policy "explicit", workers 1,
-    # and an oracle.q equal to expansion.q
-    config = _edit(base_config(), {
-        "model.U": [1.0, 1.1, 0.9, 1.0], "model.mu": [0.1, 0.2, 0.3, 0.4],
-        "expansion": {"m": 4, "q": 2, "q_policy": "explicit", "workers": 1},
-        "oracle": {"site": 0, "l_max": 4, "anchor": 0, "family": "hopping", "q": 2,
-                   "partitions": [[0, 1]]},
-    })
-    for command in bosepoly.cli.COMMANDS:
-        assert validate_config(config, command) == []
+def test_harness_shaped_config_validates(monkeypatch):
+    # the configs the benchmark harness writes, read from the harness itself
+    # (it imports only the standard library), so that retiring a key they
+    # carry cannot break the benchmark unnoticed; exec writes no byte-code,
+    # and dataclass needs the module in sys.modules while it runs
+    import sys
+    import types
+
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    harness = types.ModuleType("perfbench_workloads")
+    harness.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, harness.__name__, harness)
+    exec(compile(path.read_text(), str(path), "exec"), harness.__dict__)
+    assert harness.WORKLOADS
+    for wl in harness.WORKLOADS.values():
+        for seed in range(4):
+            config = harness.make_config(wl, seed)
+            for command, *_args in wl.commands:
+                assert validate_config(config, command) == [], (wl.name, seed, command)
 
 
 def test_only_an_unknown_key_loads_difflib(tmp_path):
