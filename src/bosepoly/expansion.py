@@ -65,6 +65,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, or_
 
 import numpy as np
 
@@ -157,27 +159,27 @@ def _times(a, b, *what) -> list[float]:
     return [_finite_fsum(t, *what) for t in terms]
 
 
-def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list, list]:
+def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, list, list, float]:
     """The weight of every polymer of size <= m, keyed by its edge tuple in
-    canonical order, the order-k contributions of T_m for k = 1..m, and
-    each site's Kotecky-Preiss lhs.
+    canonical order, the order-k contributions of T_m for k = 1..m, each
+    site's Kotecky-Preiss lhs, and log Z_W.
 
-    Each polymer K is solved once.  Its Xi_K coefficients below z^|K| come
-    from its edge weights and its |K| one-edge deletions, whose components
-    are earlier polymers with their Xi kept, and w_K is expm1(log g(K))
-    less them; L_K then enters each row k >= |K| once, times its
-    multiplicity.  Refuses, from the thresholded couplings and before the
-    alphabet is built, an order or polymer count past the caps, and,
-    before any solve, a polymer support whose truncated space (q+1)^|V|
-    exceeds the default dimension cap, or an eigensolve cost past
-    MAX_SOLVE_COST.  A weight, log Xi series or row that an overflow leaves
-    not finite raises ArithmeticError.
+    Each polymer K is solved once and held as its bitmask over the sorted
+    alphabet.  Its Xi_K coefficients below z^|K| come from its edge weights
+    and its |K| one-edge deletions, whose components on the alphabet's line
+    graph are earlier polymers with their Xi kept, and w_K is expm1(log
+    g(K)) less them; L_K then enters each row k >= |K| once, times its
+    multiplicity.  Each site's free trace is taken once.  Refuses, from the
+    thresholded couplings and before the alphabet is built, an order or
+    polymer count past the caps, and, before any solve, a polymer support
+    whose truncated space (q+1)^|V| exceeds the default dimension cap, or
+    an eigensolve cost past MAX_SOLVE_COST.  A weight, log Xi series or row
+    that an overflow leaves not finite raises ArithmeticError.
     """
     m = cfg.m
-    alphabet = np.abs(model.couplings) > cfg.polymer_threshold
-    degree = alphabet.sum(axis=1)
-    check_polymer_caps(degree, m)
-    polymers = enumerate_polymers(interaction_edges(model.couplings, cfg.polymer_threshold), m)
+    check_polymer_caps((np.abs(model.couplings) > cfg.polymer_threshold).sum(axis=1), m)
+    edges = interaction_edges(model.couplings, cfg.polymer_threshold)  # sorted and distinct
+    polymers = enumerate_polymers(edges, m)
     supports = [sorted({site for e in s for site in e}) for s in polymers]
     widths = set(map(len, supports))
     check_dim_cap(q, max(widths, default=0))
@@ -186,25 +188,30 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     if cost > MAX_SOLVE_COST:
         raise ResourceCapError("an eigensolve cost of {} exceeds", cost, MAX_SOLVE_COST)
 
-    xis = {}  # polymer -> its Xi coefficients z^0 .. z^|K|, the last w_K
+    line_graph, index = _line_graph(edges), {e: i for i, e in enumerate(edges)}
+    xis = {}  # polymer mask -> its Xi coefficients z^0 .. z^|K|, the last w_K
+    free = [None] * model.n_sites  # each site's free trace, once taken
     orders: list[list[float]] = [[] for _ in range(m + 1)]
     kp_terms = [[] for _ in range(model.n_sites)]  # each site's, in polymer order
     for s, v in zip(polymers, supports):
         try:  # log g(K) on K's own support: hopping trace minus free trace
-            log_g = (restricted_log_partition(model, v, s, q)
-                     - onsite_log_trace(model, v, q, model.beta))
+            log_g = restricted_log_partition(model, v, s, q)
+            for site in v:
+                if free[site] is None:
+                    free[site] = onsite_log_trace(model, site, q)
         except ArithmeticError as exc:
             raise EigensolverError(f"weight evaluation failed for polymer {s}: {exc}") from exc
+        log_g -= reduce(add, (free[site] for site in v), 0.0)
         n, what = len(s), ("the weight of polymer {}", s)
+        ids = [index[e] for e in s]  # ascending, as s is sorted
+        mask = sum(1 << i for i in ids)
         # [z^1] Xi_K sums K's edge weights, each exact, where the deletions'
         # sums would round them; the deletions give [z^k] for 1 < k < |K|
-        ones = [xis[(e,)][1] for e in s] if n > 1 else []
-        line_graph = _line_graph(s) if n > 2 else ()
+        ones = [xis[1 << i][1] for i in ids] if n > 1 else []
         deletions = [[] for _ in range(n)]
-        for j in range(len(line_graph)):
-            # Xi of K - e_j, the product over its components
-            product, *others = [xis[tuple(e for i, e in enumerate(s) if part >> i & 1)]
-                                for part in _split(line_graph, ((1 << n) - 1) & ~(1 << j))]
+        for i in ids if n > 2 else ():
+            # Xi of K - e_i, the product over its components, lowest edge first
+            product, *others = [xis[part] for part in _split(line_graph, mask & ~(1 << i))]
             for other in others:
                 product = _times(product, other, *what)
             for k in range(2, n):
@@ -214,22 +221,25 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
         # g(K) = Xi_K(1): w_K is what g(K) - 1 leaves after the lower
         # coefficients; map defers expm1, so an overflow there is caught by the sum
         terms = itertools.chain(map(math.expm1, [log_g]), (-c for c in ones + lower[1:]))
-        xis[s] = [1.0, *lower, _finite_fsum(terms, *what)]
-        kp = abs(xis[s][-1]) * math.exp(len(v) / 2.0 + n)
+        xis[mask] = [1.0, *lower, _finite_fsum(terms, *what)]
+        kp = abs(xis[mask][-1]) * math.exp(len(v) / 2.0 + n)
         for site in v:
             kp_terms[site].append(kp)
-        xi = xis[s] + [0.0] * (m - n)
+        xi = xis[mask] + [0.0] * (m - n)
         log = [0.0] * (m + 1)
         for k in range(1, m + 1):
             # Xi L' = Xi' with Xi_0 = 1:  k L_k = k Xi_k - sum_{j<k} j L_j Xi_{k-j}
             log[k] = xi[k] - _finite_fsum((j * log[j] * xi[k - j] for j in range(1, k)),
                                           "the log Xi series of polymer {}", s) / k
-        # d_K: the degree sum counts the alphabet edges inside V_K twice
-        d = int(degree[v].sum() - alphabet[np.ix_(v, v)].sum() // 2) - n
+        d = (reduce(or_, (line_graph[i] for i in ids)) & ~mask).bit_count()
         for j, term in enumerate(log[n:]):
             orders[n + j].append(((-1) ** j * math.comb(d - 1, j) if d else 1) * term)
     rows = [_finite_fsum(orders[k], "row {} of T_m", k) for k in range(1, m + 1)]
-    return {s: xi[-1] for s, xi in xis.items()}, rows, list(map(math.fsum, kp_terms))
+    # added left to right: sum() of floats is compensated from Python 3.12 on
+    log_z_w = reduce(add, (onsite_log_trace(model, site, q) if f is None else f
+                           for site, f in enumerate(free)), 0.0)
+    weights = dict(zip(polymers, (xi[-1] for xi in xis.values())))
+    return weights, rows, list(map(math.fsum, kp_terms)), log_z_w
 
 
 @dataclass(frozen=True)
@@ -260,12 +270,11 @@ def approximate_log_partition(model: ModelInstance, cfg: ExpansionConfig) -> Exp
     """
     q = resolve_cutoff(model.n_sites, model.beta, cfg.q)
 
-    weights, orders, kp_lhs = _expand(model, cfg, q)
+    weights, orders, kp_lhs, log_z_w = _expand(model, cfg, q)
     t_m = 0.0
     for contribution in orders:
         t_m += contribution
 
-    log_z_w = onsite_log_trace(model, range(model.n_sites), q, model.beta)
     kp_rows = [KPDiagnosticRow(site, lhs, KP_RHS, lhs < KP_RHS) for site, lhs in enumerate(kp_lhs)]
     certified = all(r.certified for r in kp_rows)
 

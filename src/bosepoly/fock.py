@@ -253,16 +253,12 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.exp(arr - m).sum()))
 
 
-def onsite_log_trace(model: ModelInstance, sites, q: int, beta: float) -> float:
-    """log Tr exp(-beta W) over ``sites`` with all hopping off: the per-site
-    on-site sums, added in the order the sites are given."""
+def onsite_log_trace(model: ModelInstance, site: int, q: int) -> float:
+    """log Tr exp(-beta W) at ``site``, the model's beta, with all hopping off."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    total = 0.0
-    for site in sites:
-        total += logsumexp(boltzmann_exponents(beta, onsite_table(model, site, q),
-                                               f"at site {site}"))
-    return total
+    return logsumexp(boltzmann_exponents(model.beta, onsite_table(model, site, q),
+                                         f"at site {site}"))
 
 
 def _symmetric_eigenvalues(matrix: np.ndarray, where: str = "", vectors: bool = False):
@@ -278,20 +274,13 @@ def _symmetric_eigenvalues(matrix: np.ndarray, where: str = "", vectors: bool = 
     return solved
 
 
-def restricted_log_partition(
-    model: ModelInstance,
-    region,
-    active_edges,
-    q: int,
-    beta: float | None = None,
-) -> float:
-    """log Tr_L (Pi_{L,q} exp(-beta H_L)) with hopping only on active_edges.
+def restricted_log_partition(model: ModelInstance, region, active_edges, q: int) -> float:
+    """log Tr_L (Pi_{L,q} exp(-beta H_L)) with hopping only on active_edges,
+    at the model's beta.
 
     The trace runs over the per-site-truncated space of the region,
     decomposed into number sectors; sector contributions are combined with
     log-sum-exp in canonical N_tot order.
     """
-    if beta is None:
-        beta = model.beta
     H = RegionHamiltonian(model, region, active_edges, q)
-    return logsumexp([H.log_trace_exp(b, beta) for b in range(len(H.blocks))])
+    return logsumexp([H.log_trace_exp(b, model.beta) for b in range(len(H.blocks))])

@@ -69,11 +69,10 @@ class ThermalState:
         return np.exp(-self.beta * lam - self.log_z)
 
 
-def thermalize(model: ModelInstance, q: int, observables=(),
-               beta: float | None = None) -> ThermalState:
-    """The thermal state at ``beta`` (default ``model.beta``), with the value
-    of each of ``observables``."""
-    return thermal_states(model, q, [model.beta if beta is None else beta], observables)[0]
+def thermalize(model: ModelInstance, q: int, observables=()) -> ThermalState:
+    """The thermal state at the model's beta, with the value of each of
+    ``observables``."""
+    return thermal_states(model, q, [model.beta], observables)[0]
 
 
 def thermal_states(model: ModelInstance, q: int, betas, observables=()) -> list[ThermalState]:

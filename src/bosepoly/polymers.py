@@ -15,9 +15,9 @@ keyed by mask keeps each one once, however many growth paths reach it.
 Each edge tuple is built sorted, distinct and connected, so nothing
 re-checks it.  They come out in canonical (size, then lexicographic) order,
 at most ``MAX_POLYMERS`` of at most ``MAX_ORDER`` edges.
-``_split`` finds the components of an edge subset of one polymer, as
-bitmasks over its sorted edges, from the polymer's own ``_line_graph``
-(which of those edges share a site).
+``_split`` finds the components of an edge subset, a bitmask over the
+sorted alphabet, from the alphabet's ``_line_graph`` (which of its edges
+share a site): the expansion splits each polymer's one-edge deletions so.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ MAX_ORDER = 16
 def _line_graph(edges) -> tuple[int, ...]:
     """Bit j of entry k is set when edges k != j share a site; entry k does
     not keep its own bit k.  Built from each site's incidence mask, in
-    O(sum of site degrees), so one builder serves a whole alphabet and each
-    polymer."""
+    O(sum of site degrees)."""
     at = defaultdict(int)
     for k, (a, b) in enumerate(edges):
         at[a] |= 1 << k

@@ -534,8 +534,8 @@ def full_order_log_z(model, q):
     pins the weight inversion of each component and log g's additivity over
     components, not the smaller polymers' solves."""
     edges = interaction_edges(model.couplings, 0.0)
-    weights, _rows, _lhs = _expand(model, ExpansionConfig(m=len(edges), q=q), q)
-    terms = [onsite_log_trace(model, range(model.n_sites), q, model.beta)]
+    weights, _rows, _lhs, _log_z_w = _expand(model, ExpansionConfig(m=len(edges), q=q), q)
+    terms = [onsite_log_trace(model, site, q) for site in range(model.n_sites)]
     for polymer in weights:
         g = 1.0 + math.fsum(math.prod(weights[k] for k in components(subset))
                             for size in range(1, len(polymer) + 1)

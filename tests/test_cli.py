@@ -26,7 +26,7 @@ from bosepoly.cli import (
     run,
     validate_config,
 )
-from bosepoly.oracle import MAX_MOMENT_ORDER, Moments, thermalize
+from bosepoly.oracle import MAX_MOMENT_ORDER, Moments, thermal_states
 
 
 def base_config(**overrides):
@@ -904,7 +904,7 @@ def test_moments_beta_list_solves_each_sector_once(tmp_path, monkeypatch):
     config["oracle"] = {"site": 1, "l_max": 3, "beta_list": [0.1, 0.7, 0.4]}
     model = build_model(config)
     want = {
-        beta: thermalize(model, 2, [Moments(1, 3)], beta=beta).values[0]
+        beta: thermal_states(model, 2, [beta], [Moments(1, 3)])[0].values[0]
         for beta in (0.1, 0.7, 0.4)
     }
 
@@ -935,7 +935,7 @@ def test_moments_descending_beta_list_solves_each_sector_once(tmp_path, monkeypa
     config["oracle"] = {"site": 1, "l_max": 3, "beta_list": [100.0, 1.0, 4.0]}
     model = build_model(config)
     want = {
-        beta: thermalize(model, 3, [Moments(1, 3)], beta=beta).values[0]
+        beta: thermal_states(model, 3, [beta], [Moments(1, 3)])[0].values[0]
         for beta in (100.0, 1.0, 4.0)
     }
 

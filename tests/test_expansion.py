@@ -1,7 +1,10 @@
 import itertools
 import math
+import random
 import tracemalloc
 from dataclasses import asdict
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from bosepoly.expansion import (
 )
 from bosepoly.fock import onsite_energy, onsite_log_trace, restricted_log_partition
 from bosepoly.lattice import interaction_edges
-from bosepoly.polymers import enumerate_polymers
+from bosepoly.polymers import _line_graph, enumerate_polymers
 
 from conftest import (make_chain, make_explicit, make_long_range_chain, support, weight,
                       weights_at)
@@ -40,20 +43,19 @@ ISOLATED_EDGE[3, 4] = ISOLATED_EDGE[4, 3] = 0.25
 
 def test_onsite_log_partition_single_site():
     model = make_chain(1, g=0.1, beta=1.0, U=1.0, mu=0.0)
-    assert onsite_log_trace(model, range(1), 1, model.beta) == pytest.approx(math.log(2))
+    assert onsite_log_trace(model, 0, 1) == pytest.approx(math.log(2))
 
 
 def test_onsite_log_partition_product_structure():
     model = make_chain(5, g=0.1, beta=1.0, U=1.0, mu=0.0)
-    assert onsite_log_trace(model, range(5), 1, model.beta) == pytest.approx(5 * math.log(2))
+    report = approximate_log_partition(model, ExpansionConfig(m=1, q=1))
+    assert report.log_z_w == pytest.approx(5 * math.log(2))
 
 
 def test_onsite_log_partition_three_levels():
     model = make_chain(1, g=0.1, beta=1.0, U=1.0, mu=0.5)
     # W(0)=0, W(1)=-1/2, W(2)=0
-    assert onsite_log_trace(model, range(1), 2, model.beta) == pytest.approx(
-        math.log(2 + math.exp(0.5))
-    )
+    assert onsite_log_trace(model, 0, 2) == pytest.approx(math.log(2 + math.exp(0.5)))
 
 
 def test_zero_couplings_give_zero_ratio():
@@ -148,10 +150,11 @@ def test_report_invariants():
 
 def test_each_polymer_splits_its_one_edge_deletions_once(monkeypatch):
     # a polymer of three or more edges builds its Xi from its |p| one-edge
-    # deletions, each split into components once; a smaller one needs only
-    # its edge weights
+    # deletions, each split into components once on the alphabet's line
+    # graph; a smaller one needs only its edge weights
     model = make_long_range_chain(5, g=0.1, alpha=3.0, beta=0.2)
-    polymers = enumerate_polymers(interaction_edges(model.couplings, 0.0), 3)
+    edges = interaction_edges(model.couplings, 0.0)
+    polymers = enumerate_polymers(edges, 3)
     calls = []
     split = bosepoly.expansion._split
 
@@ -162,7 +165,50 @@ def test_each_polymer_splits_its_one_edge_deletions_once(monkeypatch):
     monkeypatch.setattr(bosepoly.expansion, "_split", counting)
     approximate_log_partition(model, ExpansionConfig(m=3, q=2))
     assert len(calls) == sum(len(p) for p in polymers if len(p) > 2)
-    assert all(mask.bit_count() == len(line_graph) - 1 for line_graph, mask in calls)
+    assert all(line_graph == _line_graph(edges) for line_graph, _ in calls)
+    # each mask is one polymer of more than two edges less one of its edges
+    deletions = [sum(1 << edges.index(e) for e in p if e != removed)
+                 for p in polymers if len(p) > 2 for removed in p]
+    assert sorted(mask for _, mask in calls) == sorted(deletions)
+
+
+def test_each_site_is_traced_free_once_per_run(monkeypatch):
+    # the path 0-1-2 gives three polymers, all on site 1; at a threshold of
+    # 0.1 the edge (3, 4) leaves the alphabet, so sites 3 and 4 are in no
+    # polymer.  Every site is traced once, for its polymers' log g and log
+    # Z_W alike
+    matrix = ISOLATED_EDGE.copy()
+    matrix[3, 4] = matrix[4, 3] = 0.05
+    model = make_explicit(5, matrix, beta=0.5, U=1.0, mu=0.2)
+    traced = []
+    trace = bosepoly.expansion.onsite_log_trace
+
+    def counting(model, site, q):
+        traced.append(site)
+        return trace(model, site, q)
+
+    monkeypatch.setattr(bosepoly.expansion, "onsite_log_trace", counting)
+    report = approximate_log_partition(model, ExpansionConfig(m=2, q=2, polymer_threshold=0.1))
+    assert report.polymer_count == 3
+    assert sorted(traced) == list(range(model.n_sites))
+
+
+def test_free_traces_are_added_left_to_right():
+    # on this chain the left-to-right sum of the site traces and their
+    # correctly rounded sum differ in the last bit; builtin sum() is
+    # compensated from Python 3.12 on, so it would change log Z_W there
+    from bosepoly.lattice import ModelInstance, OnsiteParams, build_couplings, build_lattice
+
+    rng = random.Random(2)
+    U = [rng.uniform(0.8, 1.2) for _ in range(7)]
+    mu = [rng.uniform(0.0, 1.0) for _ in range(7)]
+    lattice = build_lattice([7])
+    model = ModelInstance(lattice, build_couplings(lattice, "finite_range", g=0.2, d_c=1),
+                          OnsiteParams(np.array(U), np.array(mu)), 0.5)
+    report = approximate_log_partition(model, ExpansionConfig(m=2, q=3))
+    traces = [onsite_log_trace(model, site, 3) for site in range(7)]
+    assert report.log_z_w == reduce(add, traces, 0.0)
+    assert report.log_z_w != math.fsum(traces)
 
 
 def test_approx_solves_each_polymer_once(monkeypatch):
@@ -216,7 +262,7 @@ def test_deletion_weights_match_the_subset_walk(case):
     for polymer, w in weights.items():
         v = sorted(support(polymer))
         log_g = (restricted_log_partition(model, v, polymer, q)
-                 - onsite_log_trace(model, v, q, model.beta))
+                 - reduce(add, (onsite_log_trace(model, site, q) for site in v), 0.0))
         terms = [math.expm1(log_g)] + [
             -math.prod(weights[k] for k in components(subset))
             for size in range(1, len(polymer))

@@ -18,6 +18,7 @@ from bosepoly.oracle import (
     Moments,
     MutualInformation,
     OccupationDistribution,
+    thermal_states,
     thermalize,
 )
 
@@ -27,8 +28,10 @@ from fock_reference import dense_thermal_matrix
 
 
 def observe(model, q, *observables, beta=None):
-    """The values of ``observables`` on one thermal state."""
-    return thermalize(model, q, observables, beta=beta).values
+    """The values of ``observables`` on one thermal state, at ``beta`` if
+    given, else at the model's."""
+    beta = model.beta if beta is None else beta
+    return thermal_states(model, q, [beta], observables)[0].values
 
 
 def correlations(model, q, family, anchor):
@@ -132,7 +135,7 @@ def test_thermalize_two_site_closed_form(two_site_model):
 
 def test_thermalize_infinite_temperature():
     model = make_chain(3, g=0.2, beta=0.7, U=1.0, mu=0.1)
-    state = thermalize(model, q=2, beta=0.0)
+    (state,) = thermal_states(model, 2, [0.0])
     assert state.log_z == pytest.approx(3 * math.log(3), abs=1e-12)
 
 
@@ -435,7 +438,7 @@ def test_normalization_check_reads_the_amplitudes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
     with pytest.raises(ArithmeticError, match="normalization"):
-        thermalize(_disordered_models()[1], 2, beta=0.8)
+        thermal_states(_disordered_models()[1], 2, [0.8])
 
 
 def test_failed_eigensolve_is_an_eigensolver_error(monkeypatch):
