@@ -1514,6 +1514,22 @@ def test_golden_report_chain4(tmp_path):
     assert {"per_order", "kp_margin"} <= set(fresh["result"])
 
 
+@pytest.mark.parametrize("command", ["exact", "clustering"])
+def test_golden_oracle_report_chain4(command, tmp_path):
+    # the oracle's reports pinned bit for bit, as the approx golden above
+    data = pathlib.Path(__file__).parent / "data"
+    golden = json.loads((data / f"golden_{command}_chain4.json").read_text())
+    golden.pop("timing")
+
+    out = tmp_path / "fresh.json"
+    config_path = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    code = run([command, config_path, "--set", f"output.path={out}"])
+    assert code == EXIT_OK
+    fresh = json.loads(out.read_text())
+    fresh.pop("timing")
+    assert fresh == golden
+
+
 def test_q_policy_auto_through_cli(tmp_path, capsys):
     config = base_config()
     config["expansion"] = {"m": 2, "q": "auto"}
