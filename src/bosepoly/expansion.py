@@ -183,7 +183,7 @@ def _expand(model: ModelInstance, cfg: ExpansionConfig, q: int) -> tuple[dict, l
     supports = [sorted({site for e in s for site in e}) for s in polymers]
     widths = set(map(len, supports))
     check_dim_cap(q, max(widths, default=0))
-    cubes = {w: sum(b.dim**3 for b in sector_blocks(range(w), q)) for w in widths}
+    cubes = {w: sum(b.dim**3 for b in sector_blocks(w, q)) for w in widths}
     cost = sum(cubes[len(v)] for v in supports)
     if cost > MAX_SOLVE_COST:
         raise ResourceCapError("an eigensolve cost of {} exceeds", cost, MAX_SOLVE_COST)

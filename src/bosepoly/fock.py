@@ -7,11 +7,12 @@ splits into sectors of fixed total occupation; each trace is computed
 block by block with a symmetric eigendecomposition and accumulated with
 log-sum-exp in canonical sector order.
 
-The layout of that space is cached per (|L|, q).  ``hop_entries`` is the
-one place the hop rule lives: it reads every a_a^dag a_b move off the layout
-for the region Hamiltonian and for the oracle's hopping correlators.  Dense
-blocks are filled one sector at a time, so the peak memory is one sector's
-block; a sector no hop reaches is traced from its diagonal.
+The layout of that space and its sector bases are cached per (|L|, q).
+``hop_entries`` is the one place the hop rule lives: it reads every
+a_a^dag a_b move off the layout for the region Hamiltonian and for the
+oracle's hopping correlators.  Dense blocks are filled one sector at a
+time, so the peak memory is one sector's block; a sector no hop reaches
+is traced from its diagonal.
 """
 
 from __future__ import annotations
@@ -82,14 +83,13 @@ def onsite_table(model: ModelInstance, site: int, q: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """Basis of occupation vectors over ``region`` with fixed total number.
+    """One number sector's basis on ``width`` sites, shared by every region that wide.
 
-    ``occupations`` holds one row per basis state (``dim x |region|``, in
-    lexicographic order) and ``codes`` the rows read as base-(q+1) numbers,
-    first site most significant, so the codes ascend strictly.
+    ``occupations`` holds one row per basis state (``dim x width``, column k the
+    region's k-th site, rows in lexicographic order) and ``codes`` the rows read as
+    base-(q+1) numbers, first site most significant, so the codes ascend strictly.
     """
 
-    region: tuple[int, ...]
     q: int
     total: int
     occupations: np.ndarray
@@ -112,12 +112,12 @@ def occupation_codes(occupations: np.ndarray, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _layout(width: int, q: int) -> tuple:
-    """(occupations, codes, rows, starts) of the (q+1)^width space.
+    """(occupations, codes, rows, starts, blocks) of the (q+1)^width space.
 
     ``occupations`` holds every state once, sectors in ascending N and each
-    sector's codes ascending; sector N spans rows ``starts[N]:starts[N+1]``.
-    ``rows[code]`` is a state's row within its sector.  Read-only: every
-    caller of the cache shares the arrays.
+    sector's codes ascending; sector N spans rows ``starts[N]:starts[N+1]``
+    and is ``blocks[N]``.  ``rows[code]`` is a state's row within its sector.
+    Read-only: every caller of the cache shares the arrays and the blocks.
     """
     codes = np.arange((q + 1) ** width, dtype=np.int64)
     occupations = codes[:, None] // _place_values(width, q) % (q + 1)
@@ -127,28 +127,20 @@ def _layout(width: int, q: int) -> tuple:
     starts = np.concatenate(([0], np.cumsum(np.bincount(totals))))
     rows = np.empty(codes.size, dtype=np.int32)  # no space nears 2^31 states
     rows[order] = np.arange(codes.size) - starts[totals[order]]
-    layout = (occupations[order], order, rows, starts)
-    for array in layout:
+    occupations, codes = occupations[order], order
+    for array in (occupations, codes, rows, starts):
         array.flags.writeable = False
-    return layout
+    blocks = tuple(SectorBlock(q, total, occupations[lo:hi], codes[lo:hi])
+                   for total, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])))
+    return occupations, codes, rows, starts, blocks
 
 
-def sector_blocks(region, q: int) -> list[SectorBlock]:
-    """Number-sector bases for N_tot = 0 .. q*|region|.
-
-    The block bases partition the (q+1)^|region| per-site-truncated space;
-    their arrays are read-only views of the cached layout.
-    """
-    region = tuple(region)
-    if not region:
-        raise ValueError("region must be nonempty")
-    if q < 0:
-        raise ValueError("cutoff q must be nonnegative")
-    occupations, codes, _rows, starts = _layout(len(region), q)
-    return [
-        SectorBlock(region, q, total, occupations[lo:hi], codes[lo:hi])
-        for total, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
-    ]
+def sector_blocks(width: int, q: int) -> tuple[SectorBlock, ...]:
+    """The bases of N_tot = 0 .. q*width, a partition of the (q+1)^width truncated
+    space, built once per (width, q) in the layout cache; every caller shares them."""
+    if width < 1 or q < 0:
+        raise ValueError(f"sector bases need width >= 1 and q >= 0, got {width} and {q}")
+    return _layout(width, q)[4]
 
 
 def hop_entries(occupations: np.ndarray, codes: np.ndarray, q: int, pairs) -> tuple:
@@ -190,7 +182,7 @@ class RegionHamiltonian:
 
     def __init__(self, model: ModelInstance, region, active_edges, q: int):
         region = tuple(region)
-        self.blocks = sector_blocks(region, q)
+        self.blocks = sector_blocks(len(region), q)
         pos = {site: k for k, site in enumerate(region)}
         active_edges = tuple(tuple(sorted(e)) for e in active_edges)
         if len(set(active_edges)) != len(active_edges):
@@ -201,7 +193,7 @@ class RegionHamiltonian:
             if i not in pos or j not in pos:
                 raise ValueError(f"edge ({i}, {j}) is not inside region {region}")
 
-        occ, codes, _, self._starts = _layout(len(region), q)
+        occ, codes, _, self._starts, _ = _layout(len(region), q)
         self._diagonal = np.zeros(len(occ))
         with np.errstate(over="ignore", invalid="ignore"):
             for k, site in enumerate(region):
@@ -238,7 +230,7 @@ class RegionHamiltonian:
         if self._bounds[b] == self._bounds[b + 1]:
             eigvals = self._diagonal[self._starts[b] : self._starts[b + 1]]
         else:
-            eigvals = _symmetric_eigenvalues(self.block(b))
+            eigvals = _symmetric_eigenvalues(self.block(b), f"the N={b} sector")
         return logsumexp(boltzmann_exponents(beta, eigvals, f"in the N={b} sector"))
 
 

@@ -112,7 +112,7 @@ def thermal_states(model: ModelInstance, q: int, betas, observables=()) -> list[
             for column in zip(*parts))
         if not abs(trace - 1.0) <= 1e-10:  # NaN fails too
             raise ArithmeticError(f"thermal state failed normalization: Tr rho = {trace}")
-        state = ThermalState(model, q, beta, tuple(H.blocks), tuple(eigenvalues), log_z)
+        state = ThermalState(model, q, beta, H.blocks, tuple(eigenvalues), log_z)
         states.append(replace(state, values=tuple(
             obs.value(total, state) for obs, total in zip(observables, totals))))
     return states
@@ -211,8 +211,8 @@ class MutualInformation:
         q, occ = block.q, block.occupations
         parts = []
         for sub in self.subsystems:
-            rest = [i for i in range(len(block.region)) if i not in sub]
-            sub_blocks = sector_blocks(sub, q)
+            rest = [i for i in range(occ.shape[1]) if i not in sub]
+            sub_blocks = sector_blocks(len(sub), q)
             out = [0.0] * len(sub_blocks)  # a block this sector misses adds 0
             sub_totals = occ[:, sub].sum(axis=1)
             order = np.lexsort((occupation_codes(occ[:, rest], q),
@@ -230,7 +230,7 @@ class MutualInformation:
     def reduced_blocks(self, total, state) -> list[dict]:
         """rho_A and rho_B, each a dict {subsystem total: block}."""
         parts = iter(total)
-        return [{blk.total: next(parts) for blk in sector_blocks(sub, state.q)}
+        return [{blk.total: next(parts) for blk in sector_blocks(len(sub), state.q)}
                 for sub in self.subsystems]
 
     def value(self, total, state) -> float:
@@ -284,7 +284,7 @@ class Clustering:
 
     def partial(self, block, W, diag):
         x, q, occ = self.anchor, block.q, block.occupations
-        others = [j for j in range(len(block.region)) if j != x]
+        others = [j for j in range(occ.shape[1]) if j != x]
         if self.family == "density":
             n = occ.astype(np.float64)
             means = diag @ n

@@ -153,7 +153,7 @@ def restricted_log_partition(model, region, active_edges, q: int, beta=None) -> 
     beta = model.beta if beta is None else beta
     return logsumexp([
         block_log_trace_exp(build_block_hamiltonian(model, region, active_edges, block), beta)
-        for block in sector_blocks(region, q)
+        for block in sector_blocks(len(region), q)
     ])
 
 
@@ -248,7 +248,7 @@ def thermalize(model, q: int, beta: float) -> HeldState:
     """The thermal state with every sector solved in ascending N and held."""
     region = tuple(range(model.n_sites))
     edges = interaction_edges(model.couplings, 0.0)
-    blocks = sector_blocks(region, q)
+    blocks = sector_blocks(len(region), q)
     eigenvalues = []
     amplitudes = []
     log_terms = []

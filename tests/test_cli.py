@@ -632,6 +632,48 @@ def test_long_range_chain_past_the_polymer_cap_exits_fast(capsys):
     assert error["details"] == ["required=31840200", f"allowed={bosepoly.polymers.MAX_POLYMERS}"]
 
 
+def test_long_range_approx_builds_sector_blocks_once_per_support_width(monkeypatch, capsys):
+    # every polymer of one support width shares that width's sector bases
+    built, widths = [], set()
+    init = bosepoly.fock.SectorBlock.__init__
+    enumerate_polymers = bosepoly.expansion.enumerate_polymers
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def keeping(edges, m):
+        polymers = enumerate_polymers(edges, m)
+        widths.update(len({site for e in p for site in e}) for p in polymers)
+        return polymers
+
+    monkeypatch.setattr(bosepoly.fock.SectorBlock, "__init__", counting)
+    monkeypatch.setattr(bosepoly.expansion, "enumerate_polymers", keeping)
+    bosepoly.fock._layout.cache_clear()
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain6_longrange.json")
+    assert run(["approx", config, "--set", "expansion.m=4", "--set", "expansion.q=1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["polymer_count"] > 100
+    assert widths == {2, 3, 4, 5}
+    # q = 1: a width w has the w + 1 sectors N = 0..w
+    assert len(built) == sum(w + 1 for w in widths)
+
+
+def test_a_failed_polymer_eigensolve_names_the_polymer_and_the_sector(monkeypatch, capsys):
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    config = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
+    assert run(["approx", config]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "numerical_failure"
+    # N = 0 holds one state and no hop, so N = 1 is the first sector solved
+    assert error["message"] == ("weight evaluation failed for polymer ((0, 1),): "
+                                "eigensolve failed on the N=1 sector")
+
+
 @pytest.mark.parametrize("command,n_sites", [("approx", 400), ("kp", 400), ("approx", 4000)])
 def test_polymer_cap_refuses_before_the_alphabet_is_built(command, n_sites, monkeypatch, capsys):
     # an all-pairs chain has C(N, 2) edges and N C(N - 1, 2) pairs of edges
@@ -988,7 +1030,7 @@ def test_exact_holds_one_sector_of_eigenvectors_at_a_time(partition, tmp_path):
     # reordered copy of W per side, against 9.2 when every sector kept all 15
     config = _disordered_square_config([2, 4])
     config["oracle"]["partitions"] = [partition]
-    largest = max(block.dim for block in bosepoly.fock.sector_blocks(range(8), 2))
+    largest = max(block.dim for block in bosepoly.fock.sector_blocks(8, 2))
     tracemalloc.start()
     try:
         code, text = run_to_file(tmp_path, "exact", config)

@@ -41,18 +41,18 @@ def test_onsite_energy_values():
 
 
 def test_sector_block_dims_two_sites_q1():
-    blocks = sector_blocks([0, 1], 1)
+    blocks = sector_blocks(2, 1)
     assert [b.dim for b in blocks] == [1, 2, 1]
 
 
 def test_sector_block_dims_single_site():
-    blocks = sector_blocks([0], 3)
+    blocks = sector_blocks(1, 3)
     assert [b.dim for b in blocks] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("n_sites,q", [(1, 5), (2, 4), (3, 2), (3, 5), (4, 3)])
 def test_sector_completeness(n_sites, q):
-    blocks = sector_blocks(list(range(n_sites)), q)
+    blocks = sector_blocks(n_sites, q)
     assert sum(b.dim for b in blocks) == (q + 1) ** n_sites
     # each occupation vector appears exactly once across blocks
     seen = set()
@@ -66,12 +66,11 @@ def test_sector_completeness(n_sites, q):
 
 @pytest.mark.parametrize("n_sites,q", [(1, 0), (1, 4), (2, 3), (3, 2), (4, 1), (4, 4)])
 def test_sector_rows_lexicographic_with_ascending_codes(n_sites, q):
-    region = tuple(range(10, 10 + n_sites))
-    blocks = sector_blocks(region, q)
+    blocks = sector_blocks(n_sites, q)
     assert [b.total for b in blocks] == list(range(q * n_sites + 1))
     for b in blocks:
         rows = b.occupations.tolist()
-        assert b.region == region and b.q == q and b.dim == len(rows)
+        assert b.q == q and b.dim == len(rows)
         assert [tuple(r) for r in rows] == fock_reference.occupation_vectors(n_sites, q, b.total)
         assert rows == sorted(rows)
         assert b.occupations.min() >= 0 and b.occupations.max() <= q
@@ -181,7 +180,7 @@ def _reference_hops(rows, pairs, q):
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_hop_entries_match_occupation_tuple_reference(width, q):
     pairs = list(itertools.permutations(range(width), 2))
-    sectors = sector_blocks(range(width), q)
+    sectors = sector_blocks(width, q)
     full = _layout(width, q)
     for occupations, codes in [full[:2]] + [(s.occupations, s.codes) for s in sectors]:
         rows = [tuple(r) for r in occupations.tolist()]
@@ -206,9 +205,28 @@ def test_layout_is_built_once_per_size_and_cutoff():
     weights_at(model, 5, 3)
     info = _layout.cache_info()
     assert info.misses == info.currsize == 5 and info.hits > 0
-    blocks = sector_blocks((4, 5, 6), 3)
+    blocks = sector_blocks(3, 3)
     assert _layout.cache_info().misses == 5
+    # one tuple per (width, q), shared by every caller
+    assert blocks is sector_blocks(3, 3) is _layout(3, 3)[4]
+    assert blocks is not sector_blocks(3, 2)
     assert not any(b.occupations.flags.writeable or b.codes.flags.writeable for b in blocks)
+
+
+def test_region_hamiltonian_shares_its_width_s_sector_blocks():
+    model = make_long_range_chain(5, g=0.4, alpha=3.0, beta=0.9)
+    region = (0, 2, 3)
+    for edges in ([(0, 2)], [(0, 2), (2, 3), (0, 3)]):
+        H = RegionHamiltonian(model, region, edges, 2)
+        assert H.blocks is sector_blocks(len(region), 2)
+    assert RegionHamiltonian(model, (1, 4, 0), [], 2).blocks is H.blocks
+
+
+@pytest.mark.parametrize("width,q", [(0, 2), (2, -1)])
+def test_sector_blocks_refuse_an_empty_width_and_a_negative_cutoff(width, q):
+    message = f"^sector bases need width >= 1 and q >= 0, got {width} and {q}$"
+    with pytest.raises(ValueError, match=message):
+        sector_blocks(width, q)
 
 
 def test_block_hamiltonian_no_edges_is_diagonal():
@@ -296,11 +314,11 @@ def test_diagonal_blocks_skip_the_eigensolve(monkeypatch):
     region, edges, q = (0, 2, 3), [(0, 2)], 2
     want = fock_reference.restricted_log_partition(model, region, edges, q)
     hopping = [
-        b.dim for b in sector_blocks(region, q)
+        b.dim for b in sector_blocks(len(region), q)
         if np.count_nonzero(fock_reference.build_block_hamiltonian(model, region, edges, b))
         > b.dim
     ]
-    assert len(hopping) == len(sector_blocks(region, q)) - 2
+    assert len(hopping) == len(sector_blocks(len(region), q)) - 2
 
     solved = []
     eigvalsh = np.linalg.eigvalsh
