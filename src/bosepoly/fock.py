@@ -175,9 +175,9 @@ class RegionHamiltonian:
     held as entries over the full space and filled one sector at a time.
 
     Diagonal: sum of on-site energies, added site by site in region order.
-    Off-diagonal: -J_ij times the factor of each move ``hop_entries`` (the
-    one owner of the hop rule) finds along an active edge, either way; edges
-    must lie inside ``region``.  ``blocks`` are the sectors in ascending N.
+    Off-diagonal: -J_ij times the factor of each move ``hop_entries`` (the one owner
+    of the hop rule) finds along an active edge, one entry per move, mirrored when a
+    block is filled; edges must lie inside ``region``; ``blocks`` are sectors in ascending N.
     """
 
     def __init__(self, model: ModelInstance, region, active_edges, q: int):
@@ -201,11 +201,10 @@ class RegionHamiltonian:
         if not np.isfinite(self._diagonal).all():
             raise ArithmeticError(f"on-site energy summed over sites {region} is not finite")
 
-        # both orientations of every edge: each off-diagonal entry is one hop,
-        # and the sources ascend, so each sector's hops are contiguous
-        hops = [((pos[i], pos[j]), J) for (i, j) in active_edges
+        # one entry per move toward the lower region position, so its target row lies below
+        # its source row (block() mirrors it); sources ascend, so sectors are contiguous
+        hops = [(tuple(sorted((pos[i], pos[j]))), J) for (i, j) in active_edges
                 if (J := model.coupling(i, j)) != 0.0]
-        hops += [((b, a), J) for ((a, b), J) in hops]
         states, h, self._targets, factors = hop_entries(occ, codes, q, [p for p, _ in hops])
         self._sources = states.astype(np.int32)
         with np.errstate(over="ignore"):
@@ -221,7 +220,8 @@ class RegionHamiltonian:
         entries = slice(self._bounds[b], self._bounds[b + 1])
         H = np.zeros((hi - lo, hi - lo))
         np.fill_diagonal(H, self._diagonal[lo:hi])
-        H[self._targets[entries], self._sources[entries] - lo] = self._values[entries]
+        rows, columns = self._targets[entries], self._sources[entries] - lo
+        H[rows, columns] = H[columns, rows] = self._values[entries]
         return H
 
     def log_trace_exp(self, b: int, beta: float) -> float:
@@ -253,10 +253,9 @@ def onsite_log_trace(model: ModelInstance, site: int, q: int) -> float:
                                          f"at site {site}"))
 
 
-def _symmetric_eigenvalues(matrix: np.ndarray, where: str = "", vectors: bool = False):
+def _symmetric_eigenvalues(matrix: np.ndarray, where: str, vectors: bool = False):
     """``eigvalsh`` of ``matrix``, or ``eigh`` with ``vectors``, looked up at call time; a
     failure or a non-finite eigenvalue is an EigensolverError naming ``where``."""
-    where = where or f"a {matrix.shape} block"
     try:
         solved = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(matrix)
     except np.linalg.LinAlgError as exc:

@@ -144,7 +144,7 @@ def block_log_trace_exp(H: np.ndarray, beta: float) -> float:
     if np.count_nonzero(H) == np.count_nonzero(diag) and np.isfinite(diag).all():
         eigvals = diag
     else:
-        eigvals = _symmetric_eigenvalues(H)
+        eigvals = _symmetric_eigenvalues(H, f"a reference {H.shape} block")
     return logsumexp(-beta * eigvals)
 
 

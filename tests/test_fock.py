@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from bosepoly.lattice import (
     ModelInstance,
     OnsiteParams,
     ResourceCapError,
+    build_couplings,
+    build_lattice,
     interaction_edges,
     scientific,
 )
@@ -195,6 +198,56 @@ def test_hop_entries_match_occupation_tuple_reference(width, q):
             assert source[b] >= 1 and source[a] < q and target[a] <= q
             assert factor == math.sqrt((source[a] + 1) * source[b])
     assert [len(x) for x in hop_entries(full[0], full[1], q, [])] == [0, 0, 0, 0]
+
+
+def _square_2x4():
+    """The validate-2x4 shape: a disordered 2x4 square with nearest-neighbour
+    hops, its full lattice as the region (6,561 states at q=2)."""
+    lattice = build_lattice([2, 4])
+    model = ModelInstance(lattice, build_couplings(lattice, "finite_range", g=0.2, d_c=1),
+                          OnsiteParams.uniform(8, 1.0, 0.5), 0.5)
+    return _disordered(model, 8), tuple(range(8)), interaction_edges(model.couplings, 0.0)
+
+
+@pytest.mark.parametrize("case", ["square-2x4", "long-range-(3,0,2,1)"])
+def test_region_hamiltonian_stores_each_move_once_below_the_diagonal(case):
+    # one entry per unordered move: the moves of one direction per edge, each
+    # stored toward the lower region position with its target row below its
+    # source row, in one int32 source, one int32 target and one float64 value
+    if case == "square-2x4":
+        model, region, edges = _square_2x4()
+    else:
+        make, region, edges = _BUILDER_CASES[case]
+        model = make()
+    q = 2
+    H = RegionHamiltonian(model, region, edges, q)
+    pos = {site: k for k, site in enumerate(region)}
+    one_way = [tuple(sorted((pos[i], pos[j]))) for i, j in edges]
+    occupations, _, _, starts, sectors = _layout(len(region), q)
+    rows = [tuple(r) for r in occupations.tolist()]
+    want = sorted((s, t) for s, _, t, _ in _reference_hops(rows, one_way, q))
+    got = sorted((rows[s], tuple(sectors[sum(rows[s])].occupations[t].tolist()))
+                 for s, t in zip(H._sources.tolist(), H._targets.tolist()))
+    assert len(H._values) == len(want) > 0 and got == want
+    sector = np.searchsorted(starts, H._sources, side="right") - 1
+    assert np.all(H._targets > H._sources - starts[sector])
+    assert H._sources.nbytes + H._targets.nbytes + H._values.nbytes == 16 * len(H._values)
+
+
+def test_full_lattice_hamiltonian_build_retains_and_peaks_little_memory():
+    # the validate-2x4 oracle's Hamiltonian: once the (8, 2) layout is cached,
+    # the build holds one entry per move (29,160 of them, 0.5 MiB) and peaks at
+    # 1.4 MiB; an entry for each orientation would hold 0.94 MiB and peak at 2.5
+    model, region, edges = _square_2x4()
+    _layout(8, 2)
+    tracemalloc.start()
+    try:
+        H = RegionHamiltonian(model, region, edges, 2)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(H.blocks) == 17
+    assert retained <= 0.7 * 2**20 and peak <= 2.0 * 2**20, (retained, peak)
 
 
 def test_layout_is_built_once_per_size_and_cutoff():
@@ -473,5 +526,5 @@ def test_block_assembly_matches_dense(n_sites, q):
 
 def test_non_finite_eigenvalue_names_the_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: np.full(len(matrix), np.nan))
-    with pytest.raises(EigensolverError, match=r"non-finite eigenvalues on a \(3, 3\) block"):
-        _symmetric_eigenvalues(np.eye(3))
+    with pytest.raises(EigensolverError, match=r"non-finite eigenvalues on the N=2 sector$"):
+        _symmetric_eigenvalues(np.eye(3), "the N=2 sector")
