@@ -1572,6 +1572,32 @@ def test_golden_oracle_report_chain4(command, tmp_path):
     assert fresh == golden
 
 
+# the remaining chain4 reports, as (golden file, command, arguments), each
+# read from stdout and compared as rendered, timing left out
+_GOLDEN_REPORTS = [
+    ("golden_compare_chain4.json", "compare", []),
+    ("golden_compare_grid_chain4.json", "compare", ["--m-list", "2,4", "--q-list", "1,3"]),
+    ("golden_moments_chain4.json", "moments", ["--set", "oracle.beta_list=[0.05,0.1]"]),
+    ("golden_kp_chain4.json", "kp", []),
+    ("golden_compare_chain4.csv", "compare", ["--set", "output.format=csv"]),
+    ("golden_clustering_chain4.csv", "clustering", ["--set", "output.format=csv"]),
+]
+
+
+@pytest.mark.parametrize("name,command,args", _GOLDEN_REPORTS,
+                         ids=[case[0] for case in _GOLDEN_REPORTS])
+def test_golden_stdout_report_chain4(name, command, args, capsys):
+    golden = (pathlib.Path(__file__).parent / "data" / name).read_text()
+    assert run([command, _CHAIN4, *args]) == EXIT_OK
+    fresh = capsys.readouterr().out
+    if name.endswith(".json"):
+        docs = [json.loads(text) for text in (golden, fresh)]
+        for doc in docs:
+            doc.pop("timing")
+        golden, fresh = (json.dumps(doc, sort_keys=True, indent=2) for doc in docs)
+    assert fresh == golden
+
+
 def test_q_policy_auto_through_cli(tmp_path, capsys):
     config = base_config()
     config["expansion"] = {"m": 2, "q": "auto"}
