@@ -3,10 +3,11 @@
 One JSON configuration file drives every subcommand; the only positional
 arguments are the subcommand and the config path, with ``--set
 section.key=value`` overrides layered on top; a key set to null reads as
-absent.  Reports are JSON documents (schema-stamped, timing isolated under
-a single ``timing`` subtree so golden-file comparisons can exclude exactly
-one key); tabular commands can emit CSV instead.  Exit codes: 0 success,
-2 config error, 3 resource cap, 4 numerical failure.
+absent.  Every report and every error document goes to standard output.
+Reports are JSON documents (schema-stamped, timing isolated under a single
+``timing`` subtree so golden-file comparisons can exclude exactly one key);
+tabular commands can emit CSV instead.  Exit codes: 0 success, 2 config
+error, 3 resource cap, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -237,7 +238,6 @@ _KEYS = (
     ("output.format", "{} must be json or csv", lambda v, f: v not in (None, "json", "csv")),
     ("output.format", "{}=csv is only supported for " + str(list(_TABULAR)),
      lambda v, f: v == "csv" and f["command"] not in (None, *_TABULAR)),
-    ("output.path", "{} must be a string", lambda v, f: v is not None and not isinstance(v, str)),
     ("expansion.m", "{} is required for this command",
      lambda v, f: v is None and f["command"] in ("approx", "compare", "kp")),
     ("expansion.q", "{} is required for this command",
@@ -415,8 +415,6 @@ def cmd_kp(config: dict):
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -431,25 +429,13 @@ def render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(body: dict) -> str:
+    """A schema-stamped JSON document: a report or an error."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **body}, sort_keys=True, indent=2) + "\n"
+
+
 def render_json(command: str, result: dict, timing: dict) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "result": result,
-        "timing": timing,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, path: str | None) -> None:
-    if not path:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError([f"output.path {path!r} cannot be written: {exc.strerror}"])
+    return _render({"command": command, "result": result, "timing": timing})
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +492,11 @@ def run(argv=None) -> int:
             text = render_csv(result["columns"], result["rows"])
         else:
             text = render_json(args.command, result, timing)
-        _emit(text, _get(config, "output.path"))
+        sys.stdout.write(text)
         return EXIT_OK
 
-    except ConfigError as exc:
-        _emit_error("config_error", str(exc), exc.problems)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        _emit_error("config_error", str(exc), [str(exc)])
+    except ValueError as exc:  # a ConfigError among them, with its problems
+        _emit_error("config_error", str(exc), getattr(exc, "problems", [str(exc)]))
         return EXIT_CONFIG
     except ResourceCapError as exc:
         _emit_error("resource_cap", str(exc), exc.details)
@@ -534,11 +517,8 @@ def _grid(flag: str, value: str) -> list[int]:
 
 
 def _emit_error(code: str, message: str, details) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "error": {"code": code, "message": message, "details": list(details)},
-    }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_render({"error": {"code": code, "message": message,
+                                        "details": list(details)}}))
 
 
 def main() -> None:

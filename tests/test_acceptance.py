@@ -482,7 +482,7 @@ def test_c10_area_law():
 # -- 11: determinism --------------------------------------------------------------------
 
 
-def test_c11_determinism(tmp_path):
+def test_c11_determinism(tmp_path, capsys):
     start = time.perf_counter()
     config = {
         "model": {
@@ -496,19 +496,17 @@ def test_c11_determinism(tmp_path):
         "output": {"format": "json"},
     }
     rendered = []
-    out = tmp_path / "report.json"
-    config["output"]["path"] = str(out)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert cli_run(["approx", str(cfg_path)]) == 0
+    in_process = capsys.readouterr().out
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "bosepoly.cli", "approx", str(cfg_path),
-         "--set", "output.path=null"],
+        [sys.executable, "-m", "bosepoly.cli", "approx", str(cfg_path)],
         env=env, capture_output=True, text=True, check=True,
     )
-    for text in (out.read_text(), proc.stdout):
+    for text in (in_process, proc.stdout):
         doc = json.loads(text)
         doc.pop("timing")
         rendered.append(json.dumps(doc, sort_keys=True, indent=2).encode())

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import pathlib
@@ -54,12 +56,11 @@ def write_config(tmp_path, config, name="config.json"):
 
 
 def run_to_file(tmp_path, command, config, extra_args=()):
-    out = tmp_path / "out.txt"
-    config = dict(config)
-    config["output"] = dict(config.get("output", {}), path=str(out))
-    code = run([command, write_config(tmp_path, config), *extra_args])
-    text = out.read_text() if out.exists() else ""
-    return code, text
+    """Run ``command`` on ``config`` written to a file; its exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run([command, write_config(tmp_path, config), *extra_args])
+    return code, out.getvalue()
 
 
 def assert_elapsed_seconds(doc):
@@ -391,8 +392,8 @@ def test_validation_message_order_across_keys(kind):
 
 # every key a config can carry, on a config that sets all of them; workers,
 # q_policy and oracle.q are legacy keys that harness configs still carry.
-# _PATHS adds the retired theta, q_prefactor and dim_cap, whose null must
-# still read as absent
+# _PATHS adds the retired theta, q_prefactor, dim_cap and output.path, whose
+# null must still read as absent
 _FULL = _edit(base_config(), {
     "model.coupling": {"kind": "long_range", "g": 0.1, "alpha": 3.0, "d_c": 1,
                        "matrix": [[0.0] * 4 for _ in range(4)]},
@@ -400,7 +401,7 @@ _FULL = _edit(base_config(), {
                   "polymer_threshold": 0.0},
     "oracle": {"q": 2, "l_max": 2, "site": 1, "anchor": 0,
                "family": "density", "partitions": [[0, 1]], "beta_list": [0.1]},
-    "output": {"format": "json", "path": "out.json"},
+    "output": {"format": "json"},
 })
 _PATHS = [
     f"{section}.{key}" if key else section
@@ -513,6 +514,21 @@ def test_config_path_that_cannot_be_read_exits_2(tmp_path, capsys):
     assert run(["approx", str(missing)]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().out)["error"]["message"] == (
         f"config file not found: {missing}")
+
+
+@pytest.mark.parametrize("text,sets,details", [
+    ("not json", [], ["config file is not valid JSON: Expecting value: line 1 column 1 (char 0)"]),
+    ("[1, 2]", [], ["config root must be a JSON object"]),
+    (json.dumps(base_config()), ["--set", "expansion.m"],
+     ["--set expects section.key=value, got 'expansion.m'"]),
+], ids=["invalid-json", "non-object-root", "set-without-equals"])
+def test_config_text_that_cannot_be_read_exits_2(text, sets, details, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run(["approx", str(path), *sets]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "config_error"
+    assert error["details"] == details
 
 
 def test_exact_single_site(tmp_path):
@@ -1348,42 +1364,38 @@ def test_csv_rejected_for_approx(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", no_solve)
     config = base_config()
     config["output"]["format"] = "csv"
-    code, _ = run_to_file(tmp_path, "approx", config)
+    code, text = run_to_file(tmp_path, "approx", config)
     assert code == EXIT_CONFIG
-    error = json.loads(capsys.readouterr().out)["error"]
+    error = json.loads(text)["error"]
     assert error["details"] == [
         "output.format=csv is only supported for ['clustering', 'compare', 'kp', 'moments']"
     ]
 
 
-def test_output_path_must_be_a_string(tmp_path, capsys):
-    config = base_config(output={"path": 7})
-    assert validate_config(config, "approx") == ["output.path must be a string"]
-    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["details"] == ["output.path must be a string"]
+@pytest.mark.parametrize("value", ["out.json", "", 7])
+@pytest.mark.parametrize("command", sorted(bosepoly.cli.COMMANDS))
+def test_retired_output_path_is_refused_before_the_model(command, value, tmp_path,
+                                                         monkeypatch, capsys):
+    # reports go to stdout alone; a path is an unknown key, refused up front
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
 
-
-def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
-    out = tmp_path / "missing" / "out.json"
-    config = base_config(output={"path": str(out)})
-    assert run(["approx", write_config(tmp_path, config)]) == EXIT_CONFIG
+    monkeypatch.setattr(bosepoly.cli, "build_model", no_model)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, _edit(base_config(), {"output.path": value}))
+    assert run([command, path]) == EXIT_CONFIG
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["code"] == "config_error"
-    assert error["details"] == [
-        f"output.path {str(out)!r} cannot be written: No such file or directory"
-    ]
-    assert not out.exists()
+    assert error["details"] == ["output.path is not a known key; the nearest is output.format"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-def test_set_override(tmp_path):
-    out = tmp_path / "o.json"
+def test_set_override(tmp_path, capsys):
     config = base_config()
-    config["output"]["path"] = str(out)
     path = write_config(tmp_path, config)
     code = run(["approx", path, "--set", "expansion.m=2"])
     assert code == EXIT_OK
-    doc = json.loads(out.read_text())
+    doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["m"] == 2
 
 
@@ -1434,15 +1446,13 @@ def test_version_flag(capsys):
     assert "0.1.0" in out and "schema 3" in out
 
 
-def test_determinism_byte_identical_excluding_timing(tmp_path):
+def test_determinism_byte_identical_excluding_timing(tmp_path, capsys):
     config = base_config()
     docs = []
     for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        config["output"]["path"] = str(out)
         path = write_config(tmp_path, config, name=f"cfg_{name}")
         assert run(["approx", path]) == EXIT_OK
-        doc = json.loads(out.read_text())
+        doc = json.loads(capsys.readouterr().out)
         doc.pop("timing")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
@@ -1539,35 +1549,29 @@ def test_overflowing_weight_is_a_numerical_failure(command, capsys):
         assert error["message"] == message
 
 
-def test_golden_report_chain4(tmp_path):
-    import pathlib
-
+def test_golden_report_chain4(capsys):
     golden_path = pathlib.Path(__file__).parent / "data" / "golden_approx_chain4.json"
     golden = json.loads(golden_path.read_text())
     golden.pop("timing")
 
-    out = tmp_path / "fresh.json"
-    config_path = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
-    code = run(["approx", config_path, "--set", f"output.path={out}"])
+    code = run(["approx", _CHAIN4])
     assert code == EXIT_OK
-    fresh = json.loads(out.read_text())
+    fresh = json.loads(capsys.readouterr().out)
     fresh.pop("timing")
     assert fresh == golden
     assert {"per_order", "kp_margin"} <= set(fresh["result"])
 
 
 @pytest.mark.parametrize("command", ["exact", "clustering"])
-def test_golden_oracle_report_chain4(command, tmp_path):
+def test_golden_oracle_report_chain4(command, capsys):
     # the oracle's reports pinned bit for bit, as the approx golden above
     data = pathlib.Path(__file__).parent / "data"
     golden = json.loads((data / f"golden_{command}_chain4.json").read_text())
     golden.pop("timing")
 
-    out = tmp_path / "fresh.json"
-    config_path = str(pathlib.Path(__file__).parent.parent / "configs" / "chain4_nn.json")
-    code = run([command, config_path, "--set", f"output.path={out}"])
+    code = run([command, _CHAIN4])
     assert code == EXIT_OK
-    fresh = json.loads(out.read_text())
+    fresh = json.loads(capsys.readouterr().out)
     fresh.pop("timing")
     assert fresh == golden
 
@@ -1824,8 +1828,7 @@ def test_only_an_unknown_key_loads_difflib(tmp_path):
               "print(run(sys.argv[1:]), 'difflib' in sys.modules, file=sys.stderr)")
 
     def loaded(*settings):
-        argv = [sys.executable, "-c", script, "approx", _CHAIN4,
-                "--set", f"output.path={tmp_path / 'out.json'}", *settings]
+        argv = [sys.executable, "-c", script, "approx", _CHAIN4, *settings]
         return subprocess.run(argv, env=env, capture_output=True, text=True).stderr.split()
 
     assert loaded() == ["0", "False"]
