@@ -141,12 +141,12 @@ class OnsiteParams:
 
 
 def _validate_square(matrix: np.ndarray, n: int) -> np.ndarray:
+    if np.iscomplexobj(matrix):  # before the cast, which would warn and drop it
+        raise CouplingError("complex couplings are not supported")
     try:
         m = np.asarray(matrix, dtype=np.float64)
     except OverflowError:  # an integer entry past the float64 range
         raise CouplingError("coupling matrix entries must be finite") from None
-    if np.iscomplexobj(matrix):
-        raise CouplingError("complex couplings are not supported")
     if m.shape != (n, n):
         raise CouplingError(f"coupling matrix must be {n}x{n}, got {m.shape}")
     if not np.isfinite(m).all():

@@ -275,6 +275,21 @@ def test_region_hamiltonian_shares_its_width_s_sector_blocks():
     assert RegionHamiltonian(model, (1, 4, 0), [], 2).blocks is H.blocks
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: onsite_energy(1.0, 0.5, -1), "occupation must be nonnegative"),
+    (lambda: onsite_log_trace(make_chain(2, g=0.1, beta=1.0), 0, -1), "q must be nonnegative"),
+], ids=["negative-occupation", "negative-cutoff"])
+def test_onsite_refuses_a_negative_occupation_and_cutoff(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("values,expect", [([], -math.inf), ([math.inf], math.inf),
+                                           ([-math.inf, 0.0], 0.0)])
+def test_logsumexp_of_no_values_and_of_infinities(values, expect):
+    assert logsumexp(values) == expect
+
+
 @pytest.mark.parametrize("width,q", [(0, 2), (2, -1)])
 def test_sector_blocks_refuse_an_empty_width_and_a_negative_cutoff(width, q):
     message = f"^sector bases need width >= 1 and q >= 0, got {width} and {q}$"

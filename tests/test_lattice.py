@@ -1,5 +1,7 @@
 import itertools
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bosepoly.cli import build_model
 from bosepoly.lattice import (
     MAX_SITES,
     CouplingError,
+    ModelInstance,
     OnsiteParams,
     ResourceCapError,
     build_couplings,
@@ -253,6 +256,45 @@ def test_onsite_params_validation():
         OnsiteParams(np.array([1.0, 1.0]), np.array([0.0]))
     p = OnsiteParams(np.array([1.0, 2.0]), np.array([-0.3, 0.5]))
     assert p.U.tolist() == [1.0, 2.0] and p.mu.tolist() == [-0.3, 0.5]
+
+
+def _model(n_couplings=2, n_onsite=2, beta=1.0):
+    return ModelInstance(build_lattice([2]), np.zeros((n_couplings, n_couplings)),
+                         OnsiteParams.uniform(n_onsite, 1.0, 0.5), beta)
+
+
+# each refusal of the lattice layer, as (id, call, exception, message)
+_REFUSALS = [
+    ("non-finite-mu", lambda: OnsiteParams(np.array([1.0]), np.array([np.nan])),
+     ValueError, "on-site parameters must be finite"),
+    ("complex-matrix", lambda: build_couplings(build_lattice([2]), "explicit",
+                                               matrix=np.array([[0, 1j], [-1j, 0]])),
+     CouplingError, "complex couplings are not supported"),
+    ("matrix-shape", lambda: build_couplings(build_lattice([2]), "explicit", matrix=[[0.0]]),
+     CouplingError, "coupling matrix must be 2x2, got (1, 1)"),
+    ("cutoff-below-one", lambda: build_couplings(build_lattice([2]), "finite_range", g=1.0, d_c=0),
+     CouplingError, "finite_range requires integer cutoff d_c >= 1"),
+    ("explicit-without-matrix", lambda: build_couplings(build_lattice([2]), "explicit"),
+     CouplingError, "explicit kind requires a matrix"),
+    ("unknown-kind", lambda: build_couplings(build_lattice([2]), "dipolar"),
+     CouplingError, "unknown coupling kind 'dipolar'"),
+    ("model-couplings-size", lambda: _model(n_couplings=3),
+     ValueError, "coupling matrix size does not match lattice"),
+    ("model-onsite-size", lambda: _model(n_onsite=3),
+     ValueError, "on-site parameter arrays do not match lattice size"),
+    ("model-beta", lambda: _model(beta=0.0),
+     ValueError, "inverse temperature beta must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("call,exception,message", [case[1:] for case in _REFUSALS],
+                         ids=[case[0] for case in _REFUSALS])
+def test_lattice_refusals(call, exception, message):
+    # the refusal comes first: no warning (numpy's complex cast) before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.1])

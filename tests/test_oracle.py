@@ -327,6 +327,15 @@ def test_mutual_information_nonnegative_and_shrinks_with_beta():
     assert values[0] > values[1] > values[2]
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Moments(0, 0), "l_max must be >= 1"),
+    (lambda: Clustering("spin", 0), "unknown scan family 'spin'"),
+], ids=["moment-order-below-one", "unknown-family"])
+def test_observable_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_mutual_information_partition_validation(two_site_model):
     with pytest.raises(ValueError):
         mutual_information(two_site_model, 1, ([0, 1], []))

@@ -5,7 +5,7 @@ import pytest
 
 import bosepoly.polymers
 from bosepoly.lattice import ResourceCapError, build_couplings, build_lattice, interaction_edges
-from bosepoly.polymers import _line_graph, _split, enumerate_polymers
+from bosepoly.polymers import _line_graph, _split, check_polymer_caps, enumerate_polymers
 from ursell_reference import (
     Cluster,
     Polymer,
@@ -333,3 +333,12 @@ def test_enumeration_matches_brute_force_random_alphabets():
             for c in enumerate_clusters(polymers, m)
         }
         assert got_clusters == brute_clusters(polymers, m), (alphabet, m)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: check_polymer_caps([1, 1], 0), "max_size must be >= 1"),
+    (lambda: enumerate_polymers([(0, 1), (1, 1)], 2), "self-loop edges are not allowed"),
+], ids=["size-below-one", "self-loop"])
+def test_polymer_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
