@@ -429,13 +429,9 @@ def render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(body: dict) -> str:
+def render_json(body: dict) -> str:
     """A schema-stamped JSON document: a report or an error."""
     return json.dumps({"schema_version": SCHEMA_VERSION, **body}, sort_keys=True, indent=2) + "\n"
-
-
-def render_json(command: str, result: dict, timing: dict) -> str:
-    return _render({"command": command, "result": result, "timing": timing})
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +487,7 @@ def run(argv=None) -> int:
         if _get(config, "output.format") == "csv":
             text = render_csv(result["columns"], result["rows"])
         else:
-            text = render_json(args.command, result, timing)
+            text = render_json({"command": args.command, "result": result, "timing": timing})
         sys.stdout.write(text)
         return EXIT_OK
 
@@ -517,8 +513,8 @@ def _grid(flag: str, value: str) -> list[int]:
 
 
 def _emit_error(code: str, message: str, details) -> None:
-    sys.stdout.write(_render({"error": {"code": code, "message": message,
-                                        "details": list(details)}}))
+    sys.stdout.write(render_json({"error": {"code": code, "message": message,
+                                            "details": list(details)}}))
 
 
 def main() -> None:

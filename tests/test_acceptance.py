@@ -7,7 +7,9 @@ diagonalization) and asserts the packaged pipeline against it at the
 stated tolerance, with the stated runtime budget enforced.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -482,7 +484,7 @@ def test_c10_area_law():
 # -- 11: determinism --------------------------------------------------------------------
 
 
-def test_c11_determinism(tmp_path, capsys):
+def test_c11_determinism(tmp_path):
     start = time.perf_counter()
     config = {
         "model": {
@@ -498,15 +500,16 @@ def test_c11_determinism(tmp_path, capsys):
     rendered = []
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    assert cli_run(["approx", str(cfg_path)]) == 0
-    in_process = capsys.readouterr().out
+    in_process = io.StringIO()
+    with contextlib.redirect_stdout(in_process):
+        assert cli_run(["approx", str(cfg_path)]) == 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bosepoly.cli", "approx", str(cfg_path)],
         env=env, capture_output=True, text=True, check=True,
     )
-    for text in (in_process, proc.stdout):
+    for text in (in_process.getvalue(), proc.stdout):
         doc = json.loads(text)
         doc.pop("timing")
         rendered.append(json.dumps(doc, sort_keys=True, indent=2).encode())

@@ -1816,7 +1816,7 @@ def test_harness_shaped_config_validates(monkeypatch):
                 assert validate_config(config, command) == [], (wl.name, seed, command)
 
 
-def test_only_an_unknown_key_loads_difflib(tmp_path):
+def test_only_an_unknown_key_loads_difflib():
     import os
     import subprocess
     import sys
