@@ -327,12 +327,14 @@ def test_mutual_information_nonnegative_and_shrinks_with_beta():
     assert values[0] > values[1] > values[2]
 
 
-@pytest.mark.parametrize("call,message", [
-    (lambda: Moments(0, 0), "l_max must be >= 1"),
-    (lambda: Clustering("spin", 0), "unknown scan family 'spin'"),
-], ids=["moment-order-below-one", "unknown-family"])
-def test_observable_refusals(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+@pytest.mark.parametrize("call,exception,message", [
+    (lambda: Moments(0, 0), ValueError, "l_max must be >= 1"),
+    (lambda: Clustering("spin", 0), ValueError, "unknown scan family 'spin'"),
+    (lambda: OccupationDistribution(0).value((np.array([0.5, 0.2]),), None),
+     ArithmeticError, "occupation distribution sums to 0.7"),
+], ids=["moment-order-below-one", "unknown-family", "distribution-off-one"])
+def test_observable_refusals(call, exception, message):
+    with pytest.raises(exception, match=f"^{message}$"):
         call()
 
 
